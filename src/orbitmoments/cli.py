@@ -75,6 +75,13 @@ def _build_counter(args):
     return counter
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _cmd_mk(args, fmt: str) -> int:
     value = mk(args.n, args.k)
     _emit(
@@ -243,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_args(p)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument(
         "--good-only",
         action="store_true",

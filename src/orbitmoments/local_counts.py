@@ -159,9 +159,9 @@ def ec_points(curve: WeierstrassCurve, p: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized group data.
+# Group order by the character sum: O(p) per prime, so it serves
+# ec_point_count and the tests as an oracle, not the prime stream.
 
-@lru_cache(maxsize=None)
 def ec_group_data(a: int, b: int, p: int) -> tuple[int, int]:
     """(|E(F_p)| including infinity, number of roots of x**3 + a*x + b).
 
@@ -198,8 +198,9 @@ def ec_point_count(curve: WeierstrassCurve, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial arithmetic over F_p (coefficient lists, index = degree),
-# just enough for division-polynomial root counting.
+# Dense polynomials (coefficient lists, index = degree).  Every product is a
+# Kronecker substitution: each factor is packed into one int, w bits per
+# coefficient, and the product is a single big-int multiply.
 
 def _ptrim(f):
     while f and f[-1] == 0:
@@ -207,148 +208,214 @@ def _ptrim(f):
     return f
 
 
-def _pmul(f, g, p):
+def _pack(coeffs, w: int) -> int:
+    """sum of c_i * 2**(w*i); negative coefficients borrow from the next slot."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v << w) + c
+    return v
+
+
+def _pmul(f, g):
+    """Exact product of two polynomials with integer coefficients."""
     if not f or not g:
         return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, c in enumerate(f):
-        if c:
-            for j, d in enumerate(g):
-                out[i + j] = (out[i + j] + c * d) % p
+    bound = max(map(abs, f)) * max(map(abs, g)) * min(len(f), len(g))
+    w = bound.bit_length() + 1  # every product coefficient is below 2**(w-1) in size
+    v = _pack(f, w) * _pack(g, w)
+    mask, half, full = (1 << w) - 1, 1 << (w - 1), 1 << w
+    out = []
+    for _ in range(len(f) + len(g) - 1):
+        c = v & mask
+        if c >= half:
+            c -= full
+        out.append(c)
+        v = (v - c) >> w
     return _ptrim(out)
 
 
+def _psub(f, g):
+    length = max(len(f), len(g))
+    f = f + [0] * (length - len(f))
+    g = g + [0] * (length - len(g))
+    return _ptrim([x - y for x, y in zip(f, g)])
+
+
 def _pmod(f, g, p):
+    """Remainder of f by a nonzero trimmed g, both reduced mod p."""
     f = list(f)
     dg = len(g) - 1
     inv_lead = pow(g[-1], -1, p)
-    while len(f) - 1 >= dg and f:
-        k = len(f) - 1 - dg
-        factor = f[-1] * inv_lead % p
+    while len(f) > dg:
+        factor = f.pop() * inv_lead % p
         if factor:
-            for j, c in enumerate(g):
-                f[k + j] = (f[k + j] - factor * c) % p
-        f.pop()
-        _ptrim(f)
-    return f
+            k = len(f) - dg
+            f[k:] = [(c - factor * d) % p for c, d in zip(f[k:], g)]
+    return _ptrim(f)
 
 
 def _pgcd(f, g, p):
-    f, g = list(f), list(g)
     while g:
         f, g = g, _pmod(f, g, p)
     return f
 
 
-def _pow_x_mod(e: int, g, p):
-    """x**e reduced mod the polynomial g, by binary exponentiation."""
-    result = [1]
-    base = _pmod([0, 1], g, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), g, p)
-        base = _pmod(_pmul(base, base, p), g, p)
-        e >>= 1
-    return result
+def _minus_monomial(f, k: int, p: int):
+    """f - x**k over F_p."""
+    f = f + [0] * (k + 1 - len(f))
+    f[k] = (f[k] - 1) % p
+    return _ptrim(f)
 
 
-def division_polynomial(ell: int, a: int, b: int, p: int) -> list[int]:
-    """The ell-th division polynomial of y**2 = x**3 + ax + b mod p, odd ell.
+def _reciprocal(g, p):
+    """floor(x**(2d-2) / g) over F_p for d = deg g: d - 1 coefficients."""
+    d = len(g) - 1
+    inv_lead = pow(g[-1], -1, p)
+    top = [0] * (d - 2) + [1]  # top[i]: coefficient of x**(d+i) in the remainder
+    quot = [0] * (d - 1)
+    for k in range(d - 2, -1, -1):
+        c = quot[k] = top[k] * inv_lead % p
+        top[:k] = [t - c * gj for t, gj in zip(top[:k], g[d - k : d])]
+    return quot
 
-    Returned in x alone (even-index terms carry an implicit factor y that
-    cancels in the standard recurrence); degree (ell**2 - 1)/2, roots are
-    the x-coordinates of the nontrivial points with ell*P = infinity.
+
+class _QuotientRing:
+    """F_p[x]/(g), deg g = d >= 1, with each element packed into one int.
+
+    A product is one big-int multiply.  Its reduction mod g is Barrett
+    division: with H the part of degree >= d and mu = floor(x**(2d-2)/g),
+    the quotient is floor(H*mu / x**(d-2)) exactly, so the remainder is the
+    low d coefficients of A - quotient*g.  Slots are brought below 2p by
+    Barrett's integer reduction, applied to every slot at once.  So each
+    product costs a fixed number of big-int operations, whatever d is.
+    """
+
+    def __init__(self, g, p: int):
+        d = len(g) - 1
+        # Slots of the values reduced below stay under 6*d*p**2 < 2**bits
+        # (inputs under 2p), and a slot must also hold such a value times mu.
+        bits = (6 * d * p * p).bit_length()
+        w = 2 * bits - p.bit_length() + 1
+        self.p, self.d, self.w, self.bits = p, d, w, bits
+        self.mu = (1 << bits) // p
+        self.quot_mask = _pack([1] * (2 * d - 1), w) * ((1 << (w - bits)) - 1)
+        self.low_mask = (1 << (d * w)) - 1
+        self.recip = _pack(_reciprocal(g, p), w)
+        self.neg_low = _pack([-c % p for c in g[:d]], w)
+
+    def _slots_mod_p(self, v: int) -> int:
+        return v - (((v * self.mu) >> self.bits) & self.quot_mask) * self.p
+
+    def _reduce(self, v: int) -> int:
+        d, w = self.d, self.w
+        high = self._slots_mod_p(v >> (d * w))
+        quot = self._slots_mod_p((high * self.recip) >> (max(d - 2, 0) * w))
+        low = (v & self.low_mask) + ((quot * self.neg_low) & self.low_mask)
+        return self._slots_mod_p(low)
+
+    def pow(self, f, e: int):
+        """f**e mod g for e >= 1 and f of degree < d over F_p, as a list."""
+        base = _pack(f, self.w)
+        acc = base
+        for bit in bin(e)[3:]:
+            acc = self._reduce(acc * acc)
+            if bit == "1":
+                acc = self._reduce(acc * base)
+        mask = (1 << self.w) - 1
+        return _ptrim([(acc >> (i * self.w) & mask) % self.p for i in range(self.d)])
+
+
+def _rational_root_part(g, p: int):
+    """gcd(g, x**p - x) over F_p, for deg g >= 2: one linear factor per distinct root."""
+    frobenius = _QuotientRing(g, p).pow([0, 1], p)
+    return _pgcd(g, _minus_monomial(frobenius, 1, p), p)
+
+
+def division_polynomial(ell: int, a: int, b: int, p: int | None = None) -> list[int]:
+    """The ell-th division polynomial of y**2 = x**3 + ax + b for odd ell.
+
+    Over Z, or reduced mod p when p is given.  Returned in x alone
+    (even-index terms of the standard recurrence carry an implicit factor y
+    that cancels); degree (ell**2 - 1)/2 with leading coefficient ell, and
+    its roots are the x-coordinates of the nontrivial points with
+    ell*P = infinity.
     """
     if ell % 2 == 0:
         raise ValueError("odd ell only")
-    a %= p
-    b %= p
     curve_poly = [b, a, 0, 1]
-    curve_sq = _pmul(curve_poly, curve_poly, p)
-    inv2 = pow(2, -1, p)
+    curve_sq = _pmul(curve_poly, curve_poly)
     table = {
         0: [],
         1: [1],
         2: [2],
-        3: _ptrim([(-a * a) % p, 12 * b % p, 6 * a % p, 0, 3]),
-        4: _ptrim(
-            [
-                (-32 * b * b - 4 * a**3) % p,
-                (-16 * a * b) % p,
-                (-20 * a * a) % p,
-                80 * b % p,
-                20 * a % p,
-                0,
-                4,
-            ]
-        ),
+        3: [-a * a, 12 * b, 6 * a, 0, 3],
+        4: [-32 * b * b - 4 * a**3, -16 * a * b, -20 * a * a, 80 * b, 20 * a, 0, 4],
     }
 
-    def f(k: int):
+    def psi(k: int):
         if k in table:
             return table[k]
         m, r = divmod(k, 2)
         if r:
-            t1 = _pmul(f(m + 2), _pmul(f(m), _pmul(f(m), f(m), p), p), p)
-            t2 = _pmul(f(m - 1), _pmul(f(m + 1), _pmul(f(m + 1), f(m + 1), p), p), p)
+            t1 = _pmul(psi(m + 2), _pmul(psi(m), _pmul(psi(m), psi(m))))
+            t2 = _pmul(psi(m - 1), _pmul(psi(m + 1), _pmul(psi(m + 1), psi(m + 1))))
             if m % 2 == 0:
-                t1 = _pmul(t1, curve_sq, p)
+                t1 = _pmul(t1, curve_sq)
             else:
-                t2 = _pmul(t2, curve_sq, p)
-            out = [(x - y) % p for x, y in _zip_pad(t1, t2)]
+                t2 = _pmul(t2, curve_sq)
+            out = _psub(t1, t2)
         else:
-            t1 = _pmul(f(m + 2), _pmul(f(m - 1), f(m - 1), p), p)
-            t2 = _pmul(f(m - 2), _pmul(f(m + 1), f(m + 1), p), p)
-            diff = [(x - y) % p for x, y in _zip_pad(t1, t2)]
-            out = [c * inv2 % p for c in _pmul(f(m), diff, p)]
-        out = _ptrim(out)
+            t1 = _pmul(psi(m + 2), _pmul(psi(m - 1), psi(m - 1)))
+            t2 = _pmul(psi(m - 2), _pmul(psi(m + 1), psi(m + 1)))
+            # psi_k has integer coefficients, so the halving is exact
+            out = [c // 2 for c in _pmul(psi(m), _psub(t1, t2))]
         table[k] = out
         return out
 
-    return f(ell)
+    poly = list(psi(ell))
+    return poly if p is None else _ptrim([c % p for c in poly])
 
 
-def _zip_pad(f, g):
-    length = max(len(f), len(g))
-    return zip(f + [0] * (length - len(f)), g + [0] * (length - len(g)))
-
-
-@lru_cache(maxsize=None)
-def _rational_division_root_count(ell: int, a: int, b: int, p: int) -> int:
-    """Number of F_p-roots of the ell-th division polynomial."""
-    f = division_polynomial(ell, a, b, p)
-    xp = _pow_x_mod(p, f, p)
-    xp_minus_x = list(xp)
-    while len(xp_minus_x) < 2:
-        xp_minus_x.append(0)
-    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
-    g = _pgcd(f, _ptrim(xp_minus_x), p)
-    return max(len(g) - 1, 0)
+@lru_cache(maxsize=16)
+def _integer_division_polynomial(ell: int, a: int, b: int) -> tuple[int, ...]:
+    """psi_ell over Z, built once per curve and reduced mod each prime."""
+    return tuple(division_polynomial(ell, a, b))
 
 
 def ec_torsion_count(curve: WeierstrassCurve, p: int, ell: int) -> int:
     """|E(F_p)[ell]| including infinity; 0 for excluded primes (p < 5 or p | ell*disc).
 
-    Derived from the group order m = |E(F_p)|: no order-ell point unless
-    ell | m; a full (Z/ell)**2 needs ell | p - 1 (Weil pairing) and
-    ell**2 | m; in the remaining ambiguous case the count is read off the
-    rational root count r of the ell-th division polynomial (the quadratic
-    twist carries no ell-torsion there, so the count is 2r + 1).
+    Read off the action of Frobenius on the roots of the ell-th division
+    polynomial (Schoof, Math. Comp. 1985), at a cost that grows with log p
+    and ell**2 but not with p.  With f = x**3 + a*x + b:
+
+    - ell = 2: the nontrivial points are (x0, 0) with f(x0) = 0, so the
+      count is 1 + deg gcd(f, x**p - x).
+    - odd ell: h = gcd(psi_ell, x**p - x) collects the rational
+      x-coordinates of the points of order ell, and a root x0 gives the two
+      rational points (x0, +-y) exactly when f(x0) is a square, that is a
+      root of f**((p-1)/2) - 1.  So the count is
+      1 + 2*deg gcd(h, f**((p-1)/2) - 1 mod h).
+
+    h divides x**p - x, so it is squarefree and degrees count roots.
+    psi_ell is built over Z once per curve and reduced mod p.
     """
     if p < 5 or (ell * curve.discriminant) % p == 0:
         return 0
-    m, cubic_roots = ec_group_data(curve.a, curve.b, p)
+    f = [curve.b % p, curve.a % p, 0, 1]
     if ell == 2:
-        return 1 + cubic_roots
-    if m % ell != 0:
-        return 1
-    if (p - 1) % ell != 0 or m % (ell * ell) != 0:
-        return ell
-    r = _rational_division_root_count(ell, curve.a % p, curve.b % p, p)
-    count = 2 * r + 1
-    if count not in (ell, ell * ell):
+        count = len(_rational_root_part(f, p))  # 1 + deg gcd
+    else:
+        psi = _ptrim([c % p for c in _integer_division_polynomial(ell, curve.a, curve.b)])
+        h = _rational_root_part(psi, p)
+        count = 1
+        if len(h) > 1:
+            half = _QuotientRing(h, p).pow(_pmod(f, h, p), (p - 1) // 2)
+            count += 2 * (len(_pgcd(h, _minus_monomial(half, 0, p), p)) - 1)
+    if count not in (1, ell, ell * ell) or (count == ell * ell and p % ell != 1):
         raise ArithmeticError(
-            f"torsion count {count} for {curve} at p={p}, ell={ell} is not in {{ell, ell**2}}"
+            f"torsion count {count} for {curve} at p={p}, ell={ell} is impossible: "
+            f"expected 1, ell, or ell**2 with p = 1 mod ell"
         )
     return count
 

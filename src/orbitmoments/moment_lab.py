@@ -199,6 +199,7 @@ class MomentReport:
             "predicted_den": None if self.predicted is None else self.predicted.denominator,
             "rel_err": self.rel_err,
             "histogram": {str(v): c for v, c in sorted(self.histogram.items())},
+            "excluded": self.excluded,
         }
 
 
@@ -215,7 +216,7 @@ def report_from_json_dict(data: dict) -> MomentReport:
         empirical=Fraction(data["empirical_num"], data["empirical_den"]),
         predicted=predicted,
         histogram=hist,
-        excluded=hist.get(0, 0),
+        excluded=data["excluded"],
     )
 
 

@@ -3,10 +3,18 @@
 The empirical criteria run at their documented sizes (x = 10**6 for the
 power scenarios, x = 10**5 for the elliptic ones) and tolerances (2%
 relative, 5% relative/absolute for elliptic, 1% absolute for the
-distribution atoms), so this module takes a few minutes end to end.
+distribution atoms), so this module takes a few minutes end to end.  The
+slow-marked check repeats the full-image torsion moment at x = 10**6
+(deselect it with -m "not slow").
 """
 
+import pytest
+
+from orbitmoments.closed_forms import gl2_moment
+from orbitmoments.local_counts import CURVE_PRESETS
+from orbitmoments.moment_lab import TorsionCounter, empirical_moment
 from orbitmoments.verify import (
+    TOL_ELLIPTIC,
     suite_distribution,
     suite_formula_identities,
     suite_gl2_fixed_points,
@@ -55,6 +63,14 @@ def test_criterion_6_power_moment_convergence():
 
 def test_criterion_7_torsion_full_image():
     _run(suite_torsion_gl2())
+
+
+@pytest.mark.slow
+def test_criterion_7_torsion_full_image_at_1e6():
+    report = empirical_moment(TorsionCounter(CURVE_PRESETS["17a3"], 3), 1, 10**6)
+    assert report.predicted == gl2_moment(3, 1)
+    print(f"17a3 ell=3 k=1 x=10**6: empirical={float(report.empirical):.6f} rel_err={report.rel_err:.4%}")
+    assert report.rel_err <= TOL_ELLIPTIC
 
 
 def test_criterion_8_torsion_cm():

@@ -203,6 +203,15 @@ def test_usage_error_exit_code():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_moment_rejects_nonpositive_threads(capsys, threads):
+    argv = ["moment", "--scenario", "power", "--n", "4", "--x", "1000", "--threads", threads]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"argument --threads: must be a positive integer, got {threads}" in capsys.readouterr().err
+
+
 def test_invalid_scenario_value(capsys):
     code, _, err = run_cli(
         capsys,

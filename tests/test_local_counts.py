@@ -2,7 +2,7 @@ from math import gcd, isqrt
 
 import pytest
 
-from orbitmoments.core_arith import sieve_primes
+from orbitmoments.core_arith import primes_in_range, sieve_primes
 from orbitmoments.local_counts import (
     CURVE_PRESETS,
     PowerEquation,
@@ -179,6 +179,26 @@ def test_torsion_ambiguous_branch_against_enumeration():
                     outcomes.add(fast == ell * ell)
     assert hits > 10
     assert outcomes == {True, False}  # both resolutions exercised
+
+
+def test_torsion_against_character_sum_near_1e6():
+    # The enumeration oracle is too slow this far out; the character sum
+    # still gives |E(F_p)| and the cubic's root count.  The second half of
+    # the sample has p = 1 mod 105, where full ell-torsion is possible.
+    primes = list(primes_in_range(10**6, 10**6 + 400))[:6]
+    primes += [p for p in primes_in_range(10**6, 10**6 + 40000) if p % 105 == 1][:6]
+    full = set()
+    for curve in CURVE_PRESETS.values():
+        for p in primes:
+            m, cubic_roots = ec_group_data(curve.a, curve.b, p)
+            assert ec_torsion_count(curve, p, 2) == 1 + cubic_roots, (curve, p)
+            for ell in (3, 5, 7):
+                n = ec_torsion_count(curve, p, ell)
+                assert (n > 1) == (m % ell == 0), (curve, p, ell)
+                if n == ell * ell:
+                    assert m % (ell * ell) == 0 and p % ell == 1, (curve, p, ell)
+                    full.add(ell)
+    assert full == {3, 5}  # the ell**2 case is exercised
 
 
 def test_torsion_value_set_and_weil_constraint():

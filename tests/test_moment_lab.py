@@ -233,11 +233,17 @@ def test_trace_csv_columns():
 
 
 def test_report_json_roundtrip():
-    counter = PowerCounter(PowerEquation(8, 3))
-    report = empirical_moment(counter, 2, 5000)
-    blob = json.dumps(report.to_json_dict())
-    back = report_from_json_dict(json.loads(blob))
-    assert back.empirical == report.empirical
-    assert back.predicted == report.predicted
-    assert back.histogram == report.histogram
-    assert back.scenario == report.scenario
+    # x^3 = 2 has no root for about a third of the primes, so hist[0] holds
+    # far more than the two excluded primes (2 and 3)
+    cases = ((PowerEquation(8, 3), 2, 5000), (PowerEquation(3, 2), 1, 10**4))
+    for eq, k, x in cases:
+        report = empirical_moment(PowerCounter(eq), k, x)
+        blob = json.dumps(report.to_json_dict())
+        back = report_from_json_dict(json.loads(blob))
+        assert back.empirical == report.empirical
+        assert back.predicted == report.predicted
+        assert back.histogram == report.histogram
+        assert back.scenario == report.scenario
+        assert back.excluded == report.excluded
+    assert report.excluded == 2
+    assert report.histogram[0] > report.excluded
