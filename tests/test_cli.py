@@ -203,7 +203,7 @@ def test_usage_error_exit_code():
     assert info.value.code == 2
 
 
-@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("threads", ["0", "-1", "two"])
 def test_moment_rejects_nonpositive_threads(capsys, threads):
     argv = ["moment", "--scenario", "power", "--n", "4", "--x", "1000", "--threads", threads]
     with pytest.raises(SystemExit) as info:
