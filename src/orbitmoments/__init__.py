@@ -21,14 +21,17 @@ from .core_arith import (
     kronecker_symbol,
     mobius,
     pow_mod,
+    prime_segments,
     primes_in_range,
     sieve_primes,
 )
 from .local_counts import (
     CURVE_PRESETS,
+    BadPrimes,
     PowerEquation,
     SplittingType,
     WeierstrassCurve,
+    count_roots_array,
     count_roots_brute,
     count_roots_formula,
     ec_point_count,

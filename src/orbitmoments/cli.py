@@ -131,7 +131,10 @@ def _cmd_moment(args, fmt: str) -> int:
         print(json.dumps(report.to_json_dict(), sort_keys=True))
         return 0
     print(f"scenario:  {report.scenario}")
-    print(f"k={report.k}  x={report.x}  pi(x)={report.pi_x}  excluded={report.excluded}")
+    print(
+        f"k={report.k}  x={report.x}  pi(x)={report.pi_x}  "
+        f"excluded={report.excluded}  filtered={report.filtered}"
+    )
     print(f"empirical: {_fmt_rational(report.empirical, fmt)}")
     if report.predicted is not None:
         print(f"predicted: {_fmt_rational(report.predicted, fmt)}")

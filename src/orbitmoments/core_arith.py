@@ -64,26 +64,33 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def primes_in_range(lo: int, hi: int) -> Iterator[int]:
-    """Yield the primes in [lo, hi) in ascending order.
+def prime_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
+    """Yield the primes in [lo, hi) as ascending int64 arrays, one per sieve segment.
 
-    Segmented: memory stays O(sqrt(hi) + segment).  Disjoint ranges
-    concatenate to the full stream, so [2, x] may be partitioned freely.
+    Segmented: memory stays O(sqrt(hi) + segment).  Empty segments are
+    skipped, and disjoint ranges concatenate to the full stream, so [2, x]
+    may be partitioned freely.
     """
     lo = max(lo, 2)
     if hi <= lo:
         return
-    base = _simple_sieve(math.isqrt(hi - 1))
+    base = _simple_sieve(math.isqrt(hi - 1)).tolist()
     for start in range(lo, hi, _SEGMENT):
         stop = min(start + _SEGMENT, hi)
         mask = np.ones(stop - start, dtype=bool)
         for p in base:
-            p = int(p)
-            first = max(p * p, ((start + p - 1) // p) * p)
-            if first < stop:
-                mask[first - start :: p] = False
-        for off in np.flatnonzero(mask):
-            yield start + int(off)
+            if p * p >= stop:
+                break
+            mask[max(p * p, -(-start // p) * p) - start :: p] = False
+        primes = np.flatnonzero(mask).astype(np.int64, copy=False)
+        if primes.size:
+            yield primes + start
+
+
+def primes_in_range(lo: int, hi: int) -> Iterator[int]:
+    """Yield the primes in [lo, hi) in ascending order, as Python ints."""
+    for segment in prime_segments(lo, hi):
+        yield from segment.tolist()
 
 
 def sieve_primes(x: int) -> Iterator[int]:
@@ -162,6 +169,25 @@ def pow_mod(b: int, e: int, m: int) -> int:
             result = result * b % m
         b = b * b % m
         e >>= 1
+    return result
+
+
+# pow_mod_array is exact for moduli below this bound.
+POW_ARRAY_LIMIT = 1 << 31
+
+
+def pow_mod_array(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """Elementwise base**exp mod m on int64 arrays, by square-and-multiply.
+
+    Exact while every modulus is below 2**31: residues stay below 2**31, so
+    each product stays below 2**62.  Exponents must be >= 0.
+    """
+    result = np.ones_like(mod)
+    base = base % mod
+    for bit in range(int(exp.max(initial=0)).bit_length()):
+        odd = (exp >> bit) & 1 == 1
+        result = np.where(odd, result * base % mod, result)
+        base = base * base % mod
     return result
 
 

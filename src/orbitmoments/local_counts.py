@@ -1,8 +1,9 @@
 """Solution counts mod p: roots of x**n - a, and elliptic ell-torsion.
 
 Conventions: excluded primes (bad reduction, p | n*a, p < 5 for curves)
-count as 0.  Finitely many excluded primes never move a prime-average
-limit, and the uniform convention keeps the estimators simple.
+count as 0, and `BadPrimes` is the one rule that names them.  Finitely
+many excluded primes never move a prime-average limit, and the uniform
+convention keeps the estimators simple.
 """
 
 from dataclasses import dataclass
@@ -12,8 +13,39 @@ from math import gcd
 
 import numpy as np
 
-from .core_arith import kronecker_symbol, pow_mod
+from .core_arith import POW_ARRAY_LIMIT, kronecker_symbol, pow_mod, pow_mod_array
 from .residue_algebra import QuadOrderSpec
+
+
+_INT64_LIMIT = 1 << 63
+
+
+@dataclass(frozen=True)
+class BadPrimes:
+    """The exclusion rule: p is excluded when p < floor or p divides modulus.
+
+    x**n - a uses the modulus n*a; a curve counting ell-torsion uses
+    ell*disc with floor 5.
+    """
+
+    modulus: int
+    floor: int = 2
+
+    def __contains__(self, p: int) -> bool:
+        return p < self.floor or self.modulus % p == 0
+
+    def __str__(self) -> str:
+        divides = f"p | {self.modulus}"
+        return divides if self.floor <= 2 else f"p < {self.floor} or {divides}"
+
+    def mask(self, primes: np.ndarray) -> np.ndarray:
+        """`p in self` for each entry of an int64 array, exact for any modulus."""
+        m = abs(self.modulus)
+        if m < _INT64_LIMIT:
+            divides = m % primes == 0
+        else:
+            divides = np.array([m % p == 0 for p in primes.tolist()], dtype=bool)
+        return (primes < self.floor) | divides
 
 
 class SplittingType(Enum):
@@ -43,6 +75,10 @@ class PowerEquation:
         if self.n < 1:
             raise ValueError("exponent n must be >= 1")
 
+    @property
+    def bad_primes(self) -> BadPrimes:
+        return BadPrimes(self.n * self.a)
+
 
 def count_roots_brute(eq: PowerEquation, p: int) -> int:
     """#{x in F_p : x**n = a}, by scanning all residues."""
@@ -57,10 +93,30 @@ def count_roots_formula(eq: PowerEquation, p: int) -> int:
     a**((p-1)/d) = 1 mod p, and 0 otherwise (for a = 1 the criterion
     holds trivially).  Other primes fall back to the brute scan.
     """
-    if eq.a == 0 or gcd(p, eq.n * eq.a) != 1:
+    if p in eq.bad_primes:
         return count_roots_brute(eq, p)
     d = gcd(p - 1, eq.n)
     return d if pow_mod(eq.a, (p - 1) // d, p) == 1 else 0
+
+
+def count_roots_array(eq: PowerEquation, primes: np.ndarray) -> np.ndarray:
+    """count_roots_formula for each entry of an int64 array of primes coprime to n*a.
+
+    Vectorized on int64 while every prime is below POW_ARRAY_LIMIT and n
+    and a fit int64; otherwise each prime takes the builtin pow.
+    """
+    n, a = eq.n, eq.a
+    fits = n < _INT64_LIMIT and abs(a) < _INT64_LIMIT
+    if primes.size and primes.max() < POW_ARRAY_LIMIT and fits:
+        d = np.gcd(primes - 1, n)
+        if a == 1:
+            return d
+        return np.where(pow_mod_array(a % primes, (primes - 1) // d, primes) == 1, d, 0)
+    counts = []
+    for p in primes.tolist():
+        d = gcd(p - 1, n)
+        counts.append(d if pow(a, (p - 1) // d, p) == 1 else 0)
+    return np.array(counts, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -80,9 +136,13 @@ class WeierstrassCurve:
     def discriminant(self) -> int:
         return -16 * (4 * self.a**3 + 27 * self.b**2)
 
+    def bad_primes(self, ell: int = 1) -> BadPrimes:
+        """Primes excluded when counting ell-torsion: p < 5 or p | ell*disc."""
+        return BadPrimes(ell * self.discriminant, 5)
+
     def is_good_prime(self, p: int) -> bool:
         """Good reduction in the working convention: p >= 5 and p does not divide the discriminant."""
-        return p >= 5 and self.discriminant % p != 0
+        return p not in self.bad_primes()
 
 
 # Named models.  The Cremona-label curves are converted to short form
@@ -400,7 +460,7 @@ def ec_torsion_count(curve: WeierstrassCurve, p: int, ell: int) -> int:
     h divides x**p - x, so it is squarefree and degrees count roots.
     psi_ell is built over Z once per curve and reduced mod p.
     """
-    if p < 5 or (ell * curve.discriminant) % p == 0:
+    if p in curve.bad_primes(ell):
         return 0
     f = [curve.b % p, curve.a % p, 0, 1]
     if ell == 2:
@@ -422,7 +482,7 @@ def ec_torsion_count(curve: WeierstrassCurve, p: int, ell: int) -> int:
 
 def ec_torsion_count_enum(curve: WeierstrassCurve, p: int, ell: int) -> int:
     """Oracle: enumerate affine points and count those with ell*P = infinity."""
-    if p < 5 or (ell * curve.discriminant) % p == 0:
+    if p in curve.bad_primes(ell):
         return 0
     a = curve.a % p
     count = 1

@@ -1,19 +1,22 @@
 """Empirical prime averages of N_p**k, with exact predictions attached.
 
 All averages are exact rationals internally; decimals appear only when a
-report is rendered.  Prime ranges shard cleanly: partial sums and
-histograms merge by integer addition, so results never depend on the
-shard count.
+report is rendered.  One accumulator walks the primes as int64 segments
+from the sieve: it masks the excluded primes of a whole segment at once,
+evaluates the power kernels on the segment with numpy, and books the
+values in a histogram from which the exact sums are taken.  Prime ranges
+shard cleanly: histograms and counts merge by integer addition, so results
+never depend on the shard count.
 """
 
 import cmath
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd
+
+import numpy as np
 
 from .closed_forms import (
     cm_moment,
@@ -23,11 +26,13 @@ from .closed_forms import (
     mk,
     split_densities,
 )
-from .core_arith import is_prime, pow_mod, primes_in_range
+from .core_arith import is_prime, prime_segments
 from .local_counts import (
+    BadPrimes,
     PowerEquation,
     SplittingType,
     WeierstrassCurve,
+    count_roots_array,
     ec_torsion_count,
     splitting_type,
 )
@@ -136,28 +141,27 @@ def _filter_suffix(f: SplitFilter | None) -> str:
     return ",split" if f.keep == SPLIT_ONLY else ",nonsplit"
 
 
-def _is_excluded(counter: CounterSpec, p: int) -> bool:
+def _bad_primes(counter: CounterSpec) -> BadPrimes:
     if isinstance(counter, PowerCounter):
-        return gcd(p, counter.eq.n * counter.eq.a) != 1
+        return counter.eq.bad_primes
     if isinstance(counter, PowerProductCounter):
-        return gcd(p, counter.eq_a.n * counter.eq_a.a) != 1
-    return p < 5 or (counter.ell * counter.curve.discriminant) % p == 0
+        return counter.eq_a.bad_primes
+    return counter.curve.bad_primes(counter.ell)
 
 
-def _power_value(eq: PowerEquation, p: int) -> int:
-    # Excluded primes are filtered upstream, so p is coprime to n*a here.
-    d = gcd(p - 1, eq.n)
-    return d if pow_mod(eq.a, (p - 1) // d, p) == 1 else 0
-
-
-def _value(counter: CounterSpec, p: int) -> int:
-    if isinstance(counter, PowerCounter):
-        return _power_value(counter.eq, p)
+def _value_histogram(counter: CounterSpec, primes: np.ndarray) -> dict[int, int]:
+    """N_p -> number of primes, over an int64 array of non-excluded primes."""
+    if isinstance(counter, TorsionCounter):
+        curve, ell = counter.curve, counter.ell
+        return Counter(ec_torsion_count(curve, p, ell) for p in primes.tolist())
+    eq = counter.eq if isinstance(counter, PowerCounter) else counter.eq_a
+    values, counts = np.unique(count_roots_array(eq, primes), return_counts=True)
+    hist = dict(zip(values.tolist(), counts.tolist()))
     if isinstance(counter, PowerProductCounter):
-        return _power_value(counter.eq_a, p) ** counter.k1 * _power_value(
-            counter.eq_one, p
-        ) ** counter.k2
-    return ec_torsion_count(counter.curve, p, counter.ell)
+        # N_p(x**n - 1) = gcd(p-1, n), and N_p(x**n - a) is either that or 0,
+        # so with k1 >= 1 the product is N_p(x**n - a)**(k1 + k2).
+        hist = {v ** (counter.k1 + counter.k2): c for v, c in hist.items()}
+    return hist
 
 
 def _split_filter(counter: CounterSpec) -> SplitFilter | None:
@@ -174,6 +178,7 @@ class MomentReport:
     predicted: Fraction | None
     histogram: dict[int, int]
     excluded: int
+    filtered: int
 
     @property
     def abs_err(self) -> float | None:
@@ -200,6 +205,7 @@ class MomentReport:
             "rel_err": self.rel_err,
             "histogram": {str(v): c for v, c in sorted(self.histogram.items())},
             "excluded": self.excluded,
+            "filtered": self.filtered,
         }
 
 
@@ -217,6 +223,7 @@ def report_from_json_dict(data: dict) -> MomentReport:
         predicted=predicted,
         histogram=hist,
         excluded=data["excluded"],
+        filtered=data.get("filtered", 0),
     )
 
 
@@ -253,31 +260,86 @@ def predicted_moment(counter: CounterSpec, k: int) -> Fraction | None:
     return cm_moment(ell, k, dk(ell, curve.cm))
 
 
-@lru_cache(maxsize=4)
-def _primes_list(x: int) -> tuple[int, ...]:
-    return tuple(primes_in_range(2, x + 1))
+@dataclass
+class _Tally:
+    """Counts over a stretch of the prime stream; stretches merge by addition.
+
+    hist maps N_p to its number of primes, and excluded primes and primes
+    a split filter drops are booked under 0, so sum(hist) == pi_x.
+    """
+
+    hist: Counter = field(default_factory=Counter)
+    excluded: int = 0
+    filtered: int = 0
+    pi_x: int = 0
+
+    def __add__(self, other: "_Tally") -> "_Tally":
+        return _Tally(
+            self.hist + other.hist,
+            self.excluded + other.excluded,
+            self.filtered + other.filtered,
+            self.pi_x + other.pi_x,
+        )
+
+    def add_primes(self, counter: CounterSpec, primes: np.ndarray):
+        self.pi_x += primes.size
+        good = primes[~_bad_primes(counter).mask(primes)]
+        self.excluded += primes.size - good.size
+        filt = _split_filter(counter)
+        if filt is not None:
+            keep = np.fromiter(
+                (splitting_type(p, filt.spec) in filt.keep for p in good.tolist()),
+                dtype=bool,
+                count=good.size,
+            )
+            self.filtered += good.size - int(keep.sum())
+            good = good[keep]
+        if primes.size > good.size:
+            self.hist[0] += primes.size - good.size
+        self.hist.update(_value_histogram(counter, good))
+
+    def moment_sum(self, k: int) -> int:
+        """Sum of N_p**k over the primes that were valued."""
+        # Excluded and filtered primes sit in hist[0] but add nothing, even at k = 0.
+        unvalued = self.excluded + self.filtered
+        return sum(c * v**k for v, c in self.hist.items()) - unvalued * 0**k
 
 
-def _accumulate(counter: CounterSpec, k: int, primes) -> tuple[int, Counter, int, int]:
-    """(sum of N_p**k, value histogram, excluded count, prime count)."""
-    total = 0
-    hist = Counter()
-    excluded = 0
-    seen = 0
-    filt = _split_filter(counter)
-    for p in primes:
-        seen += 1
-        if _is_excluded(counter, p):
-            excluded += 1
-            hist[0] += 1
-            continue
-        if filt is not None and splitting_type(p, filt.spec) not in filt.keep:
-            hist[0] += 1
-            continue
-        v = _value(counter, p)
-        hist[v] += 1
-        total += v**k
-    return total, hist, excluded, seen
+def _accumulate(counter: CounterSpec, lo: int, hi: int, marks: list[int]) -> list[_Tally]:
+    """Tallies of the primes in [lo, hi), one for each ascending exclusive bound in marks.
+
+    Each tally covers the primes from lo up to its mark; a mark inside a
+    sieve segment splits the segment there.
+    """
+    tally = _Tally()
+    snapshots = []
+    marks = list(marks)
+    for segment in prime_segments(lo, hi):
+        start = 0
+        while marks and marks[0] <= segment[-1]:
+            cut = int(np.searchsorted(segment, marks.pop(0)))
+            tally.add_primes(counter, segment[start:cut])
+            snapshots.append(replace(tally, hist=Counter(tally.hist)))
+            start = cut
+        tally.add_primes(counter, segment[start:])
+    snapshots.extend(tally for _ in marks)
+    return snapshots
+
+
+def _report(
+    counter: CounterSpec, k: int, x: int, tally: _Tally, denom: int, predicted: Fraction | None
+) -> MomentReport:
+    return MomentReport(
+        scenario=counter.scenario,
+        k=k,
+        x=x,
+        pi_x=tally.pi_x,
+        empirical=Fraction(tally.moment_sum(k), denom),
+        predicted=predicted,
+        histogram=dict(tally.hist),
+        excluded=tally.excluded,
+        filtered=tally.filtered,
+    )
 
 
 def _shard_bounds(x: int, shards: int) -> list[tuple[int, int]]:
@@ -296,37 +358,30 @@ def empirical_moment(
 
     Excluded primes contribute 0 (also at k = 0, so the k = 0 report reads
     off the excluded-prime bookkeeping).  good_only divides by the count
-    of non-excluded primes instead.
+    of non-excluded primes instead.  threads > 1 splits [2, x] into that
+    many ranges, accumulated on a thread pool and merged exactly.
     """
     if x < 2:
         raise ValueError("x must be >= 2")
     if k < 0:
         raise ValueError("k must be >= 0")
+
+    def shard(bounds: tuple[int, int]) -> _Tally:
+        lo, hi = bounds
+        return _accumulate(counter, lo, hi, [hi])[0]
+
     if threads > 1:
-        parts = [
-            (counter, k, primes_in_range(lo, hi)) for lo, hi in _shard_bounds(x, threads)
-        ]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda args: _accumulate(*args), parts))
-        total = sum(r[0] for r in results)
-        hist = Counter()
-        for r in results:
-            hist.update(r[1])
-        excluded = sum(r[2] for r in results)
-        pi_x = sum(r[3] for r in results)
+            tally = sum(pool.map(shard, _shard_bounds(x, threads)), _Tally())
     else:
-        total, hist, excluded, pi_x = _accumulate(counter, k, _primes_list(x))
-    denom = pi_x - excluded if good_only else pi_x
-    return MomentReport(
-        scenario=counter.scenario,
-        k=k,
-        x=x,
-        pi_x=pi_x,
-        empirical=Fraction(total, denom),
-        predicted=predicted_moment(counter, k),
-        histogram=dict(hist),
-        excluded=excluded,
-    )
+        tally = shard((2, x + 1))
+    denom = tally.pi_x - tally.excluded if good_only else tally.pi_x
+    if denom == 0:
+        raise ValueError(
+            f"good_only: every prime p <= {x} is excluded ({_bad_primes(counter)}), "
+            "so there is nothing to average"
+        )
+    return _report(counter, k, x, tally, denom, predicted_moment(counter, k))
 
 
 def conditioned_moment(
@@ -362,7 +417,8 @@ def empirical_distribution(
     |G(m)|/|G| when a matching action is supplied."""
     if x < 2:
         raise ValueError("x must be >= 2")
-    _, hist, _, pi_x = _accumulate(counter, 0, _primes_list(x))
+    tally = _accumulate(counter, 2, x + 1, [x + 1])[0]
+    hist, pi_x = tally.hist, tally.pi_x
     masses = {v: Fraction(c, pi_x) for v, c in sorted(hist.items())}
     cdf = []
     running = Fraction(0)
@@ -420,44 +476,12 @@ def convergence_trace(
         raise ValueError("checkpoints must be a nonempty ascending list")
     if checkpoints[0] < 2:
         raise ValueError("checkpoints must be >= 2")
-    total = 0
-    hist = Counter()
-    excluded = 0
-    pi_x = 0
     predicted = predicted_moment(counter, k)
-    filt = _split_filter(counter)
-
-    def snapshot(bound: int) -> MomentReport:
-        return MomentReport(
-            scenario=counter.scenario,
-            k=k,
-            x=bound,
-            pi_x=pi_x,
-            empirical=Fraction(total, pi_x),
-            predicted=predicted,
-            histogram=dict(hist),
-            excluded=excluded,
-        )
-
-    reports = []
-    remaining = list(checkpoints)
-    for p in _primes_list(checkpoints[-1]):
-        while remaining and p > remaining[0]:
-            reports.append(snapshot(remaining.pop(0)))
-        pi_x += 1
-        if _is_excluded(counter, p):
-            excluded += 1
-            hist[0] += 1
-            continue
-        if filt is not None and splitting_type(p, filt.spec) not in filt.keep:
-            hist[0] += 1
-            continue
-        v = _value(counter, p)
-        hist[v] += 1
-        total += v**k
-    for bound in remaining:
-        reports.append(snapshot(bound))
-    return reports
+    tallies = _accumulate(counter, 2, checkpoints[-1] + 1, [c + 1 for c in checkpoints])
+    return [
+        _report(counter, k, bound, tally, tally.pi_x, predicted)
+        for bound, tally in zip(checkpoints, tallies)
+    ]
 
 
 def trace_to_csv(reports: list[MomentReport]) -> str:

@@ -4,17 +4,18 @@ The empirical criteria run at their documented sizes (x = 10**6 for the
 power scenarios, x = 10**5 for the elliptic ones) and tolerances (2%
 relative, 5% relative/absolute for elliptic, 1% absolute for the
 distribution atoms), so this module takes a few minutes end to end.  The
-slow-marked check repeats the full-image torsion moment at x = 10**6
-(deselect it with -m "not slow").
+slow-marked checks repeat the full-image torsion moment at x = 10**6 and
+the x^6 - 1 power moment at x = 10**8 (deselect them with -m "not slow").
 """
 
 import pytest
 
-from orbitmoments.closed_forms import gl2_moment
-from orbitmoments.local_counts import CURVE_PRESETS
-from orbitmoments.moment_lab import TorsionCounter, empirical_moment
+from orbitmoments.closed_forms import gl2_moment, mk
+from orbitmoments.local_counts import CURVE_PRESETS, PowerEquation
+from orbitmoments.moment_lab import PowerCounter, TorsionCounter, empirical_moment
 from orbitmoments.verify import (
     TOL_ELLIPTIC,
+    TOL_POWER,
     suite_distribution,
     suite_formula_identities,
     suite_gl2_fixed_points,
@@ -59,6 +60,14 @@ def test_criterion_5_formula_cross_identities():
 
 def test_criterion_6_power_moment_convergence():
     _run(suite_power_moments())
+
+
+@pytest.mark.slow
+def test_criterion_6_power_moment_at_1e8():
+    report = empirical_moment(PowerCounter(PowerEquation(6, 1)), 2, 10**8)
+    assert report.predicted == mk(6, 2)
+    print(f"x^6-1 k=2 x=10**8: empirical={float(report.empirical):.6f} rel_err={report.rel_err:.2e}")
+    assert report.rel_err <= TOL_POWER
 
 
 def test_criterion_7_torsion_full_image():

@@ -212,6 +212,16 @@ def test_moment_rejects_nonpositive_threads(capsys, threads):
     assert f"argument --threads: must be a positive integer, got {threads}" in capsys.readouterr().err
 
 
+def test_good_only_with_every_prime_excluded(capsys):
+    # x^4 - 1 excludes p = 2, the only prime up to 2
+    code, out, err = run_cli(
+        capsys, "moment", "--scenario", "power", "--n", "4", "--x", "2", "--good-only"
+    )
+    assert code == 2
+    assert out == ""
+    assert "every prime p <= 2 is excluded (p | 4)" in err
+
+
 def test_invalid_scenario_value(capsys):
     code, _, err = run_cli(
         capsys,

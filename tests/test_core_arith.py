@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from orbitmoments.core_arith import (
+    POW_ARRAY_LIMIT,
     divisor_count,
     divisors,
     euler_phi,
@@ -11,6 +13,8 @@ from orbitmoments.core_arith import (
     kronecker_symbol,
     mobius,
     pow_mod,
+    pow_mod_array,
+    prime_segments,
     primes_in_range,
     sieve_primes,
 )
@@ -118,6 +122,17 @@ def test_pow_mod_fermat():
     for p in sieve_primes(10**4):
         if p != 3:
             assert pow_mod(3, p - 1, p) == 1
+
+
+def test_pow_mod_array_against_builtin():
+    rng = np.random.default_rng(0)
+    mod = np.concatenate(
+        [rng.integers(2, 1000, 500), rng.integers(POW_ARRAY_LIMIT - 10**6, POW_ARRAY_LIMIT, 500)]
+    )
+    base = rng.integers(0, 2**62, mod.size)
+    exp = np.concatenate([np.arange(500), rng.integers(0, POW_ARRAY_LIMIT, 500)])
+    got = pow_mod_array(base, exp, mod).tolist()
+    assert got == [pow(b, e, m) for b, e, m in zip(base.tolist(), exp.tolist(), mod.tolist())]
 
 
 def test_pow_mod_rejects():

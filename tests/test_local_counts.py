@@ -2,9 +2,10 @@ from math import gcd, isqrt
 
 import pytest
 
-from orbitmoments.core_arith import primes_in_range, sieve_primes
+from orbitmoments.core_arith import prime_segments, primes_in_range, sieve_primes
 from orbitmoments.local_counts import (
     CURVE_PRESETS,
+    BadPrimes,
     PowerEquation,
     SplittingType,
     WeierstrassCurve,
@@ -255,3 +256,25 @@ def test_splitting_type():
     assert splitting_type(3, eisenstein) is SplittingType.RAMIFIED
     assert splitting_type(7, eisenstein) is SplittingType.SPLIT
     assert splitting_type(5, eisenstein) is SplittingType.INERT
+
+
+def test_bad_primes_mask_matches_rule():
+    huge = 2**70 * 7 * 999_983 * 1_000_003  # does not fit int64
+    big_curve = parse_curve("123456789012,987654321098")
+    assert abs(big_curve.discriminant) >= 2**63
+    rules = (
+        BadPrimes(huge),
+        BadPrimes(12),
+        big_curve.bad_primes(3),
+        CURVE_PRESETS["17a3"].bad_primes(5),
+    )
+    for bad in rules:
+        for segment in prime_segments(2, 2 * 10**6):
+            assert segment[bad.mask(segment)].tolist() == [p for p in segment.tolist() if p in bad]
+    assert [p for p in primes_in_range(2, 2 * 10**6) if p in BadPrimes(huge)] == [
+        2,
+        7,
+        999_983,
+        1_000_003,
+    ]
+    assert [p for p in sieve_primes(30) if p in CURVE_PRESETS["17a3"].bad_primes(5)] == [2, 3, 5, 17]

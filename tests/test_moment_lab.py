@@ -1,12 +1,30 @@
 import cmath
 import json
+import math
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitmoments.closed_forms import mk
-from orbitmoments.core_arith import sieve_primes
-from orbitmoments.local_counts import CURVE_PRESETS, PowerEquation
+from orbitmoments.core_arith import (
+    POW_ARRAY_LIMIT,
+    prime_segments,
+    primes_in_range,
+    sieve_primes,
+)
+from orbitmoments.local_counts import (
+    CURVE_PRESETS,
+    PowerEquation,
+    count_roots_array,
+    count_roots_formula,
+    ec_torsion_count,
+    parse_curve,
+    splitting_type,
+)
 from orbitmoments.moment_lab import (
     PowerCounter,
     PowerProductCounter,
@@ -24,6 +42,75 @@ from orbitmoments.moment_lab import (
 from orbitmoments.orbit_engine import build_units
 
 X_SMALL = 30_000
+
+
+def reference_moments(counter, ks, x):
+    """The per-prime loop the segment accumulator replaces.
+
+    Returns ({k: sum of N_p**k}, histogram, excluded, filtered, pi(x)), with
+    the exclusion rule written out and the values taken from
+    count_roots_formula and ec_torsion_count one prime at a time.
+    """
+    totals = dict.fromkeys(ks, 0)
+    hist = Counter()
+    excluded = filtered = seen = 0
+    filt = getattr(counter, "split_filter", None)
+    for p in primes_in_range(2, x + 1):
+        seen += 1
+        if isinstance(counter, TorsionCounter):
+            bad = p < 5 or (counter.ell * counter.curve.discriminant) % p == 0
+        else:
+            eq = counter.eq if isinstance(counter, PowerCounter) else counter.eq_a
+            bad = math.gcd(p, eq.n * eq.a) != 1
+        if bad:
+            excluded += 1
+            hist[0] += 1
+            continue
+        if filt is not None and splitting_type(p, filt.spec) not in filt.keep:
+            filtered += 1
+            hist[0] += 1
+            continue
+        if isinstance(counter, TorsionCounter):
+            v = ec_torsion_count(counter.curve, p, counter.ell)
+        elif isinstance(counter, PowerCounter):
+            v = count_roots_formula(counter.eq, p)
+        else:
+            v = (
+                count_roots_formula(counter.eq_a, p) ** counter.k1
+                * count_roots_formula(counter.eq_one, p) ** counter.k2
+            )
+        hist[v] += 1
+        for k in ks:
+            totals[k] += v**k
+    return totals, dict(hist), excluded, filtered, seen
+
+
+def assert_matches_reference(report, reference):
+    totals, hist, excluded, filtered, pi_x = reference
+    assert report.empirical == Fraction(totals[report.k], pi_x), report.scenario
+    assert report.histogram == hist, report.scenario
+    assert (report.excluded, report.filtered, report.pi_x) == (excluded, filtered, pi_x)
+    assert sum(report.histogram.values()) == report.pi_x
+
+
+def valid_power_counters(ns, avals):
+    counters = []
+    for n in ns:
+        for a in avals:
+            try:
+                counters.append(PowerCounter(PowerEquation(n, a)))
+            except ValueError:
+                pass
+    return counters
+
+
+STREAM_COUNTERS = (
+    PowerCounter(PowerEquation(8, 3)),
+    PowerProductCounter(PowerEquation(6, 2), PowerEquation(6, 1), 2, 1),
+    TorsionCounter(CURVE_PRESETS["cm:-1"], 5, SplitFilter.split(CURVE_PRESETS["cm:-1"].cm)),
+    # a discriminant beyond int64, so the exclusion mask takes its exact path
+    TorsionCounter(parse_curve("123456789012,987654321098"), 3),
+)
 
 
 def test_power_counter_side_conditions():
@@ -99,12 +186,73 @@ def test_product_moment_prediction():
 
 
 def test_threads_do_not_change_results():
-    counter = PowerCounter(PowerEquation(8, 3))
-    single = empirical_moment(counter, 2, X_SMALL)
-    sharded = empirical_moment(counter, 2, X_SMALL, threads=4)
-    assert single.empirical == sharded.empirical
-    assert single.histogram == sharded.histogram
-    assert single.pi_x == sharded.pi_x
+    # x = 300,000 spans three sieve segments; 3,000 keeps the torsion kernel quick
+    for counter, x in zip(STREAM_COUNTERS, (300_000, 300_000, 3000, 3000)):
+        single = empirical_moment(counter, 2, x)
+        assert_matches_reference(single, reference_moments(counter, (2,), x))
+        for threads in (2, 3, 7):
+            assert empirical_moment(counter, 2, x, threads=threads) == single, (
+                counter.scenario,
+                threads,
+            )
+    assert STREAM_COUNTERS[2].split_filter is not None
+    assert empirical_moment(STREAM_COUNTERS[2], 1, 3000).filtered > 0
+
+
+def test_accumulator_matches_reference_loop():
+    x = 20_000
+    counters = valid_power_counters(range(1, 13), (1, 2, 3, 5, 6, 7, 10))
+    counters.append(PowerProductCounter(PowerEquation(6, 2), PowerEquation(6, 1), 1, 1))
+    counters.append(PowerProductCounter(PowerEquation(12, 5), PowerEquation(12, 1), 2, 3))
+    assert len(counters) > 60
+    for counter in counters:
+        reference = reference_moments(counter, (0, 1, 3), x)
+        for k in (0, 1, 3):
+            assert_matches_reference(empirical_moment(counter, k, x), reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    a=st.sampled_from((1, 2, 3, 5, 6, 7, 10, 11, 13, 15)),
+    x=st.integers(2, 5000),
+    threads=st.integers(1, 5),
+)
+def test_shard_invariance_property(n, a, x, threads):
+    counters = valid_power_counters((n,), (a,))
+    if not counters:
+        return
+    counter = counters[0]
+    report = empirical_moment(counter, 2, x, threads=threads)
+    assert report == empirical_moment(counter, 2, x)
+    assert_matches_reference(report, reference_moments(counter, (2,), x))
+
+
+def test_power_kernel_across_int64_limit():
+    # the segment reaching past 2**31 takes the per-prime builtin pow path;
+    # the primes below 2**31 alone take the int64 path at its largest products
+    segments = list(prime_segments(POW_ARRAY_LIMIT - 200, POW_ARRAY_LIMIT + 2000))
+    assert len(segments) == 1
+    primes = segments[0]
+    below = primes[primes < POW_ARRAY_LIMIT]
+    assert 0 < below.size < primes.size
+    # near 2**32 an int64 product of two residues would overflow
+    (top,) = prime_segments(2**32 - 3000, 2**32)
+    equations = [PowerEquation(n, a) for n, a in ((8, 3), (6, 5), (3, 2), (12, 7))]
+    for eq in equations:
+        for chunk in (primes, below, top):
+            want = [count_roots_formula(eq, p) for p in chunk.tolist()]
+            assert count_roots_array(eq, chunk).tolist() == want, eq
+
+
+def test_stream_memory_stays_bounded():
+    tracemalloc.start()
+    try:
+        empirical_moment(PowerCounter(PowerEquation(6, 1)), 2, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def test_torsion_moment_structure():
@@ -216,6 +364,18 @@ def test_convergence_trace():
         assert r.empirical == fresh.empirical
 
 
+def test_trace_checkpoints_around_segment_boundary():
+    # The sieve's first segment is [2, 2 + 2**17); 131071 = 2**17 - 1 is prime.
+    counter = PowerCounter(PowerEquation(8, 3))
+    checkpoints = [1000, 131071, 131073, 131074, 131075, 140_000]
+    reports = convergence_trace(counter, 2, checkpoints)
+    assert [r.x for r in reports] == checkpoints
+    for r in reports:
+        assert_matches_reference(r, reference_moments(counter, (2,), r.x))
+    assert reports[1].pi_x == reports[0].pi_x + sum(1 for _ in primes_in_range(1001, 131072))
+    assert reports[2].pi_x == reports[1].pi_x
+
+
 def test_trace_checkpoint_beyond_last_prime():
     counter = PowerCounter(PowerEquation(4, 1))
     reports = convergence_trace(counter, 1, [23, 24])
@@ -235,15 +395,17 @@ def test_trace_csv_columns():
 def test_report_json_roundtrip():
     # x^3 = 2 has no root for about a third of the primes, so hist[0] holds
     # far more than the two excluded primes (2 and 3)
-    cases = ((PowerEquation(8, 3), 2, 5000), (PowerEquation(3, 2), 1, 10**4))
-    for eq, k, x in cases:
-        report = empirical_moment(PowerCounter(eq), k, x)
-        blob = json.dumps(report.to_json_dict())
-        back = report_from_json_dict(json.loads(blob))
-        assert back.empirical == report.empirical
-        assert back.predicted == report.predicted
-        assert back.histogram == report.histogram
-        assert back.scenario == report.scenario
-        assert back.excluded == report.excluded
+    cases = (
+        (PowerCounter(PowerEquation(8, 3)), 2, 5000),
+        (STREAM_COUNTERS[2], 1, 2000),
+        (PowerCounter(PowerEquation(3, 2)), 1, 10**4),
+    )
+    for counter, k, x in cases:
+        report = empirical_moment(counter, k, x)
+        blob = json.loads(json.dumps(report.to_json_dict()))
+        assert report_from_json_dict(blob) == report
     assert report.excluded == 2
     assert report.histogram[0] > report.excluded
+    # JSON written before `filtered` existed reads back with filtered = 0
+    del blob["filtered"]
+    assert report_from_json_dict(blob) == report
