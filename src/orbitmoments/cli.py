@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 
 from .closed_forms import dk, mk
@@ -192,15 +193,19 @@ def _cmd_trace(args, fmt: str) -> int:
 
 
 def _cmd_verify(args, fmt: str) -> int:
-    results = run_suite(args.suite, tol=args.tol)
-    failures = 0
-    for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        if not r.ok:
-            failures += 1
-        detail = f"  ({r.detail})" if r.detail and not r.ok else ""
-        print(f"{status}  {r.name}{detail}")
-    print(f"{len(results) - failures}/{len(results)} checks passed")
+    checks = failures = 0
+    for name in SUITES if args.suite == "all" else [args.suite]:
+        start = time.perf_counter()
+        results = run_suite(name, tol=args.tol)
+        for r in results:
+            status = "PASS" if r.ok else "FAIL"
+            if not r.ok:
+                failures += 1
+            detail = f"  ({r.detail})" if r.detail and not r.ok else ""
+            print(f"{status}  {r.name}{detail}")
+        print(f"{name}: {time.perf_counter() - start:.2f} s")
+        checks += len(results)
+    print(f"{checks - failures}/{checks} checks passed")
     return 0 if failures == 0 else 1
 
 

@@ -59,12 +59,16 @@ class SplitFilter:
         return cls(spec, NONSPLIT)
 
 
+def _check_square_free_positive(a: int):
+    if a <= 0:
+        raise ValueError("a must be a positive integer")
+    if any(a % (q * q) == 0 for q in range(2, math.isqrt(a) + 1)):
+        raise ValueError("a must be square-free")
+
+
 def _check_power_side_conditions(eq: PowerEquation):
     # a must be square-free positive, and must not divide even n.
-    if eq.a <= 0:
-        raise ValueError("a must be a positive integer")
-    if any(eq.a % (q * q) == 0 for q in range(2, math.isqrt(eq.a) + 1)):
-        raise ValueError("a must be square-free")
+    _check_square_free_positive(eq.a)
     if eq.n % 2 == 0 and eq.n % eq.a == 0 and eq.a > 1:
         raise ValueError("for even n the constant a must not divide n")
 
@@ -100,10 +104,7 @@ class PowerProductCounter:
             raise ValueError("second factor must be x**n - 1 with matching n")
         if self.k1 < 1 or self.k2 < 0:
             raise ValueError("need k1 >= 1 and k2 >= 0")
-        if self.eq_a.a <= 0 or any(
-            self.eq_a.a % (q * q) == 0 for q in range(2, math.isqrt(self.eq_a.a) + 1)
-        ):
-            raise ValueError("a must be a square-free positive integer")
+        _check_square_free_positive(self.eq_a.a)
 
     @property
     def scenario(self) -> str:

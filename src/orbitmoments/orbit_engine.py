@@ -7,20 +7,15 @@ keep a generating set and fall back to direct orbit counting on the tuple
 space, which computes the same number from its definition.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import numpy as np
 
 from .core_arith import CapacityError, is_prime
-from .residue_algebra import (
-    QuadOrderSpec,
-    QuadResidue,
-    glm_order,
-    quad_mul,
-    quad_unit_elements,
-)
+from .residue_algebra import QuadOrderSpec, glm_order
 
 DEFAULT_ELEMENT_BUDGET = 10**7
 DEFAULT_ENTRY_BUDGET = 6 * 10**7
@@ -49,88 +44,104 @@ class PermutationAction:
     generators: np.ndarray
     group_order: int
     descriptor: str = ""
-    labels: list | None = field(default=None, repr=False)
 
 
-def build_units(n: int) -> PermutationAction:
-    """(Z/nZ)^x acting on Z/nZ by multiplication."""
+def build_units(n: int, **budgets) -> PermutationAction:
+    """(Z/nZ)^x acting on Z/nZ by multiplication, as GL_1(Z/nZ).
+
+    Every element is kept as a generator.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    units = [r for r in range(n) if gcd(r, n) == 1] or [0]
-    perms = np.outer(units, np.arange(n)) % n if n > 1 else np.zeros((1, 1), int)
-    perms = perms.astype(_perm_dtype(n))
-    return PermutationAction(
-        size=n,
-        perms=perms,
-        generators=perms,
-        group_order=len(units),
-        descriptor=f"units:{n}",
-        labels=units,
-    )
+    units = _enumerate_glm_matrices(n, 1)
+    return _matrix_action(n, units, lambda: units, len(units), f"units:{n}", **budgets)
 
 
 def build_semidirect(n: int) -> PermutationAction:
-    """Pairs (b, d) with d a unit, acting on (i, j) by (b + i*d, j*d)."""
+    """Pairs (b, d) with d a unit, acting on (i, j) by (b + i*d, j*d).
+
+    Row b*phi(n) + t is the pair (b, units[t]); point index = i*n + j.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    units = [d for d in range(n) if gcd(d, n) == 1] or [0]
-    i_grid, j_grid = np.divmod(np.arange(n * n), n)  # point index = i*n + j
-    rows = []
-    labels = []
-    for b in range(n):
-        for d in units:
-            rows.append(((b + i_grid * d) % n) * n + (j_grid * d) % n)
-            labels.append((b, d))
-    perms = np.array(rows, dtype=_perm_dtype(n * n))
-    gen_labels = [(1 % n, 1 % n)] + [(0, d) for d in units]
-    gens = perms[[labels.index(lab) for lab in gen_labels]]
+    units = np.array([d for d in range(n) if gcd(d, n) == 1])
+    i_grid, j_grid = np.divmod(np.arange(n * n), n)
+    b = np.arange(n)[:, None, None]
+    d = units[None, :, None]
+    perms = (((b + i_grid * d) % n) * n + (j_grid * d) % n).reshape(-1, n * n)
+    perms = perms.astype(_perm_dtype(n * n))
+    phi = len(units)
+    # (1, 1), as units[0] = 1 % n, then every (0, d)
+    gens = perms[[(1 % n) * phi, *range(phi)]]
     return PermutationAction(
         size=n * n,
         perms=perms,
         generators=gens,
-        group_order=len(rows),
+        group_order=len(perms),
         descriptor=f"semidirect:{n}",
-        labels=labels,
     )
 
 
-def build_quad_units(n: int, d: int) -> PermutationAction:
-    """(O_K/nO_K)^x acting on O_K/nO_K by multiplication; point index a*n + b."""
+def build_quad_units(n: int, d: int, **budgets) -> PermutationAction:
+    """(O_K/nO_K)^x acting on O_K/nO_K by multiplication, every element a generator.
+
+    Multiplication by u = a + b*omega is the matrix [[a, s*b], [b, a + t*b]]
+    on the basis (1, omega), and u is a unit iff gcd(det, n) = 1.  The point
+    x + y*omega has index x + y*n, as for glm:n,2; units are ordered by (a, b).
+    Orbit counts do not depend on how points or elements are numbered.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     spec = QuadOrderSpec(d)
-    units = quad_unit_elements(n, spec) if n > 1 else [QuadResidue(0, 0, 1, spec)]
-    rows = []
-    for u in units:
-        row = [0] * (n * n)
-        for a in range(n):
-            for b in range(n):
-                v = quad_mul(u, QuadResidue(a, b, n, spec))
-                row[a * n + b] = v.a * n + v.b
-        rows.append(row)
-    perms = np.array(rows, dtype=_perm_dtype(n * n))
-    return PermutationAction(
-        size=n * n,
-        perms=perms,
-        generators=perms,
-        group_order=len(units),
-        descriptor=f"quad:{n},{d}",
-        labels=[(u.a, u.b) for u in units],
-    )
+    a, b = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    mats = np.stack([a, spec.s * b, b, a + spec.t * b], axis=1).reshape(-1, 2, 2) % n
+    units = mats[np.gcd(_vec_det(mats, n), n) == 1]
+    descriptor = f"quad:{n},{d}"
+    return _matrix_action(n, units, lambda: units, len(units), descriptor, **budgets)
 
 
-def _glm_point_table(n: int, m: int) -> np.ndarray:
-    """(m, n**m) digit table: column j is the vector with index j = sum v_i * n**i."""
-    idx = np.arange(n**m, dtype=np.int64)
-    return np.stack([(idx // n**i) % n for i in range(m)])
-
-
-def _apply_matrices(mats: np.ndarray, points: np.ndarray, n: int) -> np.ndarray:
-    """Map each matrix (k, m, m) to the permutation it induces on vector indices."""
-    m = points.shape[0]
-    images = np.matmul(mats, points) % n  # (k, m, n**m)
+def _apply_matrices(mats: np.ndarray, n: int) -> np.ndarray:
+    """Map each matrix of a (k, m, m) stack to the permutation it induces on
+    (Z/nZ)**m, where vector v has index sum v_i * n**i."""
+    m = mats.shape[1]
+    size = n**m
+    idx = np.arange(size, dtype=np.int64)
+    points = np.stack([(idx // n**i) % n for i in range(m)])  # column j is vector j
     weights = (n ** np.arange(m, dtype=np.int64)).reshape(1, m, 1)
-    return (images * weights).sum(axis=1)
+    perms = np.empty((len(mats), size), dtype=_perm_dtype(size))
+    chunk = max(1, 2**22 // size)
+    for lo in range(0, len(mats), chunk):
+        images = np.matmul(mats[lo : lo + chunk], points) % n  # (chunk, m, size)
+        perms[lo : lo + chunk] = (images * weights).sum(axis=1)
+    return perms
+
+
+def _matrix_action(
+    n: int,
+    generators: np.ndarray,
+    elements,
+    order: int,
+    descriptor: str,
+    element_budget: int = DEFAULT_ELEMENT_BUDGET,
+    entry_budget: int = DEFAULT_ENTRY_BUDGET,
+) -> PermutationAction:
+    """A group of m x m matrices mod n acting on (Z/nZ)**m.
+
+    generators is a (g, m, m) stack that generates the group, and elements()
+    returns the (order, m, m) stack of every element.  elements() is called
+    only when the order and the permutation table fit the budgets; otherwise
+    only the generating set is kept and moment evaluation goes through
+    direct orbit counting.
+    """
+    size = n ** generators.shape[1]
+    fits = order <= element_budget and order * size <= entry_budget
+    return PermutationAction(
+        size=size,
+        perms=_apply_matrices(elements(), n) if fits else None,
+        generators=_apply_matrices(generators, n),
+        group_order=order,
+        descriptor=descriptor,
+    )
 
 
 def _glm_generator_matrices(n: int, m: int) -> list[np.ndarray]:
@@ -156,45 +167,15 @@ def _glm_generator_matrices(n: int, m: int) -> list[np.ndarray]:
     return gens
 
 
-def build_glm(
-    n: int,
-    m: int,
-    element_budget: int = DEFAULT_ELEMENT_BUDGET,
-    entry_budget: int = DEFAULT_ENTRY_BUDGET,
-) -> PermutationAction:
-    """GL_m(Z/nZ) acting on (Z/nZ)**m; vector index = sum v_i * n**i.
-
-    The full element list is materialized when it fits the budgets;
-    otherwise only the generating set is kept and moment evaluation goes
-    through direct orbit counting.
-    """
+def build_glm(n: int, m: int, **budgets) -> PermutationAction:
+    """GL_m(Z/nZ) acting on (Z/nZ)**m; vector index = sum v_i * n**i."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 1 or m > 4:
         raise ValueError("matrix dimension must be between 1 and 4")
-    order = glm_order(n, m)
-    size = n**m
-    points = _glm_point_table(n, m)
-    gen_perms = _apply_matrices(
-        np.stack([g % n for g in _glm_generator_matrices(n, m)]), points, n
-    ).astype(_perm_dtype(size))
-    perms = None
-    if n == 1:
-        perms = np.zeros((1, 1), dtype=_perm_dtype(size))
-    elif order <= element_budget and order * size <= entry_budget:
-        mats = _enumerate_glm_matrices(n, m)
-        perms = np.empty((order, size), dtype=_perm_dtype(size))
-        chunk = max(1, 2**22 // size)
-        for lo in range(0, order, chunk):
-            hi = min(lo + chunk, order)
-            perms[lo:hi] = _apply_matrices(mats[lo:hi], points, n)
-    return PermutationAction(
-        size=size,
-        perms=perms,
-        generators=gen_perms,
-        group_order=order,
-        descriptor=f"glm:{n},{m}",
-    )
+    gens = np.stack([g % n for g in _glm_generator_matrices(n, m)])
+    elements = partial(_enumerate_glm_matrices, n, m)
+    return _matrix_action(n, gens, elements, glm_order(n, m), f"glm:{n},{m}", **budgets)
 
 
 def _enumerate_glm_matrices(n: int, m: int) -> np.ndarray:
@@ -244,11 +225,11 @@ def build_action(descriptor: str, **budgets) -> PermutationAction:
     except ValueError:
         raise ValueError(f"bad action descriptor {descriptor!r}")
     if kind == "units" and len(nums) == 1:
-        return build_units(nums[0])
+        return build_units(nums[0], **budgets)
     if kind == "semidirect" and len(nums) == 1:
         return build_semidirect(nums[0])
     if kind == "quad" and len(nums) == 2:
-        return build_quad_units(nums[0], nums[1])
+        return build_quad_units(nums[0], nums[1], **budgets)
     if kind == "glm" and len(nums) == 2:
         return build_glm(nums[0], nums[1], **budgets)
     if kind == "gl2" and len(nums) == 1:

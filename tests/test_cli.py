@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -189,6 +190,25 @@ def test_verify_suite_pass(capsys):
     assert code == 0
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_verify_reports_seconds_per_suite(capsys, monkeypatch):
+    from orbitmoments import cli, verify
+
+    suites = {
+        "one": lambda: [verify.CheckResult("a", True)],
+        "two": lambda: [verify.CheckResult("b", False, "why")],
+    }
+    monkeypatch.setattr(verify, "SUITES", suites)
+    monkeypatch.setattr(cli, "SUITES", suites)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+    lines = out.strip().split("\n")
+    assert code == 1
+    assert lines[0] == "PASS  a"
+    assert re.fullmatch(r"one: \d+\.\d\d s", lines[1])
+    assert lines[2] == "FAIL  b  (why)"
+    assert re.fullmatch(r"two: \d+\.\d\d s", lines[3])
+    assert lines[4:] == ["1/2 checks passed"]
 
 
 def test_verify_unknown_suite(capsys):

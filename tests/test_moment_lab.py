@@ -132,6 +132,9 @@ def test_product_counter_validation():
         PowerProductCounter(PowerEquation(6, 2), PowerEquation(6, 2), 1, 1)
     with pytest.raises(ValueError):
         PowerProductCounter(PowerEquation(6, 2), PowerEquation(6, 1), 0, 1)
+    for a in (4, -2):  # not square-free, not positive
+        with pytest.raises(ValueError):
+            PowerProductCounter(PowerEquation(6, a), PowerEquation(6, 1), 1, 1)
 
 
 def test_torsion_counter_validation():

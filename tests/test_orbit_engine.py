@@ -22,10 +22,14 @@ from orbitmoments.orbit_engine import (
     predicted_value_distribution,
 )
 from orbitmoments.residue_algebra import (
+    CLASS_NUMBER_ONE_D,
     QuadOrderSpec,
+    QuadResidue,
     enumerate_glm,
     glm_order,
     psi,
+    quad_mul,
+    quad_unit_elements,
 )
 
 
@@ -131,6 +135,38 @@ def test_burnside_quad_units_dk():
         spec = QuadOrderSpec(d)
         for n in range(1, 11):
             assert burnside_moment(build_quad_units(n, d), 1) == dk(n, spec)
+
+
+def test_quad_rows_are_multiplication_by_units():
+    # the matrix-built action against the scalar ring arithmetic; point
+    # x + y*omega has index x + y*n and rows follow quad_unit_elements
+    for d in CLASS_NUMBER_ONE_D:
+        spec = QuadOrderSpec(d)
+        for n in range(1, 17):
+            action = build_quad_units(n, d)
+            units = quad_unit_elements(n, spec)
+            assert action.group_order == len(units), (n, d)
+            if n > 8:
+                continue
+            for u, row in zip(units, action.perms):
+                for x in range(n):
+                    for y in range(n):
+                        v = quad_mul(u, QuadResidue(x, y, n, spec))
+                        assert row[x + y * n] == v.a + v.b * n, (n, d, u)
+
+
+def test_units_is_glm_dimension_one():
+    for n in range(1, 61):
+        assert np.array_equal(build_units(n).perms, build_glm(n, 1).perms), n
+
+
+def test_budgets_reach_units_and_quad():
+    quad = build_action("quad:8,-1", element_budget=10)
+    assert quad.perms is None
+    assert burnside_moment(quad, 1) == dk(8, QuadOrderSpec(-1))
+    units = build_action("units:12", element_budget=1)
+    assert units.perms is None
+    assert burnside_moment(units, 1) == mk(12, 1)
 
 
 def test_burnside_rejects_bad_group():
