@@ -23,7 +23,6 @@ from .core_arith import (
     pow_mod,
     prime_segments,
     primes_in_range,
-    sieve_primes,
 )
 from .local_counts import (
     CURVE_PRESETS,
@@ -47,7 +46,6 @@ from .moment_lab import (
     SplitFilter,
     TorsionCounter,
     characteristic_function,
-    conditioned_moment,
     convergence_trace,
     empirical_distribution,
     empirical_moment,

@@ -113,10 +113,10 @@ def _cmd_orbits(args, fmt: str) -> int:
         "set_size": action.size,
     }
     if action.size**args.k <= 10**6:
-        try:
-            payload["oracle"] = orbit_count_oracle(action, args.k)
-        except CapacityError:
-            pass
+        # burnside_moment already ran the oracle on a generator-only action
+        payload["oracle"] = (
+            moment if action.perms is None else orbit_count_oracle(action, args.k)
+        )
     _emit(payload, moment, fmt)
     if fmt != "json" and "oracle" in payload:
         print(f"oracle: {payload['oracle']}", file=sys.stderr)

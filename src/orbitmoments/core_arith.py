@@ -93,11 +93,6 @@ def primes_in_range(lo: int, hi: int) -> Iterator[int]:
         yield from segment.tolist()
 
 
-def sieve_primes(x: int) -> Iterator[int]:
-    """Yield all primes p <= x in ascending order (empty for x < 2)."""
-    yield from primes_in_range(2, x + 1)
-
-
 def factorize(n: int) -> list[tuple[int, int]]:
     """Canonical factorization of n >= 1 as (prime, exponent) pairs, ascending."""
     if n < 1:

@@ -385,15 +385,6 @@ def empirical_moment(
     return _report(counter, k, x, tally, denom, predicted_moment(counter, k))
 
 
-def conditioned_moment(
-    counter: CounterSpec, k: int, x: int, threads: int = 1
-) -> MomentReport:
-    """empirical_moment for a counter carrying a splitting filter."""
-    if _split_filter(counter) is None:
-        raise ValueError("conditioned_moment needs a counter with a split filter")
-    return empirical_moment(counter, k, x, threads=threads)
-
-
 @dataclass
 class DistributionReport:
     scenario: str

@@ -9,7 +9,7 @@ space, which computes the same number from its definition.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from math import gcd
 
 import numpy as np
@@ -275,92 +275,57 @@ def burnside_moment(action: PermutationAction, k: int) -> int:
     return orbit_count_oracle(action, k)
 
 
-class UnionFind:
-    """Array union-find with path halving."""
+def _orbit_labels(generators: np.ndarray, size: int, k: int) -> np.ndarray:
+    """For every k-tuple index (digit i has weight size**i), the least index
+    in its orbit under the group the generator rows generate.
 
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.count = size
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-            self.count -= 1
+    Min-label propagation with pointer jumping, as in Shiloach-Vishkin: each
+    round lowers every label to the label of its image under each generator,
+    then replaces labels by the labels of the labels until that is stable.
+    labels[t] <= t and labels[t] lies in the orbit of t throughout, so labels
+    only fall, and a round that leaves their sum unchanged changed nothing.
+    At the fixed point labels[t] <= labels[g(t)] for every generator g;
+    along a cycle of g that forces equality, so labels are constant on
+    orbits.  Tuple images are recomputed per generator, so memory stays a
+    few arrays of size**k.
+    """
+    labels = np.arange(size**k, dtype=np.int64)
+    # axis j of the outer sum carries digit k-1-j, so ravel() yields tuple order
+    weights = [size**i for i in reversed(range(k))]
+    while True:
+        before = int(labels.sum())
+        for g in generators:
+            g64 = g.astype(np.int64)
+            image = reduce(np.add.outer, [g64 * w for w in weights]).ravel()
+            np.minimum(labels, labels[image], out=labels)
+        while not np.array_equal(labels, jumped := labels[labels]):
+            labels = jumped
+        if int(labels.sum()) == before:
+            return labels
 
 
 def orbit_count_oracle(
     action: PermutationAction, k: int, tuple_budget: int = DEFAULT_TUPLE_BUDGET
 ) -> int:
-    """Count orbits on k-tuples by union-find over mixed-radix tuple indices."""
+    """Count orbits on k-tuples directly, from the generators alone."""
     if k < 1:
         raise ValueError("k must be >= 1")
     total = action.size**k
     if total > tuple_budget:
         raise CapacityError(total, tuple_budget, what="tuples")
-    gens = action.generators if action.generators is not None else action.perms
-    uf = UnionFind(total)
-    idx = np.arange(total, dtype=np.int64)
-    weights = [action.size**i for i in range(k)]
-    digits = [(idx // w) % action.size for w in weights]
-    for g in gens:
-        g64 = g.astype(np.int64)
-        image = np.zeros(total, dtype=np.int64)
-        for dig, w in zip(digits, weights):
-            image += g64[dig] * w
-        moved = np.nonzero(image != idx)[0]
-        union = uf.union
-        targets = image[moved]
-        for a, b in zip(moved.tolist(), targets.tolist()):
-            union(a, b)
-    return sum(1 for i in range(total) if uf.parent[i] == i)
+    labels = _orbit_labels(action.generators, action.size, k)
+    return int(np.count_nonzero(labels == np.arange(total)))
 
 
 def orbit_size(action: PermutationAction, point: int) -> int:
     """Size of the orbit of a single point."""
     if action.perms is not None:
         return int(np.unique(action.perms[:, point]).size)
-    current = {point}
-    frontier = [point]
-    while frontier:
-        nxt = []
-        for g in action.generators:
-            for x in frontier:
-                y = int(g[x])
-                if y not in current:
-                    current.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(current)
+    labels = _orbit_labels(action.generators, action.size, 1)
+    return int(np.count_nonzero(labels == labels[point]))
 
 
 def predicted_value_distribution(action: PermutationAction) -> dict[int, Fraction]:
     """m -> |G(m)|/|G|, the predicted density of primes with value m."""
     hist = fixed_point_histogram(action)
     return {m: Fraction(c, action.group_order) for m, c in hist.items()}
-
-
-def mulclose(perms: np.ndarray, maxsize: int = 10**6) -> set[tuple[int, ...]]:
-    """Closure of a set of permutations under composition (testing aid)."""
-    gens = [tuple(int(v) for v in g) for g in perms]
-    els = set(gens)
-    frontier = list(els)
-    while frontier:
-        new = []
-        for g in gens:
-            for h in frontier:
-                gh = tuple(g[x] for x in h)
-                if gh not in els:
-                    els.add(gh)
-                    new.append(gh)
-                    if len(els) > maxsize:
-                        raise CapacityError(len(els), maxsize, what="closure elements")
-        frontier = new
-    return els

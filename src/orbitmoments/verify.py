@@ -7,6 +7,7 @@ relative 2% for the Dirichlet-density scenarios at x = 10**6, 5% for the
 elliptic scenarios at x = 10**5, 1% absolute for the distribution atoms.
 """
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from .closed_forms import (
     noncm_moment,
     split_densities,
 )
-from .core_arith import divisor_count
+from .core_arith import divisor_count, divisors
 from .local_counts import CURVE_PRESETS, PowerEquation
 from .moment_lab import (
     PowerCounter,
@@ -30,7 +31,6 @@ from .moment_lab import (
     SplitFilter,
     TorsionCounter,
     characteristic_function,
-    conditioned_moment,
     empirical_distribution,
     empirical_moment,
 )
@@ -160,7 +160,7 @@ def suite_psi_partition() -> list[CheckResult]:
         (n, m)
         for m in (1, 2, 3)
         for n in range(1, 201)
-        if sum(psi(n // r, m) for r in _divisors(n)) != n**m
+        if sum(psi(n // r, m) for r in divisors(n)) != n**m
     ]
     results.append(
         _check("sum of psi(n/r) over r|n equals n**m for n<=200, m<=3", not bad, str(bad[:3]))
@@ -168,19 +168,13 @@ def suite_psi_partition() -> list[CheckResult]:
     bad = []
     for n in range(1, 11):
         action = build_action(f"glm:{n},2")
-        for r in _divisors(n):
+        for r in divisors(n):
             if orbit_size(action, r % n) != psi(n // r, 2):
                 bad.append((n, r))
     results.append(
         _check("glm(n,2) orbit of r*e1 has size psi(n/r) for n<=10", not bad, str(bad[:3]))
     )
     return results
-
-
-def _divisors(n: int) -> list[int]:
-    from .core_arith import divisors
-
-    return divisors(n)
 
 
 def suite_formula_identities() -> list[CheckResult]:
@@ -317,7 +311,7 @@ def suite_torsion_cm(tol: float = TOL_ELLIPTIC, x: int = X_ELLIPTIC) -> list[Che
                 f"empirical={float(report.empirical):.6f} rel_err={report.rel_err:.4%}",
             )
         )
-        nonsplit = conditioned_moment(
+        nonsplit = empirical_moment(
             TorsionCounter(curve, ell, SplitFilter.nonsplit(spec)), 1, x
         )
         results.append(
@@ -327,7 +321,7 @@ def suite_torsion_cm(tol: float = TOL_ELLIPTIC, x: int = X_ELLIPTIC) -> list[Che
                 f"empirical={float(nonsplit.empirical):.6f} rel_err={nonsplit.rel_err:.4%}",
             )
         )
-        split = conditioned_moment(
+        split = empirical_moment(
             TorsionCounter(curve, ell, SplitFilter.split(spec)), 1, x
         )
         results.append(
@@ -358,7 +352,7 @@ def suite_distribution(tol_atom: float = TOL_ATOM, x: int = X_POWER) -> list[Che
     moments = [Fraction(1)] + [mk(4, k) for k in range(1, 26)]
     for t in (0.1, 0.5, 0.9):
         series, tail = characteristic_function(moments, t, value_bound=4)
-        direct = sum(float(m) * _cexp(t * v) for v, m in atoms.items())
+        direct = sum(float(m) * cmath.exp(1j * t * v) for v, m in atoms.items())
         results.append(
             _check(
                 f"characteristic function at t={t}: series within tail bound of atom sum",
@@ -367,12 +361,6 @@ def suite_distribution(tol_atom: float = TOL_ATOM, x: int = X_POWER) -> list[Che
             )
         )
     return results
-
-
-def _cexp(theta: float) -> complex:
-    import cmath
-
-    return cmath.exp(1j * theta)
 
 
 def suite_oracle_equivalence() -> list[CheckResult]:
@@ -398,7 +386,7 @@ def suite_oracle_equivalence() -> list[CheckResult]:
                 bad.append((desc, k))
     return [
         _check(
-            f"burnside equals union-find oracle on {compared} (action, k) pairs",
+            f"burnside equals orbit oracle on {compared} (action, k) pairs",
             not bad,
             str(bad[:3]),
         )
@@ -428,8 +416,7 @@ def run_suite(name: str, tol: float | None = None) -> list[CheckResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choices: {', '.join(SUITES)}, all")
     suite = SUITES[name]
-    if tol is not None and name in ("power-moments", "torsion-gl2", "torsion-cm"):
-        return suite(tol)
-    if tol is not None and name == "distribution":
+    tolerant = ("power-moments", "torsion-gl2", "torsion-cm", "distribution")
+    if tol is not None and name in tolerant:
         return suite(tol)
     return suite()

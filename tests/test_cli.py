@@ -39,6 +39,27 @@ def test_orbits_json_includes_oracle(capsys):
     assert payload["moment"] == payload["oracle"]
 
 
+def test_orbits_runs_the_oracle_once_on_generator_only_actions(capsys, monkeypatch):
+    from orbitmoments import cli, orbit_engine
+
+    calls = []
+    oracle = orbit_engine.orbit_count_oracle
+
+    def counted(action, k, **kwargs):
+        calls.append((action.descriptor, k))
+        return oracle(action, k, **kwargs)
+
+    monkeypatch.setattr(orbit_engine, "orbit_count_oracle", counted)
+    monkeypatch.setattr(cli, "orbit_count_oracle", counted)
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "orbits", "--action", "glm:6,3", "--k", "1"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert calls == [("glm:6,3", 1)]
+    assert payload["oracle"] == payload["moment"] == 4
+
+
 def test_mk_json_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "mk", "--n", "30", "--k", "4")
     payload = json.loads(out)

@@ -16,7 +16,7 @@ from orbitmoments.closed_forms import (
     p_poly,
     split_densities,
 )
-from orbitmoments.core_arith import divisor_count, sieve_primes
+from orbitmoments.core_arith import divisor_count, primes_in_range
 from orbitmoments.residue_algebra import CLASS_NUMBER_ONE_D, QuadOrderSpec
 
 
@@ -147,7 +147,7 @@ def test_inert_partial_moment():
 
 
 def test_split_densities():
-    for ell in sieve_primes(50):
+    for ell in primes_in_range(2, 51):
         if ell == 2:
             continue
         for d in (2, 3, 4):
@@ -157,7 +157,7 @@ def test_split_densities():
 
 
 def test_gl2_densities():
-    for ell in sieve_primes(50):
+    for ell in primes_in_range(2, 51):
         d0, d1, d2 = gl2_densities(ell)
         assert d0 + d1 + d2 == 1
         assert d0 > 0 and d1 > 0 and d2 > 0

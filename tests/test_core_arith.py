@@ -16,7 +16,6 @@ from orbitmoments.core_arith import (
     pow_mod_array,
     prime_segments,
     primes_in_range,
-    sieve_primes,
 )
 
 
@@ -27,29 +26,29 @@ def trial_division_prime(n: int) -> bool:
 
 
 def test_sieve_small():
-    assert list(sieve_primes(10)) == [2, 3, 5, 7]
-    assert list(sieve_primes(2)) == [2]
-    assert list(sieve_primes(1)) == []
+    assert list(primes_in_range(2, 11)) == [2, 3, 5, 7]
+    assert list(primes_in_range(2, 3)) == [2]
+    assert list(primes_in_range(2, 2)) == []
 
 
 def test_sieve_agrees_with_trial_division_up_to_1e5():
-    sieved = set(sieve_primes(10**5))
+    sieved = set(primes_in_range(2, 10**5 + 1))
     for n in range(10**5 + 1):
         assert (n in sieved) == trial_division_prime(n), n
 
 
 def test_sieve_prime_count_1e6():
     # pi(10**6), frozen from an independent Miller-Rabin loop
-    assert sum(1 for _ in sieve_primes(10**6)) == 78498
+    assert sum(1 for _ in primes_in_range(2, 10**6 + 1)) == 78498
 
 
 def test_sieve_members_pass_primality():
-    for p in sieve_primes(10**4):
+    for p in primes_in_range(2, 10**4 + 1):
         assert is_prime(p)
 
 
 def test_range_partition_concatenates():
-    whole = list(sieve_primes(5000))
+    whole = list(primes_in_range(2, 5001))
     pieces = []
     for lo, hi in ((2, 1300), (1300, 2222), (2222, 5001)):
         pieces.extend(primes_in_range(lo, hi))
@@ -119,7 +118,7 @@ def test_pow_mod_against_naive():
 
 
 def test_pow_mod_fermat():
-    for p in sieve_primes(10**4):
+    for p in primes_in_range(2, 10**4 + 1):
         if p != 3:
             assert pow_mod(3, p - 1, p) == 1
 
@@ -153,7 +152,7 @@ def test_kronecker_quadratic_fields():
 
 
 def test_kronecker_matches_euler_criterion():
-    for p in sieve_primes(200):
+    for p in primes_in_range(2, 201):
         if p == 2:
             continue
         for a in range(-50, 51):

@@ -2,7 +2,7 @@ from math import gcd, isqrt
 
 import pytest
 
-from orbitmoments.core_arith import prime_segments, primes_in_range, sieve_primes
+from orbitmoments.core_arith import prime_segments, primes_in_range
 from orbitmoments.local_counts import (
     CURVE_PRESETS,
     BadPrimes,
@@ -37,7 +37,7 @@ def test_count_roots_formula_examples():
 
 
 def test_count_roots_formula_matches_brute():
-    for p in sieve_primes(2000):
+    for p in primes_in_range(2, 2001):
         for n in range(1, 13):
             for a in (1, 2, 3, 5, 6):
                 if p % (n * a) == 0 or gcd(p, n * a) != 1:
@@ -53,7 +53,7 @@ def test_count_roots_formula_falls_back_on_shared_factor():
 
 
 def test_product_system_multiplies():
-    for p in sieve_primes(100):
+    for p in primes_in_range(2, 101):
         for n in (2, 3, 6):
             for a in (2, 5):
                 if gcd(p, n * a) != 1:
@@ -72,9 +72,9 @@ def test_product_system_multiplies():
 def test_curve_presets():
     c = CURVE_PRESETS["17a3"]
     assert (c.a, c.b) == (-7371, -240570)
-    assert {p for p in sieve_primes(30) if c.discriminant % p == 0} == {2, 3, 17}
+    assert {p for p in primes_in_range(2, 31) if c.discriminant % p == 0} == {2, 3, 17}
     c = CURVE_PRESETS["11a2"]
-    assert {p for p in sieve_primes(30) if c.discriminant % p == 0} == {2, 3, 11}
+    assert {p for p in primes_in_range(2, 31) if c.discriminant % p == 0} == {2, 3, 11}
     assert CURVE_PRESETS["cm:-1"].cm == QuadOrderSpec(-1)
     assert CURVE_PRESETS["cm:-3"].cm == QuadOrderSpec(-3)
 
@@ -91,7 +91,7 @@ def test_parse_curve():
 
 def test_point_count_brute_agreement():
     for curve in (CURVE_PRESETS["cm:-1"], CURVE_PRESETS["cm:-3"], WeierstrassCurve(3, 5)):
-        for p in sieve_primes(200):
+        for p in primes_in_range(2, 201):
             if not curve.is_good_prime(p):
                 continue
             assert ec_point_count(curve, p) == len(ec_points(curve, p)) + 1, (
@@ -115,7 +115,7 @@ def test_point_count_rejects_bad_prime():
 
 def test_hasse_bound():
     for curve in (CURVE_PRESETS["17a3"], CURVE_PRESETS["cm:-1"]):
-        for p in sieve_primes(10**4):
+        for p in primes_in_range(2, 10**4 + 1):
             if curve.is_good_prime(p):
                 assert abs(ec_point_count(curve, p) - p - 1) <= 2 * isqrt(p) + 1
 
@@ -132,7 +132,7 @@ def test_ec_mul_small():
 def test_full_two_torsion_of_cm_curve():
     # x^3 - x = x(x-1)(x+1) splits over every F_p
     curve = CURVE_PRESETS["cm:-1"]
-    for p in sieve_primes(500):
+    for p in primes_in_range(2, 501):
         if curve.is_good_prime(p):
             assert ec_torsion_count(curve, p, 2) == 4
 
@@ -154,7 +154,7 @@ def test_torsion_fast_matches_enumeration():
         WeierstrassCurve(3, 5),
     )
     for curve in curves:
-        for p in sieve_primes(400):
+        for p in primes_in_range(2, 401):
             for ell in (2, 3, 5, 7):
                 assert ec_torsion_count(curve, p, ell) == ec_torsion_count_enum(
                     curve, p, ell
@@ -169,7 +169,7 @@ def test_torsion_ambiguous_branch_against_enumeration():
     hits = 0
     for curve in curves:
         for ell in (3, 5):
-            for p in sieve_primes(1500):
+            for p in primes_in_range(2, 1501):
                 if p < 5 or (ell * curve.discriminant) % p == 0:
                     continue
                 m, _ = ec_group_data(curve.a, curve.b, p)
@@ -205,7 +205,7 @@ def test_torsion_against_character_sum_near_1e6():
 def test_torsion_value_set_and_weil_constraint():
     curve = CURVE_PRESETS["17a3"]
     for ell in (3, 5, 7):
-        for p in sieve_primes(10**4):
+        for p in primes_in_range(2, 10**4 + 1):
             n = ec_torsion_count(curve, p, ell)
             assert n in (0, 1, ell, ell * ell)
             if n == ell * ell:
@@ -215,7 +215,7 @@ def test_torsion_value_set_and_weil_constraint():
 def test_cm_supersingular_torsion_is_gcd():
     curve = CURVE_PRESETS["cm:-1"]
     spec = curve.cm
-    for p in sieve_primes(10**4):
+    for p in primes_in_range(2, 10**4 + 1):
         if not curve.is_good_prime(p):
             continue
         if splitting_type(p, spec) is not SplittingType.SPLIT:
@@ -277,4 +277,4 @@ def test_bad_primes_mask_matches_rule():
         999_983,
         1_000_003,
     ]
-    assert [p for p in sieve_primes(30) if p in CURVE_PRESETS["17a3"].bad_primes(5)] == [2, 3, 5, 17]
+    assert [p for p in primes_in_range(2, 31) if p in CURVE_PRESETS["17a3"].bad_primes(5)] == [2, 3, 5, 17]

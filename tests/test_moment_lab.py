@@ -14,7 +14,6 @@ from orbitmoments.core_arith import (
     POW_ARRAY_LIMIT,
     prime_segments,
     primes_in_range,
-    sieve_primes,
 )
 from orbitmoments.local_counts import (
     CURVE_PRESETS,
@@ -31,7 +30,6 @@ from orbitmoments.moment_lab import (
     SplitFilter,
     TorsionCounter,
     characteristic_function,
-    conditioned_moment,
     convergence_trace,
     empirical_distribution,
     empirical_moment,
@@ -146,7 +144,7 @@ def test_empirical_exact_average():
     # average of gcd(p-1, 4) over odd primes <= 100, p = 2 excluded
     counter = PowerCounter(PowerEquation(4, 1))
     report = empirical_moment(counter, 1, 100)
-    primes = [p for p in sieve_primes(100)]
+    primes = [p for p in primes_in_range(2, 101)]
     total = sum(0 if p == 2 else __import__("math").gcd(p - 1, 4) for p in primes)
     assert report.empirical == Fraction(total, len(primes))
     assert report.excluded == 1
@@ -278,25 +276,16 @@ def test_conditioned_partition_is_exact():
     spec = curve.cm
     x = 3000
     plain = empirical_moment(TorsionCounter(curve, 3), 1, x)
-    split = conditioned_moment(TorsionCounter(curve, 3, SplitFilter.split(spec)), 1, x)
-    nonsplit = conditioned_moment(
-        TorsionCounter(curve, 3, SplitFilter.nonsplit(spec)), 1, x
-    )
+    split = empirical_moment(TorsionCounter(curve, 3, SplitFilter.split(spec)), 1, x)
+    nonsplit = empirical_moment(TorsionCounter(curve, 3, SplitFilter.nonsplit(spec)), 1, x)
     assert split.empirical + nonsplit.empirical == plain.empirical
     assert split.predicted + nonsplit.predicted == plain.predicted
-
-
-def test_conditioned_requires_filter():
-    with pytest.raises(ValueError):
-        conditioned_moment(TorsionCounter(CURVE_PRESETS["cm:-1"], 3), 1, 100)
 
 
 def test_conditioned_k0_densities():
     curve = CURVE_PRESETS["cm:-1"]
     spec = curve.cm
-    report = conditioned_moment(
-        TorsionCounter(curve, 5, SplitFilter.split(spec)), 0, X_SMALL
-    )
+    report = empirical_moment(TorsionCounter(curve, 5, SplitFilter.split(spec)), 0, X_SMALL)
     assert report.predicted == Fraction(1, 2)
     assert abs(float(report.empirical) - 0.5) < 0.02
 
@@ -359,7 +348,7 @@ def test_convergence_trace():
     reports = convergence_trace(counter, 2, checkpoints)
     assert [r.x for r in reports] == checkpoints
     for r in reports:
-        assert r.pi_x == sum(1 for _ in sieve_primes(r.x))
+        assert r.pi_x == sum(1 for _ in primes_in_range(2, r.x + 1))
         assert r.predicted == mk(6, 2)
     # one-pass snapshots must equal independent runs
     for r in reports:

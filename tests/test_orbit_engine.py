@@ -1,8 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitmoments.closed_forms import dk, gl2_densities, gl2_moment, mk
 from orbitmoments.core_arith import CapacityError, divisor_count
@@ -16,7 +19,6 @@ from orbitmoments.orbit_engine import (
     build_units,
     burnside_moment,
     fixed_point_histogram,
-    mulclose,
     orbit_count_oracle,
     orbit_size,
     predicted_value_distribution,
@@ -31,6 +33,25 @@ from orbitmoments.residue_algebra import (
     quad_mul,
     quad_unit_elements,
 )
+
+
+def mulclose(perms: np.ndarray, maxsize: int = 10**6) -> set[tuple[int, ...]]:
+    """Closure of a set of permutations under composition."""
+    gens = [tuple(int(v) for v in g) for g in perms]
+    els = set(gens)
+    frontier = list(els)
+    while frontier:
+        new = []
+        for g in gens:
+            for h in frontier:
+                gh = tuple(g[x] for x in h)
+                if gh not in els:
+                    els.add(gh)
+                    new.append(gh)
+                    if len(els) > maxsize:
+                        raise CapacityError(len(els), maxsize, what="closure elements")
+        frontier = new
+    return els
 
 
 def test_build_units_shape():
@@ -219,6 +240,46 @@ def test_oracle_singleton():
 def test_oracle_budget():
     with pytest.raises(CapacityError):
         orbit_count_oracle(build_units(60), 4, tuple_budget=10**5)
+
+
+def test_oracle_on_generator_only_glm():
+    # 2,985,984 tuples; the value agrees with a union-find count
+    action = build_action("glm:12,3")
+    assert action.perms is None
+    assert orbit_count_oracle(action, 2) == 90
+
+
+def test_oracle_memory_stays_a_few_tuple_arrays():
+    action = build_action("quad:8,-1")
+    tracemalloc.start()
+    try:
+        value = orbit_count_oracle(action, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == burnside_moment(action, 3) == 9556
+    # no tuple-image array is kept per generator (there are 32)
+    assert peak < 16 * 8 * action.size**3
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=3)
+    )
+)
+def test_burnside_equals_oracle_on_random_actions(gens):
+    # arbitrary permutation groups, intransitive and non-matrix ones included
+    size = len(gens[0])
+    generators = np.array(gens, dtype=np.uint8)
+    elements = np.array(sorted(mulclose(generators)), dtype=np.uint8)
+    action = PermutationAction(size, elements, generators, len(elements))
+    bare = PermutationAction(size, None, generators, len(elements))
+    for k in (1, 2, 3):
+        oracle = orbit_count_oracle(action, k)
+        assert burnside_moment(action, k) == oracle == burnside_moment(bare, k), k
+    for point in range(size):
+        assert orbit_size(bare, point) == orbit_size(action, point), point
 
 
 def test_orbit_sizes_are_psi():
