@@ -35,6 +35,7 @@ from .local_counts import (
     count_roots_formula,
     ec_point_count,
     ec_torsion_count,
+    ec_torsion_count_array,
     parse_curve,
     splitting_type,
 )

@@ -64,6 +64,25 @@ def splitting_type(p: int, spec: QuadOrderSpec) -> SplittingType:
     return SplittingType.RAMIFIED
 
 
+_KRONECKER_OF = {SplittingType.SPLIT: 1, SplittingType.INERT: -1, SplittingType.RAMIFIED: 0}
+
+
+def splitting_mask(primes: np.ndarray, spec: QuadOrderSpec, keep) -> np.ndarray:
+    """splitting_type(p, spec) in keep for each entry of an int64 array of primes.
+
+    Odd p not dividing disc(K) and below POW_ARRAY_LIMIT take Euler's
+    criterion disc(K)**((p-1)/2) mod p on int64, all in one call; p = 2,
+    p | disc(K) and larger p take kronecker_symbol.
+    """
+    disc = spec.discriminant  # class number one, so |disc| <= 163
+    euler = (primes % 2 == 1) & (disc % primes != 0) & (primes < POW_ARRAY_LIMIT)
+    symbols = np.empty_like(primes)
+    q = primes[euler]
+    symbols[euler] = np.where(pow_mod_array(disc % q, (q - 1) // 2, q) == 1, 1, -1)
+    symbols[~euler] = [kronecker_symbol(disc, p) for p in primes[~euler].tolist()]
+    return np.isin(symbols, [_KRONECKER_OF[t] for t in keep])
+
+
 @dataclass(frozen=True)
 class PowerEquation:
     """The equation x**n = a."""
@@ -81,9 +100,22 @@ class PowerEquation:
 
 
 def count_roots_brute(eq: PowerEquation, p: int) -> int:
-    """#{x in F_p : x**n = a}, by scanning all residues."""
-    target = eq.a % p
-    return sum(1 for x in range(p) if pow_mod(x, eq.n, p) == target)
+    """#{x in F_p : x**n = a}, by scanning all residues.
+
+    Each residue is multiplied into its power n times, one numpy pass per
+    factor, so the scan shares no code with the formula or pow_mod_array.
+    Residues go in blocks of 2**20, so memory stays bounded for any p, and
+    Python integers take over from int64 where a product could overflow.
+    """
+    dtype = np.int64 if p < POW_ARRAY_LIMIT else object
+    count = 0
+    for lo in range(0, p, 1 << 20):
+        x = np.arange(lo, min(lo + (1 << 20), p), dtype=dtype)
+        y = np.ones_like(x)
+        for _ in range(eq.n):
+            y = y * x % p
+        count += int(np.count_nonzero(y == eq.a % p))
+    return count
 
 
 def count_roots_formula(eq: PowerEquation, p: int) -> int:
@@ -462,6 +494,13 @@ def ec_torsion_count(curve: WeierstrassCurve, p: int, ell: int) -> int:
     """
     if p in curve.bad_primes(ell):
         return 0
+    count = _schoof_count(curve, p, ell)
+    _check_torsion_counts(curve, np.array([p]), ell, np.array([count]))
+    return count
+
+
+def _schoof_count(curve: WeierstrassCurve, p: int, ell: int) -> int:
+    """The count of ec_torsion_count at a good prime, before its consistency check."""
     f = [curve.b % p, curve.a % p, 0, 1]
     if ell == 2:
         count = len(_rational_root_part(f, p))  # 1 + deg gcd
@@ -472,12 +511,209 @@ def ec_torsion_count(curve: WeierstrassCurve, p: int, ell: int) -> int:
         if len(h) > 1:
             half = _QuotientRing(h, p).pow(_pmod(f, h, p), (p - 1) // 2)
             count += 2 * (len(_pgcd(h, _minus_monomial(half, 0, p), p)) - 1)
-    if count not in (1, ell, ell * ell) or (count == ell * ell and p % ell != 1):
+    return count
+
+
+def _check_torsion_counts(
+    curve: WeierstrassCurve, primes: np.ndarray, ell: int, counts: np.ndarray
+):
+    """Raise ArithmeticError at the first count that is not 1, ell, or ell**2 with p = 1 mod ell."""
+    full = counts == ell * ell
+    bad = ~((counts == 1) | (counts == ell) | full) | (full & (primes % ell != 1))
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ArithmeticError(
-            f"torsion count {count} for {curve} at p={p}, ell={ell} is impossible: "
+            f"torsion count {counts[i]} for {curve} at p={primes[i]}, ell={ell} is impossible: "
             f"expected 1, ell, or ell**2 with p = 1 mod ell"
         )
-    return count
+
+
+# ---------------------------------------------------------------------------
+# The same Schoof step on a whole segment of primes at once: one int64 lane
+# per prime, each lane working in its own F_p[x]/(g) with g monic of degree d.
+
+# The batch is exact for primes below this bound: a product coefficient sums
+# at most d < 128 products of residues, each below 2**56, so int64 holds it.
+TORSION_ARRAY_LIMIT = 1 << 28
+# Largest deg g that the batch takes; above it the per-prime kernel is faster.
+TORSION_ARRAY_MAX_DEGREE = 12
+# Lanes are taken in blocks whose (2d, d, L) elimination stack, the largest
+# temporary, holds about this many int64 entries (256 KB).
+_LANE_ENTRIES = 1 << 15
+_LIMB_BITS = 30
+
+
+@lru_cache(maxsize=32)
+def _limbs(coeffs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and base-2**30 digits, most significant first, of integer coefficients."""
+    width = max(abs(c).bit_length() for c in coeffs) // _LIMB_BITS + 1
+    mask = (1 << _LIMB_BITS) - 1
+    digits = [
+        [abs(c) >> (_LIMB_BITS * k) & mask for k in reversed(range(width))] for c in coeffs
+    ]
+    signs = np.array([-1 if c < 0 else 1 for c in coeffs], dtype=np.int64)
+    return signs[:, None], np.array(digits, dtype=np.int64)
+
+
+def _residues(coeffs: tuple[int, ...], p: np.ndarray) -> np.ndarray:
+    """coeffs mod p exactly, one column per lane, for integers of any size.
+
+    Horner's rule over 30-bit digits: the running value stays below 2**59
+    before each % p.
+    """
+    signs, digits = _limbs(coeffs)
+    out = np.zeros((len(coeffs), p.size), dtype=np.int64)
+    for k in range(digits.shape[1]):
+        out = (out * (1 << _LIMB_BITS) + digits[:, k, None]) % p
+    return out * signs % p
+
+
+def _monic_modulus(curve: WeierstrassCurve, ell: int, p: np.ndarray) -> np.ndarray:
+    """The low coefficients of g = psi_ell / ell mod p (g = f for ell = 2), one column per lane."""
+    if ell == 2:
+        return _residues((curve.b, curve.a, 0), p)
+    psi = _residues(_integer_division_polynomial(ell, curve.a, curve.b), p)
+    return psi[:-1] * pow_mod_array(psi[-1], p - 2, p) % p
+
+
+class _LaneRing:
+    """F_p[x]/(g) with one prime p and one monic g of degree d per lane.
+
+    An element is a (d, L) int64 array, coefficient by lane, so numpy's
+    inner loops run along the lanes.  A product sums its coefficient
+    products in int64; the part of degree >= d is taken mod p and folded
+    back by one contraction with the per-lane table of x**(d+i) mod g, and
+    one % p ends it.
+    """
+
+    def __init__(self, p: np.ndarray, table: np.ndarray):
+        self.p, self.table, self.d = p, table, table.shape[1]
+
+    @classmethod
+    def modulo(cls, g_low: np.ndarray, p: np.ndarray) -> "_LaneRing":
+        """The ring for the monic g whose coefficients below x**d are g_low, (d, L)."""
+        d, lanes = g_low.shape
+        ring = cls(p, np.empty((d - 1, d, lanes), dtype=np.int64))
+        ring.table[0] = -g_low % p  # x**d = -(g - x**d)
+        for i in range(1, d - 1):
+            ring.table[i] = ring.times_x(ring.table[i - 1])
+        return ring
+
+    def take(self, lanes: np.ndarray) -> "_LaneRing":
+        return _LaneRing(self.p[lanes], self.table[:, :, lanes])
+
+    def monomial(self, k: int) -> np.ndarray:
+        out = np.zeros((self.d, self.p.size), dtype=np.int64)
+        out[k] = 1
+        return out
+
+    def times_x(self, a: np.ndarray) -> np.ndarray:
+        out = a[-1] * self.table[0]
+        out[1:] += a[:-1]
+        return out % self.p
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        d = self.d
+        full = np.zeros((2 * d - 1, a.shape[1]), dtype=np.int64)
+        for i in range(d):
+            full[i : i + d] += a[i] * b
+        high = full[d:] % self.p
+        return (full[:d] + np.einsum("il,ikl->kl", high, self.table)) % self.p
+
+    def pow(self, times, exp: np.ndarray) -> np.ndarray:
+        """base**exp per lane, left to right, where times(acc) = acc * base."""
+        acc = self.monomial(0)
+        for bit in reversed(range(int(exp.max()).bit_length())):
+            acc = self.mul(acc, acc)
+            acc = np.where((exp >> bit) & 1 == 1, times(acc), acc)
+        return acc
+
+    def multiples(self, *elements: np.ndarray) -> np.ndarray:
+        """The rows r * x**j for j < d of each element r, one block per element.
+
+        A block is the matrix of multiplication by r; the stack has shape
+        (len(elements) * d, d, L).
+        """
+        d = self.d
+        rows = np.empty((len(elements) * d, d, self.p.size), dtype=np.int64)
+        for i, r in enumerate(elements):
+            rows[i * d] = r
+            for j in range(i * d + 1, (i + 1) * d):
+                rows[j] = self.times_x(rows[j - 1])
+        return rows
+
+
+def _rank_mod_p(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Rank over F_p of each lane's matrix in an (R, C, L) stack of residues, which it overwrites.
+
+    Gaussian elimination with a pivot row chosen per lane.  A row is cleared
+    as pivot*row - entry*pivot_row, which needs no inverse and scales the row
+    by a unit; each pass drops the column it cleared.
+    """
+    lanes = np.arange(rows.shape[2])
+    free = np.ones((rows.shape[0], rows.shape[2]), dtype=bool)
+    while rows.shape[1]:
+        col = rows[:, 0]
+        candidates = (col != 0) & free
+        has = candidates.any(axis=0)
+        piv = candidates.argmax(axis=0)
+        free[piv[has], lanes[has]] = False
+        pivot = np.where(has, col[piv, lanes], 1)
+        factor = np.where(has, col, 0)
+        factor[piv, lanes] = 0
+        pivot_row = np.take_along_axis(rows[:, 1:], piv[None, None], axis=0)
+        rows = rows[:, 1:]
+        rows *= pivot
+        rows -= factor[:, None] * pivot_row
+        rows %= p
+    return (~free).sum(axis=0)
+
+
+def _torsion_lanes(curve: WeierstrassCurve, p: np.ndarray, ell: int) -> np.ndarray:
+    """|E(F_p)[ell]| for each prime of an int64 array of good primes below TORSION_ARRAY_LIMIT.
+
+    With r1 = x**p - x and r2 = f**((p-1)/2) - 1 in A = F_p[x]/(g), the gcd
+    of g, r1 and r2 has degree d - rank [M_r1; M_r2], where M_r is
+    multiplication by r on A: the kernel of the stacked map is the
+    annihilator of the ideal (r1, r2).  So the count is 1 + 2*(d - rank) for
+    odd ell, and 1 + (d - rank M_r1) for ell = 2 with g = f.  Lanes where
+    g has no root in F_p (rank M_r1 = d) skip the f stage.
+    """
+    ring = _LaneRing.modulo(_monic_modulus(curve, ell, p), p)
+    d = ring.d
+    r1 = ring.pow(ring.times_x, p)
+    r1[1] = (r1[1] - 1) % p
+    roots = d - _rank_mod_p(ring.multiples(r1), p)
+    if ell == 2:
+        return 1 + roots
+    counts = np.ones(p.size, dtype=np.int64)
+    rooted = np.flatnonzero(roots)
+    if rooted.size:
+        ring, q, r1 = ring.take(rooted), p[rooted], r1[:, rooted]
+        f = ring.monomial(3)
+        f[:2] = _residues((curve.b, curve.a), q)
+        r2 = ring.pow(lambda acc: ring.mul(acc, f), (q - 1) // 2)
+        r2[0] = (r2[0] - 1) % q
+        counts[rooted] += 2 * (d - _rank_mod_p(ring.multiples(r1, r2), q))
+    return counts
+
+
+def ec_torsion_count_array(curve: WeierstrassCurve, primes: np.ndarray, ell: int) -> np.ndarray:
+    """ec_torsion_count for each entry of an int64 array of non-excluded primes.
+
+    The lanes go through the batched Schoof step while every prime is below
+    TORSION_ARRAY_LIMIT and deg g is at most TORSION_ARRAY_MAX_DEGREE;
+    otherwise each prime takes the per-prime kernel.
+    """
+    d = 3 if ell == 2 else (ell * ell - 1) // 2
+    if primes.size and d <= TORSION_ARRAY_MAX_DEGREE and primes.max() < TORSION_ARRAY_LIMIT:
+        width = max(1, _LANE_ENTRIES // (2 * d * d))
+        starts = range(0, primes.size, width)
+        counts = np.concatenate([_torsion_lanes(curve, primes[i : i + width], ell) for i in starts])
+    else:
+        counts = np.array([_schoof_count(curve, p, ell) for p in primes.tolist()], dtype=np.int64)
+    _check_torsion_counts(curve, primes, ell, counts)
+    return counts
 
 
 def ec_torsion_count_enum(curve: WeierstrassCurve, p: int, ell: int) -> int:

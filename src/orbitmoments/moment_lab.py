@@ -33,8 +33,8 @@ from .local_counts import (
     SplittingType,
     WeierstrassCurve,
     count_roots_array,
-    ec_torsion_count,
-    splitting_type,
+    ec_torsion_count_array,
+    splitting_mask,
 )
 from .orbit_engine import PermutationAction, predicted_value_distribution
 from .residue_algebra import QuadOrderSpec
@@ -153,10 +153,11 @@ def _bad_primes(counter: CounterSpec) -> BadPrimes:
 def _value_histogram(counter: CounterSpec, primes: np.ndarray) -> dict[int, int]:
     """N_p -> number of primes, over an int64 array of non-excluded primes."""
     if isinstance(counter, TorsionCounter):
-        curve, ell = counter.curve, counter.ell
-        return Counter(ec_torsion_count(curve, p, ell) for p in primes.tolist())
-    eq = counter.eq if isinstance(counter, PowerCounter) else counter.eq_a
-    values, counts = np.unique(count_roots_array(eq, primes), return_counts=True)
+        values = ec_torsion_count_array(counter.curve, primes, counter.ell)
+    else:
+        eq = counter.eq if isinstance(counter, PowerCounter) else counter.eq_a
+        values = count_roots_array(eq, primes)
+    values, counts = np.unique(values, return_counts=True)
     hist = dict(zip(values.tolist(), counts.tolist()))
     if isinstance(counter, PowerProductCounter):
         # N_p(x**n - 1) = gcd(p-1, n), and N_p(x**n - a) is either that or 0,
@@ -288,11 +289,7 @@ class _Tally:
         self.excluded += primes.size - good.size
         filt = _split_filter(counter)
         if filt is not None:
-            keep = np.fromiter(
-                (splitting_type(p, filt.spec) in filt.keep for p in good.tolist()),
-                dtype=bool,
-                count=good.size,
-            )
+            keep = splitting_mask(good, filt.spec, filt.keep)
             self.filtered += good.size - int(keep.sum())
             good = good[keep]
         if primes.size > good.size:

@@ -109,7 +109,8 @@ def _apply_matrices(mats: np.ndarray, n: int) -> np.ndarray:
     points = np.stack([(idx // n**i) % n for i in range(m)])  # column j is vector j
     weights = (n ** np.arange(m, dtype=np.int64)).reshape(1, m, 1)
     perms = np.empty((len(mats), size), dtype=_perm_dtype(size))
-    chunk = max(1, 2**22 // size)
+    # about 2**18 images per chunk: the int64 temporaries stay a few MB
+    chunk = max(1, 2**18 // size)
     for lo in range(0, len(mats), chunk):
         images = np.matmul(mats[lo : lo + chunk], points) % n  # (chunk, m, size)
         perms[lo : lo + chunk] = (images * weights).sum(axis=1)
@@ -131,9 +132,11 @@ def _matrix_action(
     returns the (order, m, m) stack of every element.  elements() is called
     only when the order and the permutation table fit the budgets; otherwise
     only the generating set is kept and moment evaluation goes through
-    direct orbit counting.
+    direct orbit counting.  The generator table itself must fit entry_budget.
     """
     size = n ** generators.shape[1]
+    if len(generators) * size > entry_budget:
+        raise CapacityError(len(generators) * size, entry_budget, what="generator table entries")
     fits = order <= element_budget and order * size <= entry_budget
     return PermutationAction(
         size=size,

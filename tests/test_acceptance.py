@@ -3,9 +3,9 @@
 The empirical criteria run at their documented sizes (x = 10**6 for the
 power scenarios, x = 10**5 for the elliptic ones) and tolerances (2%
 relative, 5% relative/absolute for elliptic, 1% absolute for the
-distribution atoms), so this module takes a few minutes end to end.  The
-slow-marked checks repeat the full-image torsion moment at x = 10**6 and
-the x^6 - 1 power moment at x = 10**8 (deselect them with -m "not slow").
+distribution atoms).  The slow-marked checks repeat the full-image torsion
+moment at x = 10**6 and x = 10**7 and the x^6 - 1 power moment at
+x = 10**8 (deselect them with -m "not slow").
 """
 
 import pytest
@@ -79,6 +79,14 @@ def test_criterion_7_torsion_full_image_at_1e6():
     report = empirical_moment(TorsionCounter(CURVE_PRESETS["17a3"], 3), 1, 10**6)
     assert report.predicted == gl2_moment(3, 1)
     print(f"17a3 ell=3 k=1 x=10**6: empirical={float(report.empirical):.6f} rel_err={report.rel_err:.4%}")
+    assert report.rel_err <= TOL_ELLIPTIC
+
+
+@pytest.mark.slow
+def test_criterion_7_torsion_full_image_at_1e7():
+    report = empirical_moment(TorsionCounter(CURVE_PRESETS["17a3"], 3), 1, 10**7)
+    assert report.predicted == gl2_moment(3, 1)
+    print(f"17a3 ell=3 k=1 x=10**7: empirical={float(report.empirical):.6f} rel_err={report.rel_err:.4%}")
     assert report.rel_err <= TOL_ELLIPTIC
 
 

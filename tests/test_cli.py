@@ -238,6 +238,15 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+def test_dist_rejects_a_generator_table_over_budget(capsys):
+    code, out, err = run_cli(
+        capsys, "dist", "--scenario", "power", "--n", "4", "--x", "1000", "--action", "glm:9999,4"
+    )
+    assert code == 2
+    assert out == ""
+    assert "generator table entries, budget is 60000000" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["mk", "--n", "4"])  # missing --k

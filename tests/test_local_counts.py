@@ -1,10 +1,17 @@
+import re
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from orbitmoments.core_arith import prime_segments, primes_in_range
+from orbitmoments import local_counts
+from orbitmoments.core_arith import POW_ARRAY_LIMIT, prime_segments, primes_in_range
 from orbitmoments.local_counts import (
     CURVE_PRESETS,
+    TORSION_ARRAY_LIMIT,
+    TORSION_ARRAY_MAX_DEGREE,
     BadPrimes,
     PowerEquation,
     SplittingType,
@@ -17,11 +24,13 @@ from orbitmoments.local_counts import (
     ec_point_count,
     ec_points,
     ec_torsion_count,
+    ec_torsion_count_array,
     ec_torsion_count_enum,
     parse_curve,
+    splitting_mask,
     splitting_type,
 )
-from orbitmoments.residue_algebra import QuadOrderSpec
+from orbitmoments.residue_algebra import CLASS_NUMBER_ONE_D, QuadOrderSpec
 
 
 def test_count_roots_brute_examples():
@@ -278,3 +287,105 @@ def test_bad_primes_mask_matches_rule():
         1_000_003,
     ]
     assert [p for p in primes_in_range(2, 31) if p in CURVE_PRESETS["17a3"].bad_primes(5)] == [2, 3, 5, 17]
+
+
+def _good_primes(curve, ell, lo, hi):
+    primes = np.concatenate([np.empty(0, dtype=np.int64), *prime_segments(lo, hi)])
+    return primes[~curve.bad_primes(ell).mask(primes)]
+
+
+def _batched(curve, primes, ell):
+    """The batched Schoof step alone, at any degree, in lane blocks of 256."""
+    starts = range(0, primes.size, 256)
+    blocks = [local_counts._torsion_lanes(curve, primes[i : i + 256], ell) for i in starts]
+    return np.concatenate(blocks).tolist()
+
+
+@pytest.mark.parametrize("name", ["17a3", "11a2", "cm:-1", "cm:-3"])
+def test_torsion_array_matches_per_prime(name):
+    curve = CURVE_PRESETS[name]
+    for ell in (2, 3, 5, 7):
+        primes = _good_primes(curve, ell, 2, 10**4)
+        want = [ec_torsion_count(curve, p, ell) for p in primes.tolist()]
+        assert ec_torsion_count_array(curve, primes, ell).tolist() == want, ell
+        # degree 24 (ell = 7) is left to the per-prime kernel, but the batch is exact there too
+        assert _batched(curve, primes, ell) == want, ell
+    assert TORSION_ARRAY_MAX_DEGREE < 24
+
+
+def test_torsion_array_across_its_limit():
+    # the segment reaching past 2**28 takes the per-prime kernel; the primes
+    # below 2**28 alone take the batch at its largest products; near 2**32
+    # the batch's int64 sums would overflow
+    for name, ell in (("17a3", 3), ("cm:-1", 2), ("11a2", 5)):
+        curve = CURVE_PRESETS[name]
+        primes = _good_primes(curve, ell, TORSION_ARRAY_LIMIT - 1200, TORSION_ARRAY_LIMIT + 600)
+        below = primes[primes < TORSION_ARRAY_LIMIT]
+        assert 0 < below.size < primes.size
+        top = _good_primes(curve, ell, 2**32 - 600, 2**32)
+        want = [ec_torsion_count(curve, p, ell) for p in primes.tolist()]
+        assert ec_torsion_count_array(curve, primes, ell).tolist() == want, name
+        assert ec_torsion_count_array(curve, below, ell).tolist() == want[: below.size], name
+        assert ec_torsion_count_array(curve, top, ell).tolist() == [
+            ec_torsion_count(curve, p, ell) for p in top.tolist()
+        ], name
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    a=st.one_of(st.integers(-50, 50), st.integers(-(10**30), 10**30)),
+    b=st.one_of(st.integers(-50, 50), st.integers(-(10**30), 10**30)),
+    ell=st.sampled_from((2, 3, 5)),
+    lo=st.integers(2, 2 * 10**5),
+)
+def test_torsion_array_on_random_curves(a, b, ell, lo):
+    assume(4 * a**3 + 27 * b**2 != 0)
+    curve = WeierstrassCurve(a, b)
+    primes = _good_primes(curve, ell, lo, lo + 1500)
+    want = [ec_torsion_count(curve, p, ell) for p in primes.tolist()]
+    assert ec_torsion_count_array(curve, primes, ell).tolist() == want
+
+
+def test_torsion_array_rejects_impossible_counts(monkeypatch):
+    curve = CURVE_PRESETS["17a3"]
+    primes = _good_primes(curve, 3, 2, 200)
+    # 2 is never a 3-torsion count, and 9 needs p = 1 mod 3
+    cases = ((2, primes[3]), (9, next(p for p in primes[3:].tolist() if p % 3 != 1)))
+    for injected, first_bad in cases:
+
+        def lanes(curve, p, ell, injected=injected):
+            counts = np.ones(p.size, dtype=np.int64)
+            counts[3:] = injected
+            return counts
+
+        monkeypatch.setattr(local_counts, "_torsion_lanes", lanes)
+        message = f"torsion count {injected} for {curve} at p={first_bad}, ell=3 is impossible"
+        with pytest.raises(ArithmeticError, match=re.escape(message)):
+            ec_torsion_count_array(curve, primes, 3)
+    # the per-prime branch, which takes deg g = 24, checks its counts the same way
+    primes = _good_primes(curve, 7, 2, 200)
+    injected = lambda curve, p, ell: 1 if p < primes[3] else 5
+    monkeypatch.setattr(local_counts, "_schoof_count", injected)
+    message = f"torsion count 5 for {curve} at p={primes[3]}, ell=7 is impossible"
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        ec_torsion_count_array(curve, primes, 7)
+
+
+def test_splitting_mask_matches_splitting_type():
+    small = np.concatenate(list(prime_segments(2, 10**4)))
+    (near,) = prime_segments(POW_ARRAY_LIMIT - 3000, POW_ARRAY_LIMIT + 3000)
+    assert near.min() < POW_ARRAY_LIMIT < near.max()
+    # near 2**32 an int64 product of two residues would overflow
+    (top,) = prime_segments(2**32 - 3000, 2**32)
+    keeps = (
+        {SplittingType.SPLIT},
+        {SplittingType.INERT, SplittingType.RAMIFIED},
+        {SplittingType.RAMIFIED},
+    )
+    for d in CLASS_NUMBER_ONE_D:
+        spec = QuadOrderSpec(d)
+        for primes in (small, near, top):
+            types = [splitting_type(p, spec) for p in primes.tolist()]
+            for keep in keeps:
+                want = [t in keep for t in types]
+                assert splitting_mask(primes, spec, keep).tolist() == want, (d, keep)

@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitmoments.closed_forms import mk
@@ -25,6 +25,7 @@ from orbitmoments.local_counts import (
     splitting_type,
 )
 from orbitmoments.moment_lab import (
+    MomentReport,
     PowerCounter,
     PowerProductCounter,
     SplitFilter,
@@ -198,6 +199,15 @@ def test_threads_do_not_change_results():
             )
     assert STREAM_COUNTERS[2].split_filter is not None
     assert empirical_moment(STREAM_COUNTERS[2], 1, 3000).filtered > 0
+
+
+def test_torsion_threads_do_not_change_results():
+    # three sieve segments, each split into several lane blocks of the batched kernel
+    counters = (TorsionCounter(CURVE_PRESETS["17a3"], 3), TorsionCounter(CURVE_PRESETS["11a2"], 2))
+    for counter in counters:
+        single = empirical_moment(counter, 2, 300_000)
+        for threads in (2, 3):
+            assert empirical_moment(counter, 2, 300_000, threads=threads) == single, threads
 
 
 def test_accumulator_matches_reference_loop():
@@ -400,4 +410,54 @@ def test_report_json_roundtrip():
     assert report.histogram[0] > report.excluded
     # JSON written before `filtered` existed reads back with filtered = 0
     del blob["filtered"]
+    assert report_from_json_dict(blob) == report
+
+
+COUNTERS = st.one_of(
+    st.builds(
+        lambda n, a: valid_power_counters((n,), (a,)) or [PowerCounter(PowerEquation(n))],
+        st.integers(1, 12),
+        st.sampled_from((1, 2, 3, 5, 6, 7)),
+    ).map(lambda counters: counters[0]),
+    st.sampled_from(STREAM_COUNTERS),
+    st.builds(
+        TorsionCounter,
+        st.sampled_from(list(CURVE_PRESETS.values())),
+        st.sampled_from((2, 3, 5, 7)),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counter=COUNTERS,
+    k=st.integers(0, 6),
+    x=st.integers(2, 10**12),
+    valued=st.dictionaries(st.integers(1, 10**4), st.integers(1, 10**9), max_size=6),
+    excluded=st.integers(0, 10**6),
+    filtered=st.integers(0, 10**6),
+    zero_valued=st.integers(0, 10**6),
+    good_only=st.booleans(),
+)
+def test_report_json_roundtrip_property(
+    counter, k, x, valued, excluded, filtered, zero_valued, good_only
+):
+    hist = dict(valued)
+    if excluded + filtered + zero_valued:
+        hist[0] = excluded + filtered + zero_valued
+    pi_x = sum(hist.values())
+    denom = pi_x - excluded if good_only else pi_x
+    assume(denom > 0)
+    report = MomentReport(
+        scenario=counter.scenario,
+        k=k,
+        x=x,
+        pi_x=pi_x,
+        empirical=Fraction(sum(c * v**k for v, c in valued.items()), denom),
+        predicted=predicted_moment(counter, k),
+        histogram=hist,
+        excluded=excluded,
+        filtered=filtered,
+    )
+    blob = json.loads(json.dumps(report.to_json_dict()))
     assert report_from_json_dict(blob) == report

@@ -333,3 +333,17 @@ def test_bad_descriptor():
         build_action("frobnicate:3")
     with pytest.raises(ValueError):
         build_action("units:x")
+
+
+def test_building_glm_4_3_stays_near_its_candidate_stack():
+    tracemalloc.start()
+    try:
+        action = build_action("glm:4,3")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert burnside_moment(action, 1) == mk(4, 1)
+    # the enumeration holds all 4**9 candidate matrices as int64; the chunks
+    # that turn matrices into permutation rows stay small next to that
+    candidates = 8 * 9 * 4**9
+    assert peak < 3 * candidates, peak
