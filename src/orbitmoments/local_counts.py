@@ -532,12 +532,10 @@ def _check_torsion_counts(
 # The same Schoof step on a whole segment of primes at once: one int64 lane
 # per prime, each lane working in its own F_p[x]/(g) with g monic of degree d.
 
-# The batch is exact for primes below this bound: a product coefficient sums
-# at most d < 128 products of residues, each below 2**56, so int64 holds it.
+# The batch is exact for primes below this bound and d < 128 (ell <= 13): a
+# coefficient sums fewer than 128 terms below p**2 < 2**56 (see _LaneRing).
 TORSION_ARRAY_LIMIT = 1 << 28
-# Largest deg g that the batch takes; above it the per-prime kernel is faster.
-TORSION_ARRAY_MAX_DEGREE = 12
-# Lanes are taken in blocks whose (2d, d, L) elimination stack, the largest
+# Lanes are taken in blocks whose (2d - 1, L) product buffer, the largest
 # temporary, holds about this many int64 entries (256 KB).
 _LANE_ENTRIES = 1 << 15
 _LIMB_BITS = 30
@@ -580,121 +578,125 @@ class _LaneRing:
     """F_p[x]/(g) with one prime p and one monic g of degree d per lane.
 
     An element is a (d, L) int64 array, coefficient by lane, so numpy's
-    inner loops run along the lanes.  A product sums its coefficient
-    products in int64; the part of degree >= d is taken mod p and folded
-    back by one contraction with the per-lane table of x**(d+i) mod g, and
-    one % p ends it.
+    inner loops run along the lanes; no array holds more than a product's
+    (2d - 1, L) buffer.  A product sums its coefficient products in int64
+    and folds its top d - 1 coefficients, each % p, into the lower ones by
+    x**d = x_d mod g.  A coefficient so sums at most 2d - 1 terms below
+    p**2; above d = 64 the buffer is taken % p before the folds, leaving d.
     """
 
-    def __init__(self, p: np.ndarray, table: np.ndarray):
-        self.p, self.table, self.d = p, table, table.shape[1]
+    def __init__(self, p: np.ndarray, x_d: np.ndarray):
+        self.p, self.x_d, self.d = p, x_d, x_d.shape[0]
 
     @classmethod
     def modulo(cls, g_low: np.ndarray, p: np.ndarray) -> "_LaneRing":
         """The ring for the monic g whose coefficients below x**d are g_low, (d, L)."""
-        d, lanes = g_low.shape
-        ring = cls(p, np.empty((d - 1, d, lanes), dtype=np.int64))
-        ring.table[0] = -g_low % p  # x**d = -(g - x**d)
-        for i in range(1, d - 1):
-            ring.table[i] = ring.times_x(ring.table[i - 1])
-        return ring
-
-    def take(self, lanes: np.ndarray) -> "_LaneRing":
-        return _LaneRing(self.p[lanes], self.table[:, :, lanes])
-
-    def monomial(self, k: int) -> np.ndarray:
-        out = np.zeros((self.d, self.p.size), dtype=np.int64)
-        out[k] = 1
-        return out
+        return cls(p, -g_low % p)
 
     def times_x(self, a: np.ndarray) -> np.ndarray:
-        out = a[-1] * self.table[0]
+        out = a[-1] * self.x_d
         out[1:] += a[:-1]
         return out % self.p
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        d = self.d
+        d, p = self.d, self.p
         full = np.zeros((2 * d - 1, a.shape[1]), dtype=np.int64)
-        for i in range(d):
-            full[i : i + d] += a[i] * b
-        high = full[d:] % self.p
-        return (full[:d] + np.einsum("il,ikl->kl", high, self.table)) % self.p
+        if a is b:  # a square: each cross term once, doubled
+            full[::2] = a * a
+            twice = 2 * a
+            for i in range(d - 1):
+                full[2 * i + 1 : i + d] += twice[i] * a[i + 1 :]
+        else:
+            for i in range(d):
+                full[i : i + d] += a[i] * b
+        if d > 64:
+            full %= p
+        return self.reduce(full)
 
-    def pow(self, times, exp: np.ndarray) -> np.ndarray:
-        """base**exp per lane, left to right, where times(acc) = acc * base."""
-        acc = self.monomial(0)
-        for bit in reversed(range(int(exp.max()).bit_length())):
+    def reduce(self, full: np.ndarray) -> np.ndarray:
+        """The element of a (d + j, L) buffer of coefficients, j < d, folding in place."""
+        d, p = self.d, self.p
+        for k in reversed(range(d, full.shape[0])):
+            full[k - d : k] += full[k] % p * self.x_d
+        return full[:d] % p
+
+    def pow(self, times, exp: np.ndarray, base_is_x: bool = False) -> np.ndarray:
+        """base**exp per lane, left to right, where times(acc) = acc * base.
+
+        For base = x the leading bits of exp give the starting monomial.
+        """
+        bits = int(exp.max()).bit_length()
+        skip = min(bits, self.d.bit_length() - 1) if base_is_x else 0
+        acc = np.zeros((self.d, exp.size), dtype=np.int64)
+        acc[exp >> (bits - skip), np.arange(exp.size)] = 1
+        for bit in reversed(range(bits - skip)):
             acc = self.mul(acc, acc)
-            acc = np.where((exp >> bit) & 1 == 1, times(acc), acc)
+            np.copyto(acc, times(acc), where=(exp >> bit) & 1 == 1)
         return acc
 
-    def multiples(self, *elements: np.ndarray) -> np.ndarray:
-        """The rows r * x**j for j < d of each element r, one block per element.
+    def gcd_degree(self, r: np.ndarray) -> np.ndarray:
+        """deg gcd(g, r) per lane, for elements r, from 2d - 1 divsteps.
 
-        A block is the matrix of multiplication by r; the stack has shape
-        (len(elements) * d, d, L).
+        Bernstein and Yang (TCHES 2019, Theorem 6.2): from delta = 1,
+        f = x**d * g(1/x) and h = x**(d-1) * r(1/x), each step swaps f and h
+        when delta > 0 and h(0) != 0 (delta becomes 1 - delta, else 1 + delta)
+        and replaces h by (f(0)*h - h(0)*f)/x; after 2d - 1 steps, deg gcd =
+        delta/2.  Unit factors change neither delta nor which h(0) vanish, and
+        no step reads more low coefficients than there are steps left.
         """
-        d = self.d
-        rows = np.empty((len(elements) * d, d, self.p.size), dtype=np.int64)
-        for i, r in enumerate(elements):
-            rows[i * d] = r
-            for j in range(i * d + 1, (i + 1) * d):
-                rows[j] = self.times_x(rows[j - 1])
-        return rows
-
-
-def _rank_mod_p(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Rank over F_p of each lane's matrix in an (R, C, L) stack of residues, which it overwrites.
-
-    Gaussian elimination with a pivot row chosen per lane.  A row is cleared
-    as pivot*row - entry*pivot_row, which needs no inverse and scales the row
-    by a unit; each pass drops the column it cleared.
-    """
-    lanes = np.arange(rows.shape[2])
-    free = np.ones((rows.shape[0], rows.shape[2]), dtype=bool)
-    while rows.shape[1]:
-        col = rows[:, 0]
-        candidates = (col != 0) & free
-        has = candidates.any(axis=0)
-        piv = candidates.argmax(axis=0)
-        free[piv[has], lanes[has]] = False
-        pivot = np.where(has, col[piv, lanes], 1)
-        factor = np.where(has, col, 0)
-        factor[piv, lanes] = 0
-        pivot_row = np.take_along_axis(rows[:, 1:], piv[None, None], axis=0)
-        rows = rows[:, 1:]
-        rows *= pivot
-        rows -= factor[:, None] * pivot_row
-        rows %= p
-    return (~free).sum(axis=0)
+        d, p = self.d, self.p
+        f = np.vstack([np.ones(p.size, dtype=np.int64), -self.x_d[::-1] % p])
+        h = np.zeros_like(f)
+        h[:d] = r[::-1]
+        delta = np.ones(p.size, dtype=np.int64)
+        for left in reversed(range(2 * d - 1)):
+            swap = (delta > 0) & (h[0] != 0)
+            delta = np.where(swap, 1 - delta, 1 + delta)
+            rows = f.shape[0] - 1  # f(0)*h - h(0)*f has constant term 0
+            new = np.zeros((min(rows + 1, left), p.size), dtype=np.int64)
+            np.multiply(h[1:], f[0], out=new[:rows])
+            new[:rows] -= h[0] * f[1:]
+            new[:rows] %= p
+            np.copyto(f, h, where=swap)
+            f, h = f[: new.shape[0]], new
+        return delta // 2
 
 
 def _torsion_lanes(curve: WeierstrassCurve, p: np.ndarray, ell: int) -> np.ndarray:
     """|E(F_p)[ell]| for each prime of an int64 array of good primes below TORSION_ARRAY_LIMIT.
 
-    With r1 = x**p - x and r2 = f**((p-1)/2) - 1 in A = F_p[x]/(g), the gcd
-    of g, r1 and r2 has degree d - rank [M_r1; M_r2], where M_r is
-    multiplication by r on A: the kernel of the stacked map is the
-    annihilator of the ideal (r1, r2).  So the count is 1 + 2*(d - rank) for
-    odd ell, and 1 + (d - rank M_r1) for ell = 2 with g = f.  Lanes where
-    g has no root in F_p (rank M_r1 = d) skip the f stage.
+    With r1 = x**p - x and r2 = f**((p-1)/2) - 1 in A = F_p[x]/(g), the count
+    is 1 + deg gcd(g, r1) for ell = 2 (g = f) and 1 + 2*deg gcd(g, r1, r2)
+    for odd ell.  g is squarefree at a good prime, so degrees count roots
+    and deg gcd(g, r1, r2) = deg gcd(g, r1) + deg gcd(g, r2) - deg gcd(g,
+    r1*r2).  Lanes where g has no root in F_p skip the f stage, where a
+    product by f = x**3 + a*x + b adds three shifted copies and folds.
     """
     ring = _LaneRing.modulo(_monic_modulus(curve, ell, p), p)
     d = ring.d
-    r1 = ring.pow(ring.times_x, p)
+    r1 = ring.pow(ring.times_x, p, base_is_x=True)
     r1[1] = (r1[1] - 1) % p
-    roots = d - _rank_mod_p(ring.multiples(r1), p)
+    roots = ring.gcd_degree(r1)
     if ell == 2:
         return 1 + roots
     counts = np.ones(p.size, dtype=np.int64)
     rooted = np.flatnonzero(roots)
     if rooted.size:
-        ring, q, r1 = ring.take(rooted), p[rooted], r1[:, rooted]
-        f = ring.monomial(3)
-        f[:2] = _residues((curve.b, curve.a), q)
-        r2 = ring.pow(lambda acc: ring.mul(acc, f), (q - 1) // 2)
+        q, r1 = p[rooted], r1[:, rooted]
+        ring = _LaneRing(q, ring.x_d[:, rooted])
+        a, b = _residues((curve.a, curve.b), q)
+
+        def times_f(acc):
+            full = np.zeros((d + 3, q.size), dtype=np.int64)
+            full[3:] = acc
+            full[1 : d + 1] += a * acc
+            full[:d] += b * acc
+            return ring.reduce(full)
+
+        r2 = ring.pow(times_f, (q - 1) // 2)
         r2[0] = (r2[0] - 1) % q
-        counts[rooted] += 2 * (d - _rank_mod_p(ring.multiples(r1, r2), q))
+        either = ring.gcd_degree(ring.mul(r1, r2))  # roots of r1 or of r2
+        counts[rooted] += 2 * (roots[rooted] + ring.gcd_degree(r2) - either)
     return counts
 
 
@@ -702,14 +704,13 @@ def ec_torsion_count_array(curve: WeierstrassCurve, primes: np.ndarray, ell: int
     """ec_torsion_count for each entry of an int64 array of non-excluded primes.
 
     The lanes go through the batched Schoof step while every prime is below
-    TORSION_ARRAY_LIMIT and deg g is at most TORSION_ARRAY_MAX_DEGREE;
-    otherwise each prime takes the per-prime kernel.
+    TORSION_ARRAY_LIMIT and deg g < 128 (ell <= 13); otherwise each prime
+    takes the per-prime kernel.
     """
     d = 3 if ell == 2 else (ell * ell - 1) // 2
-    if primes.size and d <= TORSION_ARRAY_MAX_DEGREE and primes.max() < TORSION_ARRAY_LIMIT:
-        width = max(1, _LANE_ENTRIES // (2 * d * d))
-        starts = range(0, primes.size, width)
-        counts = np.concatenate([_torsion_lanes(curve, primes[i : i + width], ell) for i in starts])
+    if primes.size and d < 128 and primes.max() < TORSION_ARRAY_LIMIT:
+        blocks = np.array_split(primes, -(-primes.size * (2 * d - 1) // _LANE_ENTRIES))
+        counts = np.concatenate([_torsion_lanes(curve, block, ell) for block in blocks])
     else:
         counts = np.array([_schoof_count(curve, p, ell) for p in primes.tolist()], dtype=np.int64)
     _check_torsion_counts(curve, primes, ell, counts)

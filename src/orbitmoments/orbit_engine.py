@@ -182,16 +182,14 @@ def build_glm(n: int, m: int, **budgets) -> PermutationAction:
 
 
 def _enumerate_glm_matrices(n: int, m: int) -> np.ndarray:
-    """All invertible m x m matrices mod n, entry-lexicographic, vectorized."""
-    total = n ** (m * m)
-    idx = np.arange(total, dtype=np.int64)
-    flat = np.stack(
-        [(idx // n ** (m * m - 1 - e)) % n for e in range(m * m)], axis=1
-    )
-    mats = flat.reshape(total, m, m)
-    det = _vec_det(mats, n)
-    coprime = np.gcd(det, n) == 1
-    return mats[coprime]
+    """All invertible m x m matrices mod n, entry-lexicographic, 2**15 candidates at a time."""
+    total, kept = n ** (m * m), []
+    for start in range(0, total, 1 << 15):
+        idx = np.arange(start, min(start + (1 << 15), total), dtype=np.int64)
+        flat = np.stack([(idx // n ** (m * m - 1 - e)) % n for e in range(m * m)], axis=1)
+        mats = flat.reshape(idx.size, m, m)
+        kept.append(mats[np.gcd(_vec_det(mats, n), n) == 1])
+    return np.concatenate(kept)
 
 
 def _vec_det(mats: np.ndarray, n: int) -> np.ndarray:

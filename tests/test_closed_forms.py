@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitmoments.closed_forms import (
     cm_moment,
@@ -62,6 +64,26 @@ def test_mk_integer_valued():
         for k in range(6):
             assert mk(n, k).denominator == 1
             assert mk(n, k) >= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 10**4), k=st.integers(0, 8))
+def test_mk_forms_agree_on_random_n(n, k):
+    value = mk(n, k)
+    assert value.denominator == 1 and value >= 0
+    assert mk_divisor_sum(n, k) == mk_euler_product(n, k) == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ell=st.sampled_from(list(primes_in_range(3, 10**4))),
+    k=st.integers(0, 8),
+    d=st.sampled_from((2, 3, 4)),
+)
+def test_cm_moment_forms_agree_on_random_ell(ell, k, d):
+    value = cm_moment(ell, k, d)  # raises if its two forms disagree
+    d0, d1, d2 = split_densities(ell, d)
+    assert value == d0 + d1 * ell**k + d2 * ell ** (2 * k) + inert_partial_moment(ell, k)
 
 
 def test_mk_multiplicative():

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from math import gcd, isqrt
 
 import numpy as np
@@ -11,7 +12,6 @@ from orbitmoments.core_arith import POW_ARRAY_LIMIT, prime_segments, primes_in_r
 from orbitmoments.local_counts import (
     CURVE_PRESETS,
     TORSION_ARRAY_LIMIT,
-    TORSION_ARRAY_MAX_DEGREE,
     BadPrimes,
     PowerEquation,
     SplittingType,
@@ -294,23 +294,100 @@ def _good_primes(curve, ell, lo, hi):
     return primes[~curve.bad_primes(ell).mask(primes)]
 
 
-def _batched(curve, primes, ell):
-    """The batched Schoof step alone, at any degree, in lane blocks of 256."""
-    starts = range(0, primes.size, 256)
-    blocks = [local_counts._torsion_lanes(curve, primes[i : i + 256], ell) for i in starts]
-    return np.concatenate(blocks).tolist()
-
-
 @pytest.mark.parametrize("name", ["17a3", "11a2", "cm:-1", "cm:-3"])
-def test_torsion_array_matches_per_prime(name):
+def test_torsion_array_matches_per_prime(name, monkeypatch):
     curve = CURVE_PRESETS[name]
+    cases = []
     for ell in (2, 3, 5, 7):
         primes = _good_primes(curve, ell, 2, 10**4)
-        want = [ec_torsion_count(curve, p, ell) for p in primes.tolist()]
+        cases.append((ell, primes, [ec_torsion_count(curve, p, ell) for p in primes.tolist()]))
+    # every ell here, degree 24 (ell = 7) included, takes the batch
+    monkeypatch.setattr(local_counts, "_schoof_count", None)
+    for ell, primes, want in cases:
         assert ec_torsion_count_array(curve, primes, ell).tolist() == want, ell
-        # degree 24 (ell = 7) is left to the per-prime kernel, but the batch is exact there too
-        assert _batched(curve, primes, ell) == want, ell
-    assert TORSION_ARRAY_MAX_DEGREE < 24
+
+
+@pytest.mark.parametrize("name", ["17a3", "cm:-3"])
+def test_torsion_array_matches_schoof_at_large_ell(name):
+    curve = CURVE_PRESETS[name]
+    for ell, hi in ((7, 3000), (11, 1500), (13, 700)):
+        primes = _good_primes(curve, ell, 2, hi)
+        want = [local_counts._schoof_count(curve, p, ell) for p in primes.tolist()]
+        assert ec_torsion_count_array(curve, primes, ell).tolist() == want, ell
+
+
+def _linear_product(roots, p):
+    out = [1]
+    for root in roots:
+        out = [c % p for c in local_counts._pmul(out, [-root % p, 1])]
+    return out
+
+
+def _gcd_lanes(rng, d, p):
+    """(p, g, r) with g monic of degree d and r of degree < d, in four kinds."""
+    g = rng.integers(0, p, d).tolist() + [1]
+    yield p, g, rng.integers(0, p, d).tolist()
+    yield p, g, []
+    # g fully split; r a multiple of some of its linear factors, reduced mod g
+    roots = rng.integers(0, p, d).tolist()
+    split = _linear_product(roots, p)
+    shared = _linear_product(roots[: rng.integers(0, d + 1)], p)
+    multiple = local_counts._pmul(shared, rng.integers(0, p, 3).tolist())
+    yield p, split, local_counts._pmod([c % p for c in multiple], split, p)
+    # g = h * r with r = h * (x - c)**(d % 2): repeated roots, and r shares every one
+    if d > 1:
+        h = _linear_product(rng.integers(0, p, d // 2).tolist(), p)
+        r = local_counts._pmul(h, _linear_product(rng.integers(0, p, d % 2).tolist(), p))
+        yield p, [c % p for c in local_counts._pmul(h, r)], [c % p for c in r]
+
+
+def test_lane_gcd_degree_matches_pgcd():
+    rng = np.random.default_rng(7)
+    primes = list(primes_in_range(5, 200)) + list(
+        primes_in_range(TORSION_ARRAY_LIMIT - 400, TORSION_ARRAY_LIMIT)
+    )
+    for d in (1, 2, 3, 4, 12, 24, 60):
+        lanes = [lane for p in rng.choice(primes, 120).tolist() for lane in _gcd_lanes(rng, d, p)]
+        p = np.array([q for q, _, _ in lanes], dtype=np.int64)
+        g_low = np.array([g[:d] for _, g, _ in lanes], dtype=np.int64).T
+        r = np.array([r + [0] * (d - len(r)) for _, _, r in lanes], dtype=np.int64).T
+        got = local_counts._LaneRing.modulo(g_low, p).gcd_degree(r).tolist()
+        want = [len(local_counts._pgcd(g, local_counts._ptrim(list(r)), q)) - 1 for q, g, r in lanes]
+        assert got == want, d
+        assert {0, d} <= set(want), d  # r = 0 gives d
+
+
+def test_lane_product_at_its_exactness_limit():
+    # the largest p the batch allows, with coefficients near p - 1 and
+    # g = x**d + ... + x + 1, so the int64 sums come near their bounds: at
+    # d = 64, the last without a % p before the folds, and at the largest d
+    p = np.array(list(primes_in_range(TORSION_ARRAY_LIMIT - 200, TORSION_ARRAY_LIMIT)))
+    rng = np.random.default_rng(3)
+    for d in (64, 127):
+        ring = local_counts._LaneRing.modulo(np.ones((d, p.size), dtype=np.int64), p)
+        a = p - 1 - rng.integers(0, 4096, (d, p.size))
+        for got in (ring.mul(a, a), ring.mul(a, a.copy())):
+            for lane, q in enumerate(p.tolist()):
+                coeffs = a[:, lane].tolist()
+                full = [c % q for c in local_counts._pmul(coeffs, coeffs)]
+                want = local_counts._pmod(full, [1] * (d + 1), q)
+                assert got[:, lane].tolist() == want + [0] * (d - len(want)), (d, q)
+
+
+def test_torsion_array_memory_stays_per_block():
+    curve = CURVE_PRESETS["17a3"]
+    (segment,) = prime_segments(10**5, 10**5 + 2**17)  # one whole sieve segment
+    primes = segment[~curve.bad_primes(7).mask(segment)]
+    tracemalloc.start()
+    try:
+        counts = ec_torsion_count_array(curve, primes, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert primes.size > 10**4 and set(counts.tolist()) == {1, 7, 49}
+    # a block's (2d - 1, L) product buffer and its few (d, L) elements,
+    # however many primes the segment holds
+    assert peak < 8 * 8 * local_counts._LANE_ENTRIES, peak
 
 
 def test_torsion_array_across_its_limit():
@@ -329,13 +406,19 @@ def test_torsion_array_across_its_limit():
         assert ec_torsion_count_array(curve, top, ell).tolist() == [
             ec_torsion_count(curve, p, ell) for p in top.tolist()
         ], name
+    # the largest degrees the batch takes, at its largest primes
+    for name, ell in (("17a3", 13), ("cm:-3", 11)):
+        curve = CURVE_PRESETS[name]
+        primes = _good_primes(curve, ell, TORSION_ARRAY_LIMIT - 200, TORSION_ARRAY_LIMIT)
+        want = [local_counts._schoof_count(curve, p, ell) for p in primes.tolist()]
+        assert ec_torsion_count_array(curve, primes, ell).tolist() == want, name
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     a=st.one_of(st.integers(-50, 50), st.integers(-(10**30), 10**30)),
     b=st.one_of(st.integers(-50, 50), st.integers(-(10**30), 10**30)),
-    ell=st.sampled_from((2, 3, 5)),
+    ell=st.sampled_from((2, 3, 5, 7)),
     lo=st.integers(2, 2 * 10**5),
 )
 def test_torsion_array_on_random_curves(a, b, ell, lo):
@@ -362,13 +445,15 @@ def test_torsion_array_rejects_impossible_counts(monkeypatch):
         message = f"torsion count {injected} for {curve} at p={first_bad}, ell=3 is impossible"
         with pytest.raises(ArithmeticError, match=re.escape(message)):
             ec_torsion_count_array(curve, primes, 3)
-    # the per-prime branch, which takes deg g = 24, checks its counts the same way
-    primes = _good_primes(curve, 7, 2, 200)
+    # the per-prime branch, which takes a segment crossing 2**28, checks its
+    # counts the same way
+    primes = _good_primes(curve, 3, TORSION_ARRAY_LIMIT - 200, TORSION_ARRAY_LIMIT + 200)
+    assert primes[3] < TORSION_ARRAY_LIMIT < primes[-1]
     injected = lambda curve, p, ell: 1 if p < primes[3] else 5
     monkeypatch.setattr(local_counts, "_schoof_count", injected)
-    message = f"torsion count 5 for {curve} at p={primes[3]}, ell=7 is impossible"
+    message = f"torsion count 5 for {curve} at p={primes[3]}, ell=3 is impossible"
     with pytest.raises(ArithmeticError, match=re.escape(message)):
-        ec_torsion_count_array(curve, primes, 7)
+        ec_torsion_count_array(curve, primes, 3)
 
 
 def test_splitting_mask_matches_splitting_type():

@@ -347,3 +347,18 @@ def test_building_glm_4_3_stays_near_its_candidate_stack():
     # that turn matrices into permutation rows stay small next to that
     candidates = 8 * 9 * 4**9
     assert peak < 3 * candidates, peak
+
+
+def test_building_glm_4_3_holds_no_candidate_stack():
+    tracemalloc.start()
+    try:
+        action = build_action("glm:4,3")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert burnside_moment(action, 1) == mk(4, 1)
+    # candidates are filtered 2**15 at a time, so the peak is the chunked
+    # build of the permutation table next to the invertible matrices, well
+    # below the full candidate stack plus that
+    candidates = 8 * 9 * 4**9
+    assert peak < 1.75 * candidates, peak
