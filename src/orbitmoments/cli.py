@@ -30,6 +30,8 @@ from .orbit_engine import build_action, burnside_moment, orbit_count_oracle
 from .residue_algebra import QuadOrderSpec
 from .verify import SUITES, run_suite
 
+FORMATS = ("text", "json", "human")
+
 
 def _fmt_rational(value: Fraction, fmt: str) -> str:
     if fmt == "human":
@@ -76,16 +78,6 @@ def _build_counter(args):
     return counter
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
-
-
 def _cmd_mk(args, fmt: str) -> int:
     value = mk(args.n, args.k)
     _emit(
@@ -125,9 +117,7 @@ def _cmd_orbits(args, fmt: str) -> int:
 
 def _cmd_moment(args, fmt: str) -> int:
     counter = _build_counter(args)
-    report = empirical_moment(
-        counter, args.k, args.x, threads=args.threads, good_only=args.good_only
-    )
+    report = empirical_moment(counter, args.k, args.x, good_only=args.good_only)
     if fmt == "json":
         print(json.dumps(report.to_json_dict(), sort_keys=True))
         return 0
@@ -217,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "human"),
+        choices=FORMATS,
         default=os.environ.get("ORBITMOMENTS_FORMAT", "text"),
         help="output format (env ORBITMOMENTS_FORMAT sets the default)",
     )
@@ -261,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_args(p)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument(
         "--good-only",
         action="store_true",
@@ -293,6 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.format not in FORMATS:
+        # argparse checks --format against choices, but not the default it took from the environment
+        parser.error(f"ORBITMOMENTS_FORMAT must be one of {', '.join(FORMATS)}, got {args.format!r}")
     try:
         return args.func(args, args.format)
     except (ValueError, CapacityError, ArithmeticError) as exc:

@@ -9,8 +9,6 @@ mismatch raises ArithmeticError rather than silently picking one.
 from fractions import Fraction
 
 from .core_arith import (
-    divisors,
-    euler_phi,
     factorize,
     is_prime,
     kronecker_symbol,
@@ -36,14 +34,29 @@ def p_poly(a: int, b: int, k: int) -> int:
 
 
 def mk_divisor_sum(n: int, k: int) -> Fraction:
-    """Divisor form: sum over de | n of d**k * mu(e) / phi(de)."""
-    total = Fraction(0)
-    for d in divisors(n):
-        for e in divisors(n // d):
-            mu = mobius(e)
-            if mu:
-                total += Fraction(d**k * mu, euler_phi(d * e))
-    return total
+    """Divisor form: sum over de | n of d**k * mu(e) / phi(de).
+
+    Terms are grouped by m = de.  phi(m) divides phi(n) for m | n, so each
+    term is summed exactly as the integer d**k * mu(e) * (phi(n)/phi(m)),
+    and one Fraction divides by phi(n) at the end.  mu and phi are read off
+    the one factorization of n.
+    """
+    # (m, phi(m), [(e, mu(e)) for each square-free e | m]) for every divisor m of n
+    divs = [(1, 1, [(1, 1)])]
+    for p, a in factorize(n):
+        grown = []
+        for m, phi, square_free in divs:
+            grown.append((m, phi, square_free))
+            with_p = square_free + [(e * p, -mu) for e, mu in square_free]
+            for j in range(1, a + 1):
+                grown.append((m * p**j, phi * (p**j - p ** (j - 1)), with_p))
+        divs = grown
+    phi_n = divs[-1][1]  # the last divisor built is n itself
+    total = sum(
+        phi_n // phi * sum(mu * (m // e) ** k for e, mu in square_free)
+        for m, phi, square_free in divs
+    )
+    return Fraction(total, phi_n)
 
 
 def mk_euler_product(n: int, k: int) -> Fraction:

@@ -4,15 +4,14 @@ All averages are exact rationals internally; decimals appear only when a
 report is rendered.  One accumulator walks the primes as int64 segments
 from the sieve: it masks the excluded primes of a whole segment at once,
 evaluates the power kernels on the segment with numpy, and books the
-values in a histogram from which the exact sums are taken.  Prime ranges
-shard cleanly: histograms and counts merge by integer addition, so results
-never depend on the shard count.
+values in a histogram from which the exact sums are taken.  The stream is
+one sequential pass; a trace snapshots the running histogram at each
+checkpoint, so its reports equal separate runs to those bounds.
 """
 
 import cmath
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -264,7 +263,7 @@ def predicted_moment(counter: CounterSpec, k: int) -> Fraction | None:
 
 @dataclass
 class _Tally:
-    """Counts over a stretch of the prime stream; stretches merge by addition.
+    """Counts over the prime stream up to some bound.
 
     hist maps N_p to its number of primes, and excluded primes and primes
     a split filter drops are booked under 0, so sum(hist) == pi_x.
@@ -274,14 +273,6 @@ class _Tally:
     excluded: int = 0
     filtered: int = 0
     pi_x: int = 0
-
-    def __add__(self, other: "_Tally") -> "_Tally":
-        return _Tally(
-            self.hist + other.hist,
-            self.excluded + other.excluded,
-            self.filtered + other.filtered,
-            self.pi_x + other.pi_x,
-        )
 
     def add_primes(self, counter: CounterSpec, primes: np.ndarray):
         self.pi_x += primes.size
@@ -303,16 +294,16 @@ class _Tally:
         return sum(c * v**k for v, c in self.hist.items()) - unvalued * 0**k
 
 
-def _accumulate(counter: CounterSpec, lo: int, hi: int, marks: list[int]) -> list[_Tally]:
-    """Tallies of the primes in [lo, hi), one for each ascending exclusive bound in marks.
+def _accumulate(counter: CounterSpec, marks: list[int]) -> list[_Tally]:
+    """Tallies of the primes below each ascending exclusive bound in marks.
 
-    Each tally covers the primes from lo up to its mark; a mark inside a
-    sieve segment splits the segment there.
+    One pass over [2, marks[-1]); a mark inside a sieve segment splits the
+    segment there.
     """
     tally = _Tally()
     snapshots = []
     marks = list(marks)
-    for segment in prime_segments(lo, hi):
+    for segment in prime_segments(2, marks[-1]):
         start = 0
         while marks and marks[0] <= segment[-1]:
             cut = int(np.searchsorted(segment, marks.pop(0)))
@@ -340,39 +331,23 @@ def _report(
     )
 
 
-def _shard_bounds(x: int, shards: int) -> list[tuple[int, int]]:
-    width = max(1, (x - 1) // shards + 1)
-    return [(2 + i * width, min(2 + (i + 1) * width, x + 1)) for i in range(shards)]
-
-
 def empirical_moment(
     counter: CounterSpec,
     k: int,
     x: int,
-    threads: int = 1,
     good_only: bool = False,
 ) -> MomentReport:
     """Average of N_p**k over primes p <= x, normalized by pi(x).
 
     Excluded primes contribute 0 (also at k = 0, so the k = 0 report reads
     off the excluded-prime bookkeeping).  good_only divides by the count
-    of non-excluded primes instead.  threads > 1 splits [2, x] into that
-    many ranges, accumulated on a thread pool and merged exactly.
+    of non-excluded primes instead.
     """
     if x < 2:
         raise ValueError("x must be >= 2")
     if k < 0:
         raise ValueError("k must be >= 0")
-
-    def shard(bounds: tuple[int, int]) -> _Tally:
-        lo, hi = bounds
-        return _accumulate(counter, lo, hi, [hi])[0]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tally = sum(pool.map(shard, _shard_bounds(x, threads)), _Tally())
-    else:
-        tally = shard((2, x + 1))
+    (tally,) = _accumulate(counter, [x + 1])
     denom = tally.pi_x - tally.excluded if good_only else tally.pi_x
     if denom == 0:
         raise ValueError(
@@ -406,7 +381,9 @@ def empirical_distribution(
     |G(m)|/|G| when a matching action is supplied."""
     if x < 2:
         raise ValueError("x must be >= 2")
-    tally = _accumulate(counter, 2, x + 1, [x + 1])[0]
+    # before the stream, so an action without an element list fails at once
+    predicted = predicted_value_distribution(action) if action is not None else None
+    (tally,) = _accumulate(counter, [x + 1])
     hist, pi_x = tally.hist, tally.pi_x
     masses = {v: Fraction(c, pi_x) for v, c in sorted(hist.items())}
     cdf = []
@@ -414,7 +391,6 @@ def empirical_distribution(
     for v in sorted(hist):
         running += masses[v]
         cdf.append((v, running))
-    predicted = predicted_value_distribution(action) if action is not None else None
     samples = {}
     for t in t_values:
         samples[t] = sum(
@@ -466,7 +442,7 @@ def convergence_trace(
     if checkpoints[0] < 2:
         raise ValueError("checkpoints must be >= 2")
     predicted = predicted_moment(counter, k)
-    tallies = _accumulate(counter, 2, checkpoints[-1] + 1, [c + 1 for c in checkpoints])
+    tallies = _accumulate(counter, [c + 1 for c in checkpoints])
     return [
         _report(counter, k, bound, tally, tally.pi_x, predicted)
         for bound, tally in zip(checkpoints, tallies)

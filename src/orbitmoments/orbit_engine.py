@@ -242,9 +242,15 @@ def build_action(descriptor: str, **budgets) -> PermutationAction:
 # Burnside evaluation.
 
 def fixed_point_histogram(action: PermutationAction) -> dict[int, int]:
-    """m -> number of group elements fixing exactly m points."""
+    """m -> number of group elements fixing exactly m points.
+
+    Needs the element list: a generator-only action raises ValueError.
+    """
     if action.perms is None:
-        raise CapacityError(action.group_order, 0, what="materialized elements")
+        raise ValueError(
+            f"action {action.descriptor} of order {action.group_order} keeps only its generators: "
+            "its elements were not materialized, so it has no fixed-point histogram"
+        )
     counts = np.zeros(action.size + 1, dtype=np.int64)
     identity = np.arange(action.size, dtype=action.perms.dtype)
     chunk = max(1, 2**24 // max(action.size, 1))

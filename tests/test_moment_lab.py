@@ -187,27 +187,25 @@ def test_product_moment_prediction():
     assert predicted_moment(counter, 2) == mk(6, 3)
 
 
-def test_threads_do_not_change_results():
+def test_stream_counters_match_reference_loop():
     # x = 300,000 spans three sieve segments; 3,000 keeps the torsion kernel quick
     for counter, x in zip(STREAM_COUNTERS, (300_000, 300_000, 3000, 3000)):
-        single = empirical_moment(counter, 2, x)
-        assert_matches_reference(single, reference_moments(counter, (2,), x))
-        for threads in (2, 3, 7):
-            assert empirical_moment(counter, 2, x, threads=threads) == single, (
-                counter.scenario,
-                threads,
-            )
+        report = empirical_moment(counter, 2, x)
+        assert_matches_reference(report, reference_moments(counter, (2,), x))
     assert STREAM_COUNTERS[2].split_filter is not None
     assert empirical_moment(STREAM_COUNTERS[2], 1, 3000).filtered > 0
 
 
-def test_torsion_threads_do_not_change_results():
-    # three sieve segments, each split into several lane blocks of the batched kernel
+def test_torsion_trace_across_lane_blocks():
+    # checkpoints inside and across the first three sieve segments, so the
+    # batched kernel sees its lane blocks cut at different primes
     counters = (TorsionCounter(CURVE_PRESETS["17a3"], 3), TorsionCounter(CURVE_PRESETS["11a2"], 2))
+    checkpoints = [30_000, 131_071, 200_000, 300_000]
     for counter in counters:
-        single = empirical_moment(counter, 2, 300_000)
-        for threads in (2, 3):
-            assert empirical_moment(counter, 2, 300_000, threads=threads) == single, threads
+        reports = convergence_trace(counter, 2, checkpoints)
+        assert [r.x for r in reports] == checkpoints
+        for r in reports:
+            assert r == empirical_moment(counter, 2, r.x), (counter.scenario, r.x)
 
 
 def test_accumulator_matches_reference_loop():
@@ -226,17 +224,19 @@ def test_accumulator_matches_reference_loop():
 @given(
     n=st.integers(1, 12),
     a=st.sampled_from((1, 2, 3, 5, 6, 7, 10, 11, 13, 15)),
-    x=st.integers(2, 5000),
-    threads=st.integers(1, 5),
+    checkpoints=st.lists(st.integers(2, 5000), min_size=1, max_size=4).map(sorted),
 )
-def test_shard_invariance_property(n, a, x, threads):
+def test_shard_invariance_property(n, a, checkpoints):
+    # cutting the stream at checkpoints changes no report: each equals a separate run
     counters = valid_power_counters((n,), (a,))
     if not counters:
         return
     counter = counters[0]
-    report = empirical_moment(counter, 2, x, threads=threads)
-    assert report == empirical_moment(counter, 2, x)
-    assert_matches_reference(report, reference_moments(counter, (2,), x))
+    reports = convergence_trace(counter, 2, checkpoints)
+    assert [r.x for r in reports] == checkpoints
+    for r in reports:
+        assert r == empirical_moment(counter, 2, r.x)
+        assert_matches_reference(r, reference_moments(counter, (2,), r.x))
 
 
 def test_power_kernel_across_int64_limit():

@@ -1,6 +1,7 @@
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 from orbitmoments.core_arith import CapacityError, euler_phi
@@ -84,23 +85,27 @@ def test_quad_norm_gaussian():
     assert quad_norm(QuadResidue(1, 0, 11, spec)) == 1
 
 
-def brute_has_inverse(u: QuadResidue) -> bool:
-    one = QuadResidue(1 % u.n, 0, u.n, u.spec)
-    return any(
-        quad_mul(u, QuadResidue(a, b, u.n, u.spec)) == one
-        for a in range(u.n)
-        for b in range(u.n)
-    )
+def brute_invertible(n: int, spec: QuadOrderSpec) -> np.ndarray:
+    """invertible[a, b] says whether some v has (a + b*omega) * v = 1 in O_K/nO_K.
+
+    Builds the whole product table of the ring from omega**2 = t*omega + s.
+    """
+    ua, ub = np.divmod(np.arange(n * n), n)  # row u and column v index a*n + b
+    bb = np.multiply.outer(ub, ub)
+    real = (np.multiply.outer(ua, ua) + spec.s * bb) % n
+    omega = (np.multiply.outer(ua, ub) + np.multiply.outer(ub, ua) + spec.t * bb) % n
+    return ((real == 1 % n) & (omega == 0)).any(axis=1).reshape(n, n)
 
 
 def test_invertibility_matches_norm_criterion():
     for d in CLASS_NUMBER_ONE_D:
         spec = QuadOrderSpec(d)
         for n in range(2, 16):
+            invertible = brute_invertible(n, spec)
             for a in range(n):
                 for b in range(n):
                     u = QuadResidue(a, b, n, spec)
-                    assert (gcd(quad_norm(u), n) == 1) == brute_has_inverse(u), (d, n, a, b)
+                    assert (gcd(quad_norm(u), n) == 1) == invertible[a, b], (d, n, a, b)
 
 
 def test_quad_units_form_group():
