@@ -264,12 +264,14 @@ def test_usage_error_exit_code():
     assert info.value.code == 2
 
 
-def test_moment_rejects_threads(capsys):
-    argv = ["moment", "--scenario", "power", "--n", "4", "--x", "1000", "--threads", "2"]
+@pytest.mark.parametrize("threads", ["0", "-1", "two"])
+def test_moment_rejects_nonpositive_threads(capsys, threads):
+    # moment has no --threads option left, so any thread count is a usage error
+    argv = ["moment", "--scenario", "power", "--n", "4", "--x", "1000", "--threads", threads]
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
-    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert f"unrecognized arguments: --threads {threads}" in capsys.readouterr().err
 
 
 def test_good_only_with_every_prime_excluded(capsys):
