@@ -124,7 +124,8 @@ def _cmd_moment(args, fmt: str) -> int:
     print(f"scenario:  {report.scenario}")
     print(
         f"k={report.k}  x={report.x}  pi(x)={report.pi_x}  "
-        f"excluded={report.excluded}  filtered={report.filtered}"
+        f"excluded={report.excluded}  filtered={report.filtered}  "
+        f"zero_valued={report.zero_valued}"
     )
     print(f"empirical: {_fmt_rational(report.empirical, fmt)}")
     if report.predicted is not None:

@@ -5,6 +5,7 @@ as ell**(2k) are handled without promotion tricks.
 """
 
 import math
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -50,7 +51,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_SEGMENT = 1 << 17
+# Integers per sieve segment; the segment's mask holds only its odd half.
+_SEGMENT = 1 << 18
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -64,27 +66,44 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
+def _odd_segment(first: int, stop: int, odd_base: np.ndarray) -> np.ndarray:
+    """The numbers first + 2*i below stop (first odd) that the odd base primes
+    leave: the odd primes in [first, stop), and 1 when first is 1."""
+    mask = np.ones((stop - first + 1) // 2, dtype=bool)
+    base = odd_base[odd_base * odd_base < stop]
+    # each p crosses off its odd multiples from max(p*p, first) on
+    multiple = np.maximum(base * base, -(-first // base) * base)
+    multiple += np.where(multiple % 2 == 0, base, 0)
+    for p, i in zip(base.tolist(), ((multiple - first) // 2).tolist()):
+        mask[i::p] = False
+    survivors = np.flatnonzero(mask).astype(np.int64, copy=False)
+    survivors *= 2
+    survivors += first
+    return survivors
+
+
 def prime_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
     """Yield the primes in [lo, hi) as ascending int64 arrays, one per sieve segment.
 
-    Segmented: memory stays O(sqrt(hi) + segment).  Empty segments are
-    skipped, and disjoint ranges concatenate to the full stream, so [2, x]
-    may be partitioned freely.
+    Segmented and odd-only: a segment spans 2**18 integers, and its mask
+    has one entry per odd number in it (2**17), which the odd base primes
+    cross off.  The first segment from 2 sieves from 1 instead, and the
+    entry of 1, which no prime crosses off, stands for 2.  Memory stays
+    O(sqrt(hi) + segment).  Empty segments are skipped, and disjoint
+    ranges concatenate to the full stream, so [2, x] may be partitioned
+    freely.
     """
     lo = max(lo, 2)
     if hi <= lo:
         return
-    base = _simple_sieve(math.isqrt(hi - 1)).tolist()
+    odd_base = _simple_sieve(math.isqrt(hi - 1))[1:]
     for start in range(lo, hi, _SEGMENT):
         stop = min(start + _SEGMENT, hi)
-        mask = np.ones(stop - start, dtype=bool)
-        for p in base:
-            if p * p >= stop:
-                break
-            mask[max(p * p, -(-start // p) * p) - start :: p] = False
-        primes = np.flatnonzero(mask).astype(np.int64, copy=False)
+        primes = _odd_segment(1 if start == 2 else start | 1, stop, odd_base)
+        if start == 2:
+            primes[0] = 2
         if primes.size:
-            yield primes + start
+            yield primes
 
 
 def primes_in_range(lo: int, hi: int) -> Iterator[int]:
@@ -212,3 +231,41 @@ def kronecker_symbol(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+# kronecker_array reads (a|p) from a table while 4|a| stays within this bound.
+_KRONECKER_TABLE_LIMIT = 1 << 17
+
+
+@lru_cache(maxsize=32)
+def _kronecker_table(a: int) -> np.ndarray:
+    """(a|r) at each residue r mod 4|a| that a prime can leave: odd r, and 2."""
+    m = 4 * abs(a)
+    table = np.zeros(m, dtype=np.int8)
+    table[1::2] = [kronecker_symbol(a, r) for r in range(1, m, 2)]
+    table[2] = kronecker_symbol(a, 2)
+    table.flags.writeable = False
+    return table
+
+
+def kronecker_array(a: int, primes: np.ndarray) -> np.ndarray:
+    """kronecker_symbol(a, p) for each entry of an int64 array of primes, as int8.
+
+    For odd p the symbol depends only on p mod 4|a| (quadratic
+    reciprocity), so while 4|a| <= 2**17 it is read from a cached table
+    over those residues; p = 2 leaves the residue 2, whose entry is (a|2).
+    Larger a take Euler's criterion a**((p-1)/2) mod p through
+    pow_mod_array on the odd primes below POW_ARRAY_LIMIT that do not
+    divide a, and kronecker_symbol on every other prime.
+    """
+    m = 4 * abs(a)
+    if 0 < m <= _KRONECKER_TABLE_LIMIT:
+        return _kronecker_table(a)[primes % m]
+    symbols = np.empty(primes.shape, dtype=np.int8)
+    euler = np.zeros(primes.shape, dtype=bool)
+    if abs(a) < 1 << 63:  # a % p on int64
+        euler = (primes % 2 == 1) & (primes < POW_ARRAY_LIMIT) & (a % primes != 0)
+        q = primes[euler]
+        symbols[euler] = np.where(pow_mod_array(a % q, (q - 1) // 2, q) == 1, 1, -1)
+    symbols[~euler] = [kronecker_symbol(a, p) for p in primes[~euler].tolist()]
+    return symbols

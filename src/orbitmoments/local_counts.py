@@ -13,7 +13,13 @@ from math import gcd
 
 import numpy as np
 
-from .core_arith import POW_ARRAY_LIMIT, kronecker_symbol, pow_mod, pow_mod_array
+from .core_arith import (
+    POW_ARRAY_LIMIT,
+    kronecker_array,
+    kronecker_symbol,
+    pow_mod,
+    pow_mod_array,
+)
 from .residue_algebra import QuadOrderSpec
 
 
@@ -70,16 +76,11 @@ _KRONECKER_OF = {SplittingType.SPLIT: 1, SplittingType.INERT: -1, SplittingType.
 def splitting_mask(primes: np.ndarray, spec: QuadOrderSpec, keep) -> np.ndarray:
     """splitting_type(p, spec) in keep for each entry of an int64 array of primes.
 
-    Odd p not dividing disc(K) and below POW_ARRAY_LIMIT take Euler's
-    criterion disc(K)**((p-1)/2) mod p on int64, all in one call; p = 2,
-    p | disc(K) and larger p take kronecker_symbol.
+    The Kronecker symbols of disc(K) come from kronecker_array, which for
+    a class-number-one field (|disc| <= 163) reads them from its table
+    over p mod 4|disc|, whatever the size of p.
     """
-    disc = spec.discriminant  # class number one, so |disc| <= 163
-    euler = (primes % 2 == 1) & (disc % primes != 0) & (primes < POW_ARRAY_LIMIT)
-    symbols = np.empty_like(primes)
-    q = primes[euler]
-    symbols[euler] = np.where(pow_mod_array(disc % q, (q - 1) // 2, q) == 1, 1, -1)
-    symbols[~euler] = [kronecker_symbol(disc, p) for p in primes[~euler].tolist()]
+    symbols = kronecker_array(spec.discriminant, primes)
     return np.isin(symbols, [_KRONECKER_OF[t] for t in keep])
 
 
@@ -134,6 +135,12 @@ def count_roots_formula(eq: PowerEquation, p: int) -> int:
 def count_roots_array(eq: PowerEquation, primes: np.ndarray) -> np.ndarray:
     """count_roots_formula for each entry of an int64 array of primes coprime to n*a.
 
+    With d = gcd(p-1, n), most primes are decided before any power is
+    taken: d = 1 gives 1 (x -> x**n permutes F_p), and for even n the
+    quadratic character settles even d, since an n-th power is a square:
+    (a|p) = -1 gives 0 and d = 2 with (a|p) = 1 gives 2.  Only d > 2
+    with (a|p) = 1, or odd d > 1, take the criterion a**((p-1)/d) = 1
+    through pow_mod_array -- a quarter of the primes for x**8 - a.
     Vectorized on int64 while every prime is below POW_ARRAY_LIMIT and n
     and a fit int64; otherwise each prime takes the builtin pow.
     """
@@ -143,7 +150,15 @@ def count_roots_array(eq: PowerEquation, primes: np.ndarray) -> np.ndarray:
         d = np.gcd(primes - 1, n)
         if a == 1:
             return d
-        return np.where(pow_mod_array(a % primes, (primes - 1) // d, primes) == 1, d, 0)
+        # lanes where a may still be an n-th power; odd n leaves every d odd
+        residue = np.ones(d.shape, dtype=bool)
+        if n % 2 == 0:
+            residue = kronecker_array(a, primes) == 1
+        counts = np.where((d == 1) | ((d == 2) & residue), d, 0)
+        rest = np.flatnonzero((d > 2) & residue)
+        q, e = primes[rest], d[rest]
+        counts[rest] = np.where(pow_mod_array(a % q, (q - 1) // e, q) == 1, e, 0)
+        return counts
     counts = []
     for p in primes.tolist():
         d = gcd(p - 1, n)

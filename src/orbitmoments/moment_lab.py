@@ -25,7 +25,7 @@ from .closed_forms import (
     mk,
     split_densities,
 )
-from .core_arith import is_prime, prime_segments
+from .core_arith import is_prime, prime_segments, primes_in_range
 from .local_counts import (
     BadPrimes,
     PowerEquation,
@@ -58,10 +58,28 @@ class SplitFilter:
         return cls(spec, NONSPLIT)
 
 
+def _icbrt(n: int) -> int:
+    """floor(n ** (1/3)) for n >= 1, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
 def _check_square_free_positive(a: int):
     if a <= 0:
         raise ValueError("a must be a positive integer")
-    if any(a % (q * q) == 0 for q in range(2, math.isqrt(a) + 1)):
+    # Divide out the primes up to cbrt(a); the cofactor then has at most two
+    # prime factors, so it is square-free exactly when it is not a square.
+    m = a
+    for q in primes_in_range(2, _icbrt(a) + 1):
+        if m % q == 0:
+            m //= q
+            if m % q == 0:
+                raise ValueError("a must be square-free")
+    if m > 1 and math.isqrt(m) ** 2 == m:
         raise ValueError("a must be square-free")
 
 
@@ -171,6 +189,9 @@ def _split_filter(counter: CounterSpec) -> SplitFilter | None:
 
 @dataclass
 class MomentReport:
+    """One prime average; histogram[0] == excluded + filtered + zero_valued,
+    the last counting the valued primes with N_p = 0."""
+
     scenario: str
     k: int
     x: int
@@ -180,6 +201,7 @@ class MomentReport:
     histogram: dict[int, int]
     excluded: int
     filtered: int
+    zero_valued: int
 
     @property
     def abs_err(self) -> float | None:
@@ -207,6 +229,7 @@ class MomentReport:
             "histogram": {str(v): c for v, c in sorted(self.histogram.items())},
             "excluded": self.excluded,
             "filtered": self.filtered,
+            "zero_valued": self.zero_valued,
         }
 
 
@@ -225,6 +248,7 @@ def report_from_json_dict(data: dict) -> MomentReport:
         histogram=hist,
         excluded=data["excluded"],
         filtered=data.get("filtered", 0),
+        zero_valued=data.get("zero_valued", 0),
     )
 
 
@@ -328,6 +352,7 @@ def _report(
         histogram=dict(tally.hist),
         excluded=tally.excluded,
         filtered=tally.filtered,
+        zero_valued=tally.hist[0] - tally.excluded - tally.filtered,
     )
 
 

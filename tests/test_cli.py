@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -272,6 +273,24 @@ def test_moment_rejects_nonpositive_threads(capsys, threads):
         main(argv)
     assert info.value.code == 2
     assert f"unrecognized arguments: --threads {threads}" in capsys.readouterr().err
+
+
+def test_power_moment_accepts_a_large_prime_constant(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "moment", "--scenario", "power", "--n", "8", "--a", str(2**61 - 1), "--x", "1000"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert "pi(x)=168" in out
+
+
+@pytest.mark.parametrize("a", [str((2**31 - 1) ** 2), "12"])
+def test_power_moment_rejects_a_square_factor(capsys, a):
+    code, out, err = run_cli(capsys, "moment", "--scenario", "power", "--n", "3", "--a", a, "--x", "1000")
+    assert code == 2
+    assert out == ""
+    assert "a must be square-free" in err
 
 
 def test_good_only_with_every_prime_excluded(capsys):

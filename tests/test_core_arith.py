@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from orbitmoments.core_arith import (
+    _SEGMENT,
     POW_ARRAY_LIMIT,
+    _simple_sieve,
     divisor_count,
     divisors,
     euler_phi,
     factorize,
     is_prime,
+    kronecker_array,
     kronecker_symbol,
     mobius,
     pow_mod,
@@ -17,6 +20,7 @@ from orbitmoments.core_arith import (
     prime_segments,
     primes_in_range,
 )
+from orbitmoments.residue_algebra import CLASS_NUMBER_ONE_D, QuadOrderSpec
 
 
 def trial_division_prime(n: int) -> bool:
@@ -53,6 +57,44 @@ def test_range_partition_concatenates():
     for lo, hi in ((2, 1300), (1300, 2222), (2222, 5001)):
         pieces.extend(primes_in_range(lo, hi))
     assert pieces == whole
+
+
+def _stream(lo, hi):
+    segments = list(prime_segments(lo, hi))
+    for segment in segments:
+        assert segment.dtype == np.int64 and segment.size
+        assert (np.diff(segment) > 0).all()
+    return np.concatenate([np.empty(0, dtype=np.int64), *segments])
+
+
+def test_prime_segments_match_simple_sieve():
+    reference = _simple_sieve(10**6)
+
+    def check(lo, hi):
+        want = reference[(reference >= lo) & (reference < hi)]
+        assert _stream(lo, hi).tolist() == want.tolist(), (lo, hi)
+
+    edge = 2 + _SEGMENT  # where the second segment of a stream from 2 starts
+    his = [0, 1, 2, 3, 4, 5, 6, 1000, 1001, edge - 1, edge, edge + 1, edge + 2, 10**6 - 1, 10**6]
+    for lo in (0, 1, 2, 3, 4, 5, 1000, 1001):
+        for hi in his:
+            check(lo, hi)
+    # ranges that start at an edge, and end at or just past the next edge of their own
+    for lo in (edge - 1, edge, edge + 1):
+        for hi in (lo + _SEGMENT - 1, lo + _SEGMENT, lo + _SEGMENT + 1, lo + 2 * _SEGMENT + 1):
+            check(lo, hi)
+    assert len(list(prime_segments(2, edge))) == 1
+    assert len(list(prime_segments(2, edge + 2))) == 2  # edge + 1 = 262147 is prime
+
+
+def test_prime_segments_random_partition():
+    whole = _simple_sieve(10**6 - 1).tolist()
+    rng = np.random.default_rng(7)
+    for pieces in (2, 5, 40):
+        cuts = np.sort(rng.choice(np.arange(3, 10**6), pieces - 1, replace=False)).tolist()
+        bounds = [2, *cuts, 10**6]
+        stream = [p for lo, hi in zip(bounds, bounds[1:]) for p in _stream(lo, hi).tolist()]
+        assert stream == whole, cuts
 
 
 def test_is_prime_known_values():
@@ -182,3 +224,27 @@ def test_kronecker_bottom_multiplicative():
 def test_kronecker_rejects_zero():
     with pytest.raises(ValueError):
         kronecker_symbol(3, 0)
+
+
+def test_kronecker_array_on_class_number_one_discriminants():
+    primes = _stream(2, 10**5)
+    for d in CLASS_NUMBER_ONE_D:
+        disc = QuadOrderSpec(d).discriminant
+        want = [kronecker_symbol(disc, p) for p in primes.tolist()]
+        assert kronecker_array(disc, primes).tolist() == want, disc
+
+
+def test_kronecker_array_on_both_sides_of_its_table():
+    # the table covers 4|a| <= 2**17, that is |a| <= 32768; past it Euler's
+    # criterion runs below POW_ARRAY_LIMIT, and kronecker_symbol above it
+    # and for a beyond int64
+    chunks = (
+        _stream(2, 3000),
+        _stream(POW_ARRAY_LIMIT - 3000, POW_ARRAY_LIMIT + 3000),
+        _stream(2**32 - 3000, 2**32),
+    )
+    constants = (1, -1, 2, -3, 12, -385, 32768, -32768, 32769, -32771, 510510, 2**61 - 1, -(2**70) - 1)
+    for a in constants:
+        for primes in chunks:
+            want = [kronecker_symbol(a, p) for p in primes.tolist()]
+            assert kronecker_array(a, primes).tolist() == want, a

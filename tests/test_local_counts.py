@@ -4,7 +4,7 @@ from math import gcd, isqrt
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbitmoments import local_counts
@@ -16,6 +16,7 @@ from orbitmoments.local_counts import (
     PowerEquation,
     SplittingType,
     WeierstrassCurve,
+    count_roots_array,
     count_roots_brute,
     count_roots_formula,
     division_polynomial,
@@ -54,6 +55,24 @@ def test_count_roots_formula_matches_brute():
                 assert count_roots_formula(PowerEquation(n, a), p) == count_roots_brute(
                     PowerEquation(n, a), p
                 ), (p, n, a)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(1, 24),
+    a=st.integers(-(10**4), 10**4).filter(bool),
+    lo=st.integers(2, 10**6),
+    width=st.integers(1, 3000),
+)
+# 4|a| past the character table's bound of 2**17, so Euler's criterion runs
+@example(n=8, a=40_009, lo=2, width=3000)
+@example(n=12, a=-32_771, lo=999_000, width=3000)
+def test_count_roots_array_matches_formula_property(n, a, lo, width):
+    eq = PowerEquation(n, a)
+    primes = np.concatenate([np.empty(0, dtype=np.int64), *prime_segments(lo, lo + width)])
+    primes = primes[~eq.bad_primes.mask(primes)]
+    want = [count_roots_formula(eq, p) for p in primes.tolist()]
+    assert count_roots_array(eq, primes).tolist() == want
 
 
 def test_count_roots_formula_falls_back_on_shared_factor():
@@ -376,7 +395,7 @@ def test_lane_product_at_its_exactness_limit():
 
 def test_torsion_array_memory_stays_per_block():
     curve = CURVE_PRESETS["17a3"]
-    (segment,) = prime_segments(10**5, 10**5 + 2**17)  # one whole sieve segment
+    (segment,) = prime_segments(10**5, 10**5 + 2**18)  # one whole sieve segment
     primes = segment[~curve.bad_primes(7).mask(segment)]
     tracemalloc.start()
     try:

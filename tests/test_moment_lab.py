@@ -1,8 +1,10 @@
 import cmath
 import json
 import math
+import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -46,13 +48,13 @@ X_SMALL = 30_000
 def reference_moments(counter, ks, x):
     """The per-prime loop the segment accumulator replaces.
 
-    Returns ({k: sum of N_p**k}, histogram, excluded, filtered, pi(x)), with
-    the exclusion rule written out and the values taken from
+    Returns ({k: sum of N_p**k}, histogram, excluded, filtered, zero_valued,
+    pi(x)), with the exclusion rule written out and the values taken from
     count_roots_formula and ec_torsion_count one prime at a time.
     """
     totals = dict.fromkeys(ks, 0)
     hist = Counter()
-    excluded = filtered = seen = 0
+    excluded = filtered = zero_valued = seen = 0
     filt = getattr(counter, "split_filter", None)
     for p in primes_in_range(2, x + 1):
         seen += 1
@@ -79,17 +81,24 @@ def reference_moments(counter, ks, x):
                 * count_roots_formula(counter.eq_one, p) ** counter.k2
             )
         hist[v] += 1
+        zero_valued += v == 0
         for k in ks:
             totals[k] += v**k
-    return totals, dict(hist), excluded, filtered, seen
+    return totals, dict(hist), excluded, filtered, zero_valued, seen
 
 
 def assert_matches_reference(report, reference):
-    totals, hist, excluded, filtered, pi_x = reference
+    totals, hist, excluded, filtered, zero_valued, pi_x = reference
     assert report.empirical == Fraction(totals[report.k], pi_x), report.scenario
     assert report.histogram == hist, report.scenario
-    assert (report.excluded, report.filtered, report.pi_x) == (excluded, filtered, pi_x)
+    assert (report.excluded, report.filtered, report.zero_valued, report.pi_x) == (
+        excluded,
+        filtered,
+        zero_valued,
+        pi_x,
+    )
     assert sum(report.histogram.values()) == report.pi_x
+    assert report.histogram.get(0, 0) == report.excluded + report.filtered + report.zero_valued
 
 
 def valid_power_counters(ns, avals):
@@ -121,6 +130,28 @@ def test_power_counter_side_conditions():
         PowerCounter(PowerEquation(3, 4))  # not square-free
     with pytest.raises(ValueError):
         PowerCounter(PowerEquation(3, -2))
+
+
+def test_square_free_check_matches_trial_division():
+    for a in range(1, 3000):
+        square_free = all(a % (q * q) for q in range(2, math.isqrt(a) + 1))
+        try:
+            PowerCounter(PowerEquation(3, a))
+        except ValueError:
+            assert not square_free, a
+        else:
+            assert square_free, a
+
+
+def test_square_free_check_on_large_a():
+    # trial division stops at cbrt(a); the cofactor has at most two prime factors
+    start = time.perf_counter()
+    PowerCounter(PowerEquation(3, 2**61 - 1))
+    assert time.perf_counter() - start < 1
+    PowerCounter(PowerEquation(3, 1_000_003 * 1_000_033))
+    for a in ((2**31 - 1) ** 2, 2 * 1_000_003**2, 1_000_003**3, 12):
+        with pytest.raises(ValueError, match="square-free"):
+            PowerCounter(PowerEquation(3, a))
 
 
 def test_product_counter_validation():
@@ -188,7 +219,7 @@ def test_product_moment_prediction():
 
 
 def test_stream_counters_match_reference_loop():
-    # x = 300,000 spans three sieve segments; 3,000 keeps the torsion kernel quick
+    # x = 300,000 spans two sieve segments; 3,000 keeps the torsion kernel quick
     for counter, x in zip(STREAM_COUNTERS, (300_000, 300_000, 3000, 3000)):
         report = empirical_moment(counter, 2, x)
         assert_matches_reference(report, reference_moments(counter, (2,), x))
@@ -197,10 +228,10 @@ def test_stream_counters_match_reference_loop():
 
 
 def test_torsion_trace_across_lane_blocks():
-    # checkpoints inside and across the first three sieve segments, so the
+    # checkpoints inside and across the first two sieve segments, so the
     # batched kernel sees its lane blocks cut at different primes
     counters = (TorsionCounter(CURVE_PRESETS["17a3"], 3), TorsionCounter(CURVE_PRESETS["11a2"], 2))
-    checkpoints = [30_000, 131_071, 200_000, 300_000]
+    checkpoints = [30_000, 200_000, 262_139, 300_000]
     for counter in counters:
         reports = convergence_trace(counter, 2, checkpoints)
         assert [r.x for r in reports] == checkpoints
@@ -264,6 +295,19 @@ def test_stream_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, peak
+
+
+def test_character_stream_memory_stays_bounded():
+    # x^8 - 3 reads (3|p) from its character table and takes pow_mod_array
+    # on a quarter of each segment
+    tracemalloc.start()
+    try:
+        report = empirical_moment(PowerCounter(PowerEquation(8, 3)), 2, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert report.zero_valued > report.pi_x // 3
 
 
 def test_torsion_moment_structure():
@@ -367,15 +411,17 @@ def test_convergence_trace():
 
 
 def test_trace_checkpoints_around_segment_boundary():
-    # The sieve's first segment is [2, 2 + 2**17); 131071 = 2**17 - 1 is prime.
+    # The sieve's first segment is [2, 2 + 2**18): its last prime is 262139,
+    # and 262147 opens the second.
+    assert [s[-1] for s in prime_segments(2, 262_148)] == [262_139, 262_147]
     counter = PowerCounter(PowerEquation(8, 3))
-    checkpoints = [1000, 131071, 131073, 131074, 131075, 140_000]
+    checkpoints = [1000, 262_139, 262_145, 262_146, 262_147, 280_000]
     reports = convergence_trace(counter, 2, checkpoints)
     assert [r.x for r in reports] == checkpoints
     for r in reports:
         assert_matches_reference(r, reference_moments(counter, (2,), r.x))
-    assert reports[1].pi_x == reports[0].pi_x + sum(1 for _ in primes_in_range(1001, 131072))
-    assert reports[2].pi_x == reports[1].pi_x
+    assert reports[1].pi_x == reports[0].pi_x + sum(1 for _ in primes_in_range(1001, 262_140))
+    assert reports[1].pi_x == reports[2].pi_x == reports[3].pi_x == reports[4].pi_x - 1
 
 
 def test_trace_checkpoint_beyond_last_prime():
@@ -407,10 +453,13 @@ def test_report_json_roundtrip():
         blob = json.loads(json.dumps(report.to_json_dict()))
         assert report_from_json_dict(blob) == report
     assert report.excluded == 2
-    assert report.histogram[0] > report.excluded
-    # JSON written before `filtered` existed reads back with filtered = 0
+    assert report.histogram[0] == report.excluded + report.zero_valued
+    assert report.zero_valued > 0
+    # JSON written before `filtered` and `zero_valued` existed reads them back as 0
     del blob["filtered"]
     assert report_from_json_dict(blob) == report
+    del blob["zero_valued"]
+    assert report_from_json_dict(blob) == replace(report, zero_valued=0)
 
 
 COUNTERS = st.one_of(
@@ -458,6 +507,9 @@ def test_report_json_roundtrip_property(
         histogram=hist,
         excluded=excluded,
         filtered=filtered,
+        zero_valued=zero_valued,
     )
+    assert hist.get(0, 0) == excluded + filtered + zero_valued
     blob = json.loads(json.dumps(report.to_json_dict()))
+    assert blob["zero_valued"] == zero_valued
     assert report_from_json_dict(blob) == report
