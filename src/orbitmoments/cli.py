@@ -107,7 +107,7 @@ def _cmd_orbits(args, fmt: str) -> int:
     if action.size**args.k <= 10**6:
         # burnside_moment already ran the oracle on a generator-only action
         payload["oracle"] = (
-            moment if action.perms is None else orbit_count_oracle(action, args.k)
+            orbit_count_oracle(action, args.k) if action.materialized else moment
         )
     _emit(payload, moment, fmt)
     if fmt != "json" and "oracle" in payload:

@@ -233,8 +233,10 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-# kronecker_array reads (a|p) from a table while 4|a| stays within this bound.
-_KRONECKER_TABLE_LIMIT = 1 << 17
+# Per-prime values that depend only on p mod some modulus are read from a
+# cached table over the residues while the modulus stays within this bound:
+# (a|p) mod 4|a| in kronecker_array, gcd(p - 1, n) mod n in count_roots_array.
+RESIDUE_TABLE_LIMIT = 1 << 17
 
 
 @lru_cache(maxsize=32)
@@ -259,7 +261,7 @@ def kronecker_array(a: int, primes: np.ndarray) -> np.ndarray:
     divide a, and kronecker_symbol on every other prime.
     """
     m = 4 * abs(a)
-    if 0 < m <= _KRONECKER_TABLE_LIMIT:
+    if 0 < m <= RESIDUE_TABLE_LIMIT:
         return _kronecker_table(a)[primes % m]
     symbols = np.empty(primes.shape, dtype=np.int8)
     euler = np.zeros(primes.shape, dtype=bool)

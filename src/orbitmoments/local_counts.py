@@ -15,6 +15,7 @@ import numpy as np
 
 from .core_arith import (
     POW_ARRAY_LIMIT,
+    RESIDUE_TABLE_LIMIT,
     kronecker_array,
     kronecker_symbol,
     pow_mod,
@@ -132,6 +133,14 @@ def count_roots_formula(eq: PowerEquation, p: int) -> int:
     return d if pow_mod(eq.a, (p - 1) // d, p) == 1 else 0
 
 
+@lru_cache(maxsize=32)
+def _root_degree_table(n: int) -> np.ndarray:
+    """gcd(r - 1, n) at each residue r mod n, which is gcd(p - 1, n) for p = r mod n."""
+    table = np.gcd(np.arange(n, dtype=np.int64) - 1, n)
+    table.flags.writeable = False
+    return table
+
+
 def count_roots_array(eq: PowerEquation, primes: np.ndarray) -> np.ndarray:
     """count_roots_formula for each entry of an int64 array of primes coprime to n*a.
 
@@ -142,12 +151,16 @@ def count_roots_array(eq: PowerEquation, primes: np.ndarray) -> np.ndarray:
     with (a|p) = 1, or odd d > 1, take the criterion a**((p-1)/d) = 1
     through pow_mod_array -- a quarter of the primes for x**8 - a.
     Vectorized on int64 while every prime is below POW_ARRAY_LIMIT and n
-    and a fit int64; otherwise each prime takes the builtin pow.
+    and a fit int64; otherwise each prime takes the builtin pow.  d is
+    gathered from a cached table over p mod n while n <= 2**17.
     """
     n, a = eq.n, eq.a
     fits = n < _INT64_LIMIT and abs(a) < _INT64_LIMIT
     if primes.size and primes.max() < POW_ARRAY_LIMIT and fits:
-        d = np.gcd(primes - 1, n)
+        if n <= RESIDUE_TABLE_LIMIT:
+            d = _root_degree_table(n)[primes % n]
+        else:
+            d = np.gcd(primes - 1, n)
         if a == 1:
             return d
         # lanes where a may still be an n-th power; odd n leaves every d odd

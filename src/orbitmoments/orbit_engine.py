@@ -4,13 +4,16 @@ The k-th moment of an action is the number of orbits on k-tuples.  For a
 materialized action it is evaluated through the fixed-point histogram
 (average of chi(g)**k over the group); actions too large to materialize
 keep a generating set and fall back to direct orbit counting on the tuple
-space, which computes the same number from its definition.
+space, which computes the same number from its definition.  A matrix
+action reads its histogram off the invariant factors of g - I, so its
+element permutation table is only built when something asks for it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
-from math import gcd
+from itertools import combinations
+from math import factorial, gcd
 
 import numpy as np
 
@@ -20,6 +23,8 @@ from .residue_algebra import QuadOrderSpec, glm_order
 DEFAULT_ELEMENT_BUDGET = 10**7
 DEFAULT_ENTRY_BUDGET = 6 * 10**7
 DEFAULT_TUPLE_BUDGET = 10**7
+# matrices per vectorized step when enumerating or valuing a stack
+_MATRIX_CHUNK = 1 << 15
 
 
 def _perm_dtype(size: int):
@@ -34,16 +39,33 @@ def _perm_dtype(size: int):
 class PermutationAction:
     """A finite group acting on {0, ..., size-1}.
 
-    perms holds one permutation row per group element when the group is
-    materialized, and None when only a generating set is stored (the
-    generators rows always generate the full group).
+    A materialized group keeps its element list: table holds one
+    permutation row per element, or, for a group of m x m matrices acting
+    on (Z/modulus)**m, matrices holds the (order, m, m) element stack and
+    table stays None until perms is first read.  An action that keeps
+    neither has only its generating set (the generators rows always
+    generate the full group).
     """
 
     size: int
-    perms: np.ndarray | None
+    table: np.ndarray | None
     generators: np.ndarray
     group_order: int
     descriptor: str = ""
+    matrices: np.ndarray | None = None
+    modulus: int = 0
+    _histogram: dict[int, int] | None = field(default=None, init=False, repr=False)
+
+    @property
+    def materialized(self) -> bool:
+        return self.table is not None or self.matrices is not None
+
+    @property
+    def perms(self) -> np.ndarray | None:
+        """One permutation row per element, built from the matrices on first access."""
+        if self.table is None and self.matrices is not None:
+            self.table = _apply_matrices(self.matrices, self.modulus)
+        return self.table
 
 
 def build_units(n: int, **budgets) -> PermutationAction:
@@ -75,7 +97,7 @@ def build_semidirect(n: int) -> PermutationAction:
     gens = perms[[(1 % n) * phi, *range(phi)]]
     return PermutationAction(
         size=n * n,
-        perms=perms,
+        table=perms,
         generators=gens,
         group_order=len(perms),
         descriptor=f"semidirect:{n}",
@@ -130,9 +152,10 @@ def _matrix_action(
 
     generators is a (g, m, m) stack that generates the group, and elements()
     returns the (order, m, m) stack of every element.  elements() is called
-    only when the order and the permutation table fit the budgets; otherwise
-    only the generating set is kept and moment evaluation goes through
-    direct orbit counting.  The generator table itself must fit entry_budget.
+    only when the order and the permutation table fit the budgets, and the
+    stack is kept in place of that table; otherwise only the generating set
+    is kept and moment evaluation goes through direct orbit counting.  The
+    generator table itself must fit entry_budget.
     """
     size = n ** generators.shape[1]
     if len(generators) * size > entry_budget:
@@ -140,10 +163,12 @@ def _matrix_action(
     fits = order <= element_budget and order * size <= entry_budget
     return PermutationAction(
         size=size,
-        perms=_apply_matrices(elements(), n) if fits else None,
+        table=None,
         generators=_apply_matrices(generators, n),
         group_order=order,
         descriptor=descriptor,
+        matrices=elements() if fits else None,
+        modulus=n,
     )
 
 
@@ -182,13 +207,16 @@ def build_glm(n: int, m: int, **budgets) -> PermutationAction:
 
 
 def _enumerate_glm_matrices(n: int, m: int) -> np.ndarray:
-    """All invertible m x m matrices mod n, entry-lexicographic, 2**15 candidates at a time."""
+    """All invertible m x m matrices mod n, entry-lexicographic, 2**15 candidates at a time.
+
+    Entries lie in [0, n), so they are stored in the dtype of a permutation of n points.
+    """
     total, kept = n ** (m * m), []
-    for start in range(0, total, 1 << 15):
-        idx = np.arange(start, min(start + (1 << 15), total), dtype=np.int64)
+    for start in range(0, total, _MATRIX_CHUNK):
+        idx = np.arange(start, min(start + _MATRIX_CHUNK, total), dtype=np.int64)
         flat = np.stack([(idx // n ** (m * m - 1 - e)) % n for e in range(m * m)], axis=1)
         mats = flat.reshape(idx.size, m, m)
-        kept.append(mats[np.gcd(_vec_det(mats, n), n) == 1])
+        kept.append(mats[np.gcd(_vec_det(mats, n), n) == 1].astype(_perm_dtype(n)))
     return np.concatenate(kept)
 
 
@@ -244,20 +272,73 @@ def build_action(descriptor: str, **budgets) -> PermutationAction:
 def fixed_point_histogram(action: PermutationAction) -> dict[int, int]:
     """m -> number of group elements fixing exactly m points.
 
-    Needs the element list: a generator-only action raises ValueError.
+    A matrix action counts the fixed points of g as |ker(g - I)| from its
+    matrices (_kernel_sizes, 2**15 elements at a time); any other action
+    compares each permutation row with the identity.  The histogram is
+    computed once per action.  Needs the element list: a generator-only
+    action raises ValueError.
     """
-    if action.perms is None:
-        raise ValueError(
-            f"action {action.descriptor} of order {action.group_order} keeps only its generators: "
-            "its elements were not materialized, so it has no fixed-point histogram"
+    if action._histogram is None:
+        if not action.materialized:
+            raise ValueError(
+                f"action {action.descriptor} of order {action.group_order} keeps only its "
+                "generators: its elements were not materialized, so it has no fixed-point histogram"
+            )
+        counts = np.zeros(action.size + 1, dtype=np.int64)
+        if action.matrices is not None:
+            mats, n = action.matrices, action.modulus
+            identity = np.eye(mats.shape[1], dtype=np.int64)
+            for lo in range(0, len(mats), _MATRIX_CHUNK):
+                fixed = _kernel_sizes(mats[lo : lo + _MATRIX_CHUNK] - identity, n)
+                counts += np.bincount(fixed, minlength=action.size + 1)
+        else:
+            identity = np.arange(action.size, dtype=action.table.dtype)
+            chunk = max(1, 2**24 // max(action.size, 1))
+            for lo in range(0, action.table.shape[0], chunk):
+                fixed = (action.table[lo : lo + chunk] == identity).sum(axis=1)
+                counts += np.bincount(fixed, minlength=action.size + 1)
+        action._histogram = {m: int(c) for m, c in enumerate(counts) if c}
+    return dict(action._histogram)
+
+
+def _kernel_sizes(mats: np.ndarray, n: int) -> np.ndarray:
+    """|ker(A mod n)| on (Z/nZ)**m for each A of an (L, m, m) integer stack.
+
+    Over Z, A = U diag(s_1, ..., s_m) V with U and V unimodular, so its
+    kernel mod n is that of the Smith form: prod gcd(s_i, n) vectors.  The
+    invariant factors are s_i = D_i / D_(i-1), where D_i is the gcd of the
+    i x i minors and D_0 = 1; D_i = 0 gives s_i = 0, and gcd(0, n) = n.
+    Entries are lifted to [0, n) first, and each i x i minor is expanded
+    along its first row from the (i-1) x (i-1) minors, exactly on int64:
+    none exceeds m! (n-1)**m in absolute value.
+    """
+    m = mats.shape[1]
+    if factorial(m) * (n - 1) ** m >= 2**63:
+        raise OverflowError(
+            f"{m} x {m} minors of matrices mod {n} can reach {factorial(m) * (n - 1) ** m}, "
+            "past int64"
         )
-    counts = np.zeros(action.size + 1, dtype=np.int64)
-    identity = np.arange(action.size, dtype=action.perms.dtype)
-    chunk = max(1, 2**24 // max(action.size, 1))
-    for lo in range(0, action.perms.shape[0], chunk):
-        fixed = (action.perms[lo : lo + chunk] == identity).sum(axis=1)
-        counts += np.bincount(fixed, minlength=action.size + 1)
-    return {m: int(c) for m, c in enumerate(counts) if c}
+    a = mats.astype(np.int64, copy=False) % n
+    minors = {((), ()): np.ones(len(a), dtype=np.int64)}
+    previous = np.ones(len(a), dtype=np.int64)
+    sizes = np.ones(len(a), dtype=np.int64)
+    for i in range(1, m + 1):
+        subsets = list(combinations(range(m), i))
+        larger = {}
+        for rows in subsets:
+            for cols in subsets:
+                minor = 0
+                for j, c in enumerate(cols):
+                    term = a[:, rows[0], c] * minors[rows[1:], cols[:j] + cols[j + 1 :]]
+                    minor = minor - term if j % 2 else minor + term
+                larger[rows, cols] = minor
+        minors = larger
+        d = np.gcd.reduce(np.stack(list(minors.values())), axis=0, initial=0)
+        # D_(i-1) = 0 forces D_i = 0 (rank < i - 1), and then s_i = 0
+        s_i = np.where(d == 0, 0, d // np.maximum(previous, 1))
+        sizes *= np.gcd(s_i, n)
+        previous = d
+    return sizes
 
 
 def burnside_moment(action: PermutationAction, k: int) -> int:
@@ -269,7 +350,7 @@ def burnside_moment(action: PermutationAction, k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if action.perms is not None:
+    if action.materialized:
         hist = fixed_point_histogram(action)
         total = sum(count * m**k for m, count in hist.items())
         orbits, rem = divmod(total, action.group_order)
@@ -325,9 +406,21 @@ def orbit_count_oracle(
 
 
 def orbit_size(action: PermutationAction, point: int) -> int:
-    """Size of the orbit of a single point."""
-    if action.perms is not None:
-        return int(np.unique(action.perms[:, point]).size)
+    """Size of the orbit of a single point.
+
+    A matrix action marks the images g v mod n of the point's vector v
+    under every element matrix; it never builds the permutation table.
+    """
+    if action.matrices is not None:
+        mats, n = action.matrices, action.modulus
+        weights = n ** np.arange(mats.shape[1], dtype=np.int64)
+        vector = point // weights % n
+        seen = np.zeros(action.size, dtype=bool)
+        for lo in range(0, len(mats), _MATRIX_CHUNK):
+            seen[(mats[lo : lo + _MATRIX_CHUNK] @ vector) % n @ weights] = True
+        return int(np.count_nonzero(seen))
+    if action.table is not None:
+        return int(np.unique(action.table[:, point]).size)
     labels = _orbit_labels(action.generators, action.size, 1)
     return int(np.count_nonzero(labels == labels[point]))
 

@@ -364,7 +364,12 @@ def suite_distribution(tol_atom: float = TOL_ATOM, x: int = X_POWER) -> list[Che
 
 
 def suite_oracle_equivalence() -> list[CheckResult]:
-    """Burnside evaluation against direct orbit counting on tuple spaces."""
+    """Burnside evaluation against direct orbit counting on tuple spaces.
+
+    Two independent derivations: the fixed-point histogram (invariant
+    factors of g - I for matrix actions, row comparison for semidirect)
+    against orbit labels propagated over the generators alone.
+    """
     catalog = (
         [f"units:{n}" for n in range(1, 25)]
         + [f"semidirect:{n}" for n in range(1, 9)]

@@ -61,6 +61,27 @@ def test_orbits_runs_the_oracle_once_on_generator_only_actions(capsys, monkeypat
     assert payload["oracle"] == payload["moment"] == 4
 
 
+def test_orbits_builds_permutation_rows_for_the_generators_only(capsys, monkeypatch):
+    from orbitmoments import orbit_engine
+
+    stacks = []
+    apply_matrices = orbit_engine._apply_matrices
+
+    def counted(mats, n):
+        stacks.append(len(mats))
+        return apply_matrices(mats, n)
+
+    monkeypatch.setattr(orbit_engine, "_apply_matrices", counted)
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "orbits", "--action", "glm:4,3", "--k", "1"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["oracle"] == payload["moment"] == 3
+    # one call, on the transvections and the unit scaling diag(3, 1, 1)
+    assert stacks == [len(orbit_engine._glm_generator_matrices(4, 3))] == [7]
+
+
 def test_mk_json_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "mk", "--n", "30", "--k", "4")
     payload = json.loads(out)

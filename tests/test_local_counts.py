@@ -67,12 +67,24 @@ def test_count_roots_formula_matches_brute():
 # 4|a| past the character table's bound of 2**17, so Euler's criterion runs
 @example(n=8, a=40_009, lo=2, width=3000)
 @example(n=12, a=-32_771, lo=999_000, width=3000)
+# n past the d table's bound of 2**17, so d comes from np.gcd
+@example(n=(1 << 17) + 6, a=5, lo=2, width=3000)
 def test_count_roots_array_matches_formula_property(n, a, lo, width):
     eq = PowerEquation(n, a)
     primes = np.concatenate([np.empty(0, dtype=np.int64), *prime_segments(lo, lo + width)])
     primes = primes[~eq.bad_primes.mask(primes)]
     want = [count_roots_formula(eq, p) for p in primes.tolist()]
     assert count_roots_array(eq, primes).tolist() == want
+
+
+def test_root_degree_table_matches_gcd_on_a_full_sieve_segment():
+    # the first segment from 2 spans 2**18 integers, so its primes leave
+    # every residue mod n <= 64 that a prime can leave, 0 included (p = n)
+    primes = next(prime_segments(2, 10**6))
+    for n in range(1, 65):
+        want = np.gcd(primes - 1, n)
+        assert np.array_equal(local_counts._root_degree_table(n)[primes % n], want), n
+        assert np.array_equal(count_roots_array(PowerEquation(n, 1), primes), want), n
 
 
 def test_count_roots_formula_falls_back_on_shared_factor():

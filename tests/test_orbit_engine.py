@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitmoments import orbit_engine
 from orbitmoments.closed_forms import dk, gl2_densities, gl2_moment, mk
 from orbitmoments.core_arith import CapacityError, divisor_count
 from orbitmoments.orbit_engine import (
     PermutationAction,
+    _kernel_sizes,
     build_action,
     build_gl2,
     build_glm,
@@ -343,8 +345,8 @@ def test_building_glm_4_3_stays_near_its_candidate_stack():
     finally:
         tracemalloc.stop()
     assert burnside_moment(action, 1) == mk(4, 1)
-    # the enumeration holds all 4**9 candidate matrices as int64; the chunks
-    # that turn matrices into permutation rows stay small next to that
+    # the int64 stack of all 4**9 candidate matrices is the yardstick; the
+    # build keeps only the invertible ones and no permutation table
     candidates = 8 * 9 * 4**9
     assert peak < 3 * candidates, peak
 
@@ -357,8 +359,133 @@ def test_building_glm_4_3_holds_no_candidate_stack():
     finally:
         tracemalloc.stop()
     assert burnside_moment(action, 1) == mk(4, 1)
-    # candidates are filtered 2**15 at a time, so the peak is the chunked
-    # build of the permutation table next to the invertible matrices, well
-    # below the full candidate stack plus that
+    # candidates are filtered 2**15 at a time, so the peak is one chunk of
+    # candidates next to the invertible matrices, well below the full
+    # candidate stack
     candidates = 8 * 9 * 4**9
     assert peak < 1.75 * candidates, peak
+
+
+def table_histogram(action: PermutationAction) -> dict[int, int]:
+    """The fixed-point histogram by comparing each permutation row with the identity."""
+    rows = PermutationAction(action.size, action.perms, action.generators, action.group_order)
+    return fixed_point_histogram(rows)
+
+
+def test_matrix_histogram_matches_permutation_table():
+    catalog = (
+        ["glm:4,3", "glm:3,3"]
+        + [f"gl2:{ell}" for ell in (2, 3, 5, 7, 11, 13)]
+        + [f"glm:{n},2" for n in range(1, 13)]
+        + [f"units:{n}" for n in range(1, 61)]
+        + [f"quad:{n},{d}" for d in CLASS_NUMBER_ONE_D for n in range(1, 17)]
+    )
+    for desc in catalog:
+        action = build_action(desc)
+        hist = fixed_point_histogram(action)
+        assert action.table is None, desc
+        assert hist == table_histogram(action), desc
+        assert sum(hist.values()) == action.group_order, desc
+
+
+def test_matrix_orbit_sizes_match_permutation_table():
+    for desc in ("glm:4,3", "gl2:5", "glm:12,2", "units:24", "quad:9,-3", "quad:8,-2"):
+        action = build_action(desc)
+        sizes = [orbit_size(action, point) for point in range(action.size)]
+        assert action.table is None, desc
+        want = [np.unique(action.perms[:, point]).size for point in range(action.size)]
+        assert sizes == want, desc
+
+
+def brute_kernel_size(mat: np.ndarray, n: int) -> int:
+    """#{v in (Z/nZ)**m : mat v = 0 mod n}, over every v."""
+    m = mat.shape[0]
+    idx = np.arange(n**m, dtype=np.int64)
+    vectors = np.stack([(idx // n**i) % n for i in range(m)])
+    return int(np.count_nonzero(np.all(mat.astype(np.int64) @ vectors % n == 0, axis=0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.integers(1, min(30, int(round(10 ** (5 / m))))).filter(lambda n: n**m <= 10**5),
+        )
+    ).flatmap(
+        lambda mn: st.tuples(
+            st.just(mn[1]),
+            st.lists(
+                st.lists(st.integers(-3 * mn[1], 3 * mn[1]), min_size=mn[0], max_size=mn[0]),
+                min_size=mn[0],
+                max_size=mn[0],
+            ),
+            st.integers(0, mn[0]),
+        )
+    )
+)
+def test_invariant_factors_count_the_kernel(case):
+    # random integer matrices, lifted to [0, n) inside; the last `tied` rows
+    # are multiples of the first, so singular matrices over Z come up often
+    n, rows, tied = case
+    mat = np.array(rows, dtype=np.int64)
+    m = len(mat)
+    for r in range(m - tied, m):
+        if r > 0:
+            mat[r] = mat[0] * (r + 1)
+    assert _kernel_sizes(mat[None], n)[0] == brute_kernel_size(mat, n)
+
+
+def test_kernel_sizes_refuse_minors_past_int64():
+    with pytest.raises(OverflowError, match="past int64"):
+        _kernel_sizes(np.zeros((1, 4, 4), dtype=np.int64), 2**20)
+    # a 4-dimensional action inside the default entry budget has n**4 <= 6 * 10**7
+    assert _kernel_sizes(np.zeros((1, 4, 4), dtype=np.int64), 88)[0] == 88**4
+
+
+def test_burnside_on_matrix_actions_builds_no_permutation_table():
+    action = build_action("glm:4,3")
+    for k in (1, 2, 3):
+        assert burnside_moment(action, k) == orbit_count_oracle(action, k), k
+    predicted_value_distribution(action)
+    orbit_size(action, 5)
+    assert action.table is None
+    # the table is still there for whoever asks
+    assert action.perms.shape == (action.group_order, action.size)
+
+
+def test_histogram_is_computed_once_per_action(monkeypatch):
+    calls = []
+    kernel_sizes = orbit_engine._kernel_sizes
+
+    def counted(mats, n):
+        calls.append(len(mats))
+        return kernel_sizes(mats, n)
+
+    monkeypatch.setattr(orbit_engine, "_kernel_sizes", counted)
+    action = build_action("glm:4,3")
+    assert burnside_moment(action, 1) == mk(4, 1)
+    # 86,016 elements in chunks of 2**15
+    assert calls == [2**15, 2**15, 86016 - 2**16]
+    for k in range(2, 7):
+        burnside_moment(action, k)
+    assert calls == [2**15, 2**15, 86016 - 2**16]
+    # callers get a copy, so the cached histogram cannot be emptied
+    hist = fixed_point_histogram(action)
+    hist.clear()
+    assert fixed_point_histogram(action)
+
+
+def test_glm_4_3_burnside_peak_stays_below_the_candidate_stack():
+    tracemalloc.start()
+    try:
+        action = build_action("glm:4,3")
+        values = [burnside_moment(action, k) for k in range(1, 4)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values[0] == mk(4, 1)
+    # the histogram is valued 2**15 matrices at a time, so the build and
+    # every moment stay below the int64 stack of all 4**9 candidates
+    candidates = 8 * 9 * 4**9
+    assert peak < candidates, peak
