@@ -361,96 +361,6 @@ def _psub(f, g):
     return _ptrim([x - y for x, y in zip(f, g)])
 
 
-def _pmod(f, g, p):
-    """Remainder of f by a nonzero trimmed g, both reduced mod p."""
-    f = list(f)
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], -1, p)
-    while len(f) > dg:
-        factor = f.pop() * inv_lead % p
-        if factor:
-            k = len(f) - dg
-            f[k:] = [(c - factor * d) % p for c, d in zip(f[k:], g)]
-    return _ptrim(f)
-
-
-def _pgcd(f, g, p):
-    while g:
-        f, g = g, _pmod(f, g, p)
-    return f
-
-
-def _minus_monomial(f, k: int, p: int):
-    """f - x**k over F_p."""
-    f = f + [0] * (k + 1 - len(f))
-    f[k] = (f[k] - 1) % p
-    return _ptrim(f)
-
-
-def _reciprocal(g, p):
-    """floor(x**(2d-2) / g) over F_p for d = deg g: d - 1 coefficients."""
-    d = len(g) - 1
-    inv_lead = pow(g[-1], -1, p)
-    top = [0] * (d - 2) + [1]  # top[i]: coefficient of x**(d+i) in the remainder
-    quot = [0] * (d - 1)
-    for k in range(d - 2, -1, -1):
-        c = quot[k] = top[k] * inv_lead % p
-        top[:k] = [t - c * gj for t, gj in zip(top[:k], g[d - k : d])]
-    return quot
-
-
-class _QuotientRing:
-    """F_p[x]/(g), deg g = d >= 1, with each element packed into one int.
-
-    A product is one big-int multiply.  Its reduction mod g is Barrett
-    division: with H the part of degree >= d and mu = floor(x**(2d-2)/g),
-    the quotient is floor(H*mu / x**(d-2)) exactly, so the remainder is the
-    low d coefficients of A - quotient*g.  Slots are brought below 2p by
-    Barrett's integer reduction, applied to every slot at once.  So each
-    product costs a fixed number of big-int operations, whatever d is.
-    """
-
-    def __init__(self, g, p: int):
-        d = len(g) - 1
-        # Slots of the values reduced below stay under 6*d*p**2 < 2**bits
-        # (inputs under 2p), and a slot must also hold such a value times mu.
-        bits = (6 * d * p * p).bit_length()
-        w = 2 * bits - p.bit_length() + 1
-        self.p, self.d, self.w, self.bits = p, d, w, bits
-        self.mu = (1 << bits) // p
-        self.quot_mask = _pack([1] * (2 * d - 1), w) * ((1 << (w - bits)) - 1)
-        self.low_mask = (1 << (d * w)) - 1
-        self.recip = _pack(_reciprocal(g, p), w)
-        self.neg_low = _pack([-c % p for c in g[:d]], w)
-
-    def _slots_mod_p(self, v: int) -> int:
-        return v - (((v * self.mu) >> self.bits) & self.quot_mask) * self.p
-
-    def _reduce(self, v: int) -> int:
-        d, w = self.d, self.w
-        high = self._slots_mod_p(v >> (d * w))
-        quot = self._slots_mod_p((high * self.recip) >> (max(d - 2, 0) * w))
-        low = (v & self.low_mask) + ((quot * self.neg_low) & self.low_mask)
-        return self._slots_mod_p(low)
-
-    def pow(self, f, e: int):
-        """f**e mod g for e >= 1 and f of degree < d over F_p, as a list."""
-        base = _pack(f, self.w)
-        acc = base
-        for bit in bin(e)[3:]:
-            acc = self._reduce(acc * acc)
-            if bit == "1":
-                acc = self._reduce(acc * base)
-        mask = (1 << self.w) - 1
-        return _ptrim([(acc >> (i * self.w) & mask) % self.p for i in range(self.d)])
-
-
-def _rational_root_part(g, p: int):
-    """gcd(g, x**p - x) over F_p, for deg g >= 2: one linear factor per distinct root."""
-    frobenius = _QuotientRing(g, p).pow([0, 1], p)
-    return _pgcd(g, _minus_monomial(frobenius, 1, p), p)
-
-
 def division_polynomial(ell: int, a: int, b: int, p: int | None = None) -> list[int]:
     """The ell-th division polynomial of y**2 = x**3 + ax + b for odd ell.
 
@@ -502,46 +412,6 @@ def _integer_division_polynomial(ell: int, a: int, b: int) -> tuple[int, ...]:
     return tuple(division_polynomial(ell, a, b))
 
 
-def ec_torsion_count(curve: WeierstrassCurve, p: int, ell: int) -> int:
-    """|E(F_p)[ell]| including infinity; 0 for excluded primes (p < 5 or p | ell*disc).
-
-    Read off the action of Frobenius on the roots of the ell-th division
-    polynomial (Schoof, Math. Comp. 1985), at a cost that grows with log p
-    and ell**2 but not with p.  With f = x**3 + a*x + b:
-
-    - ell = 2: the nontrivial points are (x0, 0) with f(x0) = 0, so the
-      count is 1 + deg gcd(f, x**p - x).
-    - odd ell: h = gcd(psi_ell, x**p - x) collects the rational
-      x-coordinates of the points of order ell, and a root x0 gives the two
-      rational points (x0, +-y) exactly when f(x0) is a square, that is a
-      root of f**((p-1)/2) - 1.  So the count is
-      1 + 2*deg gcd(h, f**((p-1)/2) - 1 mod h).
-
-    h divides x**p - x, so it is squarefree and degrees count roots.
-    psi_ell is built over Z once per curve and reduced mod p.
-    """
-    if p in curve.bad_primes(ell):
-        return 0
-    count = _schoof_count(curve, p, ell)
-    _check_torsion_counts(curve, np.array([p]), ell, np.array([count]))
-    return count
-
-
-def _schoof_count(curve: WeierstrassCurve, p: int, ell: int) -> int:
-    """The count of ec_torsion_count at a good prime, before its consistency check."""
-    f = [curve.b % p, curve.a % p, 0, 1]
-    if ell == 2:
-        count = len(_rational_root_part(f, p))  # 1 + deg gcd
-    else:
-        psi = _ptrim([c % p for c in _integer_division_polynomial(ell, curve.a, curve.b)])
-        h = _rational_root_part(psi, p)
-        count = 1
-        if len(h) > 1:
-            half = _QuotientRing(h, p).pow(_pmod(f, h, p), (p - 1) // 2)
-            count += 2 * (len(_pgcd(h, _minus_monomial(half, 0, p), p)) - 1)
-    return count
-
-
 def _check_torsion_counts(
     curve: WeierstrassCurve, primes: np.ndarray, ell: int, counts: np.ndarray
 ):
@@ -557,16 +427,16 @@ def _check_torsion_counts(
 
 
 # ---------------------------------------------------------------------------
-# The same Schoof step on a whole segment of primes at once: one int64 lane
-# per prime, each lane working in its own F_p[x]/(g) with g monic of degree d.
+# The Schoof step on a whole segment of primes at once: one lane per prime,
+# each lane working in its own F_p[x]/(g) with g monic of degree d.  Lanes
+# are int64 where every sum fits (see _lane_dtype) and Python ints otherwise.
 
-# The batch is exact for primes below this bound and d < 128 (ell <= 13): a
-# coefficient sums fewer than 128 terms below p**2 < 2**56 (see _LaneRing).
-TORSION_ARRAY_LIMIT = 1 << 28
 # Lanes are taken in blocks whose (2d - 1, L) product buffer, the largest
-# temporary, holds about this many int64 entries (256 KB).
+# temporary, holds about this many entries (256 KB on int64).
 _LANE_ENTRIES = 1 << 15
 _LIMB_BITS = 30
+# Above this degree a product buffer is taken % p before its folds.
+_REDUCE_BEFORE_FOLD = 64
 
 
 @lru_cache(maxsize=32)
@@ -584,11 +454,11 @@ def _limbs(coeffs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 def _residues(coeffs: tuple[int, ...], p: np.ndarray) -> np.ndarray:
     """coeffs mod p exactly, one column per lane, for integers of any size.
 
-    Horner's rule over 30-bit digits: the running value stays below 2**59
-    before each % p.
+    Horner's rule over 30-bit digits: the running value stays below
+    p * 2**30 + 2**30 before each % p.
     """
     signs, digits = _limbs(coeffs)
-    out = np.zeros((len(coeffs), p.size), dtype=np.int64)
+    out = np.zeros((len(coeffs), p.size), dtype=p.dtype)
     for k in range(digits.shape[1]):
         out = (out * (1 << _LIMB_BITS) + digits[:, k, None]) % p
     return out * signs % p
@@ -605,9 +475,9 @@ def _monic_modulus(curve: WeierstrassCurve, ell: int, p: np.ndarray) -> np.ndarr
 class _LaneRing:
     """F_p[x]/(g) with one prime p and one monic g of degree d per lane.
 
-    An element is a (d, L) int64 array, coefficient by lane, so numpy's
-    inner loops run along the lanes; no array holds more than a product's
-    (2d - 1, L) buffer.  A product sums its coefficient products in int64
+    An element is a (d, L) array in the dtype of p, coefficient by lane, so
+    numpy's inner loops run along the lanes; no array holds more than a
+    product's (2d - 1, L) buffer.  A product sums its coefficient products
     and folds its top d - 1 coefficients, each % p, into the lower ones by
     x**d = x_d mod g.  A coefficient so sums at most 2d - 1 terms below
     p**2; above d = 64 the buffer is taken % p before the folds, leaving d.
@@ -628,7 +498,7 @@ class _LaneRing:
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         d, p = self.d, self.p
-        full = np.zeros((2 * d - 1, a.shape[1]), dtype=np.int64)
+        full = np.zeros((2 * d - 1, a.shape[1]), dtype=p.dtype)
         if a is b:  # a square: each cross term once, doubled
             full[::2] = a * a
             twice = 2 * a
@@ -637,7 +507,7 @@ class _LaneRing:
         else:
             for i in range(d):
                 full[i : i + d] += a[i] * b
-        if d > 64:
+        if d > _REDUCE_BEFORE_FOLD:
             full %= p
         return self.reduce(full)
 
@@ -655,8 +525,8 @@ class _LaneRing:
         """
         bits = int(exp.max()).bit_length()
         skip = min(bits, self.d.bit_length() - 1) if base_is_x else 0
-        acc = np.zeros((self.d, exp.size), dtype=np.int64)
-        acc[exp >> (bits - skip), np.arange(exp.size)] = 1
+        acc = np.zeros((self.d, exp.size), dtype=self.p.dtype)
+        acc[(exp >> (bits - skip)).astype(np.int64), np.arange(exp.size)] = 1
         for bit in reversed(range(bits - skip)):
             acc = self.mul(acc, acc)
             np.copyto(acc, times(acc), where=(exp >> bit) & 1 == 1)
@@ -673,7 +543,7 @@ class _LaneRing:
         no step reads more low coefficients than there are steps left.
         """
         d, p = self.d, self.p
-        f = np.vstack([np.ones(p.size, dtype=np.int64), -self.x_d[::-1] % p])
+        f = np.vstack([np.ones(p.size, dtype=p.dtype), -self.x_d[::-1] % p])
         h = np.zeros_like(f)
         h[:d] = r[::-1]
         delta = np.ones(p.size, dtype=np.int64)
@@ -681,7 +551,7 @@ class _LaneRing:
             swap = (delta > 0) & (h[0] != 0)
             delta = np.where(swap, 1 - delta, 1 + delta)
             rows = f.shape[0] - 1  # f(0)*h - h(0)*f has constant term 0
-            new = np.zeros((min(rows + 1, left), p.size), dtype=np.int64)
+            new = np.zeros((min(rows + 1, left), p.size), dtype=p.dtype)
             np.multiply(h[1:], f[0], out=new[:rows])
             new[:rows] -= h[0] * f[1:]
             new[:rows] %= p
@@ -690,8 +560,22 @@ class _LaneRing:
         return delta // 2
 
 
+def _lane_dtype(d: int, p_max: int):
+    """Lane dtype for degree d and primes up to p_max: int64 where every sum fits, else object.
+
+    A _LaneRing product sums fewer than 2d terms below p**2, or d above
+    _REDUCE_BEFORE_FOLD.  The other sums are smaller: (p + 1)*p in times_x,
+    6p**2 in a product by f and 2p**2 in a divstep, and as the bound holds
+    only for p < 2**31, Horner's rule in _residues stays below 2**61 and
+    pow_mod_array in _monic_modulus is exact.  Object lanes take the same
+    steps on Python ints, exact for any p.
+    """
+    terms = 2 * d if d <= _REDUCE_BEFORE_FOLD else d
+    return np.int64 if terms * p_max * p_max < _INT64_LIMIT else object
+
+
 def _torsion_lanes(curve: WeierstrassCurve, p: np.ndarray, ell: int) -> np.ndarray:
-    """|E(F_p)[ell]| for each prime of an int64 array of good primes below TORSION_ARRAY_LIMIT.
+    """|E(F_p)[ell]| for each prime of an array of good primes, in lanes of its dtype.
 
     With r1 = x**p - x and r2 = f**((p-1)/2) - 1 in A = F_p[x]/(g), the count
     is 1 + deg gcd(g, r1) for ell = 2 (g = f) and 1 + 2*deg gcd(g, r1, r2)
@@ -715,7 +599,7 @@ def _torsion_lanes(curve: WeierstrassCurve, p: np.ndarray, ell: int) -> np.ndarr
         a, b = _residues((curve.a, curve.b), q)
 
         def times_f(acc):
-            full = np.zeros((d + 3, q.size), dtype=np.int64)
+            full = np.zeros((d + 3, q.size), dtype=q.dtype)
             full[3:] = acc
             full[1 : d + 1] += a * acc
             full[:d] += b * acc
@@ -729,20 +613,46 @@ def _torsion_lanes(curve: WeierstrassCurve, p: np.ndarray, ell: int) -> np.ndarr
 
 
 def ec_torsion_count_array(curve: WeierstrassCurve, primes: np.ndarray, ell: int) -> np.ndarray:
-    """ec_torsion_count for each entry of an int64 array of non-excluded primes.
+    """|E(F_p)[ell]| including infinity at each entry of an integer array of non-excluded primes.
 
-    The lanes go through the batched Schoof step while every prime is below
-    TORSION_ARRAY_LIMIT and deg g < 128 (ell <= 13); otherwise each prime
-    takes the per-prime kernel.
+    Read off the action of Frobenius on the roots of the ell-th division
+    polynomial (Schoof, Math. Comp. 1985), at a cost that grows with log p
+    and ell**2 but not with p.  With f = x**3 + a*x + b:
+
+    - ell = 2: the nontrivial points are (x0, 0) with f(x0) = 0, so the
+      count is 1 + deg gcd(f, x**p - x).
+    - odd ell: h = gcd(psi_ell, x**p - x) collects the rational
+      x-coordinates of the points of order ell, and a root x0 gives the two
+      rational points (x0, +-y) exactly when f(x0) is a square, that is a
+      root of f**((p-1)/2) - 1.  So the count is
+      1 + 2*deg gcd(h, f**((p-1)/2) - 1 mod h).
+
+    h divides x**p - x, so it is squarefree and degrees count roots.
+    psi_ell is built over Z once per curve and reduced mod p.  Every prime
+    takes the same steps, one lane each, in blocks of lanes: int64 lanes
+    while a block's largest prime keeps every sum below 2**63 (2d p**2 <
+    2**63 for deg g = d <= 64, d p**2 above), Python-int lanes otherwise.
+    Each count is checked against the values ell-torsion can take.
     """
+    if not primes.size:
+        return np.zeros(0, dtype=np.int64)
     d = 3 if ell == 2 else (ell * ell - 1) // 2
-    if primes.size and d < 128 and primes.max() < TORSION_ARRAY_LIMIT:
-        blocks = np.array_split(primes, -(-primes.size * (2 * d - 1) // _LANE_ENTRIES))
-        counts = np.concatenate([_torsion_lanes(curve, block, ell) for block in blocks])
-    else:
-        counts = np.array([_schoof_count(curve, p, ell) for p in primes.tolist()], dtype=np.int64)
+    blocks = np.array_split(primes, -(-primes.size * (2 * d - 1) // _LANE_ENTRIES))
+    counts = np.concatenate(
+        [_torsion_lanes(curve, b.astype(_lane_dtype(d, int(b.max()))), ell) for b in blocks]
+    )
     _check_torsion_counts(curve, primes, ell, counts)
     return counts
+
+
+def ec_torsion_count(curve: WeierstrassCurve, p: int, ell: int) -> int:
+    """|E(F_p)[ell]| including infinity; 0 for excluded primes (p < 5 or p | ell*disc).
+
+    Any other prime is one lane of ec_torsion_count_array.
+    """
+    if p in curve.bad_primes(ell):
+        return 0
+    return int(ec_torsion_count_array(curve, np.array([p], dtype=object), ell)[0])
 
 
 def ec_torsion_count_enum(curve: WeierstrassCurve, p: int, ell: int) -> int:

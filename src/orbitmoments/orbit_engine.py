@@ -79,20 +79,31 @@ def build_units(n: int, **budgets) -> PermutationAction:
     return _matrix_action(n, units, lambda: units, len(units), f"units:{n}", **budgets)
 
 
-def build_semidirect(n: int) -> PermutationAction:
+def build_semidirect(
+    n: int,
+    element_budget: int = DEFAULT_ELEMENT_BUDGET,
+    entry_budget: int = DEFAULT_ENTRY_BUDGET,
+) -> PermutationAction:
     """Pairs (b, d) with d a unit, acting on (i, j) by (b + i*d, j*d).
 
     Row b*phi(n) + t is the pair (b, units[t]); point index = i*n + j.
+    The action keeps its whole permutation table, so an order or a table
+    over its budget raises CapacityError before anything is allocated.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     units = np.array([d for d in range(n) if gcd(d, n) == 1])
-    i_grid, j_grid = np.divmod(np.arange(n * n), n)
-    b = np.arange(n)[:, None, None]
-    d = units[None, :, None]
-    perms = (((b + i_grid * d) % n) * n + (j_grid * d) % n).reshape(-1, n * n)
-    perms = perms.astype(_perm_dtype(n * n))
     phi = len(units)
+    if n * phi > element_budget:
+        raise CapacityError(n * phi, element_budget, what="group elements")
+    if n * phi * n * n > entry_budget:
+        raise CapacityError(n * phi * n * n, entry_budget, what="permutation table entries")
+    i_grid, j_grid = np.divmod(np.arange(n * n), n)
+    d = units[:, None]
+    perms = np.empty((n, phi, n * n), dtype=_perm_dtype(n * n))
+    for b in range(n):  # int64 temporaries of one b at a time
+        perms[b] = ((b + i_grid * d) % n) * n + (j_grid * d) % n
+    perms = perms.reshape(-1, n * n)
     # (1, 1), as units[0] = 1 % n, then every (0, d)
     gens = perms[[(1 % n) * phi, *range(phi)]]
     return PermutationAction(
@@ -256,7 +267,7 @@ def build_action(descriptor: str, **budgets) -> PermutationAction:
     if kind == "units" and len(nums) == 1:
         return build_units(nums[0], **budgets)
     if kind == "semidirect" and len(nums) == 1:
-        return build_semidirect(nums[0])
+        return build_semidirect(nums[0], **budgets)
     if kind == "quad" and len(nums) == 2:
         return build_quad_units(nums[0], nums[1], **budgets)
     if kind == "glm" and len(nums) == 2:

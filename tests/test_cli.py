@@ -269,6 +269,13 @@ def test_dist_rejects_a_generator_table_over_budget(capsys):
     assert "generator table entries, budget is 60000000" in err
 
 
+def test_orbits_rejects_a_semidirect_table_over_budget(capsys):
+    code, out, err = run_cli(capsys, "orbits", "--action", "semidirect:127", "--k", "1")
+    assert code == 2
+    assert out == ""
+    assert "needs 258096258 permutation table entries, budget is 60000000" in err
+
+
 def test_dist_rejects_predicted_masses_of_a_generator_only_action(capsys):
     code, out, err = run_cli(
         capsys, "dist", "--scenario", "power", "--n", "4", "--x", "1000", "--action", "glm:12,3"

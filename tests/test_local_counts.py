@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import pgcd, pmod, ptrim, torsion_by_schoof, torsion_from_group_order
 from orbitmoments import local_counts
-from orbitmoments.core_arith import POW_ARRAY_LIMIT, prime_segments, primes_in_range
+from orbitmoments.core_arith import POW_ARRAY_LIMIT, is_prime, prime_segments, primes_in_range
 from orbitmoments.local_counts import (
     CURVE_PRESETS,
-    TORSION_ARRAY_LIMIT,
     BadPrimes,
     PowerEquation,
     SplittingType,
@@ -169,12 +169,20 @@ def test_ec_mul_small():
         assert ec_mul(P, ec_point_count(curve, 5), curve.a % 5, 5) is None
 
 
+def _counts_at(curve, primes, ell):
+    """{p: ec_torsion_count(curve, p, ell)}: one array call over the good primes, 0 at the rest."""
+    primes = np.array(list(primes), dtype=np.int64)
+    counts = np.zeros(primes.size, dtype=np.int64)
+    good = ~curve.bad_primes(ell).mask(primes)
+    counts[good] = ec_torsion_count_array(curve, primes[good], ell)
+    return dict(zip(primes.tolist(), counts.tolist()))
+
+
 def test_full_two_torsion_of_cm_curve():
     # x^3 - x = x(x-1)(x+1) splits over every F_p
     curve = CURVE_PRESETS["cm:-1"]
-    for p in primes_in_range(2, 501):
-        if curve.is_good_prime(p):
-            assert ec_torsion_count(curve, p, 2) == 4
+    primes = np.array([p for p in primes_in_range(2, 501) if curve.is_good_prime(p)])
+    assert ec_torsion_count_array(curve, primes, 2).tolist() == [4] * primes.size
 
 
 def test_torsion_count_excluded_primes():
@@ -194,11 +202,9 @@ def test_torsion_fast_matches_enumeration():
         WeierstrassCurve(3, 5),
     )
     for curve in curves:
-        for p in primes_in_range(2, 401):
-            for ell in (2, 3, 5, 7):
-                assert ec_torsion_count(curve, p, ell) == ec_torsion_count_enum(
-                    curve, p, ell
-                ), (curve, p, ell)
+        for ell in (2, 3, 5, 7):
+            for p, count in _counts_at(curve, primes_in_range(2, 401), ell).items():
+                assert count == ec_torsion_count_enum(curve, p, ell), (curve, p, ell)
 
 
 def test_torsion_ambiguous_branch_against_enumeration():
@@ -230,11 +236,12 @@ def test_torsion_against_character_sum_near_1e6():
     primes += [p for p in primes_in_range(10**6, 10**6 + 40000) if p % 105 == 1][:6]
     full = set()
     for curve in CURVE_PRESETS.values():
+        counts = {ell: _counts_at(curve, primes, ell) for ell in (2, 3, 5, 7)}
         for p in primes:
             m, cubic_roots = ec_group_data(curve.a, curve.b, p)
-            assert ec_torsion_count(curve, p, 2) == 1 + cubic_roots, (curve, p)
+            assert counts[2][p] == 1 + cubic_roots, (curve, p)
             for ell in (3, 5, 7):
-                n = ec_torsion_count(curve, p, ell)
+                n = counts[ell][p]
                 assert (n > 1) == (m % ell == 0), (curve, p, ell)
                 if n == ell * ell:
                     assert m % (ell * ell) == 0 and p % ell == 1, (curve, p, ell)
@@ -245,8 +252,7 @@ def test_torsion_against_character_sum_near_1e6():
 def test_torsion_value_set_and_weil_constraint():
     curve = CURVE_PRESETS["17a3"]
     for ell in (3, 5, 7):
-        for p in primes_in_range(2, 10**4 + 1):
-            n = ec_torsion_count(curve, p, ell)
+        for p, n in _counts_at(curve, primes_in_range(2, 10**4 + 1), ell).items():
             assert n in (0, 1, ell, ell * ell)
             if n == ell * ell:
                 assert p % ell == 1, (p, ell)
@@ -255,14 +261,17 @@ def test_torsion_value_set_and_weil_constraint():
 def test_cm_supersingular_torsion_is_gcd():
     curve = CURVE_PRESETS["cm:-1"]
     spec = curve.cm
-    for p in primes_in_range(2, 10**4 + 1):
-        if not curve.is_good_prime(p):
-            continue
-        if splitting_type(p, spec) is not SplittingType.SPLIT:
-            assert ec_point_count(curve, p) == p + 1
-            for ell in (3, 5, 7):
-                if p != ell:
-                    assert ec_torsion_count(curve, p, ell) == gcd(ell, p + 1)
+    supersingular = [
+        p
+        for p in primes_in_range(2, 10**4 + 1)
+        if curve.is_good_prime(p) and splitting_type(p, spec) is not SplittingType.SPLIT
+    ]
+    for p in supersingular:
+        assert ec_point_count(curve, p) == p + 1
+    for ell in (3, 5, 7):
+        primes = np.array([p for p in supersingular if p != ell])
+        want = [gcd(ell, p + 1) for p in primes.tolist()]
+        assert ec_torsion_count_array(curve, primes, ell).tolist() == want, ell
 
 
 def test_division_polynomial_roots_match_torsion_x_coords():
@@ -325,25 +334,40 @@ def _good_primes(curve, ell, lo, hi):
     return primes[~curve.bad_primes(ell).mask(primes)]
 
 
+def _degree(ell):
+    """deg g for the lanes: the cubic for ell = 2, else psi_ell."""
+    return 3 if ell == 2 else (ell * ell - 1) // 2
+
+
+def _int64_switch(d):
+    """The least p whose lanes of degree d take Python ints, by bisection."""
+    lo, hi = 2, 1 << 32
+    assert local_counts._lane_dtype(d, hi) is object
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if local_counts._lane_dtype(d, mid) is object:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 @pytest.mark.parametrize("name", ["17a3", "11a2", "cm:-1", "cm:-3"])
-def test_torsion_array_matches_per_prime(name, monkeypatch):
+def test_torsion_array_matches_per_prime(name):
     curve = CURVE_PRESETS[name]
-    cases = []
     for ell in (2, 3, 5, 7):
         primes = _good_primes(curve, ell, 2, 10**4)
-        cases.append((ell, primes, [ec_torsion_count(curve, p, ell) for p in primes.tolist()]))
-    # every ell here, degree 24 (ell = 7) included, takes the batch
-    monkeypatch.setattr(local_counts, "_schoof_count", None)
-    for ell, primes, want in cases:
+        want = [torsion_from_group_order(curve, p, ell) for p in primes.tolist()]
         assert ec_torsion_count_array(curve, primes, ell).tolist() == want, ell
 
 
 @pytest.mark.parametrize("name", ["17a3", "cm:-3"])
-def test_torsion_array_matches_schoof_at_large_ell(name):
+def test_torsion_array_matches_reference_at_large_ell(name):
+    # ell = 17 and 19 have deg g = 144 and 180
     curve = CURVE_PRESETS[name]
-    for ell, hi in ((7, 3000), (11, 1500), (13, 700)):
+    for ell, hi in ((7, 3000), (11, 1500), (13, 700), (17, 400), (19, 400)):
         primes = _good_primes(curve, ell, 2, hi)
-        want = [local_counts._schoof_count(curve, p, ell) for p in primes.tolist()]
+        want = [torsion_from_group_order(curve, p, ell) for p in primes.tolist()]
         assert ec_torsion_count_array(curve, primes, ell).tolist() == want, ell
 
 
@@ -364,7 +388,7 @@ def _gcd_lanes(rng, d, p):
     split = _linear_product(roots, p)
     shared = _linear_product(roots[: rng.integers(0, d + 1)], p)
     multiple = local_counts._pmul(shared, rng.integers(0, p, 3).tolist())
-    yield p, split, local_counts._pmod([c % p for c in multiple], split, p)
+    yield p, split, pmod(multiple, split, p)
     # g = h * r with r = h * (x - c)**(d % 2): repeated roots, and r shares every one
     if d > 1:
         h = _linear_product(rng.integers(0, p, d // 2).tolist(), p)
@@ -374,34 +398,34 @@ def _gcd_lanes(rng, d, p):
 
 def test_lane_gcd_degree_matches_pgcd():
     rng = np.random.default_rng(7)
-    primes = list(primes_in_range(5, 200)) + list(
-        primes_in_range(TORSION_ARRAY_LIMIT - 400, TORSION_ARRAY_LIMIT)
-    )
+    # the largest primes int64 lanes take at d = 60, and so at every smaller d
+    top = _int64_switch(60)
+    primes = list(primes_in_range(5, 200)) + list(primes_in_range(top - 400, top))
     for d in (1, 2, 3, 4, 12, 24, 60):
         lanes = [lane for p in rng.choice(primes, 120).tolist() for lane in _gcd_lanes(rng, d, p)]
         p = np.array([q for q, _, _ in lanes], dtype=np.int64)
         g_low = np.array([g[:d] for _, g, _ in lanes], dtype=np.int64).T
         r = np.array([r + [0] * (d - len(r)) for _, _, r in lanes], dtype=np.int64).T
         got = local_counts._LaneRing.modulo(g_low, p).gcd_degree(r).tolist()
-        want = [len(local_counts._pgcd(g, local_counts._ptrim(list(r)), q)) - 1 for q, g, r in lanes]
+        want = [len(pgcd(g, ptrim(list(r)), q)) - 1 for q, g, r in lanes]
         assert got == want, d
         assert {0, d} <= set(want), d  # r = 0 gives d
 
 
 def test_lane_product_at_its_exactness_limit():
-    # the largest p the batch allows, with coefficients near p - 1 and
+    # the largest p int64 lanes take, with coefficients near p - 1 and
     # g = x**d + ... + x + 1, so the int64 sums come near their bounds: at
-    # d = 64, the last without a % p before the folds, and at the largest d
-    p = np.array(list(primes_in_range(TORSION_ARRAY_LIMIT - 200, TORSION_ARRAY_LIMIT)))
+    # d = 64, the last without a % p before the folds, and above it
     rng = np.random.default_rng(3)
     for d in (64, 127):
+        top = _int64_switch(d)
+        p = np.array(list(primes_in_range(top - 200, top)))
         ring = local_counts._LaneRing.modulo(np.ones((d, p.size), dtype=np.int64), p)
         a = p - 1 - rng.integers(0, 4096, (d, p.size))
         for got in (ring.mul(a, a), ring.mul(a, a.copy())):
             for lane, q in enumerate(p.tolist()):
                 coeffs = a[:, lane].tolist()
-                full = [c % q for c in local_counts._pmul(coeffs, coeffs)]
-                want = local_counts._pmod(full, [1] * (d + 1), q)
+                want = pmod(local_counts._pmul(coeffs, coeffs), [1] * (d + 1), q)
                 assert got[:, lane].tolist() == want + [0] * (d - len(want)), (d, q)
 
 
@@ -422,27 +446,29 @@ def test_torsion_array_memory_stays_per_block():
 
 
 def test_torsion_array_across_its_limit():
-    # the segment reaching past 2**28 takes the per-prime kernel; the primes
-    # below 2**28 alone take the batch at its largest products; near 2**32
-    # the batch's int64 sums would overflow
-    for name, ell in (("17a3", 3), ("cm:-1", 2), ("11a2", 5)):
+    # one array straddling the prime where lanes switch from int64 to Python
+    # ints: both sides equal the reference, and the int64 side also equals
+    # the same primes on Python-int lanes
+    straddles = (("cm:-1", 2, 1200), ("17a3", 3, 1200), ("cm:-3", 11, 200), ("17a3", 13, 200))
+    for name, ell, width in straddles:
         curve = CURVE_PRESETS[name]
-        primes = _good_primes(curve, ell, TORSION_ARRAY_LIMIT - 1200, TORSION_ARRAY_LIMIT + 600)
-        below = primes[primes < TORSION_ARRAY_LIMIT]
+        switch = _int64_switch(_degree(ell))
+        primes = _good_primes(curve, ell, switch - width, switch + width)
+        below = primes[primes < switch]
         assert 0 < below.size < primes.size
-        top = _good_primes(curve, ell, 2**32 - 600, 2**32)
-        want = [ec_torsion_count(curve, p, ell) for p in primes.tolist()]
+        want = [torsion_by_schoof(curve, p, ell) for p in primes.tolist()]
         assert ec_torsion_count_array(curve, primes, ell).tolist() == want, name
         assert ec_torsion_count_array(curve, below, ell).tolist() == want[: below.size], name
-        assert ec_torsion_count_array(curve, top, ell).tolist() == [
-            ec_torsion_count(curve, p, ell) for p in top.tolist()
-        ], name
-    # the largest degrees the batch takes, at its largest primes
-    for name, ell in (("17a3", 13), ("cm:-3", 11)):
+        on_objects = local_counts._torsion_lanes(curve, below.astype(object), ell)
+        assert on_objects.tolist() == want[: below.size], name
+    # near 2**32, and past 2**64 one prime at a time, only Python ints are exact
+    huge = next(p for p in range(2**64 + 1, 2**64 + 10**4, 2) if is_prime(p))
+    for name, ell in (("17a3", 3), ("cm:-1", 2), ("11a2", 5)):
         curve = CURVE_PRESETS[name]
-        primes = _good_primes(curve, ell, TORSION_ARRAY_LIMIT - 200, TORSION_ARRAY_LIMIT)
-        want = [local_counts._schoof_count(curve, p, ell) for p in primes.tolist()]
-        assert ec_torsion_count_array(curve, primes, ell).tolist() == want, name
+        top = _good_primes(curve, ell, 2**32 - 600, 2**32)
+        want = [torsion_by_schoof(curve, p, ell) for p in top.tolist()]
+        assert ec_torsion_count_array(curve, top, ell).tolist() == want, name
+        assert ec_torsion_count(curve, huge, ell) == torsion_by_schoof(curve, huge, ell), name
 
 
 @settings(max_examples=25, deadline=None)
@@ -456,7 +482,7 @@ def test_torsion_array_on_random_curves(a, b, ell, lo):
     assume(4 * a**3 + 27 * b**2 != 0)
     curve = WeierstrassCurve(a, b)
     primes = _good_primes(curve, ell, lo, lo + 1500)
-    want = [ec_torsion_count(curve, p, ell) for p in primes.tolist()]
+    want = [torsion_by_schoof(curve, p, ell) for p in primes.tolist()]
     assert ec_torsion_count_array(curve, primes, ell).tolist() == want
 
 
@@ -476,15 +502,24 @@ def test_torsion_array_rejects_impossible_counts(monkeypatch):
         message = f"torsion count {injected} for {curve} at p={first_bad}, ell=3 is impossible"
         with pytest.raises(ArithmeticError, match=re.escape(message)):
             ec_torsion_count_array(curve, primes, 3)
-    # the per-prime branch, which takes a segment crossing 2**28, checks its
-    # counts the same way
-    primes = _good_primes(curve, 3, TORSION_ARRAY_LIMIT - 200, TORSION_ARRAY_LIMIT + 200)
-    assert primes[3] < TORSION_ARRAY_LIMIT < primes[-1]
-    injected = lambda curve, p, ell: 1 if p < primes[3] else 5
-    monkeypatch.setattr(local_counts, "_schoof_count", injected)
+    # a block past the int64 switch runs on Python-int lanes, and its counts
+    # are checked the same way
+    switch = _int64_switch(_degree(3))
+    primes = _good_primes(curve, 3, switch - 200, switch + 200)
+    assert primes[3] < switch < primes[-1]
+    dtypes = []
+
+    def object_lanes(curve, p, ell):
+        dtypes.append(p.dtype)
+        counts = np.ones(p.size, dtype=np.int64)
+        counts[3:] = 5
+        return counts
+
+    monkeypatch.setattr(local_counts, "_torsion_lanes", object_lanes)
     message = f"torsion count 5 for {curve} at p={primes[3]}, ell=3 is impossible"
     with pytest.raises(ArithmeticError, match=re.escape(message)):
         ec_torsion_count_array(curve, primes, 3)
+    assert dtypes == [object]
 
 
 def test_splitting_mask_matches_splitting_type():

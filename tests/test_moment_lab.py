@@ -7,6 +7,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from orbitmoments.local_counts import (
     PowerEquation,
     count_roots_array,
     count_roots_formula,
-    ec_torsion_count,
+    ec_torsion_count_array,
     parse_curve,
     splitting_type,
 )
@@ -49,15 +50,16 @@ def reference_moments(counter, ks, x):
     """The per-prime loop the segment accumulator replaces.
 
     Returns ({k: sum of N_p**k}, histogram, excluded, filtered, zero_valued,
-    pi(x)), with the exclusion rule written out and the values taken from
-    count_roots_formula and ec_torsion_count one prime at a time.
+    pi(x)), with the exclusion rule and the filter written out one prime at
+    a time.  Power values come from count_roots_formula one prime at a
+    time, torsion values from one ec_torsion_count_array call over every
+    valued prime.
     """
-    totals = dict.fromkeys(ks, 0)
-    hist = Counter()
-    excluded = filtered = zero_valued = seen = 0
+    primes = list(primes_in_range(2, x + 1))
+    valued = []
+    excluded = filtered = 0
     filt = getattr(counter, "split_filter", None)
-    for p in primes_in_range(2, x + 1):
-        seen += 1
+    for p in primes:
         if isinstance(counter, TorsionCounter):
             bad = p < 5 or (counter.ell * counter.curve.discriminant) % p == 0
         else:
@@ -65,26 +67,26 @@ def reference_moments(counter, ks, x):
             bad = math.gcd(p, eq.n * eq.a) != 1
         if bad:
             excluded += 1
-            hist[0] += 1
-            continue
-        if filt is not None and splitting_type(p, filt.spec) not in filt.keep:
+        elif filt is not None and splitting_type(p, filt.spec) not in filt.keep:
             filtered += 1
-            hist[0] += 1
-            continue
-        if isinstance(counter, TorsionCounter):
-            v = ec_torsion_count(counter.curve, p, counter.ell)
-        elif isinstance(counter, PowerCounter):
-            v = count_roots_formula(counter.eq, p)
         else:
-            v = (
-                count_roots_formula(counter.eq_a, p) ** counter.k1
-                * count_roots_formula(counter.eq_one, p) ** counter.k2
-            )
-        hist[v] += 1
-        zero_valued += v == 0
-        for k in ks:
-            totals[k] += v**k
-    return totals, dict(hist), excluded, filtered, zero_valued, seen
+            valued.append(p)
+    if isinstance(counter, TorsionCounter):
+        lanes = np.array(valued, dtype=np.int64)
+        values = ec_torsion_count_array(counter.curve, lanes, counter.ell).tolist()
+    elif isinstance(counter, PowerCounter):
+        values = [count_roots_formula(counter.eq, p) for p in valued]
+    else:
+        values = [
+            count_roots_formula(counter.eq_a, p) ** counter.k1
+            * count_roots_formula(counter.eq_one, p) ** counter.k2
+            for p in valued
+        ]
+    hist = Counter(values)
+    if excluded + filtered:
+        hist[0] += excluded + filtered
+    totals = {k: sum(v**k for v in values) for k in ks}
+    return totals, dict(hist), excluded, filtered, values.count(0), len(primes)
 
 
 def assert_matches_reference(report, reference):

@@ -71,6 +71,24 @@ def test_build_semidirect_shape():
     assert fixed_point_histogram(action) == {0: 1, 4: 1}
 
 
+def test_semidirect_honours_the_budgets():
+    # semidirect:5 has 5 * 4 elements, each a row of 25 entries
+    assert build_action("semidirect:5", entry_budget=500).perms.shape == (20, 25)
+    with pytest.raises(CapacityError, match="needs 500 permutation table entries, budget is 499"):
+        build_action("semidirect:5", entry_budget=499)
+    with pytest.raises(CapacityError, match="needs 20 group elements, budget is 19"):
+        build_action("semidirect:5", element_budget=19)
+    # the default budget stops semidirect:127 before its 2.6e8-entry table is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="needs 258096258 permutation table entries"):
+            build_semidirect(127)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_build_gl2_counts():
     assert build_gl2(3).group_order == 48 == (3**2 - 1) * (3**2 - 3)
     with pytest.raises(ValueError):
