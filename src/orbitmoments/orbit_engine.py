@@ -6,9 +6,13 @@ materialized action it is evaluated through the fixed-point histogram
 keep a generating set and fall back to direct orbit counting on the tuple
 space, which computes the same number from its definition.  A matrix
 action reads its histogram off the invariant factors of g - I, so its
-element permutation table is only built when something asks for it.
+element permutation table is only built when something asks for it, and
+so are the permutation rows of its generators, which only the orbit
+oracle reads.  units and quad list every element, and their generators
+are a small generating subset of that list (_generating_subset).
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
@@ -17,7 +21,7 @@ from math import factorial, gcd
 
 import numpy as np
 
-from .core_arith import CapacityError, is_prime
+from .core_arith import CapacityError, factorize, is_prime
 from .residue_algebra import QuadOrderSpec, glm_order
 
 DEFAULT_ELEMENT_BUDGET = 10**7
@@ -43,17 +47,19 @@ class PermutationAction:
     permutation row per element, or, for a group of m x m matrices acting
     on (Z/modulus)**m, matrices holds the (order, m, m) element stack and
     table stays None until perms is first read.  An action that keeps
-    neither has only its generating set (the generators rows always
-    generate the full group).
+    neither has only its generating set.  The generators rows always
+    generate the full group; generator_table holds them, or stays None
+    until generators is first read and make_generators builds them.
     """
 
     size: int
     table: np.ndarray | None
-    generators: np.ndarray
+    generator_table: np.ndarray | None
     group_order: int
     descriptor: str = ""
     matrices: np.ndarray | None = None
     modulus: int = 0
+    make_generators: Callable[[], np.ndarray] | None = field(default=None, repr=False)
     _histogram: dict[int, int] | None = field(default=None, init=False, repr=False)
 
     @property
@@ -67,16 +73,26 @@ class PermutationAction:
             self.table = _apply_matrices(self.matrices, self.modulus)
         return self.table
 
+    @property
+    def generators(self) -> np.ndarray:
+        """One permutation row per generator, built on first access."""
+        if self.generator_table is None:
+            self.generator_table = self.make_generators()
+        return self.generator_table
+
 
 def build_units(n: int, **budgets) -> PermutationAction:
     """(Z/nZ)^x acting on Z/nZ by multiplication, as GL_1(Z/nZ).
 
-    Every element is kept as a generator.
+    The generators are a small generating subset of the units, picked when
+    they are first read.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     units = _enumerate_glm_matrices(n, 1)
-    return _matrix_action(n, units, lambda: units, len(units), f"units:{n}", **budgets)
+    return _matrix_action(
+        n, units, lambda: units, len(units), f"units:{n}", whole_group=True, **budgets
+    )
 
 
 def build_semidirect(
@@ -109,28 +125,33 @@ def build_semidirect(
     return PermutationAction(
         size=n * n,
         table=perms,
-        generators=gens,
+        generator_table=gens,
         group_order=len(perms),
         descriptor=f"semidirect:{n}",
     )
 
 
 def build_quad_units(n: int, d: int, **budgets) -> PermutationAction:
-    """(O_K/nO_K)^x acting on O_K/nO_K by multiplication, every element a generator.
+    """(O_K/nO_K)^x acting on O_K/nO_K by multiplication.
 
     Multiplication by u = a + b*omega is the matrix [[a, s*b], [b, a + t*b]]
     on the basis (1, omega), and u is a unit iff gcd(det, n) = 1.  The point
     x + y*omega has index x + y*n, as for glm:n,2; units are ordered by (a, b).
-    Orbit counts do not depend on how points or elements are numbered.
+    Orbit counts do not depend on how points or elements are numbered.  The
+    generators are a small generating subset of the units, picked when they
+    are first read.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     spec = QuadOrderSpec(d)
     a, b = np.divmod(np.arange(n * n, dtype=np.int64), n)
-    mats = np.stack([a, spec.s * b, b, a + spec.t * b], axis=1).reshape(-1, 2, 2) % n
-    units = mats[np.gcd(_vec_det(mats, n), n) == 1]
+    entries = [[a, spec.s * b % n], [b, (a + spec.t * b) % n]]
+    mats = np.stack([*entries[0], *entries[1]], axis=1).reshape(-1, 2, 2)
+    units = mats[np.gcd(_det_mod(entries, n), n) == 1]
     descriptor = f"quad:{n},{d}"
-    return _matrix_action(n, units, lambda: units, len(units), descriptor, **budgets)
+    return _matrix_action(
+        n, units, lambda: units, len(units), descriptor, whole_group=True, **budgets
+    )
 
 
 def _apply_matrices(mats: np.ndarray, n: int) -> np.ndarray:
@@ -158,6 +179,7 @@ def _matrix_action(
     descriptor: str,
     element_budget: int = DEFAULT_ELEMENT_BUDGET,
     entry_budget: int = DEFAULT_ENTRY_BUDGET,
+    whole_group: bool = False,
 ) -> PermutationAction:
     """A group of m x m matrices mod n acting on (Z/nZ)**m.
 
@@ -166,35 +188,96 @@ def _matrix_action(
     only when the order and the permutation table fit the budgets, and the
     stack is kept in place of that table; otherwise only the generating set
     is kept and moment evaluation goes through direct orbit counting.  The
-    generator table itself must fit entry_budget.
+    generator table must fit entry_budget, and its rows are built when the
+    generators are first read.  whole_group says that generators lists
+    every element of a commutative group: the rows are then built for a
+    small generating subset of it (_generating_subset).
     """
     size = n ** generators.shape[1]
     if len(generators) * size > entry_budget:
         raise CapacityError(len(generators) * size, entry_budget, what="generator table entries")
     fits = order <= element_budget and order * size <= entry_budget
+
+    def make_generators() -> np.ndarray:
+        if whole_group:
+            return _apply_matrices(generators[_generating_subset(generators, n, descriptor)], n)
+        return _apply_matrices(generators, n)
+
     return PermutationAction(
         size=size,
         table=None,
-        generators=_apply_matrices(generators, n),
+        generator_table=None,
         group_order=order,
         descriptor=descriptor,
         matrices=elements() if fits else None,
         modulus=n,
+        make_generators=make_generators,
     )
 
 
+def _generating_subset(stack: np.ndarray, n: int, descriptor: str) -> np.ndarray:
+    """Indices, ascending, of a small generating set of the group that stack lists.
+
+    The stack holds every element of a commutative group of m x m matrices
+    mod n.  Its elements are scanned in order, and one that lies outside
+    the subgroup H generated so far is kept.  H then grows to <H, g>, the
+    union of the cosets H g^i, by doubling: with C the cosets for i < s,
+    C and C g^s hold those for i < 2s, until C g^s adds nothing.  Each kept
+    element at least doubles H, so at most log2(order) are kept.  Every
+    product is looked up in the stack by its entries, and one that is
+    missing raises ArithmeticError: the stack is then not a group.
+    """
+    m = stack.shape[1]
+    weights = n ** np.arange(m * m, dtype=np.int64)
+    mats = stack.astype(np.int64)
+    keys = mats.reshape(len(mats), -1) @ weights
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+
+    def index_of(products: np.ndarray) -> np.ndarray:
+        wanted = products.reshape(len(products), -1) % n @ weights
+        pos = np.minimum(np.searchsorted(sorted_keys, wanted), len(keys) - 1)
+        if not np.array_equal(sorted_keys[pos], wanted):
+            raise ArithmeticError(
+                f"{descriptor}: a product of its elements is missing from its element "
+                "stack, which is therefore not a group"
+            )
+        return by_key[pos]
+
+    inside = np.zeros(len(mats), dtype=bool)
+    inside[index_of(np.eye(m, dtype=np.int64)[None])] = True
+    kept = []
+    nxt = 0
+    while nxt < len(mats):
+        nxt += int(np.argmin(inside[nxt:]))  # the first element outside H
+        if inside[nxt]:
+            break
+        kept.append(nxt)
+        step = mats[nxt]
+        while True:
+            images = index_of(mats[inside] @ step)
+            fresh = images[~inside[images]]
+            if not len(fresh):
+                break
+            inside[fresh] = True
+            step = step @ step % n
+        nxt += 1
+    return np.array(kept, dtype=np.int64)
+
+
 def _glm_generator_matrices(n: int, m: int) -> list[np.ndarray]:
-    """Elementary transvections plus unit scalings of the first coordinate.
+    """Elementary transvections plus scalings diag(u, 1, ..., 1) of the first coordinate.
 
     These generate GL_m(Z/nZ): Gaussian elimination works locally at each
     prime power, and the determinant is adjusted by the diagonal units.
+    The u run over a generating set of (Z/nZ)^x, not over every unit.
     """
     gens = []
-    for u in range(2, n):
-        if gcd(u, n) == 1:
-            g = np.eye(m, dtype=np.int64)
-            g[0, 0] = u
-            gens.append(g)
+    units = _enumerate_glm_matrices(n, 1)
+    for u in units[_generating_subset(units, n, f"units:{n}"), 0, 0]:
+        g = np.eye(m, dtype=np.int64)
+        g[0, 0] = u
+        gens.append(g)
     for i in range(m):
         for j in range(m):
             if i != j:
@@ -218,33 +301,82 @@ def build_glm(n: int, m: int, **budgets) -> PermutationAction:
 
 
 def _enumerate_glm_matrices(n: int, m: int) -> np.ndarray:
-    """All invertible m x m matrices mod n, entry-lexicographic, 2**15 candidates at a time.
+    """All invertible m x m matrices mod n, entry-lexicographic, about 2**15 candidates at a time.
 
-    Entries lie in [0, n), so they are stored in the dtype of a permutation of n points.
+    A matrix is invertible mod n exactly when its reduction mod each prime
+    p | n is, so each p has a table of flags over the matrices mod p
+    (_glm_flags).  Candidates come in _lex_blocks, and the flag index of
+    each is an np.add.outer sum of the offset of its leading entries and
+    that of its trailing ones.  Entries lie in [0, n), so they are stored in
+    the dtype of a permutation of n points.
     """
-    total, kept = n ** (m * m), []
-    for start in range(0, total, _MATRIX_CHUNK):
-        idx = np.arange(start, min(start + _MATRIX_CHUNK, total), dtype=np.int64)
-        flat = np.stack([(idx // n ** (m * m - 1 - e)) % n for e in range(m * m)], axis=1)
-        mats = flat.reshape(idx.size, m, m)
-        kept.append(mats[np.gcd(_vec_det(mats, n), n) == 1].astype(_perm_dtype(n)))
-    return np.concatenate(kept)
+    dtype = _perm_dtype(n)
+    blocks, trailing = _lex_blocks(n, m * m)
+    trailing = trailing.astype(dtype)
+    flag_tables = [(p, _glm_flags(p, m), _digits_index(trailing % p, p)) for p, _ in factorize(n)]
+    kept = []
+    for leading in blocks:
+        leading = leading.astype(dtype)
+        invertible = np.ones((len(leading), len(trailing)), dtype=bool)
+        for p, flags, trailing_index in flag_tables:
+            offsets = _digits_index(leading % p, p) * p ** trailing.shape[1]
+            invertible &= flags[np.add.outer(offsets, trailing_index)]
+        rows, cols = np.nonzero(invertible)
+        kept.append(np.concatenate([leading[rows], trailing[cols]], axis=1))
+    return np.concatenate(kept).reshape(-1, m, m)
 
 
-def _vec_det(mats: np.ndarray, n: int) -> np.ndarray:
-    m = mats.shape[1]
+def _glm_flags(p: int, m: int) -> np.ndarray:
+    """flags[i] says whether the m x m matrix mod p whose entries are the base-p digits of i is invertible."""
+    blocks, trailing = _lex_blocks(p, m * m)
+    flags = []
+    for leading in blocks:
+        # columns of both broadcast to the (len(leading), len(trailing)) block
+        entries = [*(leading[:, e, None] for e in range(leading.shape[1])), *trailing.T]
+        det = _det_mod([entries[i * m : (i + 1) * m] for i in range(m)], p)
+        flags.append((det != 0).ravel())
+    return np.concatenate(flags)
+
+
+def _lex_blocks(n: int, width: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The width-digit base-n numbers in ascending order, about 2**15 at a time.
+
+    Returns (blocks, trailing).  trailing holds every value of the last t
+    digits, the most with n**t <= 2**15 (at least one digit); each block
+    holds a run of values of the leading digits, and stands for each of its
+    rows followed by each row of trailing.  Digits are int64, most
+    significant first.
+    """
+    t = 1
+    while t < width and n ** (t + 1) <= _MATRIX_CHUNK:
+        t += 1
+    trailing = np.indices((n,) * t).reshape(t, n**t).T
+    leading = np.indices((n,) * (width - t)).reshape(width - t, n ** (width - t)).T
+    per_block = max(1, _MATRIX_CHUNK // n**t)
+    return [leading[lo : lo + per_block] for lo in range(0, len(leading), per_block)], trailing
+
+
+def _digits_index(digits: np.ndarray, base: int) -> np.ndarray:
+    """Each row of base digits, most significant first, read as a number."""
+    return digits @ base ** np.arange(digits.shape[1] - 1, -1, -1, dtype=np.int64)
+
+
+def _det_mod(rows: list, n: int):
+    """Determinant mod n of the square matrix whose (i, j) entry is rows[i][j].
+
+    Entries are int64 arrays in [0, n) that broadcast together.  Cofactor
+    expansion along the first row, reduced mod n at each level, keeps every
+    value below m * n**2.
+    """
+    m = len(rows)
     if m == 1:
-        return mats[:, 0, 0] % n
+        return rows[0][0] % n
     if m == 2:
-        return (mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]) % n
-    total = np.zeros(mats.shape[0], dtype=np.int64)
-    sign = 1
-    cols = list(range(m))
+        return (rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) % n
+    total = 0
     for j in range(m):
-        rest = cols[:j] + cols[j + 1 :]
-        minor = mats[:, 1:, :][:, :, rest]
-        total = (total + sign * mats[:, 0, j] * _vec_det(minor, n)) % n
-        sign = -sign
+        term = rows[0][j] * _det_mod([row[:j] + row[j + 1 :] for row in rows[1:]], n)
+        total = total - term if j % 2 else total + term
     return total % n
 
 
@@ -386,16 +518,17 @@ def _orbit_labels(generators: np.ndarray, size: int, k: int) -> np.ndarray:
     At the fixed point labels[t] <= labels[g(t)] for every generator g;
     along a cycle of g that forces equality, so labels are constant on
     orbits.  Tuple images are recomputed per generator, so memory stays a
-    few arrays of size**k.
+    few arrays of size**k, of int32 while every index fits.
     """
-    labels = np.arange(size**k, dtype=np.int64)
+    dtype = np.int32 if size**k < 2**31 else np.int64
+    labels = np.arange(size**k, dtype=dtype)
     # axis j of the outer sum carries digit k-1-j, so ravel() yields tuple order
     weights = [size**i for i in reversed(range(k))]
     while True:
         before = int(labels.sum())
         for g in generators:
-            g64 = g.astype(np.int64)
-            image = reduce(np.add.outer, [g64 * w for w in weights]).ravel()
+            g_wide = g.astype(dtype)
+            image = reduce(np.add.outer, [g_wide * w for w in weights]).ravel()
             np.minimum(labels, labels[image], out=labels)
         while not np.array_equal(labels, jumped := labels[labels]):
             labels = jumped

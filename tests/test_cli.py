@@ -82,6 +82,16 @@ def test_orbits_builds_permutation_rows_for_the_generators_only(capsys, monkeypa
     assert stacks == [len(orbit_engine._glm_generator_matrices(4, 3))] == [7]
 
 
+def test_orbits_on_units_997_agrees_with_its_oracle(capsys):
+    # the oracle walks a generating subset of the 996 units, not every unit
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "orbits", "--action", "units:997", "--k", "2"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["oracle"] == payload["moment"] == 999
+
+
 def test_mk_json_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "mk", "--n", "30", "--k", "4")
     payload = json.loads(out)

@@ -1,6 +1,6 @@
 import tracemalloc
 from fractions import Fraction
-from math import gcd
+from math import gcd, log2
 
 import numpy as np
 import pytest
@@ -113,12 +113,58 @@ def test_identity_in_every_action():
 
 
 def test_generators_generate_the_whole_group():
-    for desc in ("glm:3,2", "glm:4,2", "glm:2,3", "units:12", "semidirect:4"):
+    # units and quad list every element and keep a generating subset of it
+    whole_group = [f"units:{n}" for n in range(1, 61)] + [
+        f"quad:{n},{d}" for d in CLASS_NUMBER_ONE_D for n in range(1, 13)
+    ]
+    for desc in ("glm:3,2", "glm:4,2", "glm:2,3", "semidirect:4", *whole_group):
         action = build_action(desc)
-        closure = mulclose(action.generators)
+        # the trivial group has no generators, and mulclose([]) is empty
+        closure = mulclose(action.generators) | {tuple(range(action.size))}
         assert len(closure) == action.group_order, desc
         rows = {tuple(int(v) for v in row) for row in action.perms}
         assert closure == rows, desc
+        if desc in whole_group:
+            # each kept element at least doubles the subgroup generated before it
+            assert len(action.generators) <= log2(action.group_order), desc
+
+
+def test_generating_subset_rejects_a_stack_that_is_not_a_group():
+    # 1 and 2 mod 5 are not closed under products: 2 * 2 = 4 is missing
+    stack = np.array([1, 2], dtype=np.uint8).reshape(2, 1, 1)
+    action = orbit_engine._matrix_action(5, stack, lambda: stack, 2, "broken:5", whole_group=True)
+    with pytest.raises(ArithmeticError, match="broken:5"):
+        action.generators
+
+
+def test_generator_rows_are_built_on_first_read(monkeypatch):
+    calls = []
+    apply_matrices = orbit_engine._apply_matrices
+
+    def counted(mats, n):
+        calls.append(len(mats))
+        return apply_matrices(mats, n)
+
+    monkeypatch.setattr(orbit_engine, "_apply_matrices", counted)
+    catalog = (
+        [f"quad:{n},{d}" for d in CLASS_NUMBER_ONE_D for n in range(1, 17)]
+        + [f"units:{n}" for n in range(1, 61)]
+        + [f"glm:{n},{m}" for m in (1, 2, 3) for n in range(1, 13)]
+        + [f"gl2:{ell}" for ell in (2, 3, 5, 7, 11, 13)]
+    )
+    actions = [build_action(desc) for desc in catalog]
+    assert calls == []
+    for action in actions:
+        if action.materialized:
+            burnside_moment(action, 2)
+            predicted_value_distribution(action)
+            orbit_size(action, action.size - 1)
+    assert calls == []
+    action = build_action("quad:5,-1")
+    for k in (2, 3):
+        assert orbit_count_oracle(action, k) == burnside_moment(action, k), k
+    # one stack, the generators, kept after the first read
+    assert calls == [len(action.generators)]
 
 
 def test_units_histogram_by_direct_count():
@@ -267,6 +313,8 @@ def test_oracle_on_generator_only_glm():
     action = build_action("glm:12,3")
     assert action.perms is None
     assert orbit_count_oracle(action, 2) == 90
+    # six transvections and diag(5, 1, 1), diag(7, 1, 1): 5 and 7 generate (Z/12)^x
+    assert len(action.generators) == 8
 
 
 def test_oracle_memory_stays_a_few_tuple_arrays():
@@ -339,13 +387,13 @@ def test_vectorized_enumeration_matches_reference_enumeration():
     # residue_algebra must produce the same matrices in the same order
     from orbitmoments.orbit_engine import _enumerate_glm_matrices
 
-    for n, m in ((3, 2), (4, 2), (2, 3)):
-        vectorized = [
-            tuple(tuple(int(v) for v in row) for row in mat)
-            for mat in _enumerate_glm_matrices(n, m)
-        ]
+    for n, m in ((3, 2), (4, 2), (2, 3), (6, 2), (9, 2), (12, 1), (1, 2), (997, 1)):
+        mats = _enumerate_glm_matrices(n, m)
+        vectorized = [tuple(tuple(int(v) for v in row) for row in mat) for mat in mats]
         reference = [mat.entries for mat in enumerate_glm(n, m)]
         assert vectorized == reference, (n, m)
+        # entries lie in [0, n): the dtype of a permutation of n points
+        assert mats.dtype == (np.uint8 if n <= 2**8 else np.uint16), (n, m)
 
 
 def test_bad_descriptor():
