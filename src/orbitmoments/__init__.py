@@ -31,9 +31,7 @@ from .local_counts import (
     SplittingType,
     WeierstrassCurve,
     count_roots_array,
-    count_roots_brute,
     count_roots_formula,
-    ec_point_count,
     ec_torsion_count,
     ec_torsion_count_array,
     parse_curve,
@@ -59,16 +57,6 @@ from .orbit_engine import (
     orbit_count_oracle,
     predicted_value_distribution,
 )
-from .residue_algebra import (
-    MatrixModN,
-    QuadOrderSpec,
-    QuadResidue,
-    det_mod_n,
-    enumerate_glm,
-    glm_order,
-    psi,
-    quad_mul,
-    quad_norm,
-)
+from .residue_algebra import QuadOrderSpec, glm_order, psi
 
 __version__ = "0.1.0"

@@ -101,34 +101,16 @@ class PowerEquation:
         return BadPrimes(self.n * self.a)
 
 
-def count_roots_brute(eq: PowerEquation, p: int) -> int:
-    """#{x in F_p : x**n = a}, by scanning all residues.
-
-    Each residue is multiplied into its power n times, one numpy pass per
-    factor, so the scan shares no code with the formula or pow_mod_array.
-    Residues go in blocks of 2**20, so memory stays bounded for any p, and
-    Python integers take over from int64 where a product could overflow.
-    """
-    dtype = np.int64 if p < POW_ARRAY_LIMIT else object
-    count = 0
-    for lo in range(0, p, 1 << 20):
-        x = np.arange(lo, min(lo + (1 << 20), p), dtype=dtype)
-        y = np.ones_like(x)
-        for _ in range(eq.n):
-            y = y * x % p
-        count += int(np.count_nonzero(y == eq.a % p))
-    return count
-
-
 def count_roots_formula(eq: PowerEquation, p: int) -> int:
-    """Root count via the cyclic structure of F_p^x.
+    """#{x in F_p : x**n = a}, via the cyclic structure of F_p^x, at any prime.
 
-    For p coprime to n*a: the count is d = gcd(p-1, n) when
-    a**((p-1)/d) = 1 mod p, and 0 otherwise (for a = 1 the criterion
-    holds trivially).  Other primes fall back to the brute scan.
+    For p | a the only root is 0.  Otherwise every root lies in F_p^x,
+    and with d = gcd(p-1, n) the count is d when a**((p-1)/d) = 1 mod p
+    (Euler's criterion; for a = 1 it holds trivially) and 0 otherwise,
+    whether or not p divides n.
     """
-    if p in eq.bad_primes:
-        return count_roots_brute(eq, p)
+    if eq.a % p == 0:
+        return 1
     d = gcd(p - 1, eq.n)
     return d if pow_mod(eq.a, (p - 1) // d, p) == 1 else 0
 
@@ -200,10 +182,6 @@ class WeierstrassCurve:
         """Primes excluded when counting ell-torsion: p < 5 or p | ell*disc."""
         return BadPrimes(ell * self.discriminant, 5)
 
-    def is_good_prime(self, p: int) -> bool:
-        """Good reduction in the working convention: p >= 5 and p does not divide the discriminant."""
-        return p not in self.bad_primes()
-
 
 # Named models.  The Cremona-label curves are converted to short form
 # (good reduction away from 2 and 3 is preserved, and those primes are
@@ -228,93 +206,6 @@ def parse_curve(text: str) -> WeierstrassCurve:
     if len(parts) != 2:
         raise ValueError(f"unknown curve {text!r}: expected a preset name or 'a,b'")
     return WeierstrassCurve(int(parts[0]), int(parts[1]), label=text)
-
-
-# ---------------------------------------------------------------------------
-# Affine point arithmetic (used by the enumeration oracle and small cases).
-
-def ec_add(P, Q, a: int, p: int):
-    """Add points on y**2 = x**3 + a*x + b over F_p; None is the point at infinity."""
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2 and (y1 + y2) % p == 0:
-        return None
-    if P == Q:
-        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
-    else:
-        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (slope * slope - x1 - x2) % p
-    y3 = (slope * (x1 - x3) - y1) % p
-    return x3, y3
-
-
-def ec_mul(P, k: int, a: int, p: int):
-    """k*P by double-and-add."""
-    result = None
-    addend = P
-    while k:
-        if k & 1:
-            result = ec_add(result, addend, a, p)
-        addend = ec_add(addend, addend, a, p)
-        k >>= 1
-    return result
-
-
-def ec_points(curve: WeierstrassCurve, p: int) -> list[tuple[int, int]]:
-    """All affine points, by scanning x against a square table."""
-    a, b = curve.a % p, curve.b % p
-    roots_of = {}
-    for y in range(p):
-        roots_of.setdefault(y * y % p, []).append(y)
-    pts = []
-    for x in range(p):
-        rhs = (x * x % p * x + a * x + b) % p
-        for y in roots_of.get(rhs, ()):
-            pts.append((x, y))
-    return pts
-
-
-# ---------------------------------------------------------------------------
-# Group order by the character sum: O(p) per prime, so it serves
-# ec_point_count and the tests as an oracle, not the prime stream.
-
-def ec_group_data(a: int, b: int, p: int) -> tuple[int, int]:
-    """(|E(F_p)| including infinity, number of roots of x**3 + a*x + b).
-
-    Point count via the quadratic-character sum p + 1 + sum_x chi(f(x)),
-    chi(0) = 0, evaluated with a residue table.
-    """
-    a %= p
-    b %= p
-    if p < 7:
-        count = 0
-        roots = 0
-        squares = {y * y % p for y in range(p)}
-        for x in range(p):
-            rhs = (x * x * x + a * x + b) % p
-            if rhs == 0:
-                count += 1
-                roots += 1
-            elif rhs in squares:
-                count += 2
-        return count + 1, roots
-    x = np.arange(p, dtype=np.int64)
-    chi = np.full(p, -1, dtype=np.int8)
-    chi[(x * x) % p] = 1
-    chi[0] = 0
-    rhs = ((x * x % p + a) * x + b) % p
-    return p + 1 + int(chi[rhs].sum()), int((rhs == 0).sum())
-
-
-def ec_point_count(curve: WeierstrassCurve, p: int) -> int:
-    """|E(F_p)| including the point at infinity, for good p >= 5."""
-    if not curve.is_good_prime(p):
-        raise ValueError(f"p = {p} is a bad prime for {curve}")
-    return ec_group_data(curve.a, curve.b, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -653,15 +544,3 @@ def ec_torsion_count(curve: WeierstrassCurve, p: int, ell: int) -> int:
     if p in curve.bad_primes(ell):
         return 0
     return int(ec_torsion_count_array(curve, np.array([p], dtype=object), ell)[0])
-
-
-def ec_torsion_count_enum(curve: WeierstrassCurve, p: int, ell: int) -> int:
-    """Oracle: enumerate affine points and count those with ell*P = infinity."""
-    if p in curve.bad_primes(ell):
-        return 0
-    a = curve.a % p
-    count = 1
-    for P in ec_points(curve, p):
-        if ec_mul(P, ell, a, p) is None:
-            count += 1
-    return count

@@ -191,11 +191,13 @@ def _matrix_action(
     generator table must fit entry_budget, and its rows are built when the
     generators are first read.  whole_group says that generators lists
     every element of a commutative group: the rows are then built for a
-    small generating subset of it (_generating_subset).
+    small generating subset of it (_generating_subset), which has at most
+    floor(log2(order)) rows, and the check counts that many (at least 1).
     """
     size = n ** generators.shape[1]
-    if len(generators) * size > entry_budget:
-        raise CapacityError(len(generators) * size, entry_budget, what="generator table entries")
+    rows = max(1, order.bit_length() - 1) if whole_group else len(generators)
+    if rows * size > entry_budget:
+        raise CapacityError(rows * size, entry_budget, what="generator table entries")
     fits = order <= element_budget and order * size <= entry_budget
 
     def make_generators() -> np.ndarray:

@@ -1,15 +1,15 @@
-"""Residue rings Z/nZ and O_K/nO_K, plus matrix groups over Z/nZ.
+"""Counting data for the residue rings behind the matrix actions.
 
-O_K is the ring of integers of an imaginary quadratic field of class
-number one, presented on the basis (1, omega) with omega**2 = t*omega + s.
+QuadOrderSpec presents the ring of integers O_K of an imaginary quadratic
+field of class number one on the basis (1, omega) with
+omega**2 = t*omega + s; glm_order is |GL_m(Z/nZ)| and psi counts the
+primitive vectors of (Z/nZ)**m.  The actions themselves are built from
+integer matrices in orbit_engine.
 """
 
-import itertools
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterator
 
-from .core_arith import CapacityError, factorize
+from .core_arith import factorize
 
 # The nine imaginary quadratic fields of class number one, by square-free d.
 CLASS_NUMBER_ONE_D = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
@@ -45,78 +45,6 @@ class QuadOrderSpec:
         return self.d if self.d % 4 == 1 else 4 * self.d
 
 
-@dataclass(frozen=True)
-class QuadResidue:
-    """Element a + b*omega of O_K/nO_K, with 0 <= a, b < n."""
-
-    a: int
-    b: int
-    n: int
-    spec: QuadOrderSpec
-
-
-def quad_mul(u: QuadResidue, v: QuadResidue) -> QuadResidue:
-    """Product in O_K/nO_K, reducing omega**2 = t*omega + s."""
-    if u.n != v.n or u.spec != v.spec:
-        raise ValueError("operands live in different rings")
-    t, s, n = u.spec.t, u.spec.s, u.n
-    bb = u.b * v.b
-    a = (u.a * v.a + s * bb) % n
-    b = (u.a * v.b + u.b * v.a + t * bb) % n
-    return QuadResidue(a, b, n, u.spec)
-
-
-def quad_norm(u: QuadResidue) -> int:
-    """Determinant of multiplication-by-u on the basis (1, omega), mod n.
-
-    u is invertible in O_K/nO_K iff gcd(quad_norm(u), n) = 1.
-    """
-    t, s = u.spec.t, u.spec.s
-    return (u.a * u.a + u.a * u.b * t - u.b * u.b * s) % u.n
-
-
-def quad_unit_elements(n: int, spec: QuadOrderSpec) -> list[QuadResidue]:
-    """All invertible elements of O_K/nO_K, ordered by (a, b)."""
-    return [
-        QuadResidue(a, b, n, spec)
-        for a in range(n)
-        for b in range(n)
-        if gcd(quad_norm(QuadResidue(a, b, n, spec)), n) == 1
-    ]
-
-
-@dataclass(frozen=True)
-class MatrixModN:
-    """Square matrix over Z/nZ; invertible iff gcd(det, n) = 1."""
-
-    n: int
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.entries)
-
-
-def det_mod_n(A: MatrixModN) -> int:
-    """Determinant mod n by cofactor expansion (intended for m <= 4)."""
-    return _det(A.entries, A.n)
-
-
-def _det(rows, n: int) -> int:
-    m = len(rows)
-    if m == 1:
-        return rows[0][0] % n
-    if m == 2:
-        return (rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) % n
-    total = 0
-    sign = 1
-    for j in range(m):
-        minor = tuple(r[:j] + r[j + 1 :] for r in rows[1:])
-        total += sign * rows[0][j] * _det(minor, n)
-        sign = -sign
-    return total % n
-
-
 def glm_order(n: int, m: int) -> int:
     """|GL_m(Z/nZ)|, multiplicative over the prime powers of n."""
     order = 1
@@ -126,34 +54,6 @@ def glm_order(n: int, m: int) -> int:
             local *= p**m - p**i
         order *= local
     return order
-
-
-DEFAULT_ENUM_BUDGET = 10**8
-
-
-def enumerate_glm(
-    n: int, m: int, max_elements: int = DEFAULT_ENUM_BUDGET
-) -> Iterator[MatrixModN]:
-    """Yield every element of GL_m(Z/nZ) exactly once.
-
-    Order is row-major lexicographic over the entries, filtered by
-    invertibility, so streams are reproducible.  Raises CapacityError
-    (naming the required count) when the group or the n**(m*m) candidate
-    scan would exceed the budget.
-    """
-    if m < 1 or m > 4:
-        raise ValueError("matrix dimension must be between 1 and 4")
-    if n < 1:
-        raise ValueError("modulus must be >= 1")
-    order = glm_order(n, m)
-    if order > max_elements:
-        raise CapacityError(order, max_elements, what="group elements")
-    if n ** (m * m) > max_elements:
-        raise CapacityError(n ** (m * m), max_elements, what="candidate matrices")
-    for flat in itertools.product(range(n), repeat=m * m):
-        rows = tuple(flat[i * m : (i + 1) * m] for i in range(m))
-        if gcd(_det(rows, n), n) == 1:
-            yield MatrixModN(n, rows)
 
 
 def psi(n: int, m: int) -> int:

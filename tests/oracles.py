@@ -1,19 +1,260 @@
-"""Reference torsion counts for the tests, independent of the lane kernel.
+"""Reference implementations for the tests; the library imports nothing from here.
 
-torsion_from_group_order reads |E(F_p)[ell]| off the character-sum group
-order, scanning every x in F_p where that order leaves it open; its cost
-grows with p, so it serves primes up to ~10**4.  torsion_by_schoof runs the
-Schoof step on plain coefficient lists (schoolbook products, long
-division, Euclid), at a cost that grows with log p, for primes far out.
-Both take psi_ell from division_polynomial, as the lanes do.
+Each is independent of the library path it checks, and most scan or
+enumerate, at a cost that grows with p or with the group:
+
+- count_roots_brute counts the roots of x**n - a by scanning F_p.
+- QuadResidue, quad_mul, quad_norm and quad_unit_elements are elements,
+  products, norms and units of O_K/nO_K, one Python object each.
+- MatrixModN, det_mod_n (by cofactor expansion) and enumerate_glm, which
+  lists GL_m(Z/nZ) by scanning all n**(m*m) matrices.
+- ec_add, ec_mul and ec_points are affine point arithmetic and point
+  enumeration; ec_torsion_count_enum counts the points P with
+  ell*P = infinity among them.
+- ec_group_data gives |E(F_p)| and the cubic's root count by the
+  character sum, and ec_point_count the order at a good prime.
+- torsion_from_group_order reads |E(F_p)[ell]| off that order, scanning
+  every x in F_p where the order leaves it open, so it serves primes up
+  to ~10**4.  torsion_by_schoof runs the Schoof step on plain
+  coefficient lists (schoolbook products, long division, Euclid), at a
+  cost that grows with log p, for primes far out.  Both take psi_ell
+  from division_polynomial, as the lanes do.
 """
 
+import itertools
+from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
+from typing import Iterator
 
 import numpy as np
 
-from orbitmoments.local_counts import division_polynomial, ec_group_data
+from orbitmoments.core_arith import POW_ARRAY_LIMIT, CapacityError
+from orbitmoments.local_counts import PowerEquation, WeierstrassCurve, division_polynomial
+from orbitmoments.residue_algebra import QuadOrderSpec, glm_order
 
+def count_roots_brute(eq: PowerEquation, p: int) -> int:
+    """#{x in F_p : x**n = a}, by scanning all residues.
+
+    Each residue is multiplied into its power n times, one numpy pass per
+    factor, so the scan shares no code with the formula or pow_mod_array.
+    Residues go in blocks of 2**20, so memory stays bounded for any p, and
+    Python integers take over from int64 where a product could overflow.
+    """
+    dtype = np.int64 if p < POW_ARRAY_LIMIT else object
+    count = 0
+    for lo in range(0, p, 1 << 20):
+        x = np.arange(lo, min(lo + (1 << 20), p), dtype=dtype)
+        y = np.ones_like(x)
+        for _ in range(eq.n):
+            y = y * x % p
+        count += int(np.count_nonzero(y == eq.a % p))
+    return count
+
+
+# ---------------------------------------------------------------------------
+# Residue rings O_K/nO_K and matrices over Z/nZ, one Python object each.
+
+@dataclass(frozen=True)
+class QuadResidue:
+    """Element a + b*omega of O_K/nO_K, with 0 <= a, b < n."""
+
+    a: int
+    b: int
+    n: int
+    spec: QuadOrderSpec
+
+
+def quad_mul(u: QuadResidue, v: QuadResidue) -> QuadResidue:
+    """Product in O_K/nO_K, reducing omega**2 = t*omega + s."""
+    if u.n != v.n or u.spec != v.spec:
+        raise ValueError("operands live in different rings")
+    t, s, n = u.spec.t, u.spec.s, u.n
+    bb = u.b * v.b
+    a = (u.a * v.a + s * bb) % n
+    b = (u.a * v.b + u.b * v.a + t * bb) % n
+    return QuadResidue(a, b, n, u.spec)
+
+
+def quad_norm(u: QuadResidue) -> int:
+    """Determinant of multiplication-by-u on the basis (1, omega), mod n.
+
+    u is invertible in O_K/nO_K iff gcd(quad_norm(u), n) = 1.
+    """
+    t, s = u.spec.t, u.spec.s
+    return (u.a * u.a + u.a * u.b * t - u.b * u.b * s) % u.n
+
+
+def quad_unit_elements(n: int, spec: QuadOrderSpec) -> list[QuadResidue]:
+    """All invertible elements of O_K/nO_K, ordered by (a, b)."""
+    return [
+        QuadResidue(a, b, n, spec)
+        for a in range(n)
+        for b in range(n)
+        if gcd(quad_norm(QuadResidue(a, b, n, spec)), n) == 1
+    ]
+
+
+@dataclass(frozen=True)
+class MatrixModN:
+    """Square matrix over Z/nZ; invertible iff gcd(det, n) = 1."""
+
+    n: int
+    entries: tuple[tuple[int, ...], ...]
+
+    @property
+    def m(self) -> int:
+        return len(self.entries)
+
+
+def det_mod_n(A: MatrixModN) -> int:
+    """Determinant mod n by cofactor expansion (intended for m <= 4)."""
+    return _det(A.entries, A.n)
+
+
+def _det(rows, n: int) -> int:
+    m = len(rows)
+    if m == 1:
+        return rows[0][0] % n
+    if m == 2:
+        return (rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) % n
+    total = 0
+    sign = 1
+    for j in range(m):
+        minor = tuple(r[:j] + r[j + 1 :] for r in rows[1:])
+        total += sign * rows[0][j] * _det(minor, n)
+        sign = -sign
+    return total % n
+
+
+DEFAULT_ENUM_BUDGET = 10**8
+
+
+def enumerate_glm(
+    n: int, m: int, max_elements: int = DEFAULT_ENUM_BUDGET
+) -> Iterator[MatrixModN]:
+    """Yield every element of GL_m(Z/nZ) exactly once.
+
+    Order is row-major lexicographic over the entries, filtered by
+    invertibility, so streams are reproducible.  Raises CapacityError
+    (naming the required count) when the group or the n**(m*m) candidate
+    scan would exceed the budget.
+    """
+    if m < 1 or m > 4:
+        raise ValueError("matrix dimension must be between 1 and 4")
+    if n < 1:
+        raise ValueError("modulus must be >= 1")
+    order = glm_order(n, m)
+    if order > max_elements:
+        raise CapacityError(order, max_elements, what="group elements")
+    if n ** (m * m) > max_elements:
+        raise CapacityError(n ** (m * m), max_elements, what="candidate matrices")
+    for flat in itertools.product(range(n), repeat=m * m):
+        rows = tuple(flat[i * m : (i + 1) * m] for i in range(m))
+        if gcd(_det(rows, n), n) == 1:
+            yield MatrixModN(n, rows)
+
+
+# ---------------------------------------------------------------------------
+# Affine point arithmetic, for the enumeration oracle and small cases.
+
+def ec_add(P, Q, a: int, p: int):
+    """Add points on y**2 = x**3 + a*x + b over F_p; None is the point at infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2 and (y1 + y2) % p == 0:
+        return None
+    if P == Q:
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    y3 = (slope * (x1 - x3) - y1) % p
+    return x3, y3
+
+
+def ec_mul(P, k: int, a: int, p: int):
+    """k*P by double-and-add."""
+    result = None
+    addend = P
+    while k:
+        if k & 1:
+            result = ec_add(result, addend, a, p)
+        addend = ec_add(addend, addend, a, p)
+        k >>= 1
+    return result
+
+
+def ec_points(curve: WeierstrassCurve, p: int) -> list[tuple[int, int]]:
+    """All affine points, by scanning x against a square table."""
+    a, b = curve.a % p, curve.b % p
+    roots_of = {}
+    for y in range(p):
+        roots_of.setdefault(y * y % p, []).append(y)
+    pts = []
+    for x in range(p):
+        rhs = (x * x % p * x + a * x + b) % p
+        for y in roots_of.get(rhs, ()):
+            pts.append((x, y))
+    return pts
+
+
+# ---------------------------------------------------------------------------
+# Group order by the character sum: O(p) per prime.
+
+def ec_group_data(a: int, b: int, p: int) -> tuple[int, int]:
+    """(|E(F_p)| including infinity, number of roots of x**3 + a*x + b).
+
+    Point count via the quadratic-character sum p + 1 + sum_x chi(f(x)),
+    chi(0) = 0, evaluated with a residue table.
+    """
+    a %= p
+    b %= p
+    if p < 7:
+        count = 0
+        roots = 0
+        squares = {y * y % p for y in range(p)}
+        for x in range(p):
+            rhs = (x * x * x + a * x + b) % p
+            if rhs == 0:
+                count += 1
+                roots += 1
+            elif rhs in squares:
+                count += 2
+        return count + 1, roots
+    x = np.arange(p, dtype=np.int64)
+    chi = np.full(p, -1, dtype=np.int8)
+    chi[(x * x) % p] = 1
+    chi[0] = 0
+    rhs = ((x * x % p + a) * x + b) % p
+    return p + 1 + int(chi[rhs].sum()), int((rhs == 0).sum())
+
+
+def ec_point_count(curve: WeierstrassCurve, p: int) -> int:
+    """|E(F_p)| including the point at infinity, for good p >= 5."""
+    if p in curve.bad_primes():
+        raise ValueError(f"p = {p} is a bad prime for {curve}")
+    return ec_group_data(curve.a, curve.b, p)[0]
+
+
+def ec_torsion_count_enum(curve: WeierstrassCurve, p: int, ell: int) -> int:
+    """Oracle: enumerate affine points and count those with ell*P = infinity."""
+    if p in curve.bad_primes(ell):
+        return 0
+    a = curve.a % p
+    count = 1
+    for P in ec_points(curve, p):
+        if ec_mul(P, ell, a, p) is None:
+            count += 1
+    return count
+
+
+# ---------------------------------------------------------------------------
+# ell-torsion references for the lane kernel.
 
 @lru_cache(maxsize=32)
 def _psi(ell, a, b):

@@ -92,6 +92,25 @@ def test_orbits_on_units_997_agrees_with_its_oracle(capsys):
     assert payload["oracle"] == payload["moment"] == 999
 
 
+def test_orbits_on_units_whose_element_table_is_over_budget(capsys):
+    # order * size is over the entry budget, so only the rows of a
+    # generating subset are built: at most floor(log2(order)) of them
+    from orbitmoments.closed_forms import dk
+    from orbitmoments.core_arith import divisor_count
+    from orbitmoments.residue_algebra import QuadOrderSpec
+
+    cases = {f"quad:89,{d}": dk(89, QuadOrderSpec(d)) for d in (-1, -3, -7)}
+    cases["units:10007"] = divisor_count(10007)
+    assert list(cases.values()) == [4, 2, 2, 2]
+    for descriptor, want in cases.items():
+        code, out, _ = run_cli(
+            capsys, "--format", "json", "orbits", "--action", descriptor, "--k", "1"
+        )
+        assert code == 0, descriptor
+        payload = json.loads(out)
+        assert payload["oracle"] == payload["moment"] == want, descriptor
+
+
 def test_mk_json_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", "mk", "--n", "30", "--k", "4")
     payload = json.loads(out)

@@ -7,9 +7,27 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import pgcd, pmod, ptrim, torsion_by_schoof, torsion_from_group_order
+from oracles import (
+    count_roots_brute,
+    ec_group_data,
+    ec_mul,
+    ec_point_count,
+    ec_points,
+    ec_torsion_count_enum,
+    pgcd,
+    pmod,
+    ptrim,
+    torsion_by_schoof,
+    torsion_from_group_order,
+)
 from orbitmoments import local_counts
-from orbitmoments.core_arith import POW_ARRAY_LIMIT, is_prime, prime_segments, primes_in_range
+from orbitmoments.core_arith import (
+    POW_ARRAY_LIMIT,
+    is_prime,
+    kronecker_symbol,
+    prime_segments,
+    primes_in_range,
+)
 from orbitmoments.local_counts import (
     CURVE_PRESETS,
     BadPrimes,
@@ -17,16 +35,10 @@ from orbitmoments.local_counts import (
     SplittingType,
     WeierstrassCurve,
     count_roots_array,
-    count_roots_brute,
     count_roots_formula,
     division_polynomial,
-    ec_group_data,
-    ec_mul,
-    ec_point_count,
-    ec_points,
     ec_torsion_count,
     ec_torsion_count_array,
-    ec_torsion_count_enum,
     parse_curve,
     splitting_mask,
     splitting_type,
@@ -92,6 +104,26 @@ def test_count_roots_formula_falls_back_on_shared_factor():
     assert count_roots_formula(eq, 2) == count_roots_brute(eq, 2)
 
 
+def test_count_roots_formula_matches_brute_at_primes_dividing_na():
+    # p | a leaves the root 0 alone; p | n alone leaves Euler's criterion
+    cases = 0
+    for n in range(1, 13):
+        for a in (-30, -6, -1, 1, 2, 3, 5, 6, 30, 77):
+            eq = PowerEquation(n, a)
+            for p in primes_in_range(2, 200):
+                if p in eq.bad_primes:
+                    cases += 1
+                    assert count_roots_formula(eq, p) == count_roots_brute(eq, p), (p, n, a)
+    assert cases == 262
+
+
+def test_count_roots_formula_at_a_prime_no_scan_could_finish():
+    p = 2**61 - 1
+    assert count_roots_formula(PowerEquation(5, p), p) == 1
+    # p | n, p odd: d = gcd(p - 1, 2p) = 2, so the count is 1 + (3|p)
+    assert count_roots_formula(PowerEquation(2 * p, 3), p) == 1 + kronecker_symbol(3, p)
+
+
 def test_product_system_multiplies():
     for p in primes_in_range(2, 101):
         for n in (2, 3, 6):
@@ -132,7 +164,7 @@ def test_parse_curve():
 def test_point_count_brute_agreement():
     for curve in (CURVE_PRESETS["cm:-1"], CURVE_PRESETS["cm:-3"], WeierstrassCurve(3, 5)):
         for p in primes_in_range(2, 201):
-            if not curve.is_good_prime(p):
+            if p in curve.bad_primes():
                 continue
             assert ec_point_count(curve, p) == len(ec_points(curve, p)) + 1, (
                 curve,
@@ -156,7 +188,7 @@ def test_point_count_rejects_bad_prime():
 def test_hasse_bound():
     for curve in (CURVE_PRESETS["17a3"], CURVE_PRESETS["cm:-1"]):
         for p in primes_in_range(2, 10**4 + 1):
-            if curve.is_good_prime(p):
+            if p not in curve.bad_primes():
                 assert abs(ec_point_count(curve, p) - p - 1) <= 2 * isqrt(p) + 1
 
 
@@ -181,7 +213,7 @@ def _counts_at(curve, primes, ell):
 def test_full_two_torsion_of_cm_curve():
     # x^3 - x = x(x-1)(x+1) splits over every F_p
     curve = CURVE_PRESETS["cm:-1"]
-    primes = np.array([p for p in primes_in_range(2, 501) if curve.is_good_prime(p)])
+    primes = np.array([p for p in primes_in_range(2, 501) if p not in curve.bad_primes()])
     assert ec_torsion_count_array(curve, primes, 2).tolist() == [4] * primes.size
 
 
@@ -264,7 +296,7 @@ def test_cm_supersingular_torsion_is_gcd():
     supersingular = [
         p
         for p in primes_in_range(2, 10**4 + 1)
-        if curve.is_good_prime(p) and splitting_type(p, spec) is not SplittingType.SPLIT
+        if p not in curve.bad_primes() and splitting_type(p, spec) is not SplittingType.SPLIT
     ]
     for p in supersingular:
         assert ec_point_count(curve, p) == p + 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import QuadResidue, enumerate_glm, quad_mul, quad_unit_elements
 from orbitmoments import orbit_engine
 from orbitmoments.closed_forms import dk, gl2_densities, gl2_moment, mk
 from orbitmoments.core_arith import CapacityError, divisor_count
@@ -25,16 +26,7 @@ from orbitmoments.orbit_engine import (
     orbit_size,
     predicted_value_distribution,
 )
-from orbitmoments.residue_algebra import (
-    CLASS_NUMBER_ONE_D,
-    QuadOrderSpec,
-    QuadResidue,
-    enumerate_glm,
-    glm_order,
-    psi,
-    quad_mul,
-    quad_unit_elements,
-)
+from orbitmoments.residue_algebra import CLASS_NUMBER_ONE_D, QuadOrderSpec, glm_order, psi
 
 
 def mulclose(perms: np.ndarray, maxsize: int = 10**6) -> set[tuple[int, ...]]:
@@ -87,6 +79,19 @@ def test_semidirect_honours_the_budgets():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
+
+
+def test_units_and_quad_budget_the_rows_of_their_generating_subset():
+    # units:5 has 4 elements on 5 points; its generating subset has at
+    # most floor(log2(4)) = 2 rows, so the check counts 2 * 5 entries
+    action = build_action("units:5", entry_budget=10)
+    assert not action.materialized
+    assert 1 <= len(action.generators) <= 2
+    with pytest.raises(CapacityError, match="needs 10 generator table entries, budget is 9"):
+        build_action("units:5", entry_budget=9)
+    # a group of order 1 still counts one row
+    with pytest.raises(CapacityError, match="needs 2 generator table entries, budget is 1"):
+        build_action("units:2", entry_budget=1)
 
 
 def test_build_gl2_counts():
@@ -384,7 +389,7 @@ def test_predicted_distribution_units_mean():
 
 def test_vectorized_enumeration_matches_reference_enumeration():
     # the action builder's vectorized scan and the generator in
-    # residue_algebra must produce the same matrices in the same order
+    # oracles must produce the same matrices in the same order
     from orbitmoments.orbit_engine import _enumerate_glm_matrices
 
     for n, m in ((3, 2), (4, 2), (2, 3), (6, 2), (9, 2), (12, 1), (1, 2), (997, 1)):

@@ -4,20 +4,17 @@ from math import gcd
 import numpy as np
 import pytest
 
-from orbitmoments.core_arith import CapacityError, euler_phi
-from orbitmoments.residue_algebra import (
-    CLASS_NUMBER_ONE_D,
+from oracles import (
     MatrixModN,
-    QuadOrderSpec,
     QuadResidue,
     det_mod_n,
     enumerate_glm,
-    glm_order,
-    psi,
     quad_mul,
     quad_norm,
     quad_unit_elements,
 )
+from orbitmoments.core_arith import CapacityError, euler_phi
+from orbitmoments.residue_algebra import CLASS_NUMBER_ONE_D, QuadOrderSpec, glm_order, psi
 
 
 def test_quad_spec_validation():
