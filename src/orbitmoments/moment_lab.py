@@ -121,7 +121,16 @@ class PowerProductCounter:
             raise ValueError("second factor must be x**n - 1 with matching n")
         if self.k1 < 1 or self.k2 < 0:
             raise ValueError("need k1 >= 1 and k2 >= 0")
-        _check_square_free_positive(self.eq_a.a)
+        a, n = self.eq_a.a, self.eq_a.n
+        _check_square_free_positive(a)
+        if a == 1:
+            raise ValueError("a must be > 1: for a = 1 the product is a power moment of x**n - 1")
+        # For even n, sqrt(a) lies in Q(a**(1/n)), and also in Q(zeta_n) when
+        # the discriminant of Q(sqrt(a)) divides n; mk(n, k(k1 + k2) - 1) is
+        # then not the limit.
+        disc = a if a % 4 == 1 else 4 * a
+        if n % 2 == 0 and n % disc == 0:
+            raise ValueError("for even n the discriminant of Q(sqrt(a)) must not divide n")
 
     @property
     def scenario(self) -> str:

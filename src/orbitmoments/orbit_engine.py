@@ -10,23 +10,32 @@ element permutation table is only built when something asks for it, and
 so are the permutation rows of its generators, which only the orbit
 oracle reads.  units and quad list every element, and their generators
 are a small generating subset of that list (_generating_subset).
+
+Three budgets bound memory, each checked once, before what it bounds is
+allocated: ELEMENT_BUDGET the candidates a build scans (n for units, n**2
+for quad in build_quad_units, n**(m*m) in _enumerate_glm_matrices),
+ENTRY_BUDGET the entries of every permutation table (_check_table), and
+TUPLE_BUDGET the tuples the orbit oracle labels (orbit_count_oracle), so
+build_glm refuses a generator-only action with more points than that.
+glm lists its elements only when order <= ELEMENT_BUDGET and order * size
+<= ENTRY_BUDGET; units and quad always do.
 """
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from itertools import combinations
 from math import factorial, gcd
 
 import numpy as np
 
-from .core_arith import CapacityError, factorize, is_prime
+from .core_arith import CapacityError, euler_phi, factorize, is_prime
 from .residue_algebra import QuadOrderSpec, glm_order
 
-DEFAULT_ELEMENT_BUDGET = 10**7
-DEFAULT_ENTRY_BUDGET = 6 * 10**7
-DEFAULT_TUPLE_BUDGET = 10**7
+ELEMENT_BUDGET = 10**7
+ENTRY_BUDGET = 6 * 10**7
+TUPLE_BUDGET = 10**7
 # matrices per vectorized step when enumerating or valuing a stack
 _MATRIX_CHUNK = 1 << 15
 
@@ -81,39 +90,31 @@ class PermutationAction:
         return self.generator_table
 
 
-def build_units(n: int, **budgets) -> PermutationAction:
-    """(Z/nZ)^x acting on Z/nZ by multiplication, as GL_1(Z/nZ).
+def _check_table(rows: int, size: int) -> None:
+    """Refuse a permutation table of rows x size entries past ENTRY_BUDGET."""
+    if rows * size > ENTRY_BUDGET:
+        raise CapacityError(rows * size, ENTRY_BUDGET, what="permutation table entries")
 
-    The generators are a small generating subset of the units, picked when
-    they are first read.
-    """
+
+def build_units(n: int) -> PermutationAction:
+    """(Z/nZ)^x acting on Z/nZ by multiplication, as GL_1(Z/nZ)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    units = _enumerate_glm_matrices(n, 1)
-    return _matrix_action(
-        n, units, lambda: units, len(units), f"units:{n}", whole_group=True, **budgets
-    )
+    return _unit_group(n, _enumerate_glm_matrices(n, 1), f"units:{n}")
 
 
-def build_semidirect(
-    n: int,
-    element_budget: int = DEFAULT_ELEMENT_BUDGET,
-    entry_budget: int = DEFAULT_ENTRY_BUDGET,
-) -> PermutationAction:
+def build_semidirect(n: int) -> PermutationAction:
     """Pairs (b, d) with d a unit, acting on (i, j) by (b + i*d, j*d).
 
     Row b*phi(n) + t is the pair (b, units[t]); point index = i*n + j.
-    The action keeps its whole permutation table, so an order or a table
-    over its budget raises CapacityError before anything is allocated.
+    The action keeps its whole permutation table, so a table over
+    ENTRY_BUDGET raises CapacityError before anything is allocated.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    phi = euler_phi(n)
+    _check_table(n * phi, n * n)
     units = np.array([d for d in range(n) if gcd(d, n) == 1])
-    phi = len(units)
-    if n * phi > element_budget:
-        raise CapacityError(n * phi, element_budget, what="group elements")
-    if n * phi * n * n > entry_budget:
-        raise CapacityError(n * phi * n * n, entry_budget, what="permutation table entries")
     i_grid, j_grid = np.divmod(np.arange(n * n), n)
     d = units[:, None]
     perms = np.empty((n, phi, n * n), dtype=_perm_dtype(n * n))
@@ -131,26 +132,33 @@ def build_semidirect(
     )
 
 
-def build_quad_units(n: int, d: int, **budgets) -> PermutationAction:
+def build_quad_units(n: int, d: int) -> PermutationAction:
     """(O_K/nO_K)^x acting on O_K/nO_K by multiplication.
 
     Multiplication by u = a + b*omega is the matrix [[a, s*b], [b, a + t*b]]
     on the basis (1, omega), and u is a unit iff gcd(det, n) = 1.  The point
     x + y*omega has index x + y*n, as for glm:n,2; units are ordered by (a, b).
-    Orbit counts do not depend on how points or elements are numbered.  The
-    generators are a small generating subset of the units, picked when they
-    are first read.
+    Orbit counts do not depend on how points or elements are numbered.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n * n > ELEMENT_BUDGET:
+        raise CapacityError(n * n, ELEMENT_BUDGET, what="candidate matrices")
     spec = QuadOrderSpec(d)
     a, b = np.divmod(np.arange(n * n, dtype=np.int64), n)
     entries = [[a, spec.s * b % n], [b, (a + spec.t * b) % n]]
-    mats = np.stack([*entries[0], *entries[1]], axis=1).reshape(-1, 2, 2)
-    units = mats[np.gcd(_det_mod(entries, n), n) == 1]
-    descriptor = f"quad:{n},{d}"
+    unit = np.gcd(_det_mod(entries, n), n) == 1
+    # entries lie in [0, n), so the units are stored as glm stores its elements
+    units = np.stack([e[unit] for row in entries for e in row], axis=1).astype(_perm_dtype(n))
+    return _unit_group(n, units.reshape(-1, 2, 2), f"quad:{n},{d}")
+
+
+def _unit_group(n: int, units: np.ndarray, descriptor: str) -> PermutationAction:
+    """The commutative matrix group that the stack units lists, keeping every
+    element; its generators are a small generating subset of them."""
     return _matrix_action(
-        n, units, lambda: units, len(units), descriptor, whole_group=True, **budgets
+        n, units.shape[1], len(units), descriptor, units,
+        lambda: units[_generating_subset(units, n, descriptor)],
     )
 
 
@@ -159,6 +167,7 @@ def _apply_matrices(mats: np.ndarray, n: int) -> np.ndarray:
     (Z/nZ)**m, where vector v has index sum v_i * n**i."""
     m = mats.shape[1]
     size = n**m
+    _check_table(len(mats), size)
     idx = np.arange(size, dtype=np.int64)
     points = np.stack([(idx // n**i) % n for i in range(m)])  # column j is vector j
     weights = (n ** np.arange(m, dtype=np.int64)).reshape(1, m, 1)
@@ -172,48 +181,27 @@ def _apply_matrices(mats: np.ndarray, n: int) -> np.ndarray:
 
 
 def _matrix_action(
-    n: int,
-    generators: np.ndarray,
-    elements,
-    order: int,
-    descriptor: str,
-    element_budget: int = DEFAULT_ELEMENT_BUDGET,
-    entry_budget: int = DEFAULT_ENTRY_BUDGET,
-    whole_group: bool = False,
+    n: int, m: int, order: int, descriptor: str, elements, generator_matrices: Callable
 ) -> PermutationAction:
     """A group of m x m matrices mod n acting on (Z/nZ)**m.
 
-    generators is a (g, m, m) stack that generates the group, and elements()
-    returns the (order, m, m) stack of every element.  elements() is called
-    only when the order and the permutation table fit the budgets, and the
-    stack is kept in place of that table; otherwise only the generating set
-    is kept and moment evaluation goes through direct orbit counting.  The
-    generator table must fit entry_budget, and its rows are built when the
-    generators are first read.  whole_group says that generators lists
-    every element of a commutative group: the rows are then built for a
-    small generating subset of it (_generating_subset), which has at most
-    floor(log2(order)) rows, and the check counts that many (at least 1).
+    elements is the (order, m, m) stack of every element, kept in place of
+    a permutation table, or None for an action that keeps only its
+    generators, whose moments then go through direct orbit counting.
+    generator_matrices() returns a stack that generates the group; it is
+    called when the generators are first read.  Both stacks were scanned
+    under ELEMENT_BUDGET, and _apply_matrices checks each permutation table
+    against ENTRY_BUDGET when perms or generators is first read.
     """
-    size = n ** generators.shape[1]
-    rows = max(1, order.bit_length() - 1) if whole_group else len(generators)
-    if rows * size > entry_budget:
-        raise CapacityError(rows * size, entry_budget, what="generator table entries")
-    fits = order <= element_budget and order * size <= entry_budget
-
-    def make_generators() -> np.ndarray:
-        if whole_group:
-            return _apply_matrices(generators[_generating_subset(generators, n, descriptor)], n)
-        return _apply_matrices(generators, n)
-
     return PermutationAction(
-        size=size,
+        size=n**m,
         table=None,
         generator_table=None,
         group_order=order,
         descriptor=descriptor,
-        matrices=elements() if fits else None,
+        matrices=elements,
         modulus=n,
-        make_generators=make_generators,
+        make_generators=lambda: _apply_matrices(generator_matrices(), n),
     )
 
 
@@ -267,8 +255,9 @@ def _generating_subset(stack: np.ndarray, n: int, descriptor: str) -> np.ndarray
     return np.array(kept, dtype=np.int64)
 
 
-def _glm_generator_matrices(n: int, m: int) -> list[np.ndarray]:
-    """Elementary transvections plus scalings diag(u, 1, ..., 1) of the first coordinate.
+def _glm_generator_matrices(n: int, m: int) -> np.ndarray:
+    """Elementary transvections plus scalings diag(u, 1, ..., 1) of the first
+    coordinate, as a stack of matrices mod n.
 
     These generate GL_m(Z/nZ): Gaussian elimination works locally at each
     prime power, and the determinant is adjusted by the diagonal units.
@@ -288,18 +277,27 @@ def _glm_generator_matrices(n: int, m: int) -> list[np.ndarray]:
                 gens.append(g)
     if not gens:
         gens.append(np.eye(m, dtype=np.int64))
-    return gens
+    return np.stack(gens) % n
 
 
-def build_glm(n: int, m: int, **budgets) -> PermutationAction:
-    """GL_m(Z/nZ) acting on (Z/nZ)**m; vector index = sum v_i * n**i."""
+def build_glm(n: int, m: int) -> PermutationAction:
+    """GL_m(Z/nZ) acting on (Z/nZ)**m; vector index = sum v_i * n**i.
+
+    Past the listing rule of the module docstring only the generators are
+    kept, and their matrices are made when they are first read.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 1 or m > 4:
         raise ValueError("matrix dimension must be between 1 and 4")
-    gens = np.stack([g % n for g in _glm_generator_matrices(n, m)])
-    elements = partial(_enumerate_glm_matrices, n, m)
-    return _matrix_action(n, gens, elements, glm_order(n, m), f"glm:{n},{m}", **budgets)
+    order, size = glm_order(n, m), n**m
+    listed = order <= ELEMENT_BUDGET and order * size <= ENTRY_BUDGET
+    if not listed and size > TUPLE_BUDGET:
+        raise CapacityError(size, TUPLE_BUDGET, what="points for the orbit oracle to label")
+    elements = _enumerate_glm_matrices(n, m) if listed else None
+    return _matrix_action(
+        n, m, order, f"glm:{n},{m}", elements, lambda: _glm_generator_matrices(n, m)
+    )
 
 
 def _enumerate_glm_matrices(n: int, m: int) -> np.ndarray:
@@ -310,8 +308,11 @@ def _enumerate_glm_matrices(n: int, m: int) -> np.ndarray:
     (_glm_flags).  Candidates come in _lex_blocks, and the flag index of
     each is an np.add.outer sum of the offset of its leading entries and
     that of its trailing ones.  Entries lie in [0, n), so they are stored in
-    the dtype of a permutation of n points.
+    the dtype of a permutation of n points.  More than ELEMENT_BUDGET
+    candidates, n**(m*m), raise CapacityError before any is made.
     """
+    if n ** (m * m) > ELEMENT_BUDGET:
+        raise CapacityError(n ** (m * m), ELEMENT_BUDGET, what="candidate matrices")
     dtype = _perm_dtype(n)
     blocks, trailing = _lex_blocks(n, m * m)
     trailing = trailing.astype(dtype)
@@ -382,15 +383,15 @@ def _det_mod(rows: list, n: int):
     return total % n
 
 
-def build_gl2(ell: int, **budgets) -> PermutationAction:
+def build_gl2(ell: int) -> PermutationAction:
     if not is_prime(ell):
         raise ValueError("gl2 actions are indexed by a prime")
-    action = build_glm(ell, 2, **budgets)
+    action = build_glm(ell, 2)
     action.descriptor = f"gl2:{ell}"
     return action
 
 
-def build_action(descriptor: str, **budgets) -> PermutationAction:
+def build_action(descriptor: str) -> PermutationAction:
     """Build from a descriptor string: units:4, glm:12,2, semidirect:6,
     quad:5,-1, gl2:7."""
     kind, _, arg = descriptor.partition(":")
@@ -399,15 +400,15 @@ def build_action(descriptor: str, **budgets) -> PermutationAction:
     except ValueError:
         raise ValueError(f"bad action descriptor {descriptor!r}")
     if kind == "units" and len(nums) == 1:
-        return build_units(nums[0], **budgets)
+        return build_units(nums[0])
     if kind == "semidirect" and len(nums) == 1:
-        return build_semidirect(nums[0], **budgets)
+        return build_semidirect(nums[0])
     if kind == "quad" and len(nums) == 2:
-        return build_quad_units(nums[0], nums[1], **budgets)
+        return build_quad_units(nums[0], nums[1])
     if kind == "glm" and len(nums) == 2:
-        return build_glm(nums[0], nums[1], **budgets)
+        return build_glm(nums[0], nums[1])
     if kind == "gl2" and len(nums) == 1:
-        return build_gl2(nums[0], **budgets)
+        return build_gl2(nums[0])
     raise ValueError(f"bad action descriptor {descriptor!r}")
 
 
@@ -538,15 +539,13 @@ def _orbit_labels(generators: np.ndarray, size: int, k: int) -> np.ndarray:
             return labels
 
 
-def orbit_count_oracle(
-    action: PermutationAction, k: int, tuple_budget: int = DEFAULT_TUPLE_BUDGET
-) -> int:
+def orbit_count_oracle(action: PermutationAction, k: int) -> int:
     """Count orbits on k-tuples directly, from the generators alone."""
     if k < 1:
         raise ValueError("k must be >= 1")
     total = action.size**k
-    if total > tuple_budget:
-        raise CapacityError(total, tuple_budget, what="tuples")
+    if total > TUPLE_BUDGET:
+        raise CapacityError(total, TUPLE_BUDGET, what="tuples")
     labels = _orbit_labels(action.generators, action.size, k)
     return int(np.count_nonzero(labels == np.arange(total)))
 

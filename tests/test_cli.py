@@ -1,9 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
+import orbitmoments
 from orbitmoments.cli import main
 
 
@@ -17,6 +21,16 @@ def test_mk_command(capsys):
     code, out, _ = run_cli(capsys, "mk", "--n", "4", "--k", "2")
     assert code == 0
     assert out.strip() == "10"
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orbitmoments.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "orbitmoments", "mk", "--n", "4", "--k", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (0, "10\n"), done.stderr
 
 
 def test_dk_command(capsys):
@@ -93,9 +107,10 @@ def test_orbits_on_units_997_agrees_with_its_oracle(capsys):
 
 
 def test_orbits_on_units_whose_element_table_is_over_budget(capsys):
-    # order * size is over the entry budget, so only the rows of a
-    # generating subset are built: at most floor(log2(order)) of them
-    from orbitmoments.closed_forms import dk
+    # their permutation tables are past ENTRY_BUDGET, but units and quad
+    # keep their element lists: Burnside reads the histogram off the
+    # matrices, and the oracle builds rows for a generating subset only
+    from orbitmoments.closed_forms import dk, mk
     from orbitmoments.core_arith import divisor_count
     from orbitmoments.residue_algebra import QuadOrderSpec
 
@@ -109,6 +124,15 @@ def test_orbits_on_units_whose_element_table_is_over_budget(capsys):
         assert code == 0, descriptor
         payload = json.loads(out)
         assert payload["oracle"] == payload["moment"] == want, descriptor
+    # k = 2 has over 10**6 tuples, so only the histogram answers; quad:89,-1
+    # is 91**2, (p + 2)**2 at a split prime p
+    cases = {"units:10007": (2, mk(10007, 2)), "quad:89,-1": (2, 91**2)}
+    # 4,000,000 candidate matrices, within ELEMENT_BUDGET
+    cases["quad:2000,-1"] = (1, dk(2000, QuadOrderSpec(-1)))
+    assert [want for _, want in cases.values()] == [10009, 8281, 144]
+    for descriptor, (k, want) in cases.items():
+        code, out, _ = run_cli(capsys, "orbits", "--action", descriptor, "--k", str(k))
+        assert (code, out) == (0, f"{want}\n"), descriptor
 
 
 def test_mk_json_roundtrip(capsys):
@@ -289,13 +313,23 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
-def test_dist_rejects_a_generator_table_over_budget(capsys):
+def test_dist_rejects_a_generator_only_action_past_the_tuple_budget(capsys):
+    # 9999**4 points, more than the orbit oracle could label even at k = 1
     code, out, err = run_cli(
         capsys, "dist", "--scenario", "power", "--n", "4", "--x", "1000", "--action", "glm:9999,4"
     )
     assert code == 2
     assert out == ""
-    assert "generator table entries, budget is 60000000" in err
+    assert "needs 9996000599960001 points for the orbit oracle to label" in err
+    assert "budget is 10000000" in err
+
+
+def test_moment_rejects_a_product_whose_limit_does_not_hold(capsys):
+    argv = ["moment", "--scenario", "product", "--n", "8", "--a", "2", "--k", "1", "--x", "1000"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "discriminant of Q(sqrt(a)) must not divide n" in err
 
 
 def test_orbits_rejects_a_semidirect_table_over_budget(capsys):

@@ -169,6 +169,24 @@ def test_product_counter_validation():
             PowerProductCounter(PowerEquation(6, a), PowerEquation(6, 1), 1, 1)
 
 
+def test_product_counter_refuses_even_n_divisible_by_the_discriminant_of_a():
+    # sqrt(a) then lies in Q(zeta_n), and the empirical moment misses
+    # mk(n, k1 + k2 - 1) by 11-49% at x = 3 * 10**6
+    for n, a in ((8, 2), (10, 5), (12, 3), (16, 2), (20, 5), (24, 6)):
+        with pytest.raises(ValueError, match="discriminant"):
+            PowerProductCounter(PowerEquation(n, a), PowerEquation(n, 1), 1, 1)
+    # a = 1 squares x**n - 1, whose moments are mk(n, k), for odd n too
+    for n in (3, 6):
+        with pytest.raises(ValueError, match="a = 1"):
+            PowerProductCounter(PowerEquation(n, 1), PowerEquation(n, 1), 1, 1)
+    # odd n, or a discriminant (a, or 4a unless a = 1 mod 4) that does not divide n
+    for n, a in ((4, 2), (6, 2), (6, 3), (8, 3), (12, 5), (5, 5), (15, 5)):
+        counter = PowerProductCounter(PowerEquation(n, a), PowerEquation(n, 1), 1, 1)
+        report = empirical_moment(counter, 1, 10**6)
+        assert report.predicted == mk(n, 1)
+        assert report.rel_err < 0.02, (n, a, report.rel_err)
+
+
 def test_torsion_counter_validation():
     with pytest.raises(ValueError):
         TorsionCounter(CURVE_PRESETS["17a3"], 4)

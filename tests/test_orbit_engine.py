@@ -63,13 +63,14 @@ def test_build_semidirect_shape():
     assert fixed_point_histogram(action) == {0: 1, 4: 1}
 
 
-def test_semidirect_honours_the_budgets():
+def test_semidirect_honours_the_budgets(monkeypatch):
     # semidirect:5 has 5 * 4 elements, each a row of 25 entries
-    assert build_action("semidirect:5", entry_budget=500).perms.shape == (20, 25)
+    monkeypatch.setattr(orbit_engine, "ENTRY_BUDGET", 500)
+    assert build_action("semidirect:5").perms.shape == (20, 25)
+    monkeypatch.setattr(orbit_engine, "ENTRY_BUDGET", 499)
     with pytest.raises(CapacityError, match="needs 500 permutation table entries, budget is 499"):
-        build_action("semidirect:5", entry_budget=499)
-    with pytest.raises(CapacityError, match="needs 20 group elements, budget is 19"):
-        build_action("semidirect:5", element_budget=19)
+        build_action("semidirect:5")
+    monkeypatch.undo()
     # the default budget stops semidirect:127 before its 2.6e8-entry table is built
     tracemalloc.start()
     try:
@@ -81,17 +82,55 @@ def test_semidirect_honours_the_budgets():
     assert peak < 1 << 20, peak
 
 
-def test_units_and_quad_budget_the_rows_of_their_generating_subset():
-    # units:5 has 4 elements on 5 points; its generating subset has at
-    # most floor(log2(4)) = 2 rows, so the check counts 2 * 5 entries
-    action = build_action("units:5", entry_budget=10)
-    assert not action.materialized
-    assert 1 <= len(action.generators) <= 2
-    with pytest.raises(CapacityError, match="needs 10 generator table entries, budget is 9"):
-        build_action("units:5", entry_budget=9)
-    # a group of order 1 still counts one row
-    with pytest.raises(CapacityError, match="needs 2 generator table entries, budget is 1"):
-        build_action("units:2", entry_budget=1)
+def test_units_and_quad_budget_the_rows_of_their_generating_subset(monkeypatch):
+    # units:5 has 4 elements on 5 points and is generated by 2 alone; the
+    # element list is kept whatever ENTRY_BUDGET is, and each permutation
+    # table is checked against it when first read
+    monkeypatch.setattr(orbit_engine, "ENTRY_BUDGET", 5)
+    action = build_action("units:5")
+    assert action.materialized
+    assert burnside_moment(action, 2) == mk(5, 2)
+    assert action.generators.tolist() == [[0, 2, 4, 1, 3]]
+    with pytest.raises(CapacityError, match="needs 20 permutation table entries, budget is 5"):
+        action.perms
+    assert action.table is None
+    # quad:2,-1 is {1, i} on 4 points, generated by i alone
+    monkeypatch.setattr(orbit_engine, "ENTRY_BUDGET", 3)
+    quad = build_action("quad:2,-1")
+    with pytest.raises(CapacityError, match="needs 4 permutation table entries, budget is 3"):
+        quad.generators
+    assert quad.generator_table is None
+
+
+def _refusal_and_peak(build) -> tuple[str, int]:
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as info:
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return str(info.value), peak
+
+
+def test_refusals_come_before_any_allocation():
+    cases = {
+        "units:30000001": "needs 30000001 candidate matrices",
+        "quad:4000,-1": "needs 16000000 candidate matrices",
+        "glm:3000017,2": "needs 9000102000289 points for the orbit oracle",
+        "gl2:3000017": "needs 9000102000289 points for the orbit oracle",
+        "glm:9999,4": "needs 9996000599960001 points for the orbit oracle",
+    }
+    for descriptor, message in cases.items():
+        error, peak = _refusal_and_peak(lambda: build_action(descriptor))
+        assert message in error, (descriptor, error)
+        assert peak < 1 << 20, (descriptor, peak)
+    # units:10007 keeps its 10,006 elements; their table would be 100,130,042 entries
+    action = build_action("units:10007")
+    error, peak = _refusal_and_peak(lambda: action.perms)
+    assert "needs 100130042 permutation table entries, budget is 60000000" in error
+    assert peak < 1 << 20, peak
+    assert action.table is None
 
 
 def test_build_gl2_counts():
@@ -137,7 +176,7 @@ def test_generators_generate_the_whole_group():
 def test_generating_subset_rejects_a_stack_that_is_not_a_group():
     # 1 and 2 mod 5 are not closed under products: 2 * 2 = 4 is missing
     stack = np.array([1, 2], dtype=np.uint8).reshape(2, 1, 1)
-    action = orbit_engine._matrix_action(5, stack, lambda: stack, 2, "broken:5", whole_group=True)
+    action = orbit_engine._unit_group(5, stack, "broken:5")
     with pytest.raises(ArithmeticError, match="broken:5"):
         action.generators
 
@@ -252,13 +291,17 @@ def test_units_is_glm_dimension_one():
         assert np.array_equal(build_units(n).perms, build_glm(n, 1).perms), n
 
 
-def test_budgets_reach_units_and_quad():
-    quad = build_action("quad:8,-1", element_budget=10)
-    assert quad.perms is None
+def test_budgets_reach_units_and_quad(monkeypatch):
+    # ELEMENT_BUDGET caps the candidates scanned: n**2 for quad, n for units
+    monkeypatch.setattr(orbit_engine, "ELEMENT_BUDGET", 64)
+    quad = build_action("quad:8,-1")
     assert burnside_moment(quad, 1) == dk(8, QuadOrderSpec(-1))
-    units = build_action("units:12", element_budget=1)
-    assert units.perms is None
-    assert burnside_moment(units, 1) == mk(12, 1)
+    with pytest.raises(CapacityError, match="needs 81 candidate matrices, budget is 64"):
+        build_action("quad:9,-1")
+    monkeypatch.setattr(orbit_engine, "ELEMENT_BUDGET", 12)
+    assert burnside_moment(build_action("units:12"), 1) == mk(12, 1)
+    with pytest.raises(CapacityError, match="needs 13 candidate matrices, budget is 12"):
+        build_action("units:13")
 
 
 def test_burnside_rejects_bad_group():
@@ -275,7 +318,8 @@ def test_burnside_rejects_k_zero():
 
 
 def test_generator_mode_glm():
-    action = build_glm(6, 3, element_budget=10)
+    # 1,886,976 elements, whose 216-point table is past ENTRY_BUDGET
+    action = build_glm(6, 3)
     assert action.perms is None
     assert action.group_order == glm_order(6, 3)
     assert burnside_moment(action, 1) == divisor_count(6)
@@ -283,9 +327,11 @@ def test_generator_mode_glm():
     assert burnside_moment(build_glm(6, 2), 1) == divisor_count(6)
 
 
-def test_generator_mode_matches_materialized():
+def test_generator_mode_matches_materialized(monkeypatch):
     for n in (2, 3, 4, 6, 8):
-        forced = build_glm(n, 2, element_budget=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(orbit_engine, "ELEMENT_BUDGET", 1)
+            forced = build_glm(n, 2)
         assert forced.perms is None
         full = build_glm(n, 2)
         for k in (1, 2):
@@ -308,9 +354,12 @@ def test_oracle_singleton():
         assert orbit_count_oracle(action, k) == 1
 
 
-def test_oracle_budget():
-    with pytest.raises(CapacityError):
-        orbit_count_oracle(build_units(60), 4, tuple_budget=10**5)
+def test_oracle_budget(monkeypatch):
+    action = build_units(60)
+    monkeypatch.setattr(orbit_engine, "TUPLE_BUDGET", 10**5)
+    with pytest.raises(CapacityError, match="needs 12960000 tuples, budget is 100000"):
+        orbit_count_oracle(action, 4)
+    assert orbit_count_oracle(action, 2) == mk(60, 2)
 
 
 def test_oracle_on_generator_only_glm():
@@ -364,8 +413,10 @@ def test_orbit_sizes_are_psi():
             assert orbit_size(action, r % n) == psi(n // r, 2), (n, r)
 
 
-def test_orbit_size_generator_mode():
-    action = build_glm(6, 2, element_budget=1)
+def test_orbit_size_generator_mode(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(orbit_engine, "ELEMENT_BUDGET", 1)
+        action = build_glm(6, 2)
     full = build_glm(6, 2)
     for point in range(action.size):
         assert orbit_size(action, point) == orbit_size(full, point)
@@ -510,7 +561,8 @@ def test_invariant_factors_count_the_kernel(case):
 def test_kernel_sizes_refuse_minors_past_int64():
     with pytest.raises(OverflowError, match="past int64"):
         _kernel_sizes(np.zeros((1, 4, 4), dtype=np.int64), 2**20)
-    # a 4-dimensional action inside the default entry budget has n**4 <= 6 * 10**7
+    # only listed actions have a histogram; a listed 4-dimensional glm has
+    # order * n**4 <= ENTRY_BUDGET = 6 * 10**7, so n <= 88
     assert _kernel_sizes(np.zeros((1, 4, 4), dtype=np.int64), 88)[0] == 88**4
 
 
