@@ -209,9 +209,8 @@ def parse_curve(text: str) -> WeierstrassCurve:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomials (coefficient lists, index = degree).  Every product is a
-# Kronecker substitution: each factor is packed into one int, w bits per
-# coefficient, and the product is a single big-int multiply.
+# Dense polynomials (coefficient lists, index = degree) with exact integer
+# coefficients: a product is np.convolve on object arrays of Python ints.
 
 def _ptrim(f):
     while f and f[-1] == 0:
@@ -219,30 +218,11 @@ def _ptrim(f):
     return f
 
 
-def _pack(coeffs, w: int) -> int:
-    """sum of c_i * 2**(w*i); negative coefficients borrow from the next slot."""
-    v = 0
-    for c in reversed(coeffs):
-        v = (v << w) + c
-    return v
-
-
 def _pmul(f, g):
     """Exact product of two polynomials with integer coefficients."""
     if not f or not g:
         return []
-    bound = max(map(abs, f)) * max(map(abs, g)) * min(len(f), len(g))
-    w = bound.bit_length() + 1  # every product coefficient is below 2**(w-1) in size
-    v = _pack(f, w) * _pack(g, w)
-    mask, half, full = (1 << w) - 1, 1 << (w - 1), 1 << w
-    out = []
-    for _ in range(len(f) + len(g) - 1):
-        c = v & mask
-        if c >= half:
-            c -= full
-        out.append(c)
-        v = (v - c) >> w
-    return _ptrim(out)
+    return _ptrim(np.convolve(np.array(f, dtype=object), np.array(g, dtype=object)).tolist())
 
 
 def _psub(f, g):

@@ -1,36 +1,42 @@
-"""Finite group actions as explicit permutations, and exact orbit counting.
+"""Finite group actions and exact orbit counting.
 
 The k-th moment of an action is the number of orbits on k-tuples.  For a
 materialized action it is evaluated through the fixed-point histogram
 (average of chi(g)**k over the group); actions too large to materialize
 keep a generating set and fall back to direct orbit counting on the tuple
 space, which computes the same number from its definition.  A matrix
-action reads its histogram off the invariant factors of g - I, so its
-element permutation table is only built when something asks for it, and
-so are the permutation rows of its generators, which only the orbit
-oracle reads.  units and quad list every element, and their generators
-are a small generating subset of that list (_generating_subset).
+action keeps its element matrices and reads its histogram off the
+invariant factors of g - I; semidirect keeps only its histogram, in
+closed form.  No action keeps a permutation table: perms builds one for
+a matrix action on request, and the permutation rows of the generators,
+which only the orbit oracle reads, are built when first read.  units and
+quad list every element, and their generators come from a small
+generating subset of that list (_generating_subset).
 
 Three budgets bound memory, each checked once, before what it bounds is
-allocated: ELEMENT_BUDGET the candidates a build scans (n for units, n**2
-for quad in build_quad_units, n**(m*m) in _enumerate_glm_matrices),
-ENTRY_BUDGET the entries of every permutation table (_check_table), and
-TUPLE_BUDGET the tuples the orbit oracle labels (orbit_count_oracle), so
-build_glm refuses a generator-only action with more points than that.
-glm lists its elements only when order <= ELEMENT_BUDGET and order * size
-<= ENTRY_BUDGET; units and quad always do.
+allocated: ELEMENT_BUDGET the candidates a build scans (n for units and
+semidirect, n**2 for quad in build_quad_units, n**(m*m) in
+_enumerate_glm_matrices), ENTRY_BUDGET the entries of every permutation
+table (_check_table), and TUPLE_BUDGET the tuples the orbit oracle labels
+(orbit_count_oracle), so build_glm refuses a generator-only action with
+more points than that.  glm with m >= 2 lists its elements only when
+order <= ELEMENT_BUDGET and order * size <= ENTRY_BUDGET; that second
+clause bounds no table, since none is kept, and is a cost policy that
+keeps the histogram of a listed action cheap.  units (glm with m = 1)
+and quad always list theirs.
 """
 
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
-from math import factorial, gcd
+from math import factorial
 
 import numpy as np
 
-from .core_arith import CapacityError, euler_phi, factorize, is_prime
+from .core_arith import CapacityError, factorize, is_prime
 from .residue_algebra import QuadOrderSpec, glm_order
 
 ELEMENT_BUDGET = 10**7
@@ -52,42 +58,37 @@ def _perm_dtype(size: int):
 class PermutationAction:
     """A finite group acting on {0, ..., size-1}.
 
-    A materialized group keeps its element list: table holds one
-    permutation row per element, or, for a group of m x m matrices acting
-    on (Z/modulus)**m, matrices holds the (order, m, m) element stack and
-    table stays None until perms is first read.  An action that keeps
-    neither has only its generating set.  The generators rows always
-    generate the full group; generator_table holds them, or stays None
-    until generators is first read and make_generators builds them.
+    A materialized group keeps either matrices, the (order, m, m) stack of
+    its elements acting on (Z/modulus)**m, or histogram, its fixed-point
+    histogram; fixed_point_histogram fills histogram in for a matrix
+    action.  An action that keeps neither has only its generating set.
+    generator_rows() returns one permutation row per generator, and the
+    rows always generate the full group; generators calls it once, when
+    first read.
     """
 
     size: int
-    table: np.ndarray | None
-    generator_table: np.ndarray | None
     group_order: int
+    generator_rows: Callable[[], np.ndarray] = field(repr=False)
     descriptor: str = ""
     matrices: np.ndarray | None = None
     modulus: int = 0
-    make_generators: Callable[[], np.ndarray] | None = field(default=None, repr=False)
-    _histogram: dict[int, int] | None = field(default=None, init=False, repr=False)
+    histogram: dict[int, int] | None = field(default=None, repr=False)
 
     @property
     def materialized(self) -> bool:
-        return self.table is not None or self.matrices is not None
+        return self.matrices is not None or self.histogram is not None
 
-    @property
+    @cached_property
     def perms(self) -> np.ndarray | None:
-        """One permutation row per element, built from the matrices on first access."""
-        if self.table is None and self.matrices is not None:
-            self.table = _apply_matrices(self.matrices, self.modulus)
-        return self.table
+        """One permutation row per element of a matrix action, built on first
+        access; None for any other action."""
+        return None if self.matrices is None else _apply_matrices(self.matrices, self.modulus)
 
-    @property
+    @cached_property
     def generators(self) -> np.ndarray:
         """One permutation row per generator, built on first access."""
-        if self.generator_table is None:
-            self.generator_table = self.make_generators()
-        return self.generator_table
+        return self.generator_rows()
 
 
 def _check_table(rows: int, size: int) -> None:
@@ -98,37 +99,46 @@ def _check_table(rows: int, size: int) -> None:
 
 def build_units(n: int) -> PermutationAction:
     """(Z/nZ)^x acting on Z/nZ by multiplication, as GL_1(Z/nZ)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _unit_group(n, _enumerate_glm_matrices(n, 1), f"units:{n}")
+    action = build_glm(n, 1)
+    action.descriptor = f"units:{n}"
+    return action
 
 
 def build_semidirect(n: int) -> PermutationAction:
-    """Pairs (b, d) with d a unit, acting on (i, j) by (b + i*d, j*d).
+    """Pairs (b, d) with d a unit, acting on (i, j) by (b + i*d, j*d); point
+    index = i*n + j.
 
-    Row b*phi(n) + t is the pair (b, units[t]); point index = i*n + j.
-    The action keeps its whole permutation table, so a table over
-    ENTRY_BUDGET raises CapacityError before anything is allocated.
+    (b, d) fixes (i, j) when i*(d - 1) = -b and j*(d - 1) = 0 mod n.  With
+    g = gcd(d - 1, n), that has g**2 solutions when g | b and none
+    otherwise, so each unit d gives n/g elements fixing g**2 points and
+    n - n/g fixing none.  The histogram is read off the unit scan, and the
+    generators are (1, 1) and (0, u) for u in a generating subset of the
+    units.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    phi = euler_phi(n)
-    _check_table(n * phi, n * n)
-    units = np.array([d for d in range(n) if gcd(d, n) == 1])
-    i_grid, j_grid = np.divmod(np.arange(n * n), n)
-    d = units[:, None]
-    perms = np.empty((n, phi, n * n), dtype=_perm_dtype(n * n))
-    for b in range(n):  # int64 temporaries of one b at a time
-        perms[b] = ((b + i_grid * d) % n) * n + (j_grid * d) % n
-    perms = perms.reshape(-1, n * n)
-    # (1, 1), as units[0] = 1 % n, then every (0, d)
-    gens = perms[[(1 % n) * phi, *range(phi)]]
+    units = _enumerate_glm_matrices(n, 1)
+    hist = Counter()
+    gs, counts = np.unique(np.gcd(units.astype(np.int64) - 1, n), return_counts=True)
+    for g, c in zip(gs.tolist(), counts.tolist()):
+        hist[0] += c * (n - n // g)
+        hist[g * g] += c * (n // g)
+
+    def generator_rows() -> np.ndarray:
+        gens = [(1 % n, 1 % n)] + [
+            (0, int(u)) for u in units[_generating_subset(units, n, f"units:{n}"), 0, 0]
+        ]
+        _check_table(len(gens), n * n)
+        i, j = np.divmod(np.arange(n * n), n)
+        rows = [((b + i * d) % n) * n + (j * d) % n for b, d in gens]
+        return np.stack(rows).astype(_perm_dtype(n * n))
+
     return PermutationAction(
         size=n * n,
-        table=perms,
-        generator_table=gens,
-        group_order=len(perms),
+        group_order=n * len(units),
+        generator_rows=generator_rows,
         descriptor=f"semidirect:{n}",
+        histogram={m: c for m, c in sorted(hist.items()) if c},
     )
 
 
@@ -137,7 +147,9 @@ def build_quad_units(n: int, d: int) -> PermutationAction:
 
     Multiplication by u = a + b*omega is the matrix [[a, s*b], [b, a + t*b]]
     on the basis (1, omega), and u is a unit iff gcd(det, n) = 1.  The point
-    x + y*omega has index x + y*n, as for glm:n,2; units are ordered by (a, b).
+    x + y*omega has index x + y*n, as for glm:n,2; units are ordered by (a, b),
+    and the candidates (a, b) are scanned 2**15 at a time.
+    Every element is kept; the generators are a small generating subset.
     Orbit counts do not depend on how points or elements are numbered.
     """
     if n < 1:
@@ -145,21 +157,18 @@ def build_quad_units(n: int, d: int) -> PermutationAction:
     if n * n > ELEMENT_BUDGET:
         raise CapacityError(n * n, ELEMENT_BUDGET, what="candidate matrices")
     spec = QuadOrderSpec(d)
-    a, b = np.divmod(np.arange(n * n, dtype=np.int64), n)
-    entries = [[a, spec.s * b % n], [b, (a + spec.t * b) % n]]
-    unit = np.gcd(_det_mod(entries, n), n) == 1
-    # entries lie in [0, n), so the units are stored as glm stores its elements
-    units = np.stack([e[unit] for row in entries for e in row], axis=1).astype(_perm_dtype(n))
-    return _unit_group(n, units.reshape(-1, 2, 2), f"quad:{n},{d}")
-
-
-def _unit_group(n: int, units: np.ndarray, descriptor: str) -> PermutationAction:
-    """The commutative matrix group that the stack units lists, keeping every
-    element; its generators are a small generating subset of them."""
-    return _matrix_action(
-        n, units.shape[1], len(units), descriptor, units,
-        lambda: units[_generating_subset(units, n, descriptor)],
-    )
+    kept = []
+    for lo in range(0, n * n, _MATRIX_CHUNK):
+        a, b = np.divmod(np.arange(lo, min(lo + _MATRIX_CHUNK, n * n), dtype=np.int64), n)
+        entries = [[a, spec.s * b % n], [b, (a + spec.t * b) % n]]
+        unit = np.gcd(_det_mod(entries, n), n) == 1
+        # entries lie in [0, n), so the units are stored as glm stores its elements
+        unit_entries = [e[unit].astype(_perm_dtype(n)) for row in entries for e in row]
+        kept.append(np.stack(unit_entries, axis=1))
+    units = np.concatenate(kept).reshape(-1, 2, 2)
+    descriptor = f"quad:{n},{d}"
+    gens = lambda: _apply_matrices(units[_generating_subset(units, n, descriptor)], n)
+    return PermutationAction(n * n, len(units), gens, descriptor, matrices=units, modulus=n)
 
 
 def _apply_matrices(mats: np.ndarray, n: int) -> np.ndarray:
@@ -178,31 +187,6 @@ def _apply_matrices(mats: np.ndarray, n: int) -> np.ndarray:
         images = np.matmul(mats[lo : lo + chunk], points) % n  # (chunk, m, size)
         perms[lo : lo + chunk] = (images * weights).sum(axis=1)
     return perms
-
-
-def _matrix_action(
-    n: int, m: int, order: int, descriptor: str, elements, generator_matrices: Callable
-) -> PermutationAction:
-    """A group of m x m matrices mod n acting on (Z/nZ)**m.
-
-    elements is the (order, m, m) stack of every element, kept in place of
-    a permutation table, or None for an action that keeps only its
-    generators, whose moments then go through direct orbit counting.
-    generator_matrices() returns a stack that generates the group; it is
-    called when the generators are first read.  Both stacks were scanned
-    under ELEMENT_BUDGET, and _apply_matrices checks each permutation table
-    against ENTRY_BUDGET when perms or generators is first read.
-    """
-    return PermutationAction(
-        size=n**m,
-        table=None,
-        generator_table=None,
-        group_order=order,
-        descriptor=descriptor,
-        matrices=elements,
-        modulus=n,
-        make_generators=lambda: _apply_matrices(generator_matrices(), n),
-    )
 
 
 def _generating_subset(stack: np.ndarray, n: int, descriptor: str) -> np.ndarray:
@@ -275,29 +259,28 @@ def _glm_generator_matrices(n: int, m: int) -> np.ndarray:
                 g = np.eye(m, dtype=np.int64)
                 g[i, j] = 1
                 gens.append(g)
-    if not gens:
-        gens.append(np.eye(m, dtype=np.int64))
-    return np.stack(gens) % n
+    # GL_1 of Z/1 or Z/2 is trivial and has no generators
+    return np.array(gens, dtype=np.int64).reshape(-1, m, m) % n
 
 
 def build_glm(n: int, m: int) -> PermutationAction:
     """GL_m(Z/nZ) acting on (Z/nZ)**m; vector index = sum v_i * n**i.
 
     Past the listing rule of the module docstring only the generators are
-    kept, and their matrices are made when they are first read.
+    kept, and their matrices are made when they are first read.  m = 1
+    always lists its elements: its n candidates passed ELEMENT_BUDGET.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 1 or m > 4:
         raise ValueError("matrix dimension must be between 1 and 4")
     order, size = glm_order(n, m), n**m
-    listed = order <= ELEMENT_BUDGET and order * size <= ENTRY_BUDGET
+    listed = m == 1 or (order <= ELEMENT_BUDGET and order * size <= ENTRY_BUDGET)
     if not listed and size > TUPLE_BUDGET:
         raise CapacityError(size, TUPLE_BUDGET, what="points for the orbit oracle to label")
     elements = _enumerate_glm_matrices(n, m) if listed else None
-    return _matrix_action(
-        n, m, order, f"glm:{n},{m}", elements, lambda: _glm_generator_matrices(n, m)
-    )
+    gens = lambda: _apply_matrices(_glm_generator_matrices(n, m), n)
+    return PermutationAction(size, order, gens, f"glm:{n},{m}", matrices=elements, modulus=n)
 
 
 def _enumerate_glm_matrices(n: int, m: int) -> np.ndarray:
@@ -418,33 +401,25 @@ def build_action(descriptor: str) -> PermutationAction:
 def fixed_point_histogram(action: PermutationAction) -> dict[int, int]:
     """m -> number of group elements fixing exactly m points.
 
-    A matrix action counts the fixed points of g as |ker(g - I)| from its
-    matrices (_kernel_sizes, 2**15 elements at a time); any other action
-    compares each permutation row with the identity.  The histogram is
-    computed once per action.  Needs the element list: a generator-only
-    action raises ValueError.
+    An action built with its histogram returns it; a matrix action counts
+    the fixed points of g as |ker(g - I)| from its matrices (_kernel_sizes,
+    2**15 elements at a time), once per action.  A generator-only action
+    has no histogram and raises ValueError.
     """
-    if action._histogram is None:
-        if not action.materialized:
+    if action.histogram is None:
+        if action.matrices is None:
             raise ValueError(
                 f"action {action.descriptor} of order {action.group_order} keeps only its "
                 "generators: its elements were not materialized, so it has no fixed-point histogram"
             )
         counts = np.zeros(action.size + 1, dtype=np.int64)
-        if action.matrices is not None:
-            mats, n = action.matrices, action.modulus
-            identity = np.eye(mats.shape[1], dtype=np.int64)
-            for lo in range(0, len(mats), _MATRIX_CHUNK):
-                fixed = _kernel_sizes(mats[lo : lo + _MATRIX_CHUNK] - identity, n)
-                counts += np.bincount(fixed, minlength=action.size + 1)
-        else:
-            identity = np.arange(action.size, dtype=action.table.dtype)
-            chunk = max(1, 2**24 // max(action.size, 1))
-            for lo in range(0, action.table.shape[0], chunk):
-                fixed = (action.table[lo : lo + chunk] == identity).sum(axis=1)
-                counts += np.bincount(fixed, minlength=action.size + 1)
-        action._histogram = {m: int(c) for m, c in enumerate(counts) if c}
-    return dict(action._histogram)
+        mats, n = action.matrices, action.modulus
+        identity = np.eye(mats.shape[1], dtype=np.int64)
+        for lo in range(0, len(mats), _MATRIX_CHUNK):
+            fixed = _kernel_sizes(mats[lo : lo + _MATRIX_CHUNK] - identity, n)
+            counts += np.bincount(fixed, minlength=action.size + 1)
+        action.histogram = {m: int(c) for m, c in enumerate(counts) if c}
+    return dict(action.histogram)
 
 
 def _kernel_sizes(mats: np.ndarray, n: int) -> np.ndarray:
@@ -554,7 +529,8 @@ def orbit_size(action: PermutationAction, point: int) -> int:
     """Size of the orbit of a single point.
 
     A matrix action marks the images g v mod n of the point's vector v
-    under every element matrix; it never builds the permutation table.
+    under every element matrix; any other action labels the orbits of
+    points through its generators.
     """
     if action.matrices is not None:
         mats, n = action.matrices, action.modulus
@@ -564,8 +540,6 @@ def orbit_size(action: PermutationAction, point: int) -> int:
         for lo in range(0, len(mats), _MATRIX_CHUNK):
             seen[(mats[lo : lo + _MATRIX_CHUNK] @ vector) % n @ weights] = True
         return int(np.count_nonzero(seen))
-    if action.table is not None:
-        return int(np.unique(action.table[:, point]).size)
     labels = _orbit_labels(action.generators, action.size, 1)
     return int(np.count_nonzero(labels == labels[point]))
 

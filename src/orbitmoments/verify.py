@@ -367,8 +367,8 @@ def suite_oracle_equivalence() -> list[CheckResult]:
     """Burnside evaluation against direct orbit counting on tuple spaces.
 
     Two independent derivations: the fixed-point histogram (invariant
-    factors of g - I for matrix actions, row comparison for semidirect)
-    against orbit labels propagated over the generators alone.
+    factors of g - I for matrix actions, the gcd(d - 1, n) closed form for
+    semidirect) against orbit labels propagated over the generators alone.
     """
     catalog = (
         [f"units:{n}" for n in range(1, 25)]

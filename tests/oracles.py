@@ -8,6 +8,9 @@ enumerate, at a cost that grows with p or with the group:
   products, norms and units of O_K/nO_K, one Python object each.
 - MatrixModN, det_mod_n (by cofactor expansion) and enumerate_glm, which
   lists GL_m(Z/nZ) by scanning all n**(m*m) matrices.
+- semidirect_table lists Z/n x| (Z/n)^x as one permutation row per
+  element, and table_histogram counts fixed points by comparing each row
+  of such a table with the identity.
 - ec_add, ec_mul and ec_points are affine point arithmetic and point
   enumeration; ec_torsion_count_enum counts the points P with
   ell*P = infinity among them.
@@ -153,6 +156,26 @@ def enumerate_glm(
         rows = tuple(flat[i * m : (i + 1) * m] for i in range(m))
         if gcd(_det(rows, n), n) == 1:
             yield MatrixModN(n, rows)
+
+
+# ---------------------------------------------------------------------------
+# Permutation tables, one row per group element.
+
+def semidirect_table(n: int) -> np.ndarray:
+    """Row b*phi(n) + t is the pair (b, d), d the t-th unit mod n, acting on
+    (i, j) by (b + i*d, j*d); point index = i*n + j."""
+    units = np.array([d for d in range(n) if gcd(d, n) == 1])
+    i, j = np.divmod(np.arange(n * n), n)
+    b, d = np.arange(n)[:, None, None], units[None, :, None]
+    return (((b + i * d) % n) * n + (j * d) % n).reshape(-1, n * n)
+
+
+def table_histogram(table: np.ndarray) -> dict[int, int]:
+    """m -> number of rows fixing exactly m points, by comparing each row
+    with the identity."""
+    fixed = (table == np.arange(table.shape[1])).sum(axis=1)
+    values, counts = np.unique(fixed, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 # ---------------------------------------------------------------------------

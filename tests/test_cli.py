@@ -332,11 +332,20 @@ def test_moment_rejects_a_product_whose_limit_does_not_hold(capsys):
     assert "discriminant of Q(sqrt(a)) must not divide n" in err
 
 
-def test_orbits_rejects_a_semidirect_table_over_budget(capsys):
-    code, out, err = run_cli(capsys, "orbits", "--action", "semidirect:127", "--k", "1")
-    assert code == 2
-    assert out == ""
-    assert "needs 258096258 permutation table entries, budget is 60000000" in err
+def test_orbits_counts_semidirect_127_from_its_histogram(capsys):
+    # its permutation table would have 258,096,258 entries; none is built
+    for k, want in ((1, 2), (2, 16258)):
+        code, out, _ = run_cli(capsys, "orbits", "--action", "semidirect:127", "--k", str(k))
+        assert code == 0, k
+        assert out.strip() == str(want), k
+
+
+def test_orbits_on_glm_dimension_one_past_the_order_size_clause(capsys):
+    # glm:10007,1 is units:10007: it lists its 10,006 elements, whose
+    # 100,130,042-entry table the order * size clause would have refused
+    code, out, _ = run_cli(capsys, "orbits", "--action", "glm:10007,1", "--k", "2")
+    assert code == 0
+    assert out.strip() == "10009"
 
 
 def test_dist_rejects_predicted_masses_of_a_generator_only_action(capsys):

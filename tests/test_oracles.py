@@ -15,6 +15,8 @@ TEST_ONLY = (
     "_det",
     "DEFAULT_ENUM_BUDGET",
     "enumerate_glm",
+    "semidirect_table",
+    "table_histogram",
     "ec_add",
     "ec_mul",
     "ec_points",

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import QuadResidue, enumerate_glm, quad_mul, quad_unit_elements
+from oracles import (
+    QuadResidue,
+    enumerate_glm,
+    quad_mul,
+    quad_unit_elements,
+    semidirect_table,
+    table_histogram,
+)
 from orbitmoments import orbit_engine
 from orbitmoments.closed_forms import dk, gl2_densities, gl2_moment, mk
 from orbitmoments.core_arith import CapacityError, divisor_count
@@ -27,6 +34,11 @@ from orbitmoments.orbit_engine import (
     predicted_value_distribution,
 )
 from orbitmoments.residue_algebra import CLASS_NUMBER_ONE_D, QuadOrderSpec, glm_order, psi
+
+
+def built(action: PermutationAction, name: str) -> bool:
+    """Whether the cached property name (perms or generators) has been built."""
+    return name in vars(action)
 
 
 def mulclose(perms: np.ndarray, maxsize: int = 10**6) -> set[tuple[int, ...]]:
@@ -63,22 +75,43 @@ def test_build_semidirect_shape():
     assert fixed_point_histogram(action) == {0: 1, 4: 1}
 
 
+def test_semidirect_histogram_matches_its_permutation_table():
+    # the closed form against row comparison on the brute-force table
+    for n in range(1, 41):
+        action = build_semidirect(n)
+        table = semidirect_table(n)
+        assert action.group_order == len(table), n
+        assert fixed_point_histogram(action) == table_histogram(table), n
+        assert action.perms is None, n
+
+
 def test_semidirect_honours_the_budgets(monkeypatch):
-    # semidirect:5 has 5 * 4 elements, each a row of 25 entries
-    monkeypatch.setattr(orbit_engine, "ENTRY_BUDGET", 500)
-    assert build_action("semidirect:5").perms.shape == (20, 25)
-    monkeypatch.setattr(orbit_engine, "ENTRY_BUDGET", 499)
-    with pytest.raises(CapacityError, match="needs 500 permutation table entries, budget is 499"):
-        build_action("semidirect:5")
+    # semidirect:5 keeps no table: its generators are (1, 1) and (0, 2),
+    # two rows of 25 entries, checked against ENTRY_BUDGET when first read
+    monkeypatch.setattr(orbit_engine, "ENTRY_BUDGET", 50)
+    assert build_action("semidirect:5").generators.shape == (2, 25)
+    monkeypatch.setattr(orbit_engine, "ENTRY_BUDGET", 49)
+    action = build_action("semidirect:5")
+    assert burnside_moment(action, 2) == mk(5, 3)
+    error, peak = _refusal_and_peak(lambda: action.generators)
+    assert "needs 50 permutation table entries, budget is 49" in error
+    assert peak < 1 << 20, peak
+    assert not built(action, "generators")
+    # ELEMENT_BUDGET caps the unit scan, n candidates
+    monkeypatch.setattr(orbit_engine, "ELEMENT_BUDGET", 12)
+    assert build_action("semidirect:12").group_order == 48
+    with pytest.raises(CapacityError, match="needs 13 candidate matrices, budget is 12"):
+        build_action("semidirect:13")
     monkeypatch.undo()
-    # the default budget stops semidirect:127 before its 2.6e8-entry table is built
+    # semidirect:127 would have a 2.6e8-entry table; its histogram is a few entries
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError, match="needs 258096258 permutation table entries"):
-            build_semidirect(127)
+        action = build_semidirect(127)
+        values = [burnside_moment(action, k) for k in (1, 2)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert values == [mk(127, 1), mk(127, 3)] == [2, 16258]
     assert peak < 1 << 20, peak
 
 
@@ -93,13 +126,13 @@ def test_units_and_quad_budget_the_rows_of_their_generating_subset(monkeypatch):
     assert action.generators.tolist() == [[0, 2, 4, 1, 3]]
     with pytest.raises(CapacityError, match="needs 20 permutation table entries, budget is 5"):
         action.perms
-    assert action.table is None
+    assert not built(action, "perms")
     # quad:2,-1 is {1, i} on 4 points, generated by i alone
     monkeypatch.setattr(orbit_engine, "ENTRY_BUDGET", 3)
     quad = build_action("quad:2,-1")
     with pytest.raises(CapacityError, match="needs 4 permutation table entries, budget is 3"):
         quad.generators
-    assert quad.generator_table is None
+    assert not built(quad, "generators")
 
 
 def _refusal_and_peak(build) -> tuple[str, int]:
@@ -130,7 +163,22 @@ def test_refusals_come_before_any_allocation():
     error, peak = _refusal_and_peak(lambda: action.perms)
     assert "needs 100130042 permutation table entries, budget is 60000000" in error
     assert peak < 1 << 20, peak
-    assert action.table is None
+    assert not built(action, "perms")
+
+
+def test_building_quad_stays_near_its_unit_stack():
+    # 4,000,000 candidates (a, b) are scanned 2**15 at a time, so the peak is
+    # the kept units (twice, while they are joined) and one block of int64
+    # temporaries, not n**2-long arrays
+    tracemalloc.start()
+    try:
+        action = build_action("quad:2000,-1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert action.matrices.dtype == np.uint16
+    assert action.group_order == len(action.matrices) == 1280000
+    assert peak < 3 * action.matrices.nbytes, (peak, action.matrices.nbytes)
 
 
 def test_build_gl2_counts():
@@ -142,16 +190,18 @@ def test_build_gl2_counts():
 def test_action_rows_are_bijections():
     for desc in ("units:6", "semidirect:4", "quad:3,-7", "glm:4,2", "gl2:5"):
         action = build_action(desc)
-        for row in action.perms:
+        # semidirect has generator rows only
+        rows = [*action.generators, *(action.perms if action.perms is not None else [])]
+        for row in rows:
             assert sorted(int(v) for v in row) == list(range(action.size)), desc
 
 
 def test_identity_in_every_action():
     for desc in ("units:8", "semidirect:5", "quad:4,-2", "glm:3,2", "gl2:7"):
         action = build_action(desc)
-        identity = tuple(range(action.size))
-        rows = {tuple(int(v) for v in row) for row in action.perms}
-        assert identity in rows
+        if action.perms is not None:
+            identity = tuple(range(action.size))
+            assert identity in {tuple(int(v) for v in row) for row in action.perms}
         # identity is the only element fixing everything in these faithful actions
         assert fixed_point_histogram(action).get(action.size) == 1
 
@@ -166,7 +216,8 @@ def test_generators_generate_the_whole_group():
         # the trivial group has no generators, and mulclose([]) is empty
         closure = mulclose(action.generators) | {tuple(range(action.size))}
         assert len(closure) == action.group_order, desc
-        rows = {tuple(int(v) for v in row) for row in action.perms}
+        table = semidirect_table(4) if desc == "semidirect:4" else action.perms
+        rows = {tuple(int(v) for v in row) for row in table}
         assert closure == rows, desc
         if desc in whole_group:
             # each kept element at least doubles the subgroup generated before it
@@ -176,9 +227,8 @@ def test_generators_generate_the_whole_group():
 def test_generating_subset_rejects_a_stack_that_is_not_a_group():
     # 1 and 2 mod 5 are not closed under products: 2 * 2 = 4 is missing
     stack = np.array([1, 2], dtype=np.uint8).reshape(2, 1, 1)
-    action = orbit_engine._unit_group(5, stack, "broken:5")
     with pytest.raises(ArithmeticError, match="broken:5"):
-        action.generators
+        orbit_engine._generating_subset(stack, 5, "broken:5")
 
 
 def test_generator_rows_are_built_on_first_read(monkeypatch):
@@ -288,7 +338,11 @@ def test_quad_rows_are_multiplication_by_units():
 
 def test_units_is_glm_dimension_one():
     for n in range(1, 61):
-        assert np.array_equal(build_units(n).perms, build_glm(n, 1).perms), n
+        units, glm = build_units(n), build_glm(n, 1)
+        assert np.array_equal(units.perms, glm.perms), n
+        assert np.array_equal(units.generators, glm.generators), n
+    # the trivial group has no generator rows
+    assert build_units(2).generators.shape == build_glm(2, 1).generators.shape == (0, 2)
 
 
 def test_budgets_reach_units_and_quad(monkeypatch):
@@ -307,7 +361,7 @@ def test_budgets_reach_units_and_quad(monkeypatch):
 def test_burnside_rejects_bad_group():
     # identity plus a 3-cycle is not closed under composition
     perms = np.array([[0, 1, 2], [1, 2, 0]], dtype=np.uint8)
-    fake = PermutationAction(3, perms, perms, 2, descriptor="broken")
+    fake = PermutationAction(3, 2, lambda: perms, "broken", histogram=table_histogram(perms))
     with pytest.raises(ArithmeticError):
         burnside_moment(fake, 1)
 
@@ -395,13 +449,15 @@ def test_burnside_equals_oracle_on_random_actions(gens):
     size = len(gens[0])
     generators = np.array(gens, dtype=np.uint8)
     elements = np.array(sorted(mulclose(generators)), dtype=np.uint8)
-    action = PermutationAction(size, elements, generators, len(elements))
-    bare = PermutationAction(size, None, generators, len(elements))
+    hist = table_histogram(elements)
+    action = PermutationAction(size, len(elements), lambda: generators, histogram=hist)
+    bare = PermutationAction(size, len(elements), lambda: generators)
     for k in (1, 2, 3):
         oracle = orbit_count_oracle(action, k)
         assert burnside_moment(action, k) == oracle == burnside_moment(bare, k), k
     for point in range(size):
-        assert orbit_size(bare, point) == orbit_size(action, point), point
+        want = np.unique(elements[:, point]).size
+        assert orbit_size(bare, point) == orbit_size(action, point) == want, point
 
 
 def test_orbit_sizes_are_psi():
@@ -488,12 +544,6 @@ def test_building_glm_4_3_holds_no_candidate_stack():
     assert peak < 1.75 * candidates, peak
 
 
-def table_histogram(action: PermutationAction) -> dict[int, int]:
-    """The fixed-point histogram by comparing each permutation row with the identity."""
-    rows = PermutationAction(action.size, action.perms, action.generators, action.group_order)
-    return fixed_point_histogram(rows)
-
-
 def test_matrix_histogram_matches_permutation_table():
     catalog = (
         ["glm:4,3", "glm:3,3"]
@@ -505,8 +555,8 @@ def test_matrix_histogram_matches_permutation_table():
     for desc in catalog:
         action = build_action(desc)
         hist = fixed_point_histogram(action)
-        assert action.table is None, desc
-        assert hist == table_histogram(action), desc
+        assert not built(action, "perms"), desc
+        assert hist == table_histogram(action.perms), desc
         assert sum(hist.values()) == action.group_order, desc
 
 
@@ -514,7 +564,7 @@ def test_matrix_orbit_sizes_match_permutation_table():
     for desc in ("glm:4,3", "gl2:5", "glm:12,2", "units:24", "quad:9,-3", "quad:8,-2"):
         action = build_action(desc)
         sizes = [orbit_size(action, point) for point in range(action.size)]
-        assert action.table is None, desc
+        assert not built(action, "perms"), desc
         want = [np.unique(action.perms[:, point]).size for point in range(action.size)]
         assert sizes == want, desc
 
@@ -572,7 +622,7 @@ def test_burnside_on_matrix_actions_builds_no_permutation_table():
         assert burnside_moment(action, k) == orbit_count_oracle(action, k), k
     predicted_value_distribution(action)
     orbit_size(action, 5)
-    assert action.table is None
+    assert not built(action, "perms")
     # the table is still there for whoever asks
     assert action.perms.shape == (action.group_order, action.size)
 
