@@ -145,32 +145,36 @@ def noncm_moment(n: int, k: int) -> Fraction:
     return value
 
 
+def _check_cm_args(ell: int, dk_ell: int):
+    if not is_prime(ell) or ell == 2:
+        raise ValueError("ell must be an odd prime")
+    if dk_ell not in (2, 4):
+        raise ValueError(
+            "dk_ell must be 4 (ell splits) or 2 (ell is inert); "
+            "the image at a ramified ell is not a Cartan normalizer"
+        )
+
+
 def cm_moment(ell: int, k: int, dk_ell: int) -> Fraction:
     """k-th moment at an odd prime ell for a curve with CM by the full ring O_K.
 
-    dk_ell is 4, 3, or 2 according as ell splits, ramifies, or is inert.
-    Evaluates both the single-fraction form and the three-density form and
-    cross-checks them.
+    dk_ell is 4 or 2 according as ell splits or is inert in K.  The mod-ell
+    image is the normalizer of the Cartan subgroup C = (O_K/ell)^x: split
+    primes take C, of order (ell - 1)**2 or ell**2 - 1, and the other
+    primes its second coset.  Evaluates both the single-fraction form and
+    the split densities plus inert_partial_moment, and cross-checks them.
     """
-    if not is_prime(ell) or ell == 2:
-        raise ValueError("ell must be an odd prime")
+    _check_cm_args(ell, dk_ell)
     if k < 0:
         raise ValueError("k must be >= 0")
-    if dk_ell not in (2, 3, 4):
-        raise ValueError("dk_ell must be 2, 3, or 4")
-    num = (
-        ell ** (2 * k)
-        + (dk_ell - 1) * (ell ** (k + 1) + ell**k)
-        + 2 * ell**2
-        - (dk_ell - 1) * ell
-        - (dk_ell + 2)
-    )
-    closed = Fraction(num, 2 * (ell**2 - 1))
-    by_densities = (
-        Fraction(2 * ell**2 - (dk_ell - 1) * ell - (dk_ell + 2), 2 * (ell**2 - 1))
-        + ell**k * Fraction(dk_ell - 1, 2 * (ell - 1))
-        + ell ** (2 * k) * Fraction(1, 2 * (ell**2 - 1))
-    )
+    if dk_ell == 4:
+        num = ell ** (2 * k) + (3 * ell - 5) * ell**k + (ell - 2) * (2 * ell - 3)
+        closed = Fraction(num, 2 * (ell - 1) ** 2)
+    else:
+        num = ell ** (2 * k) + ell ** (k + 1) + ell**k + 2 * ell**2 - ell - 4
+        closed = Fraction(num, 2 * (ell**2 - 1))
+    d0, d1, d2 = split_densities(ell, dk_ell)
+    by_densities = d0 + d1 * ell**k + d2 * ell ** (2 * k) + inert_partial_moment(ell, k)
     if closed != by_densities:
         raise ArithmeticError(
             f"cm_moment({ell}, {k}, {dk_ell}): {closed} != {by_densities}"
@@ -191,15 +195,21 @@ def inert_partial_moment(ell: int, k: int) -> Fraction:
 
 
 def split_densities(ell: int, dk_ell: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Densities of split primes with torsion count 1, ell, ell**2; sum is 1/2."""
-    if not is_prime(ell) or ell == 2:
-        raise ValueError("ell must be an odd prime")
-    if dk_ell not in (2, 3, 4):
-        raise ValueError("dk_ell must be 2, 3, or 4")
-    d0 = Fraction(ell**2 - (dk_ell - 2) * ell - dk_ell, 2 * (ell**2 - 1))
-    d1 = Fraction(dk_ell - 2, 2 * (ell - 1))
-    d2 = Fraction(1, 2 * (ell**2 - 1))
-    return d0, d1, d2
+    """Densities of split primes with torsion count 1, ell, ell**2; sum is 1/2.
+
+    Among the elements of the Cartan subgroup (O_K/ell)^x, one fixes all
+    of O_K/ell, and at a split ell the 2(ell - 2) elements (1, b) and
+    (b, 1) with b != 1 fix a line; at an inert ell no other element fixes
+    a nonzero point.
+    """
+    _check_cm_args(ell, dk_ell)
+    order = (ell - 1) ** 2 if dk_ell == 4 else ell**2 - 1
+    line = 2 * (ell - 2) if dk_ell == 4 else 0
+    return (
+        Fraction(order - line - 1, 2 * order),
+        Fraction(line, 2 * order),
+        Fraction(1, 2 * order),
+    )
 
 
 def gl2_densities(ell: int) -> tuple[Fraction, Fraction, Fraction]:

@@ -16,6 +16,7 @@ import numpy as np
 from .core_arith import (
     POW_ARRAY_LIMIT,
     RESIDUE_TABLE_LIMIT,
+    is_prime,
     kronecker_array,
     kronecker_symbol,
     pow_mod,
@@ -483,12 +484,111 @@ def _torsion_lanes(curve: WeierstrassCurve, p: np.ndarray, ell: int) -> np.ndarr
     return counts
 
 
+def _lane_counts(curve: WeierstrassCurve, primes: np.ndarray, ell: int) -> np.ndarray:
+    """|E(F_p)[ell]| by the Schoof step, in blocks of lanes of the dtype each block needs."""
+    d = 3 if ell == 2 else (ell * ell - 1) // 2
+    blocks = np.array_split(primes, -(-primes.size * (2 * d - 1) // _LANE_ENTRIES))
+    return np.concatenate(
+        [_torsion_lanes(curve, b.astype(_lane_dtype(d, int(b.max()))), ell) for b in blocks]
+    )
+
+
+# ---------------------------------------------------------------------------
+# CM models whose Frobenius in O_K is read off p = X**2 + D*Y**2, by (a, b):
+# y**2 = x**3 - x (O_K = Z[i], D = 1) and y**2 = x**3 + 1 (Z[omega], D = 3).
+_FROBENIUS_MODELS = {(-1, 0): 1, (0, 1): 3}
+
+
+def _root_of_unity(p: np.ndarray, m: int) -> np.ndarray:
+    """A root of unity of order m (4 or 3) mod each prime p = 1 mod m, p < 2**31.
+
+    c**((p-1)/m) for the first c = 2, 3, 5, ... that gives one, which is a
+    quadratic non-residue for m = 4 and a cubic one for m = 3; each prime c
+    settles about half or two thirds of the lanes still open.
+    """
+    root = np.zeros_like(p)
+    todo = np.arange(p.size)
+    c = 2
+    while todo.size:
+        q = p[todo]
+        r = pow_mod_array(np.full_like(q, c), (q - 1) // m, q)
+        found = (r * r % q if m == 4 else r) != 1
+        root[todo[found]] = r[found]
+        todo = todo[~found]
+        c = next(n for n in range(c + 1, 2 * c + 1) if is_prime(n))  # the next prime
+    return root
+
+
+def _cornacchia(p: np.ndarray, root: np.ndarray, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) with x**2 + D*y**2 = p for each prime p, from root**2 = -D mod p.
+
+    Euclid on (p, root), with root taken in (p/2, p), until the remainder
+    falls below sqrt(p) (Cornacchia; Cohen, A Course in Computational
+    Algebraic Number Theory, 1.5.2), one lane per prime.
+    """
+    a, b = p.copy(), np.where(2 * root > p, root, p - root)
+    todo = np.flatnonzero(b * b > p)
+    while todo.size:
+        a[todo], b[todo] = b[todo], a[todo] % b[todo]
+        todo = todo[b[todo] * b[todo] > p[todo]]
+    y = np.rint(np.sqrt((p - b * b) / D)).astype(np.int64)
+    wrong = b * b + D * y * y != p
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        raise ArithmeticError(f"Cornacchia found no x**2 + {D}*y**2 = {p[i]}")
+    return b, y
+
+
+def _frobenius_counts(D: int, p: np.ndarray, ell: int) -> np.ndarray:
+    """|E(F_p)[ell]| for odd ell on the _FROBENIUS_MODELS curve of D, each p a good int64 prime below 2**31.
+
+    E[ell] is O_K/ell, and Frobenius acts on it as an element pi of O_K
+    with norm p, so the count is |O_K/(pi - 1, ell)|.  p inert in O_K
+    (p = 3 mod 4 for D = 1, p = 2 mod 3 for D = 3) makes E supersingular,
+    with p + 1 points and a cyclic odd part: the count is gcd(p + 1, ell).
+    A split p is X**2 + D*Y**2, and pi = s*(X + Y*sqrt(-D)) for the sign
+    s, and the choice of X and Y, that fix the associate (Ireland and
+    Rosen, A Classical Introduction to Modern Number Theory, ch. 18):
+
+    - D = 1: pi = 1 mod 2 + 2i, that is X odd, Y even, X + Y = 1 mod 4;
+    - D = 3: pi = 1 mod 2*sqrt(-3), since the curve has full 2-torsion at
+      a split p and the rational 3-torsion point (0, 1), which
+      1 - omega kills; X + Y is odd, so that leaves s*X = 1 mod 3.
+
+    With pi - 1 = g*alpha, g the gcd of its coordinates on an integral
+    basis and alpha primitive, O_K/(pi - 1) is Z/g x Z/(g*Norm(alpha)), so
+    the count is gcd(g, ell) * gcd(Norm(pi - 1)/g, ell).  Z[sqrt(-D)] has
+    index 1 or 2 in O_K, prime to ell, so g may be read on its basis:
+    pi - 1 = u + v*sqrt(-D) with g = gcd(u, v).
+    """
+    m = 4 if D == 1 else 3
+    counts = np.gcd(p + 1, ell)
+    split = np.flatnonzero(p % m == 1)
+    q = p[split]
+    root = _root_of_unity(q, m)
+    # i, or sqrt(-3) = 2*omega + 1 for omega a cube root of unity
+    x, y = _cornacchia(q, root if D == 1 else (2 * root + 1) % q, D)
+    if D == 1:
+        x, y = np.where(x % 2 == 1, x, y), np.where(x % 2 == 1, y, x)
+        s = np.where((x + y) % 4 == 1, 1, -1)
+    else:
+        s = np.where(x % 3 == 1, 1, -1)
+    u, v = s * x - 1, s * y
+    g = np.gcd(u, v)
+    counts[split] = np.gcd(g, ell) * np.gcd((u * u + D * v * v) // g, ell)
+    return counts
+
+
 def ec_torsion_count_array(curve: WeierstrassCurve, primes: np.ndarray, ell: int) -> np.ndarray:
     """|E(F_p)[ell]| including infinity at each entry of an integer array of non-excluded primes.
 
-    Read off the action of Frobenius on the roots of the ell-th division
-    polynomial (Schoof, Math. Comp. 1985), at a cost that grows with log p
-    and ell**2 but not with p.  With f = x**3 + a*x + b:
+    On the two CM models y**2 = x**3 - x and y**2 = x**3 + 1, odd ell and
+    p < POW_ARRAY_LIMIT take the Frobenius of p in O_K (_frobenius_counts),
+    at a cost that depends on neither ell nor the curve's label: a curve
+    typed as "-1,0" takes it as cm:-1 does.  Every other count is read off
+    the action of Frobenius on the roots of the ell-th division polynomial
+    (Schoof, Math. Comp. 1985), at a cost that grows with log p and ell**2
+    but not with p.  With f = x**3 + a*x + b:
 
     - ell = 2: the nontrivial points are (x0, 0) with f(x0) = 0, so the
       count is 1 + deg gcd(f, x**p - x).
@@ -503,15 +603,18 @@ def ec_torsion_count_array(curve: WeierstrassCurve, primes: np.ndarray, ell: int
     takes the same steps, one lane each, in blocks of lanes: int64 lanes
     while a block's largest prime keeps every sum below 2**63 (2d p**2 <
     2**63 for deg g = d <= 64, d p**2 above), Python-int lanes otherwise.
-    Each count is checked against the values ell-torsion can take.
+    Each count, on either path, is checked against the values ell-torsion
+    can take.
     """
     if not primes.size:
         return np.zeros(0, dtype=np.int64)
-    d = 3 if ell == 2 else (ell * ell - 1) // 2
-    blocks = np.array_split(primes, -(-primes.size * (2 * d - 1) // _LANE_ENTRIES))
-    counts = np.concatenate(
-        [_torsion_lanes(curve, b.astype(_lane_dtype(d, int(b.max()))), ell) for b in blocks]
-    )
+    counts = np.empty(primes.size, dtype=np.int64)
+    D = _FROBENIUS_MODELS.get((curve.a, curve.b)) if ell % 2 else None
+    frobenius = primes < POW_ARRAY_LIMIT if D else np.zeros(primes.size, dtype=bool)
+    if frobenius.any():
+        counts[frobenius] = _frobenius_counts(D, primes[frobenius].astype(np.int64), ell)
+    if not frobenius.all():
+        counts[~frobenius] = _lane_counts(curve, primes[~frobenius], ell)
     _check_torsion_counts(curve, primes, ell, counts)
     return counts
 

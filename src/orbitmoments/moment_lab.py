@@ -277,21 +277,20 @@ def predicted_moment(counter: CounterSpec, k: int) -> Fraction | None:
             return Fraction(1)
         return mk(counter.eq_a.n, k * (counter.k1 + counter.k2) - 1)
     curve, ell = counter.curve, counter.ell
-    if counter.split_filter is not None:
-        if curve.cm is None or ell == 2:
-            return None
-        d = dk(ell, curve.cm)
-        if counter.split_filter.keep == NONSPLIT:
-            return inert_partial_moment(ell, k)
-        if counter.split_filter.keep == SPLIT_ONLY:
-            d0, d1, d2 = split_densities(ell, d)
-            return d0 + d1 * ell**k + d2 * ell ** (2 * k)
-        return None
     if curve.cm is None:
-        return gl2_moment(ell, k)
-    if ell == 2:
+        return gl2_moment(ell, k) if counter.split_filter is None else None
+    # the CM forms hold at an odd ell that splits or is inert in K
+    d = dk(ell, curve.cm)
+    if ell == 2 or d == 3:
         return None
-    return cm_moment(ell, k, dk(ell, curve.cm))
+    if counter.split_filter is None:
+        return cm_moment(ell, k, d)
+    if counter.split_filter.keep == NONSPLIT:
+        return inert_partial_moment(ell, k)
+    if counter.split_filter.keep == SPLIT_ONLY:
+        d0, d1, d2 = split_densities(ell, d)
+        return d0 + d1 * ell**k + d2 * ell ** (2 * k)
+    return None
 
 
 @dataclass

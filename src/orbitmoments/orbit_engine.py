@@ -37,7 +37,7 @@ from math import factorial
 import numpy as np
 
 from .core_arith import CapacityError, factorize, is_prime
-from .residue_algebra import QuadOrderSpec, glm_order
+from .residue_algebra import QuadOrderSpec, glm_order, quad_unit_order
 
 ELEMENT_BUDGET = 10**7
 ENTRY_BUDGET = 6 * 10**7
@@ -147,8 +147,9 @@ def build_quad_units(n: int, d: int) -> PermutationAction:
 
     Multiplication by u = a + b*omega is the matrix [[a, s*b], [b, a + t*b]]
     on the basis (1, omega), and u is a unit iff gcd(det, n) = 1.  The point
-    x + y*omega has index x + y*n, as for glm:n,2; units are ordered by (a, b),
-    and the candidates (a, b) are scanned 2**15 at a time.
+    x + y*omega has index x + y*n, as for glm:n,2; units are ordered by (a, b).
+    The unit stack is allocated once, |(O_K/n)^x| long (quad_unit_order),
+    and filled as the candidates (a, b) are scanned 2**15 at a time.
     Every element is kept; the generators are a small generating subset.
     Orbit counts do not depend on how points or elements are numbered.
     """
@@ -157,15 +158,21 @@ def build_quad_units(n: int, d: int) -> PermutationAction:
     if n * n > ELEMENT_BUDGET:
         raise CapacityError(n * n, ELEMENT_BUDGET, what="candidate matrices")
     spec = QuadOrderSpec(d)
-    kept = []
+    # entries lie in [0, n), so the units are stored as glm stores its elements
+    units = np.empty((quad_unit_order(n, spec), 4), dtype=_perm_dtype(n))
+    filled = 0
     for lo in range(0, n * n, _MATRIX_CHUNK):
         a, b = np.divmod(np.arange(lo, min(lo + _MATRIX_CHUNK, n * n), dtype=np.int64), n)
         entries = [[a, spec.s * b % n], [b, (a + spec.t * b) % n]]
         unit = np.gcd(_det_mod(entries, n), n) == 1
-        # entries lie in [0, n), so the units are stored as glm stores its elements
-        unit_entries = [e[unit].astype(_perm_dtype(n)) for row in entries for e in row]
-        kept.append(np.stack(unit_entries, axis=1))
-    units = np.concatenate(kept).reshape(-1, 2, 2)
+        count = np.count_nonzero(unit)
+        if filled + count <= len(units):
+            for column, e in enumerate(e for row in entries for e in row):
+                units[filled : filled + count, column] = e[unit]
+        filled += count
+    if filled != len(units):
+        raise ArithmeticError(f"quad:{n},{d} has {filled} units, not |(O_K/n)^x| = {len(units)}")
+    units = units.reshape(-1, 2, 2)
     descriptor = f"quad:{n},{d}"
     gens = lambda: _apply_matrices(units[_generating_subset(units, n, descriptor)], n)
     return PermutationAction(n * n, len(units), gens, descriptor, matrices=units, modulus=n)

@@ -2,14 +2,14 @@
 
 QuadOrderSpec presents the ring of integers O_K of an imaginary quadratic
 field of class number one on the basis (1, omega) with
-omega**2 = t*omega + s; glm_order is |GL_m(Z/nZ)| and psi counts the
-primitive vectors of (Z/nZ)**m.  The actions themselves are built from
-integer matrices in orbit_engine.
+omega**2 = t*omega + s; quad_unit_order is |(O_K/nO_K)^x|, glm_order is
+|GL_m(Z/nZ)| and psi counts the primitive vectors of (Z/nZ)**m.  The
+actions themselves are built from integer matrices in orbit_engine.
 """
 
 from dataclasses import dataclass
 
-from .core_arith import factorize
+from .core_arith import factorize, kronecker_symbol
 
 # The nine imaginary quadratic fields of class number one, by square-free d.
 CLASS_NUMBER_ONE_D = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
@@ -43,6 +43,19 @@ class QuadOrderSpec:
     def discriminant(self) -> int:
         """Field discriminant: d for d = 1 mod 4, else 4d."""
         return self.d if self.d % 4 == 1 else 4 * self.d
+
+
+def quad_unit_order(n: int, spec: QuadOrderSpec) -> int:
+    """|(O_K/nO_K)^x|, multiplicative over the prime powers p**e of n.
+
+    The factor is p**(2(e-1)) times |(O_K/p)^x|: (p - 1)**2 when p splits
+    in K, p**2 - 1 when it is inert and p*(p - 1) when it ramifies.
+    """
+    order = 1
+    for p, e in factorize(n):
+        sym = kronecker_symbol(spec.discriminant, p)
+        order *= p ** (2 * (e - 1)) * (p - 1) * (p - sym)
+    return order
 
 
 def glm_order(n: int, m: int) -> int:

@@ -201,12 +201,12 @@ def suite_formula_identities() -> list[CheckResult]:
     bad = []
     for ell in (3, 5, 7, 11, 13):
         for k in range(7):
-            for d in (2, 3, 4):
+            for d in (2, 4):
                 closed = cm_moment(ell, k, d)  # internally cross-checks both forms
                 if k == 0 and closed != 1:
                     bad.append((ell, k, d))
     results.append(
-        _check("cm_moment two published forms agree (ell<=13, k<=6, d_K in {2,3,4})", not bad, str(bad))
+        _check("cm_moment two forms agree (ell<=13, k<=6, d_K in {2,4})", not bad, str(bad))
     )
     bad = []
     for n in range(1, 501):
@@ -215,7 +215,7 @@ def suite_formula_identities() -> list[CheckResult]:
     for ell in (3, 5, 7, 11, 13):
         if gl2_moment(ell, 1) != 2:
             bad.append(("gl2", ell))
-        for d in (2, 3, 4):
+        for d in (2, 4):
             if cm_moment(ell, 1, d) != Fraction(d + 2, 2):
                 bad.append(("cm", ell, d))
     for spec_d in CLASS_NUMBER_ONE_D:
@@ -232,7 +232,7 @@ def suite_formula_identities() -> list[CheckResult]:
     )
     bad = []
     for ell in (3, 5, 7, 11, 13, 17):
-        for d in (2, 3, 4):
+        for d in (2, 4):
             if sum(split_densities(ell, d)) != Fraction(1, 2):
                 bad.append((ell, d))
         if sum(gl2_densities(ell)) != 1:
@@ -298,8 +298,19 @@ def suite_torsion_gl2(tol: float = TOL_ELLIPTIC, x: int = X_ELLIPTIC) -> list[Ch
 
 
 def suite_torsion_cm(tol: float = TOL_ELLIPTIC, x: int = X_ELLIPTIC) -> list[CheckResult]:
-    """CM scenario y**2 = x**3 - x: unconditioned and splitting-conditioned."""
+    """CM scenarios: y**2 = x**3 - x unconditioned and splitting-conditioned at
+    k = 1, and both CM models at k = 2 and a split ell, where the masses of
+    a split Cartan subgroup first part from those of an inert one."""
     results = []
+    for name, ell in (("cm:-1", 5), ("cm:-3", 7)):
+        report = empirical_moment(TorsionCounter(CURVE_PRESETS[name], ell), 2, x)
+        results.append(
+            _check(
+                f"{name} ell={ell} k=2: within {tol:.0%} of {report.predicted}",
+                _rel_ok(report, tol),
+                f"empirical={float(report.empirical):.6f} rel_err={report.rel_err:.4%}",
+            )
+        )
     curve = CURVE_PRESETS["cm:-1"]
     spec = curve.cm
     for ell in (5, 3):

@@ -19,6 +19,7 @@ from orbitmoments.closed_forms import (
     split_densities,
 )
 from orbitmoments.core_arith import divisor_count, primes_in_range
+from orbitmoments.orbit_engine import build_action, fixed_point_histogram
 from orbitmoments.residue_algebra import CLASS_NUMBER_ONE_D, QuadOrderSpec
 
 
@@ -78,7 +79,7 @@ def test_mk_forms_agree_on_random_n(n, k):
 @given(
     ell=st.sampled_from(list(primes_in_range(3, 10**4))),
     k=st.integers(0, 8),
-    d=st.sampled_from((2, 3, 4)),
+    d=st.sampled_from((2, 4)),
 )
 def test_cm_moment_forms_agree_on_random_ell(ell, k, d):
     value = cm_moment(ell, k, d)  # raises if its two forms disagree
@@ -146,10 +147,13 @@ def test_noncm_rejects_square_factor():
 
 def test_cm_moment_values():
     for ell in (3, 5, 7, 11, 13):
-        for d in (2, 3, 4):
+        for d in (2, 4):
             assert cm_moment(ell, 0, d) == 1
             assert cm_moment(ell, 1, d) == Fraction(d + 2, 2)
-    assert cm_moment(5, 2, 4) == 23
+    # Burnside on the normalizer of the split Cartan subgroup
+    assert cm_moment(5, 2, 4) == 28
+    assert cm_moment(7, 2, 4) == 45
+    assert cm_moment(13, 2, 4) == 120
 
 
 def test_cm_moment_rejects():
@@ -157,6 +161,10 @@ def test_cm_moment_rejects():
         cm_moment(2, 1, 4)
     with pytest.raises(ValueError):
         cm_moment(5, 1, 5)
+    with pytest.raises(ValueError):  # a ramified ell
+        cm_moment(3, 2, 3)
+    with pytest.raises(ValueError):
+        split_densities(7, 3)
 
 
 def test_inert_partial_moment():
@@ -172,10 +180,24 @@ def test_split_densities():
     for ell in primes_in_range(2, 51):
         if ell == 2:
             continue
-        for d in (2, 3, 4):
+        for d in (2, 4):
             assert sum(split_densities(ell, d)) == Fraction(1, 2)
-    assert split_densities(5, 4)[1] == Fraction(1, 4)
+    assert split_densities(5, 4)[1] == Fraction(3, 16)
     assert split_densities(7, 2)[1] == 0
+
+
+def test_split_densities_are_half_the_cartan_histogram():
+    # quad:ell,d is the Cartan subgroup (O_K/ell)^x acting on O_K/ell
+    for d in (-1, -3, -7):
+        spec = QuadOrderSpec(d)
+        for ell in (3, 5, 7, 11, 13):
+            dk_ell = dk(ell, spec)
+            if dk_ell == 3:
+                continue
+            action = build_action(f"quad:{ell},{d}")
+            hist = fixed_point_histogram(action)
+            masses = [Fraction(hist.get(v, 0), 2 * action.group_order) for v in (1, ell, ell**2)]
+            assert list(split_densities(ell, dk_ell)) == masses, (ell, d)
 
 
 def test_gl2_densities():
@@ -190,6 +212,6 @@ def test_gl2_densities():
 def test_cm_zeroth_moments_are_one():
     # zeroth moments are total densities
     for ell in (3, 5, 7):
-        for d in (2, 3, 4):
+        for d in (2, 4):
             d0, d1, d2 = split_densities(ell, d)
             assert d0 + d1 + d2 + inert_partial_moment(ell, 0) == 1

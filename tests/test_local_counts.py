@@ -481,7 +481,7 @@ def test_torsion_array_across_its_limit():
     # one array straddling the prime where lanes switch from int64 to Python
     # ints: both sides equal the reference, and the int64 side also equals
     # the same primes on Python-int lanes
-    straddles = (("cm:-1", 2, 1200), ("17a3", 3, 1200), ("cm:-3", 11, 200), ("17a3", 13, 200))
+    straddles = (("cm:-1", 2, 1200), ("17a3", 3, 1200), ("11a2", 11, 200), ("17a3", 13, 200))
     for name, ell, width in straddles:
         curve = CURVE_PRESETS[name]
         switch = _int64_switch(_degree(ell))
@@ -552,6 +552,86 @@ def test_torsion_array_rejects_impossible_counts(monkeypatch):
     with pytest.raises(ArithmeticError, match=re.escape(message)):
         ec_torsion_count_array(curve, primes, 3)
     assert dtypes == [object]
+
+
+def _spy_lanes(monkeypatch):
+    """The primes every _torsion_lanes call receives, in call order."""
+    seen = []
+    lanes = local_counts._torsion_lanes
+
+    def spy(curve, p, ell):
+        seen.extend(p.tolist())
+        return lanes(curve, p, ell)
+
+    monkeypatch.setattr(local_counts, "_torsion_lanes", spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["cm:-1", "cm:-3"])
+def test_frobenius_path_matches_the_lanes(name, monkeypatch):
+    curve = CURVE_PRESETS[name]
+    for ell in (3, 5, 7, 11, 13):
+        primes = _good_primes(curve, ell, 2, 3 * 10**4)
+        want = local_counts._lane_counts(curve, primes, ell)
+        seen = _spy_lanes(monkeypatch)
+        got = ec_torsion_count_array(curve, primes, ell)
+        monkeypatch.undo()
+        assert seen == [], ell  # every count came from Frobenius
+        assert got.tolist() == want.tolist(), (name, ell)
+        assert {ell, ell * ell} <= set(got.tolist()), (name, ell)  # both nontrivial values
+
+
+def test_frobenius_path_matches_enumeration():
+    for name in ("cm:-1", "cm:-3"):
+        curve = CURVE_PRESETS[name]
+        D = local_counts._FROBENIUS_MODELS[(curve.a, curve.b)]
+        for ell in (3, 5, 7, 11, 13):
+            primes = _good_primes(curve, ell, 2, 400)
+            got = local_counts._frobenius_counts(D, primes, ell).tolist()
+            want = [ec_torsion_count_enum(curve, p, ell) for p in primes.tolist()]
+            assert got == want, (name, ell)
+
+
+def test_frobenius_path_leaves_ell_2_and_large_primes_to_the_lanes(monkeypatch):
+    for name in ("cm:-1", "cm:-3"):
+        curve = CURVE_PRESETS[name]
+        small = _good_primes(curve, 2, 2, 300)
+        seen = _spy_lanes(monkeypatch)
+        assert ec_torsion_count_array(curve, small, 2).tolist() == [
+            torsion_by_schoof(curve, p, 2) for p in small.tolist()
+        ]
+        assert seen == small.tolist()
+        # one array across POW_ARRAY_LIMIT: only the primes past it take the lanes
+        primes = _good_primes(curve, 5, POW_ARRAY_LIMIT - 300, POW_ARRAY_LIMIT + 300)
+        above = primes[primes >= POW_ARRAY_LIMIT]
+        assert 0 < above.size < primes.size
+        seen.clear()
+        got = ec_torsion_count_array(curve, primes, 5)
+        assert seen == above.tolist(), name
+        assert got.tolist() == [torsion_by_schoof(curve, p, 5) for p in primes.tolist()], name
+        seen.clear()
+        p = int(above[0])
+        assert ec_torsion_count(curve, p, 5) == torsion_by_schoof(curve, p, 5)
+        assert seen == [p]
+        monkeypatch.undo()
+
+
+def test_frobenius_path_is_chosen_by_coefficients(monkeypatch):
+    for name, typed in (("cm:-1", "-1,0"), ("cm:-3", "0,1")):
+        curve, plain = CURVE_PRESETS[name], parse_curve(typed)
+        assert plain.cm is None and plain != curve
+        primes = _good_primes(curve, 7, 10**6, 10**6 + 20000)
+        seen = _spy_lanes(monkeypatch)
+        assert (
+            ec_torsion_count_array(plain, primes, 7).tolist()
+            == ec_torsion_count_array(curve, primes, 7).tolist()
+        )
+        assert seen == []
+        monkeypatch.undo()
+    # the same curve with a shifted model is not one of the two, and takes the lanes
+    seen = _spy_lanes(monkeypatch)
+    ec_torsion_count_array(WeierstrassCurve(-4, 0), np.array([13, 17]), 3)
+    assert seen == [13, 17]
 
 
 def test_splitting_mask_matches_splitting_type():

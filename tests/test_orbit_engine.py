@@ -33,7 +33,13 @@ from orbitmoments.orbit_engine import (
     orbit_size,
     predicted_value_distribution,
 )
-from orbitmoments.residue_algebra import CLASS_NUMBER_ONE_D, QuadOrderSpec, glm_order, psi
+from orbitmoments.residue_algebra import (
+    CLASS_NUMBER_ONE_D,
+    QuadOrderSpec,
+    glm_order,
+    psi,
+    quad_unit_order,
+)
 
 
 def built(action: PermutationAction, name: str) -> bool:
@@ -167,9 +173,9 @@ def test_refusals_come_before_any_allocation():
 
 
 def test_building_quad_stays_near_its_unit_stack():
-    # 4,000,000 candidates (a, b) are scanned 2**15 at a time, so the peak is
-    # the kept units (twice, while they are joined) and one block of int64
-    # temporaries, not n**2-long arrays
+    # 4,000,000 candidates (a, b) are scanned 2**15 at a time into a unit
+    # stack allocated once, so the peak is that stack and one block of int64
+    # temporaries, not n**2-long arrays and not a second copy of the stack
     tracemalloc.start()
     try:
         action = build_action("quad:2000,-1")
@@ -178,7 +184,21 @@ def test_building_quad_stays_near_its_unit_stack():
         tracemalloc.stop()
     assert action.matrices.dtype == np.uint16
     assert action.group_order == len(action.matrices) == 1280000
-    assert peak < 3 * action.matrices.nbytes, (peak, action.matrices.nbytes)
+    assert peak < 1.5 * action.matrices.nbytes, (peak, action.matrices.nbytes)
+
+
+def test_quad_unit_stack_length_is_the_unit_group_order():
+    # |(O_K/n)^x| from the splitting of each p | n, against a scan of O_K/n
+    for d in CLASS_NUMBER_ONE_D:
+        spec = QuadOrderSpec(d)
+        for n in range(1, 41):
+            action = build_quad_units(n, d)
+            want = quad_unit_order(n, spec)
+            assert action.group_order == len(action.matrices) == want, (n, d)
+            if n <= 16:
+                assert want == len(quad_unit_elements(n, spec)), (n, d)
+    # 3162 = 2*3*17*31: 2 and 17 inert, 3 ramified, 31 split in Q(sqrt(-3))
+    assert quad_unit_order(3162, QuadOrderSpec(-3)) == 3 * 6 * 288 * 900
 
 
 def test_build_gl2_counts():
