@@ -45,6 +45,7 @@ from .moment_lab import (
     SplitFilter,
     TorsionCounter,
     characteristic_function,
+    clear_stream_memo,
     convergence_trace,
     empirical_distribution,
     empirical_moment,

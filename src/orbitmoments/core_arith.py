@@ -52,7 +52,8 @@ def is_prime(n: int) -> bool:
 
 
 # Integers per sieve segment; the segment's mask holds only its odd half.
-_SEGMENT = 1 << 18
+# A stream from 2 is cut on the grid 2 + j * SIEVE_SEGMENT.
+SIEVE_SEGMENT = 1 << 18
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -64,6 +65,14 @@ def _simple_sieve(limit: int) -> np.ndarray:
         if mask[p]:
             mask[p * p :: p] = False
     return np.flatnonzero(mask).astype(np.int64)
+
+
+@lru_cache(maxsize=8)
+def _odd_base(bits: int) -> np.ndarray:
+    """The odd primes below 2**bits, read-only: the base of any sieve below 4**bits."""
+    base = _simple_sieve((1 << bits) - 1)[1:]
+    base.flags.writeable = False
+    return base
 
 
 def _odd_segment(first: int, stop: int, odd_base: np.ndarray) -> np.ndarray:
@@ -89,16 +98,17 @@ def prime_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
     has one entry per odd number in it (2**17), which the odd base primes
     cross off.  The first segment from 2 sieves from 1 instead, and the
     entry of 1, which no prime crosses off, stands for 2.  Memory stays
-    O(sqrt(hi) + segment).  Empty segments are skipped, and disjoint
-    ranges concatenate to the full stream, so [2, x] may be partitioned
-    freely.
+    O(sqrt(hi) + segment); the base primes are sieved up to the next power
+    of two above sqrt(hi) and cached, so many short calls sieve them once.
+    Empty segments are skipped, and disjoint ranges concatenate to the
+    full stream, so [2, x] may be partitioned freely.
     """
     lo = max(lo, 2)
     if hi <= lo:
         return
-    odd_base = _simple_sieve(math.isqrt(hi - 1))[1:]
-    for start in range(lo, hi, _SEGMENT):
-        stop = min(start + _SEGMENT, hi)
+    odd_base = _odd_base(math.isqrt(hi - 1).bit_length())
+    for start in range(lo, hi, SIEVE_SEGMENT):
+        stop = min(start + SIEVE_SEGMENT, hi)
         primes = _odd_segment(1 if start == 2 else start | 1, stop, odd_base)
         if start == 2:
             primes[0] = 2

@@ -199,14 +199,25 @@ CURVE_PRESETS = {
 }
 
 
+# CM models whose Frobenius in O_K is read off p = X**2 + D*Y**2, by (a, b):
+# y**2 = x**3 - x (O_K = Z[i], D = 1) and y**2 = x**3 + 1 (Z[omega], D = 3).
+_FROBENIUS_MODELS = {(-1, 0): 1, (0, 1): 3}
+
+
 def parse_curve(text: str) -> WeierstrassCurve:
-    """Resolve a preset name or an "a,b" pair of short-Weierstrass coefficients."""
+    """Resolve a preset name or an "a,b" pair of short-Weierstrass coefficients.
+
+    A pair naming one of the _FROBENIUS_MODELS is tagged with its CM field,
+    as its preset is, and keeps the label it was typed with.
+    """
     if text in CURVE_PRESETS:
         return CURVE_PRESETS[text]
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"unknown curve {text!r}: expected a preset name or 'a,b'")
-    return WeierstrassCurve(int(parts[0]), int(parts[1]), label=text)
+    a, b = int(parts[0]), int(parts[1])
+    d = _FROBENIUS_MODELS.get((a, b))
+    return WeierstrassCurve(a, b, cm=QuadOrderSpec(-d) if d else None, label=text)
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +505,7 @@ def _lane_counts(curve: WeierstrassCurve, primes: np.ndarray, ell: int) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# CM models whose Frobenius in O_K is read off p = X**2 + D*Y**2, by (a, b):
-# y**2 = x**3 - x (O_K = Z[i], D = 1) and y**2 = x**3 + 1 (Z[omega], D = 3).
-_FROBENIUS_MODELS = {(-1, 0): 1, (0, 1): 3}
-
+# Torsion counts on the _FROBENIUS_MODELS, from Frobenius in O_K.
 
 def _root_of_unity(p: np.ndarray, m: int) -> np.ndarray:
     """A root of unity of order m (4 or 3) mod each prime p = 1 mod m, p < 2**31.

@@ -207,6 +207,21 @@ def test_torsion_moment_with_filter(capsys):
     assert payload["scenario"].endswith("nonsplit")
 
 
+def test_cm_model_typed_by_coefficients_gets_the_cm_prediction(capsys):
+    payloads = {}
+    for curve in ("-1,0", "cm:-1"):
+        code, out, _ = run_cli(
+            capsys, "--format", "json", "moment", "--scenario", "torsion",
+            f"--curve={curve}", "--ell", "5", "--k", "2", "--x", "3000",
+        )
+        assert code == 0
+        payloads[curve] = json.loads(out)
+    typed, preset = payloads["-1,0"], payloads["cm:-1"]
+    assert (typed["predicted_num"], typed["predicted_den"]) == (28, 1)
+    assert typed["scenario"] == "torsion:curve=-1,0,ell=5"
+    assert {**typed, "scenario": None} == {**preset, "scenario": None}
+
+
 def test_dist_command(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from orbitmoments.core_arith import (
-    _SEGMENT,
     POW_ARRAY_LIMIT,
+    SIEVE_SEGMENT,
     _simple_sieve,
     divisor_count,
     divisors,
@@ -74,14 +74,15 @@ def test_prime_segments_match_simple_sieve():
         want = reference[(reference >= lo) & (reference < hi)]
         assert _stream(lo, hi).tolist() == want.tolist(), (lo, hi)
 
-    edge = 2 + _SEGMENT  # where the second segment of a stream from 2 starts
+    edge = 2 + SIEVE_SEGMENT  # where the second segment of a stream from 2 starts
     his = [0, 1, 2, 3, 4, 5, 6, 1000, 1001, edge - 1, edge, edge + 1, edge + 2, 10**6 - 1, 10**6]
     for lo in (0, 1, 2, 3, 4, 5, 1000, 1001):
         for hi in his:
             check(lo, hi)
     # ranges that start at an edge, and end at or just past the next edge of their own
+    step = SIEVE_SEGMENT
     for lo in (edge - 1, edge, edge + 1):
-        for hi in (lo + _SEGMENT - 1, lo + _SEGMENT, lo + _SEGMENT + 1, lo + 2 * _SEGMENT + 1):
+        for hi in (lo + step - 1, lo + step, lo + step + 1, lo + 2 * step + 1):
             check(lo, hi)
     assert len(list(prime_segments(2, edge))) == 1
     assert len(list(prime_segments(2, edge + 2))) == 2  # edge + 1 = 262147 is prime

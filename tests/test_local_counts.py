@@ -154,7 +154,11 @@ def test_curve_presets():
 def test_parse_curve():
     assert parse_curve("17a3") is CURVE_PRESETS["17a3"]
     c = parse_curve("-1,0")
-    assert (c.a, c.b) == (-1, 0)
+    assert (c.a, c.b, c.cm, c.label) == (-1, 0, QuadOrderSpec(-1), "-1,0")
+    assert parse_curve("0,1").cm == QuadOrderSpec(-3)
+    # only the two Frobenius models are tagged by their coefficients
+    for text in ("3,5", "-1,1", "0,2"):
+        assert parse_curve(text).cm is None, text
     with pytest.raises(ValueError):
         parse_curve("nonsense")
     with pytest.raises(ValueError):
@@ -617,8 +621,10 @@ def test_frobenius_path_leaves_ell_2_and_large_primes_to_the_lanes(monkeypatch):
 
 
 def test_frobenius_path_is_chosen_by_coefficients(monkeypatch):
-    for name, typed in (("cm:-1", "-1,0"), ("cm:-3", "0,1")):
-        curve, plain = CURVE_PRESETS[name], parse_curve(typed)
+    for name in ("cm:-1", "cm:-3"):
+        # the model without its CM tag
+        curve = CURVE_PRESETS[name]
+        plain = WeierstrassCurve(curve.a, curve.b)
         assert plain.cm is None and plain != curve
         primes = _good_primes(curve, 7, 10**6, 10**6 + 20000)
         seen = _spy_lanes(monkeypatch)

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from orbitmoments import moment_lab
 from orbitmoments.closed_forms import mk
 from orbitmoments.core_arith import (
     POW_ARRAY_LIMIT,
+    SIEVE_SEGMENT,
     prime_segments,
     primes_in_range,
 )
@@ -34,6 +36,7 @@ from orbitmoments.moment_lab import (
     SplitFilter,
     TorsionCounter,
     characteristic_function,
+    clear_stream_memo,
     convergence_trace,
     empirical_distribution,
     empirical_moment,
@@ -256,6 +259,7 @@ def test_torsion_trace_across_lane_blocks():
         reports = convergence_trace(counter, 2, checkpoints)
         assert [r.x for r in reports] == checkpoints
         for r in reports:
+            clear_stream_memo()  # a separate run streams afresh
             assert r == empirical_moment(counter, 2, r.x), (counter.scenario, r.x)
 
 
@@ -286,6 +290,7 @@ def test_shard_invariance_property(n, a, checkpoints):
     reports = convergence_trace(counter, 2, checkpoints)
     assert [r.x for r in reports] == checkpoints
     for r in reports:
+        clear_stream_memo()  # a separate run streams afresh
         assert r == empirical_moment(counter, 2, r.x)
         assert_matches_reference(r, reference_moments(counter, (2,), r.x))
 
@@ -426,6 +431,7 @@ def test_convergence_trace():
         assert r.predicted == mk(6, 2)
     # one-pass snapshots must equal independent runs
     for r in reports:
+        clear_stream_memo()
         fresh = empirical_moment(counter, 2, r.x)
         assert r.empirical == fresh.empirical
 
@@ -533,3 +539,110 @@ def test_report_json_roundtrip_property(
     blob = json.loads(json.dumps(report.to_json_dict()))
     assert blob["zero_valued"] == zero_valued
     assert report_from_json_dict(blob) == report
+
+
+# ---------------------------------------------------------------------------
+# The stream memo: pieces of the segment grid, valued once per process.
+
+MEMO_COUNTERS = (
+    # (counter, largest checkpoint): power streams cross two grid edges
+    (STREAM_COUNTERS[0], 600_000),
+    (PowerCounter(PowerEquation(4, 1), SplitFilter.nonsplit(CURVE_PRESETS["cm:-1"].cm)), 600_000),
+    (STREAM_COUNTERS[1], 600_000),
+    (TorsionCounter(CURVE_PRESETS["17a3"], 3), 20_000),
+    (STREAM_COUNTERS[2], 20_000),  # cm:-1 at ell = 5, split primes only
+)
+
+
+def _stream_reports(counter, k, checkpoints):
+    return (
+        convergence_trace(counter, k, checkpoints),
+        empirical_moment(counter, k, checkpoints[-1]),
+        empirical_distribution(counter, checkpoints[-1]),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), k=st.integers(0, 3), warm_k=st.integers(0, 3))
+def test_warm_memo_reports_equal_cold_ones(data, k, warm_k):
+    counter, top = data.draw(st.sampled_from(MEMO_COUNTERS))
+    points = st.lists(st.integers(2, top), min_size=1, max_size=4).map(sorted)
+    checkpoints, warm_points = data.draw(points), data.draw(points)
+    clear_stream_memo()
+    cold = _stream_reports(counter, k, checkpoints)
+    clear_stream_memo()
+    # warm with another k, other cut points, and the same x
+    convergence_trace(counter, warm_k, warm_points)
+    empirical_moment(counter, warm_k, checkpoints[-1])
+    warm = _stream_reports(counter, k, checkpoints)
+    assert warm == cold
+    (cold_trace, cold_moment, _), (warm_trace, warm_moment, _) = cold, warm
+    for got, want in zip([*warm_trace, warm_moment], [*cold_trace, cold_moment]):
+        assert got.to_json_dict() == want.to_json_dict()
+
+
+def _spy_on_kernels(monkeypatch) -> list[np.ndarray]:
+    """Record the primes each per-segment kernel call of moment_lab values."""
+    valued = []
+    for name in ("ec_torsion_count_array", "count_roots_array"):
+        kernel = getattr(moment_lab, name)
+
+        def spy(first, primes, *rest, kernel=kernel):
+            valued.append(primes)
+            return kernel(first, primes, *rest)
+
+        monkeypatch.setattr(moment_lab, name, spy)
+    return valued
+
+
+def test_memo_hit_does_no_kernel_work(monkeypatch):
+    valued = _spy_on_kernels(monkeypatch)
+    torsion = TorsionCounter(CURVE_PRESETS["17a3"], 3)
+    empirical_moment(torsion, 1, 20_000)
+    assert valued
+    valued.clear()
+    warm = empirical_moment(torsion, 2, 20_000)
+    assert valued == []
+    clear_stream_memo()
+    assert warm == empirical_moment(torsion, 2, 20_000)
+
+    # a trace after a moment to the same x values only the pieces cut at its
+    # marks: [2, 1001) and [1001, edge) of the first segment, and the second
+    # segment cut at 300,001; the third segment ends at x + 1 both times
+    power = PowerCounter(PowerEquation(6, 1))
+    edge = 2 + SIEVE_SEGMENT
+    empirical_moment(power, 2, 600_000)
+    valued.clear()
+    convergence_trace(power, 2, [1000, 300_000, 600_000])
+    assert len(valued) == 4
+    assert max(int(primes.max()) for primes in valued) < edge + SIEVE_SEGMENT
+    assert sum(primes.size for primes in valued) == sum(
+        1 for p in primes_in_range(2, edge + SIEVE_SEGMENT) if 6 % p
+    )
+
+
+def test_memo_holds_at_most_its_bound(monkeypatch):
+    counter = PowerCounter(PowerEquation(8, 3))
+    x = 1 + 40 * SIEVE_SEGMENT  # 40 segments of the grid from 2
+    checkpoints = [10**5, 5 * 10**6, x]
+    cold = (empirical_moment(counter, 2, x), convergence_trace(counter, 1, checkpoints))
+    clear_stream_memo()
+    monkeypatch.setattr(moment_lab, "STREAM_MEMO_PIECES", 8)
+    bounded = (empirical_moment(counter, 2, x), convergence_trace(counter, 1, checkpoints))
+    assert len(moment_lab._stream_memo) <= 8
+    assert bounded == cold
+
+
+@pytest.mark.slow
+def test_memo_of_a_stream_to_1e8_stays_small():
+    tracemalloc.start()
+    try:
+        empirical_moment(PowerCounter(PowerEquation(6, 1)), 2, 10**8)
+        pieces = len(moment_lab._stream_memo)
+        held, _ = tracemalloc.get_traced_memory()
+        clear_stream_memo()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert pieces <= moment_lab.STREAM_MEMO_PIECES
+    assert 0 < freed < 4 * 2**20, freed
