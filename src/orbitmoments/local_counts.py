@@ -348,11 +348,17 @@ def _residues(coeffs: tuple[int, ...], p: np.ndarray) -> np.ndarray:
 
 
 def _monic_modulus(curve: WeierstrassCurve, ell: int, p: np.ndarray) -> np.ndarray:
-    """The low coefficients of g = psi_ell / ell mod p (g = f for ell = 2), one column per lane."""
+    """The low coefficients of g = psi_ell / ell mod p (g = f for ell = 2), one column per lane.
+
+    psi_ell leads with ell, whose inverse mod p is (1 + m*p) / ell for
+    m = -1/p mod ell, read from a table over p mod ell.
+    """
     if ell == 2:
         return _residues((curve.b, curve.a, 0), p)
     psi = _residues(_integer_division_polynomial(ell, curve.a, curve.b), p)
-    return psi[:-1] * pow_mod_array(psi[-1], p - 2, p) % p
+    m = np.array([-pow(r, -1, ell) % ell if r else 0 for r in range(ell)], dtype=np.int64)
+    inverse = (1 + m[(p % ell).astype(np.int64)] * p) // ell
+    return psi[:-1] * inverse % p
 
 
 class _LaneRing:
@@ -415,15 +421,18 @@ class _LaneRing:
             np.copyto(acc, times(acc), where=(exp >> bit) & 1 == 1)
         return acc
 
-    def gcd_degree(self, r: np.ndarray) -> np.ndarray:
-        """deg gcd(g, r) per lane, for elements r, from 2d - 1 divsteps.
+    def gcd_degree(self, r: np.ndarray, keep: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """(deg gcd(g, r), the low keep coefficients of the final f) per lane, from 2d - 1 divsteps.
 
         Bernstein and Yang (TCHES 2019, Theorem 6.2): from delta = 1,
         f = x**d * g(1/x) and h = x**(d-1) * r(1/x), each step swaps f and h
         when delta > 0 and h(0) != 0 (delta becomes 1 - delta, else 1 + delta)
         and replaces h by (f(0)*h - h(0)*f)/x; after 2d - 1 steps, deg gcd =
-        delta/2.  Unit factors change neither delta nor which h(0) vanish, and
-        no step reads more low coefficients than there are steps left.
+        delta/2, and on a lane where it is below keep, the monic gcd is
+        x**deg * f(1/x) / f(0).  Unit factors change neither delta nor which
+        h(0) vanish, and no step reads more low coefficients than there are
+        steps left plus keep.  _torsion_lanes keeps e + 1 = (ell + 1)/2: it
+        reads h only where deg h = e, and where deg h = d it works modulo g.
         """
         d, p = self.d, self.p
         f = np.vstack([np.ones(p.size, dtype=p.dtype), -self.x_d[::-1] % p])
@@ -434,13 +443,13 @@ class _LaneRing:
             swap = (delta > 0) & (h[0] != 0)
             delta = np.where(swap, 1 - delta, 1 + delta)
             rows = f.shape[0] - 1  # f(0)*h - h(0)*f has constant term 0
-            new = np.zeros((min(rows + 1, left), p.size), dtype=p.dtype)
+            new = np.zeros((min(rows + 1, left + keep), p.size), dtype=p.dtype)
             np.multiply(h[1:], f[0], out=new[:rows])
             new[:rows] -= h[0] * f[1:]
             new[:rows] %= p
             np.copyto(f, h, where=swap)
             f, h = f[: new.shape[0]], new
-        return delta // 2
+        return delta // 2, f
 
 
 def _lane_dtype(d: int, p_max: int):
@@ -450,48 +459,80 @@ def _lane_dtype(d: int, p_max: int):
     _REDUCE_BEFORE_FOLD.  The other sums are smaller: (p + 1)*p in times_x,
     6p**2 in a product by f and 2p**2 in a divstep, and as the bound holds
     only for p < 2**31, Horner's rule in _residues stays below 2**61 and
-    pow_mod_array in _monic_modulus is exact.  Object lanes take the same
-    steps on Python ints, exact for any p.
+    pow_mod_array, which inverts the leading coefficient of h, is exact.
+    The ring modulo h has degree e < d, so its sums are smaller still.
+    Object lanes take the same steps on Python ints, exact for any p.
     """
     terms = 2 * d if d <= _REDUCE_BEFORE_FOLD else d
     return np.int64 if terms * p_max * p_max < _INT64_LIMIT else object
 
 
+def _euler_is_one(curve: WeierstrassCurve, ring: _LaneRing) -> np.ndarray:
+    """Whether f**((p-1)/2) = 1 in the ring, per lane, for f = x**3 + a*x + b.
+
+    A product by f adds the element shifted by three places, a times it
+    shifted by one and b times it, and folds.
+    """
+    q, d = ring.p, ring.d
+    a, b = _residues((curve.a, curve.b), q)
+
+    def times_f(acc):
+        full = np.zeros((d + 3, q.size), dtype=q.dtype)
+        full[3:] = acc
+        full[1 : d + 1] += a * acc
+        full[:d] += b * acc
+        return ring.reduce(full)
+
+    power = ring.pow(times_f, (q - 1) // 2)
+    return (power[0] == 1) & (power[1:] == 0).all(axis=0)
+
+
 def _torsion_lanes(curve: WeierstrassCurve, p: np.ndarray, ell: int) -> np.ndarray:
     """|E(F_p)[ell]| for each prime of an array of good primes, in lanes of its dtype.
 
-    With r1 = x**p - x and r2 = f**((p-1)/2) - 1 in A = F_p[x]/(g), the count
-    is 1 + deg gcd(g, r1) for ell = 2 (g = f) and 1 + 2*deg gcd(g, r1, r2)
-    for odd ell.  g is squarefree at a good prime, so degrees count roots
-    and deg gcd(g, r1, r2) = deg gcd(g, r1) + deg gcd(g, r2) - deg gcd(g,
-    r1*r2).  Lanes where g has no root in F_p skip the f stage, where a
-    product by f = x**3 + a*x + b adds three shifted copies and folds.
+    h = gcd(g, x**p - x) collects the x-coordinates of the points with
+    Frob(P) = +-P, and g is squarefree at a good prime, so deg h counts
+    them.  For ell = 2 (g = f) the count is 1 + deg h.  For odd ell, each
+    line of E[ell] on which Frobenius acts as +1 or -1 gives h exactly
+    e = (ell - 1)/2 roots, and two such lines have opposite signs unless
+    Frobenius is +-I, so with d = deg g = (ell + 1)*e:
+
+    - deg h = 0: no point is fixed, the count is 1;
+    - deg h = 2e: one line of each sign, the count is ell;
+    - deg h = e: one line, whose sign f**((p-1)/2) takes on every root of
+      h (a root x0 gives the points (x0, +-y) with y**2 = f(x0)), so it is
+      read in F_p[x]/(h), of degree e: ell for +1, else 1;
+    - deg h = d: Frobenius is +-I, h = g, and the sign is read in the
+      full ring F_p[x]/(g): ell**2 for +1, else 1.
+
+    Any other degree raises ArithmeticError.
     """
     ring = _LaneRing.modulo(_monic_modulus(curve, ell, p), p)
-    d = ring.d
     r1 = ring.pow(ring.times_x, p, base_is_x=True)
     r1[1] = (r1[1] - 1) % p
-    roots = ring.gcd_degree(r1)
     if ell == 2:
-        return 1 + roots
-    counts = np.ones(p.size, dtype=np.int64)
-    rooted = np.flatnonzero(roots)
-    if rooted.size:
-        q, r1 = p[rooted], r1[:, rooted]
-        ring = _LaneRing(q, ring.x_d[:, rooted])
-        a, b = _residues((curve.a, curve.b), q)
-
-        def times_f(acc):
-            full = np.zeros((d + 3, q.size), dtype=q.dtype)
-            full[3:] = acc
-            full[1 : d + 1] += a * acc
-            full[:d] += b * acc
-            return ring.reduce(full)
-
-        r2 = ring.pow(times_f, (q - 1) // 2)
-        r2[0] = (r2[0] - 1) % q
-        either = ring.gcd_degree(ring.mul(r1, r2))  # roots of r1 or of r2
-        counts[rooted] += 2 * (roots[rooted] + ring.gcd_degree(r2) - either)
+        return 1 + ring.gcd_degree(r1)[0]
+    e, d = (ell - 1) // 2, ring.d
+    degree, low = ring.gcd_degree(r1, e + 1)
+    odd = ~np.isin(degree, (0, e, 2 * e, d))
+    if odd.any():
+        i = int(np.argmax(odd))
+        raise ArithmeticError(
+            f"deg gcd(g, x**p - x) = {degree[i]} for {curve} at p={p[i]}, ell={ell} is "
+            f"impossible: expected 0, {e}, {2 * e} or {d}"
+        )
+    counts = np.where(degree == 2 * e, ell, 1)
+    line = np.flatnonzero(degree == e)
+    if line.size:
+        q, low = p[line], low[:, line]
+        # monic h: its coefficient of x**j is f_(e-j) / f_0
+        h_low = low[e:0:-1] * pow_mod_array(low[0], q - 2, q) % q
+        sign = _euler_is_one(curve, _LaneRing.modulo(h_low, q))
+        counts[line] = np.where(sign, ell, 1)
+    whole = np.flatnonzero(degree == d)
+    if whole.size:
+        sign = _euler_is_one(curve, _LaneRing(p[whole], ring.x_d[:, whole]))
+        counts[whole] = np.where(sign, ell * ell, 1)
     return counts
 
 
@@ -600,15 +641,20 @@ def ec_torsion_count_array(curve: WeierstrassCurve, primes: np.ndarray, ell: int
 
     - ell = 2: the nontrivial points are (x0, 0) with f(x0) = 0, so the
       count is 1 + deg gcd(f, x**p - x).
-    - odd ell: h = gcd(psi_ell, x**p - x) collects the rational
-      x-coordinates of the points of order ell, and a root x0 gives the two
-      rational points (x0, +-y) exactly when f(x0) is a square, that is a
-      root of f**((p-1)/2) - 1.  So the count is
-      1 + 2*deg gcd(h, f**((p-1)/2) - 1 mod h).
+    - odd ell: h = gcd(psi_ell, x**p - x) collects the x-coordinates of
+      the points with Frob(P) = +-P, and a root x0 gives the two rational
+      points (x0, +-y) exactly when f(x0) is a square.  Those points fill
+      the lines of E[ell] on which Frobenius acts as +1 or -1, e = (ell -
+      1)/2 roots of h each, so deg h is 0 (count 1), 2e (one line of each
+      sign, count ell), e (one line, count ell or 1 by the sign
+      f**((p-1)/2) takes in F_p[x]/(h), of degree e) or d = deg psi_ell
+      (Frobenius is +-I, count ell**2 or 1 by that sign in the full ring
+      F_p[x]/(psi_ell)); any other degree raises ArithmeticError.
 
     h divides x**p - x, so it is squarefree and degrees count roots.
     psi_ell is built over Z once per curve and reduced mod p.  Every prime
-    takes the same steps, one lane each, in blocks of lanes: int64 lanes
+    takes x**p and the gcd, and the lanes of each deg h class the same
+    second stage, one lane each, in blocks of lanes: int64 lanes
     while a block's largest prime keeps every sum below 2**63 (2d p**2 <
     2**63 for deg g = d <= 64, d p**2 above), Python-int lanes otherwise.
     Each count, on either path, is checked against the values ell-torsion

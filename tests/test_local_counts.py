@@ -25,6 +25,7 @@ from orbitmoments.core_arith import (
     POW_ARRAY_LIMIT,
     is_prime,
     kronecker_symbol,
+    pow_mod_array,
     prime_segments,
     primes_in_range,
 )
@@ -345,16 +346,21 @@ def test_splitting_type():
 
 def test_bad_primes_mask_matches_rule():
     huge = 2**70 * 7 * 999_983 * 1_000_003  # does not fit int64
+    top = next(p for p in range(2**32 - 1, 2**31, -2) if is_prime(p))  # a prime past 2**31
     big_curve = parse_curve("123456789012,987654321098")
     assert abs(big_curve.discriminant) >= 2**63
     rules = (
         BadPrimes(huge),
+        BadPrimes(huge * top),
+        BadPrimes(0),  # every prime divides 0
         BadPrimes(12),
         big_curve.bad_primes(3),
         CURVE_PRESETS["17a3"].bad_primes(5),
     )
+    rng = np.random.default_rng(11)
+    segments = [*prime_segments(2, 2 * 10**6), *prime_segments(2**32 - 3000, 2**32)]
     for bad in rules:
-        for segment in prime_segments(2, 2 * 10**6):
+        for segment in segments + [rng.permutation(segments[0])]:  # and unsorted
             assert segment[bad.mask(segment)].tolist() == [p for p in segment.tolist() if p in bad]
     assert [p for p in primes_in_range(2, 2 * 10**6) if p in BadPrimes(huge)] == [
         2,
@@ -362,6 +368,7 @@ def test_bad_primes_mask_matches_rule():
         999_983,
         1_000_003,
     ]
+    assert BadPrimes(huge * top).mask(segments[-1]).tolist().count(True) == 1
     assert [p for p in primes_in_range(2, 31) if p in CURVE_PRESETS["17a3"].bad_primes(5)] == [2, 3, 5, 17]
 
 
@@ -442,10 +449,20 @@ def test_lane_gcd_degree_matches_pgcd():
         p = np.array([q for q, _, _ in lanes], dtype=np.int64)
         g_low = np.array([g[:d] for _, g, _ in lanes], dtype=np.int64).T
         r = np.array([r + [0] * (d - len(r)) for _, _, r in lanes], dtype=np.int64).T
-        got = local_counts._LaneRing.modulo(g_low, p).gcd_degree(r).tolist()
-        want = [len(pgcd(g, ptrim(list(r)), q)) - 1 for q, g, r in lanes]
-        assert got == want, d
+        ring = local_counts._LaneRing.modulo(g_low, p)
+        gcds = [pgcd(g, ptrim(list(r)), q) for q, g, r in lanes]
+        want = [len(w) - 1 for w in gcds]
         assert {0, d} <= set(want), d  # r = 0 gives d
+        for keep in (0, d // 2 + 1, d + 1):
+            degree, low = ring.gcd_degree(r, keep)
+            assert degree.tolist() == want, (d, keep)
+            assert low.shape == (keep, p.size), (d, keep)
+            # below keep, x**deg * f(1/x) / f(0) is the monic gcd
+            for lane, (q, w) in enumerate(zip(p.tolist(), gcds)):
+                if len(w) <= keep:
+                    f = low[: len(w), lane].tolist()
+                    monic = [c * pow(f[0], -1, q) % q for c in reversed(f)]
+                    assert monic == [c * pow(w[-1], -1, q) % q for c in w], (d, keep, q)
 
 
 def test_lane_product_at_its_exactness_limit():
@@ -463,6 +480,83 @@ def test_lane_product_at_its_exactness_limit():
                 coeffs = a[:, lane].tolist()
                 want = pmod(local_counts._pmul(coeffs, coeffs), [1] * (d + 1), q)
                 assert got[:, lane].tolist() == want + [0] * (d - len(want)), (d, q)
+
+
+def test_monic_modulus_inverts_ell_from_a_table():
+    # 1/ell = (1 + m*p)/ell with m = -1/p mod ell equals ell**(p-2), on int64
+    # and on Python-int lanes, up to the largest int64 lanes and past them
+    curve = CURVE_PRESETS["17a3"]
+    for ell in (3, 5, 7, 13):
+        switch = _int64_switch(_degree(ell))
+        for primes in (_good_primes(curve, ell, 2, 3000), _good_primes(curve, ell, switch - 300, switch + 300)):
+            for p in (primes, primes.astype(object)):
+                psi = local_counts._residues(local_counts._integer_division_polynomial(ell, curve.a, curve.b), p)
+                assert (psi[-1] == ell % p).all()
+                want = psi[:-1] * pow_mod_array(psi[-1], p - 2, p) % p
+                got = local_counts._monic_modulus(curve, ell, p)
+                assert got.dtype == p.dtype and got.tolist() == want.tolist(), (ell, p.dtype)
+
+
+def _spy_degrees(monkeypatch):
+    """(dtype, deg h) of every lane whose h the second stage reads, in call order."""
+    seen = []
+    gcd_degree = local_counts._LaneRing.gcd_degree
+
+    def spy(ring, r, keep=0):
+        degree, low = gcd_degree(ring, r, keep)
+        if keep:
+            seen.extend((ring.p.dtype, deg) for deg in degree.tolist())
+        return degree, low
+
+    monkeypatch.setattr(local_counts._LaneRing, "gcd_degree", spy)
+    return seen
+
+
+def test_second_stage_by_deg_h_matches_group_order(monkeypatch):
+    # deg h is 0, e, 2e or d = (ell + 1)*e; each class occurs for each ell
+    # across the two curves (11a2 has Frobenius = +-I on a quarter of its
+    # primes at ell = 3, and no lane with deg h = e there)
+    seen = _spy_degrees(monkeypatch)
+    for ell in (3, 5, 7):
+        seen.clear()
+        for name in ("17a3", "11a2"):
+            curve = CURVE_PRESETS[name]
+            primes = _good_primes(curve, ell, 2, 2 * 10**4)
+            want = [torsion_from_group_order(curve, p, ell) for p in primes.tolist()]
+            assert ec_torsion_count_array(curve, primes, ell).tolist() == want, (name, ell)
+        e = (ell - 1) // 2
+        assert {deg for _, deg in seen} == {0, e, 2 * e, (ell + 1) * e}, ell
+
+
+def test_second_stage_across_the_int64_switch(monkeypatch):
+    # at ell = 3 every deg h class occurs on int64 lanes and on Python-int lanes
+    switch = _int64_switch(_degree(3))
+    seen = _spy_degrees(monkeypatch)
+    for name in ("17a3", "11a2"):
+        curve = CURVE_PRESETS[name]
+        primes = _good_primes(curve, 3, switch - 2000, switch + 2000)
+        below = primes[primes < switch]
+        want = [torsion_by_schoof(curve, p, 3) for p in primes.tolist()]
+        assert ec_torsion_count_array(curve, below, 3).tolist() == want[: below.size], name
+        assert ec_torsion_count_array(curve, primes, 3).tolist() == want, name
+    for dtype in (np.int64, object):
+        assert {deg for t, deg in seen if t == dtype} == {0, 1, 2, 4}, dtype
+
+
+def test_torsion_lanes_reject_an_impossible_deg_h(monkeypatch):
+    curve = CURVE_PRESETS["17a3"]
+    primes = _good_primes(curve, 5, 2, 200)
+    gcd_degree = local_counts._LaneRing.gcd_degree
+
+    def shifted(ring, r, keep=0):
+        degree, low = gcd_degree(ring, r, keep)
+        degree[4] = 3  # at ell = 5, deg h is 0, 2, 4 or 12
+        return degree, low
+
+    monkeypatch.setattr(local_counts._LaneRing, "gcd_degree", shifted)
+    message = f"deg gcd(g, x**p - x) = 3 for {curve} at p={primes[4]}, ell=5 is impossible"
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        ec_torsion_count_array(curve, primes, 5)
 
 
 def test_torsion_array_memory_stays_per_block():
