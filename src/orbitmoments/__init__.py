@@ -28,14 +28,12 @@ from .local_counts import (
     CURVE_PRESETS,
     BadPrimes,
     PowerEquation,
-    SplittingType,
     WeierstrassCurve,
     count_roots_array,
     count_roots_formula,
     ec_torsion_count,
     ec_torsion_count_array,
     parse_curve,
-    splitting_type,
 )
 from .moment_lab import (
     CounterSpec,

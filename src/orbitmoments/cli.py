@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from .closed_forms import dk, mk
@@ -52,9 +53,7 @@ def _build_counter(args):
     if args.scenario == "power":
         counter = PowerCounter(PowerEquation(args.n, args.a))
     elif args.scenario == "product":
-        counter = PowerProductCounter(
-            PowerEquation(args.n, args.a), PowerEquation(args.n, 1), args.k1, args.k2
-        )
+        counter = PowerProductCounter(PowerEquation(args.n, args.a), args.k1, args.k2)
     elif args.scenario == "torsion":
         if not args.curve:
             raise ValueError("torsion scenario needs --curve")
@@ -70,11 +69,7 @@ def _build_counter(args):
             spec = QuadOrderSpec(args.filter_d)
         if spec is None:
             raise ValueError("no CM field to filter by; pass --filter-d")
-        make = SplitFilter.split if args.filter == "split" else SplitFilter.nonsplit
-        if args.scenario == "torsion":
-            counter = TorsionCounter(counter.curve, counter.ell, make(spec))
-        else:
-            counter = PowerCounter(counter.eq, make(spec))
+        counter = replace(counter, split_filter=SplitFilter(spec, args.filter == "split"))
     return counter
 
 

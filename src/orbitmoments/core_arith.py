@@ -181,19 +181,12 @@ def divisor_count(n: int) -> int:
 
 
 def pow_mod(b: int, e: int, m: int) -> int:
-    """b**e mod m by binary exponentiation, O(log e) multiplications."""
+    """b**e mod m, for m >= 2 and e >= 0."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
     if e < 0:
         raise ValueError("exponent must be >= 0")
-    result = 1
-    b %= m
-    while e:
-        if e & 1:
-            result = result * b % m
-        b = b * b % m
-        e >>= 1
-    return result
+    return pow(b, e, m)
 
 
 # pow_mod_array is exact for moduli below this bound.

@@ -7,7 +7,6 @@ convention keeps the estimators simple.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from math import gcd
 
@@ -18,7 +17,6 @@ from .core_arith import (
     RESIDUE_TABLE_LIMIT,
     is_prime,
     kronecker_array,
-    kronecker_symbol,
     pow_mod,
     pow_mod_array,
 )
@@ -54,36 +52,6 @@ class BadPrimes:
         else:
             divides = np.array([m % p == 0 for p in primes.tolist()], dtype=bool)
         return (primes < self.floor) | divides
-
-
-class SplittingType(Enum):
-    SPLIT = "split"
-    INERT = "inert"
-    RAMIFIED = "ramified"
-
-
-def splitting_type(p: int, spec: QuadOrderSpec) -> SplittingType:
-    """Classify a rational prime in K by the Kronecker symbol of disc(K)."""
-    sym = kronecker_symbol(spec.discriminant, p)
-    if sym == 1:
-        return SplittingType.SPLIT
-    if sym == -1:
-        return SplittingType.INERT
-    return SplittingType.RAMIFIED
-
-
-_KRONECKER_OF = {SplittingType.SPLIT: 1, SplittingType.INERT: -1, SplittingType.RAMIFIED: 0}
-
-
-def splitting_mask(primes: np.ndarray, spec: QuadOrderSpec, keep) -> np.ndarray:
-    """splitting_type(p, spec) in keep for each entry of an int64 array of primes.
-
-    The Kronecker symbols of disc(K) come from kronecker_array, which for
-    a class-number-one field (|disc| <= 163) reads them from its table
-    over p mod 4|disc|, whatever the size of p.
-    """
-    symbols = kronecker_array(spec.discriminant, primes)
-    return np.isin(symbols, [_KRONECKER_OF[t] for t in keep])
 
 
 @dataclass(frozen=True)
@@ -134,7 +102,7 @@ def count_roots_array(eq: PowerEquation, primes: np.ndarray) -> np.ndarray:
     with (a|p) = 1, or odd d > 1, take the criterion a**((p-1)/d) = 1
     through pow_mod_array -- a quarter of the primes for x**8 - a.
     Vectorized on int64 while every prime is below POW_ARRAY_LIMIT and n
-    and a fit int64; otherwise each prime takes the builtin pow.  d is
+    and a fit int64; otherwise each prime takes count_roots_formula.  d is
     gathered from a cached table over p mod n while n <= 2**17.
     """
     n, a = eq.n, eq.a
@@ -155,11 +123,7 @@ def count_roots_array(eq: PowerEquation, primes: np.ndarray) -> np.ndarray:
         q, e = primes[rest], d[rest]
         counts[rest] = np.where(pow_mod_array(a % q, (q - 1) // e, q) == 1, e, 0)
         return counts
-    counts = []
-    for p in primes.tolist():
-        d = gcd(p - 1, n)
-        counts.append(d if pow(a, (p - 1) // d, p) == 1 else 0)
-    return np.array(counts, dtype=np.int64)
+    return np.array([count_roots_formula(eq, p) for p in primes.tolist()], dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ to those bounds.
 
 import cmath
 import math
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,37 +32,52 @@ from .closed_forms import (
     mk,
     split_densities,
 )
-from .core_arith import SIEVE_SEGMENT, is_prime, prime_segments, primes_in_range
+from .core_arith import SIEVE_SEGMENT, is_prime, kronecker_array, prime_segments, primes_in_range
 from .local_counts import (
     BadPrimes,
     PowerEquation,
-    SplittingType,
     WeierstrassCurve,
     count_roots_array,
     ec_torsion_count_array,
-    splitting_mask,
 )
 from .orbit_engine import PermutationAction, predicted_value_distribution
 from .residue_algebra import QuadOrderSpec
 
-NONSPLIT = frozenset({SplittingType.INERT, SplittingType.RAMIFIED})
-SPLIT_ONLY = frozenset({SplittingType.SPLIT})
-
 
 @dataclass(frozen=True)
 class SplitFilter:
-    """Restrict a counter to primes with the given splitting behaviour in K."""
+    """Restrict a counter to the primes that split in K, or to those that do not."""
 
     spec: QuadOrderSpec
-    keep: frozenset
+    keep_split: bool
 
     @classmethod
     def split(cls, spec: QuadOrderSpec) -> "SplitFilter":
-        return cls(spec, SPLIT_ONLY)
+        return cls(spec, True)
 
     @classmethod
     def nonsplit(cls, spec: QuadOrderSpec) -> "SplitFilter":
-        return cls(spec, NONSPLIT)
+        return cls(spec, False)
+
+    def mask(self, primes: np.ndarray) -> np.ndarray:
+        """Which entries of an int64 array of primes the filter keeps.
+
+        p splits in K exactly when (disc(K)|p) = 1; kronecker_array reads
+        the symbol from its table over p mod 4|disc| for a class-number-one
+        field, whatever the size of p.
+        """
+        return (kronecker_array(self.spec.discriminant, primes) == 1) == self.keep_split
+
+
+def _filter_suffix(f: SplitFilter | None) -> str:
+    if f is None:
+        return ""
+    return ",split" if f.keep_split else ",nonsplit"
+
+
+def _histogram(values: np.ndarray) -> dict[int, int]:
+    values, counts = np.unique(values, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 def _icbrt(n: int) -> int:
@@ -89,11 +105,24 @@ def _check_square_free_positive(a: int):
         raise ValueError("a must be square-free")
 
 
-def _check_power_side_conditions(eq: PowerEquation):
-    # a must be square-free positive, and must not divide even n.
-    _check_square_free_positive(eq.a)
-    if eq.n % 2 == 0 and eq.n % eq.a == 0 and eq.a > 1:
-        raise ValueError("for even n the constant a must not divide n")
+def _check_kummer(eq: PowerEquation):
+    """Refuse x**n - a (a != 1) unless Q(zeta_n, a**(1/n)) has degree n*phi(n).
+
+    The power limits are Burnside counts over that Galois group, so they
+    need its full size.  For square-free a > 1 it falls short only when
+    sqrt(a), which lies in Q(a**(1/n)) for even n, also lies in Q(zeta_n):
+    that is, when the discriminant of Q(sqrt(a)) divides n.
+    """
+    a, n = eq.a, eq.n
+    _check_square_free_positive(a)
+    disc = a if a % 4 == 1 else 4 * a
+    if n % 2 == 0 and n % disc == 0:
+        raise ValueError("for even n the discriminant of Q(sqrt(a)) must not divide n")
+
+
+# Each counter names its excluded primes (bad_primes), values a segment of
+# the other primes (values: N_p -> number of primes) and gives the exact
+# limit of its k-th moment (predicted; None when no limit is known).
 
 
 @dataclass(frozen=True)
@@ -105,44 +134,60 @@ class PowerCounter:
 
     def __post_init__(self):
         if self.eq.a != 1:
-            _check_power_side_conditions(self.eq)
+            _check_kummer(self.eq)
 
     @property
     def scenario(self) -> str:
         base = f"power:n={self.eq.n},a={self.eq.a}"
         return base + _filter_suffix(self.split_filter)
 
+    @property
+    def bad_primes(self) -> BadPrimes:
+        return self.eq.bad_primes
+
+    def values(self, primes: np.ndarray) -> dict[int, int]:
+        return _histogram(count_roots_array(self.eq, primes))
+
+    def predicted(self, k: int) -> Fraction | None:
+        if self.split_filter is not None:
+            return None
+        if k == 0:
+            return Fraction(1)
+        return mk(self.eq.n, k) if self.eq.a == 1 else mk(self.eq.n, k - 1)
+
 
 @dataclass(frozen=True)
 class PowerProductCounter:
-    """N_p(x**n - a)**k1 * N_p(x**n - 1)**k2, same exponent n."""
+    """N_p(x**n - a)**k1 * N_p(x**n - 1)**k2."""
 
-    eq_a: PowerEquation
-    eq_one: PowerEquation
+    eq: PowerEquation
     k1: int
     k2: int
+    split_filter = None  # no limit is known under a filter
 
     def __post_init__(self):
-        if self.eq_one.a != 1 or self.eq_one.n != self.eq_a.n:
-            raise ValueError("second factor must be x**n - 1 with matching n")
         if self.k1 < 1 or self.k2 < 0:
             raise ValueError("need k1 >= 1 and k2 >= 0")
-        a, n = self.eq_a.a, self.eq_a.n
-        _check_square_free_positive(a)
-        if a == 1:
+        if self.eq.a == 1:
             raise ValueError("a must be > 1: for a = 1 the product is a power moment of x**n - 1")
-        # For even n, sqrt(a) lies in Q(a**(1/n)), and also in Q(zeta_n) when
-        # the discriminant of Q(sqrt(a)) divides n; mk(n, k(k1 + k2) - 1) is
-        # then not the limit.
-        disc = a if a % 4 == 1 else 4 * a
-        if n % 2 == 0 and n % disc == 0:
-            raise ValueError("for even n the discriminant of Q(sqrt(a)) must not divide n")
+        _check_kummer(self.eq)
 
     @property
     def scenario(self) -> str:
-        return (
-            f"product:n={self.eq_a.n},a={self.eq_a.a},k1={self.k1},k2={self.k2}"
-        )
+        return f"product:n={self.eq.n},a={self.eq.a},k1={self.k1},k2={self.k2}"
+
+    @property
+    def bad_primes(self) -> BadPrimes:
+        return self.eq.bad_primes
+
+    def values(self, primes: np.ndarray) -> dict[int, int]:
+        # N_p(x**n - 1) = gcd(p-1, n), and N_p(x**n - a) is either that or 0,
+        # so with k1 >= 1 the product is N_p(x**n - a)**(k1 + k2).
+        hist = _histogram(count_roots_array(self.eq, primes))
+        return {v ** (self.k1 + self.k2): c for v, c in hist.items()}
+
+    def predicted(self, k: int) -> Fraction | None:
+        return mk(self.eq.n, k * (self.k1 + self.k2) - 1) if k >= 1 else Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -160,46 +205,34 @@ class TorsionCounter:
     @property
     def scenario(self) -> str:
         name = self.curve.label or f"{self.curve.a},{self.curve.b}"
-        return f"torsion:curve={name},ell={self.ell}" + _filter_suffix(
-            self.split_filter
-        )
+        return f"torsion:curve={name},ell={self.ell}" + _filter_suffix(self.split_filter)
+
+    @property
+    def bad_primes(self) -> BadPrimes:
+        return self.curve.bad_primes(self.ell)
+
+    def values(self, primes: np.ndarray) -> dict[int, int]:
+        return _histogram(ec_torsion_count_array(self.curve, primes, self.ell))
+
+    def predicted(self, k: int) -> Fraction | None:
+        curve, ell, filt = self.curve, self.ell, self.split_filter
+        if k == 0 and filt is None:
+            return Fraction(1)
+        if curve.cm is None:
+            return gl2_moment(ell, k) if filt is None else None
+        # the CM forms hold at an odd ell that splits or is inert in K
+        d = dk(ell, curve.cm)
+        if ell == 2 or d == 3:
+            return None
+        if filt is None:
+            return cm_moment(ell, k, d)
+        if not filt.keep_split:
+            return inert_partial_moment(ell, k)
+        d0, d1, d2 = split_densities(ell, d)
+        return d0 + d1 * ell**k + d2 * ell ** (2 * k)
 
 
 CounterSpec = PowerCounter | PowerProductCounter | TorsionCounter
-
-
-def _filter_suffix(f: SplitFilter | None) -> str:
-    if f is None:
-        return ""
-    return ",split" if f.keep == SPLIT_ONLY else ",nonsplit"
-
-
-def _bad_primes(counter: CounterSpec) -> BadPrimes:
-    if isinstance(counter, PowerCounter):
-        return counter.eq.bad_primes
-    if isinstance(counter, PowerProductCounter):
-        return counter.eq_a.bad_primes
-    return counter.curve.bad_primes(counter.ell)
-
-
-def _value_histogram(counter: CounterSpec, primes: np.ndarray) -> dict[int, int]:
-    """N_p -> number of primes, over an int64 array of non-excluded primes."""
-    if isinstance(counter, TorsionCounter):
-        values = ec_torsion_count_array(counter.curve, primes, counter.ell)
-    else:
-        eq = counter.eq if isinstance(counter, PowerCounter) else counter.eq_a
-        values = count_roots_array(eq, primes)
-    values, counts = np.unique(values, return_counts=True)
-    hist = dict(zip(values.tolist(), counts.tolist()))
-    if isinstance(counter, PowerProductCounter):
-        # N_p(x**n - 1) = gcd(p-1, n), and N_p(x**n - a) is either that or 0,
-        # so with k1 >= 1 the product is N_p(x**n - a)**(k1 + k2).
-        hist = {v ** (counter.k1 + counter.k2): c for v, c in hist.items()}
-    return hist
-
-
-def _split_filter(counter: CounterSpec) -> SplitFilter | None:
-    return getattr(counter, "split_filter", None)
 
 
 @dataclass
@@ -269,34 +302,7 @@ def report_from_json_dict(data: dict) -> MomentReport:
 
 def predicted_moment(counter: CounterSpec, k: int) -> Fraction | None:
     """The exact limit value for this counter and power, when one applies."""
-    if k == 0:
-        if _split_filter(counter) is None:
-            return Fraction(1)
-    if isinstance(counter, PowerCounter):
-        if counter.split_filter is not None:
-            return None
-        if counter.eq.a == 1:
-            return mk(counter.eq.n, k)
-        return mk(counter.eq.n, k - 1) if k >= 1 else Fraction(1)
-    if isinstance(counter, PowerProductCounter):
-        if k < 1:
-            return Fraction(1)
-        return mk(counter.eq_a.n, k * (counter.k1 + counter.k2) - 1)
-    curve, ell = counter.curve, counter.ell
-    if curve.cm is None:
-        return gl2_moment(ell, k) if counter.split_filter is None else None
-    # the CM forms hold at an odd ell that splits or is inert in K
-    d = dk(ell, curve.cm)
-    if ell == 2 or d == 3:
-        return None
-    if counter.split_filter is None:
-        return cm_moment(ell, k, d)
-    if counter.split_filter.keep == NONSPLIT:
-        return inert_partial_moment(ell, k)
-    if counter.split_filter.keep == SPLIT_ONLY:
-        d0, d1, d2 = split_densities(ell, d)
-        return d0 + d1 * ell**k + d2 * ell ** (2 * k)
-    return None
+    return counter.predicted(k)
 
 
 @dataclass
@@ -314,16 +320,15 @@ class _Tally:
 
     def add_primes(self, counter: CounterSpec, primes: np.ndarray):
         self.pi_x += primes.size
-        good = primes[~_bad_primes(counter).mask(primes)]
+        good = primes[~counter.bad_primes.mask(primes)]
         self.excluded += primes.size - good.size
-        filt = _split_filter(counter)
-        if filt is not None:
-            keep = splitting_mask(good, filt.spec, filt.keep)
+        if counter.split_filter is not None:
+            keep = counter.split_filter.mask(good)
             self.filtered += good.size - int(keep.sum())
             good = good[keep]
         if primes.size > good.size:
             self.hist[0] += primes.size - good.size
-        self.hist.update(_value_histogram(counter, good))
+        self.hist.update(counter.values(good))
 
     def merge(self, piece: tuple):
         """Add a memoized piece: (histogram items, excluded, filtered, pi_x)."""
@@ -344,29 +349,20 @@ class _Tally:
 # (2**18 integers) and takes under 1 KB, so the default covers one stream
 # to about 10**9 in a few MB.
 STREAM_MEMO_PIECES = 4096
-_stream_memo: OrderedDict = OrderedDict()
 
 
 def clear_stream_memo():
     """Forget every memoized piece, so the next stream sieves and values afresh."""
-    _stream_memo.clear()
+    _piece.cache_clear()
 
 
+@lru_cache(maxsize=STREAM_MEMO_PIECES)
 def _piece(counter: CounterSpec, lo: int, hi: int) -> tuple:
     """(histogram items, excluded, filtered, pi_x) of the primes in [lo, hi)."""
-    key = (counter, lo, hi)
-    piece = _stream_memo.get(key)
-    if piece is not None:
-        _stream_memo.move_to_end(key)
-        return piece
     tally = _Tally()
     for primes in prime_segments(lo, hi):
         tally.add_primes(counter, primes)
-    piece = (tuple(tally.hist.items()), tally.excluded, tally.filtered, tally.pi_x)
-    _stream_memo[key] = piece
-    while len(_stream_memo) > STREAM_MEMO_PIECES:
-        _stream_memo.popitem(last=False)
-    return piece
+    return (tuple(tally.hist.items()), tally.excluded, tally.filtered, tally.pi_x)
 
 
 def _accumulate(counter: CounterSpec, marks: list[int]) -> list[_Tally]:
@@ -424,7 +420,7 @@ def empirical_moment(
     denom = tally.pi_x - tally.excluded if good_only else tally.pi_x
     if denom == 0:
         raise ValueError(
-            f"good_only: every prime p <= {x} is excluded ({_bad_primes(counter)}), "
+            f"good_only: every prime p <= {x} is excluded ({counter.bad_primes}), "
             "so there is nothing to average"
         )
     return _report(counter, k, x, tally, denom, predicted_moment(counter, k))

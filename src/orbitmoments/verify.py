@@ -258,7 +258,7 @@ def suite_power_moments(tol: float = TOL_POWER, x: int = X_POWER) -> list[CheckR
                 f"empirical={float(report.empirical):.6f} rel_err={report.rel_err:.4%}",
             )
         )
-    counter = PowerProductCounter(PowerEquation(6, 2), PowerEquation(6, 1), 1, 1)
+    counter = PowerProductCounter(PowerEquation(6, 2), 1, 1)
     report = empirical_moment(counter, 1, x)
     results.append(
         _check(

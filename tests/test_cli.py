@@ -347,6 +347,21 @@ def test_moment_rejects_a_product_whose_limit_does_not_hold(capsys):
     assert "discriminant of Q(sqrt(a)) must not divide n" in err
 
 
+def test_power_scenario_uses_the_kummer_rule_of_the_product(capsys):
+    # a = 2 divides n = 2, but disc Q(sqrt 2) = 8 does not: the limit is mk(2, k - 1)
+    argv = ["moment", "--scenario", "power", "--n", "2", "--a", "2", "--k", "3", "--x", "10000"]
+    code, out, _ = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert (report["predicted_num"], report["predicted_den"]) == (4, 1)
+    # sqrt(2) lies in Q(zeta_8), so x**8 - 2 has no mk limit
+    argv = ["moment", "--scenario", "power", "--n", "8", "--a", "2", "--k", "1", "--x", "1000"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "discriminant of Q(sqrt(a)) must not divide n" in err
+
+
 def test_orbits_counts_semidirect_127_from_its_histogram(capsys):
     # its permutation table would have 258,096,258 entries; none is built
     for k, want in ((1, 2), (2, 16258)):

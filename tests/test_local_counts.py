@@ -33,7 +33,6 @@ from orbitmoments.local_counts import (
     CURVE_PRESETS,
     BadPrimes,
     PowerEquation,
-    SplittingType,
     WeierstrassCurve,
     count_roots_array,
     count_roots_formula,
@@ -41,9 +40,8 @@ from orbitmoments.local_counts import (
     ec_torsion_count,
     ec_torsion_count_array,
     parse_curve,
-    splitting_mask,
-    splitting_type,
 )
+from orbitmoments.moment_lab import SplitFilter
 from orbitmoments.residue_algebra import CLASS_NUMBER_ONE_D, QuadOrderSpec
 
 
@@ -301,7 +299,7 @@ def test_cm_supersingular_torsion_is_gcd():
     supersingular = [
         p
         for p in primes_in_range(2, 10**4 + 1)
-        if p not in curve.bad_primes() and splitting_type(p, spec) is not SplittingType.SPLIT
+        if p not in curve.bad_primes() and kronecker_symbol(spec.discriminant, p) != 1
     ]
     for p in supersingular:
         assert ec_point_count(curve, p) == p + 1
@@ -334,14 +332,12 @@ def _peval(poly, x, p):
 
 
 def test_splitting_type():
-    gauss = QuadOrderSpec(-1)
-    assert splitting_type(5, gauss) is SplittingType.SPLIT
-    assert splitting_type(7, gauss) is SplittingType.INERT
-    assert splitting_type(2, gauss) is SplittingType.RAMIFIED
-    eisenstein = QuadOrderSpec(-3)
-    assert splitting_type(3, eisenstein) is SplittingType.RAMIFIED
-    assert splitting_type(7, eisenstein) is SplittingType.SPLIT
-    assert splitting_type(5, eisenstein) is SplittingType.INERT
+    # the split filter keeps the split primes; the nonsplit one keeps inert and ramified
+    primes = np.array([2, 3, 5, 7], dtype=np.int64)
+    for d, split in ((-1, [False, False, True, False]), (-3, [False, False, False, True])):
+        spec = QuadOrderSpec(d)
+        assert SplitFilter.split(spec).mask(primes).tolist() == split, d
+        assert SplitFilter.nonsplit(spec).mask(primes).tolist() == [not s for s in split], d
 
 
 def test_bad_primes_mask_matches_rule():
@@ -734,21 +730,16 @@ def test_frobenius_path_is_chosen_by_coefficients(monkeypatch):
     assert seen == [13, 17]
 
 
-def test_splitting_mask_matches_splitting_type():
+def test_split_filter_mask_matches_kronecker_symbol():
     small = np.concatenate(list(prime_segments(2, 10**4)))
     (near,) = prime_segments(POW_ARRAY_LIMIT - 3000, POW_ARRAY_LIMIT + 3000)
     assert near.min() < POW_ARRAY_LIMIT < near.max()
     # near 2**32 an int64 product of two residues would overflow
     (top,) = prime_segments(2**32 - 3000, 2**32)
-    keeps = (
-        {SplittingType.SPLIT},
-        {SplittingType.INERT, SplittingType.RAMIFIED},
-        {SplittingType.RAMIFIED},
-    )
     for d in CLASS_NUMBER_ONE_D:
         spec = QuadOrderSpec(d)
         for primes in (small, near, top):
-            types = [splitting_type(p, spec) for p in primes.tolist()]
-            for keep in keeps:
-                want = [t in keep for t in types]
-                assert splitting_mask(primes, spec, keep).tolist() == want, (d, keep)
+            split = [kronecker_symbol(spec.discriminant, p) == 1 for p in primes.tolist()]
+            assert SplitFilter.split(spec).mask(primes).tolist() == split, d
+            nonsplit = [not s for s in split]
+            assert SplitFilter.nonsplit(spec).mask(primes).tolist() == nonsplit, d

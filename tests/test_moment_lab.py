@@ -1,4 +1,5 @@
 import cmath
+import functools
 import json
 import math
 import time
@@ -17,6 +18,7 @@ from orbitmoments.closed_forms import mk
 from orbitmoments.core_arith import (
     POW_ARRAY_LIMIT,
     SIEVE_SEGMENT,
+    kronecker_symbol,
     prime_segments,
     primes_in_range,
 )
@@ -27,7 +29,6 @@ from orbitmoments.local_counts import (
     count_roots_formula,
     ec_torsion_count_array,
     parse_curve,
-    splitting_type,
 )
 from orbitmoments.moment_lab import (
     MomentReport,
@@ -66,11 +67,12 @@ def reference_moments(counter, ks, x):
         if isinstance(counter, TorsionCounter):
             bad = p < 5 or (counter.ell * counter.curve.discriminant) % p == 0
         else:
-            eq = counter.eq if isinstance(counter, PowerCounter) else counter.eq_a
-            bad = math.gcd(p, eq.n * eq.a) != 1
+            bad = math.gcd(p, counter.eq.n * counter.eq.a) != 1
         if bad:
             excluded += 1
-        elif filt is not None and splitting_type(p, filt.spec) not in filt.keep:
+        elif filt is not None and filt.keep_split != (
+            kronecker_symbol(filt.spec.discriminant, p) == 1
+        ):
             filtered += 1
         else:
             valued.append(p)
@@ -81,8 +83,8 @@ def reference_moments(counter, ks, x):
         values = [count_roots_formula(counter.eq, p) for p in valued]
     else:
         values = [
-            count_roots_formula(counter.eq_a, p) ** counter.k1
-            * count_roots_formula(counter.eq_one, p) ** counter.k2
+            count_roots_formula(counter.eq, p) ** counter.k1
+            * count_roots_formula(PowerEquation(counter.eq.n, 1), p) ** counter.k2
             for p in valued
         ]
     hist = Counter(values)
@@ -119,7 +121,7 @@ def valid_power_counters(ns, avals):
 
 STREAM_COUNTERS = (
     PowerCounter(PowerEquation(8, 3)),
-    PowerProductCounter(PowerEquation(6, 2), PowerEquation(6, 1), 2, 1),
+    PowerProductCounter(PowerEquation(6, 2), 2, 1),
     TorsionCounter(CURVE_PRESETS["cm:-1"], 5, SplitFilter.split(CURVE_PRESETS["cm:-1"].cm)),
     # a discriminant beyond int64, so the exclusion mask takes its exact path
     TorsionCounter(parse_curve("123456789012,987654321098"), 3),
@@ -129,8 +131,9 @@ STREAM_COUNTERS = (
 def test_power_counter_side_conditions():
     PowerCounter(PowerEquation(3, 2))  # odd n: any square-free positive a
     PowerCounter(PowerEquation(8, 3))  # even n with a not dividing n
-    with pytest.raises(ValueError):
-        PowerCounter(PowerEquation(6, 2))  # a divides even n
+    PowerCounter(PowerEquation(6, 2))  # a divides even n, but disc Q(sqrt 2) = 8 does not
+    with pytest.raises(ValueError, match="discriminant"):
+        PowerCounter(PowerEquation(8, 2))  # sqrt(2) lies in Q(zeta_8)
     with pytest.raises(ValueError):
         PowerCounter(PowerEquation(3, 4))  # not square-free
     with pytest.raises(ValueError):
@@ -160,16 +163,14 @@ def test_square_free_check_on_large_a():
 
 
 def test_product_counter_validation():
-    PowerProductCounter(PowerEquation(6, 2), PowerEquation(6, 1), 1, 1)
-    with pytest.raises(ValueError):
-        PowerProductCounter(PowerEquation(6, 2), PowerEquation(5, 1), 1, 1)
-    with pytest.raises(ValueError):
-        PowerProductCounter(PowerEquation(6, 2), PowerEquation(6, 2), 1, 1)
-    with pytest.raises(ValueError):
-        PowerProductCounter(PowerEquation(6, 2), PowerEquation(6, 1), 0, 1)
+    PowerProductCounter(PowerEquation(6, 2), 1, 1)
+    PowerProductCounter(PowerEquation(6, 2), 1, 0)
+    for k1, k2 in ((0, 1), (1, -1)):
+        with pytest.raises(ValueError, match="k1 >= 1 and k2 >= 0"):
+            PowerProductCounter(PowerEquation(6, 2), k1, k2)
     for a in (4, -2):  # not square-free, not positive
         with pytest.raises(ValueError):
-            PowerProductCounter(PowerEquation(6, a), PowerEquation(6, 1), 1, 1)
+            PowerProductCounter(PowerEquation(6, a), 1, 1)
 
 
 def test_product_counter_refuses_even_n_divisible_by_the_discriminant_of_a():
@@ -177,17 +178,47 @@ def test_product_counter_refuses_even_n_divisible_by_the_discriminant_of_a():
     # mk(n, k1 + k2 - 1) by 11-49% at x = 3 * 10**6
     for n, a in ((8, 2), (10, 5), (12, 3), (16, 2), (20, 5), (24, 6)):
         with pytest.raises(ValueError, match="discriminant"):
-            PowerProductCounter(PowerEquation(n, a), PowerEquation(n, 1), 1, 1)
+            PowerProductCounter(PowerEquation(n, a), 1, 1)
     # a = 1 squares x**n - 1, whose moments are mk(n, k), for odd n too
     for n in (3, 6):
         with pytest.raises(ValueError, match="a = 1"):
-            PowerProductCounter(PowerEquation(n, 1), PowerEquation(n, 1), 1, 1)
+            PowerProductCounter(PowerEquation(n, 1), 1, 1)
     # odd n, or a discriminant (a, or 4a unless a = 1 mod 4) that does not divide n
     for n, a in ((4, 2), (6, 2), (6, 3), (8, 3), (12, 5), (5, 5), (15, 5)):
-        counter = PowerProductCounter(PowerEquation(n, a), PowerEquation(n, 1), 1, 1)
+        counter = PowerProductCounter(PowerEquation(n, a), 1, 1)
         report = empirical_moment(counter, 1, 10**6)
         assert report.predicted == mk(n, 1)
         assert report.rel_err < 0.02, (n, a, report.rel_err)
+
+
+def test_power_and_product_counters_share_the_kummer_rule():
+    # with k1 = 1 and k2 = 0 the product is N_p(x**n - a) itself, so the two
+    # counters must accept the same (n, a) and agree wherever they do
+    square_free = [a for a in range(2, 31) if all(a % (q * q) for q in (2, 3, 5))]
+    refused = set()
+    for n in range(1, 25):
+        for a in square_free:
+            eq = PowerEquation(n, a)
+            built = []
+            for make in (lambda: PowerCounter(eq), lambda: PowerProductCounter(eq, 1, 0)):
+                try:
+                    built.append(make())
+                except ValueError as exc:
+                    assert "discriminant" in str(exc), (n, a, exc)
+            assert len(built) in (0, 2), (n, a)
+            if not built:
+                refused.add((n, a))
+                continue
+            power, product = built
+            for k in range(4):
+                got, want = empirical_moment(power, k, 10**5), empirical_moment(product, k, 10**5)
+                assert (got.empirical, got.predicted, got.histogram) == (
+                    want.empirical,
+                    want.predicted,
+                    want.histogram,
+                ), (n, a, k)
+    # exactly where disc Q(sqrt(a)) (a for a = 1 mod 4, else 4a) divides an even n
+    assert refused == {(8, 2), (16, 2), (24, 2), (12, 3), (24, 3), (24, 6), (10, 5), (20, 5)}
 
 
 def test_torsion_counter_validation():
@@ -234,7 +265,7 @@ def test_power_moment_convergence_small():
 
 
 def test_product_moment_prediction():
-    counter = PowerProductCounter(PowerEquation(6, 2), PowerEquation(6, 1), 1, 1)
+    counter = PowerProductCounter(PowerEquation(6, 2), 1, 1)
     report = empirical_moment(counter, 1, X_SMALL)
     assert report.predicted == mk(6, 1)
     assert report.rel_err < 0.05
@@ -266,8 +297,8 @@ def test_torsion_trace_across_lane_blocks():
 def test_accumulator_matches_reference_loop():
     x = 20_000
     counters = valid_power_counters(range(1, 13), (1, 2, 3, 5, 6, 7, 10))
-    counters.append(PowerProductCounter(PowerEquation(6, 2), PowerEquation(6, 1), 1, 1))
-    counters.append(PowerProductCounter(PowerEquation(12, 5), PowerEquation(12, 1), 2, 3))
+    counters.append(PowerProductCounter(PowerEquation(6, 2), 1, 1))
+    counters.append(PowerProductCounter(PowerEquation(12, 5), 2, 3))
     assert len(counters) > 60
     for counter in counters:
         reference = reference_moments(counter, (0, 1, 3), x)
@@ -626,10 +657,9 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
     x = 1 + 40 * SIEVE_SEGMENT  # 40 segments of the grid from 2
     checkpoints = [10**5, 5 * 10**6, x]
     cold = (empirical_moment(counter, 2, x), convergence_trace(counter, 1, checkpoints))
-    clear_stream_memo()
-    monkeypatch.setattr(moment_lab, "STREAM_MEMO_PIECES", 8)
+    monkeypatch.setattr(moment_lab, "_piece", functools.lru_cache(8)(moment_lab._piece.__wrapped__))
     bounded = (empirical_moment(counter, 2, x), convergence_trace(counter, 1, checkpoints))
-    assert len(moment_lab._stream_memo) <= 8
+    assert moment_lab._piece.cache_info().currsize <= 8
     assert bounded == cold
 
 
@@ -638,7 +668,7 @@ def test_memo_of_a_stream_to_1e8_stays_small():
     tracemalloc.start()
     try:
         empirical_moment(PowerCounter(PowerEquation(6, 1)), 2, 10**8)
-        pieces = len(moment_lab._stream_memo)
+        pieces = moment_lab._piece.cache_info().currsize
         held, _ = tracemalloc.get_traced_memory()
         clear_stream_memo()
         freed = held - tracemalloc.get_traced_memory()[0]
