@@ -1,7 +1,8 @@
 """orbitmoments: exact orbit counting and empirical prime averages."""
 
 from .closed_forms import (
-    ExactRational,
+    affine_masses,
+    cm_masses,
     cm_moment,
     dk,
     gl2_densities,
@@ -11,6 +12,7 @@ from .closed_forms import (
     noncm_moment,
     p_poly,
     split_densities,
+    unit_masses,
 )
 from .core_arith import (
     CapacityError,

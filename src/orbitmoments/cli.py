@@ -131,10 +131,7 @@ def _cmd_moment(args, fmt: str) -> int:
 
 def _cmd_dist(args, fmt: str) -> int:
     counter = _build_counter(args)
-    action = build_action(args.action) if args.action else None
-    dist = empirical_distribution(
-        counter, args.x, action=action, t_values=tuple(args.t or ())
-    )
+    dist = empirical_distribution(counter, args.x, t_values=tuple(args.t or ()))
     if fmt == "json":
         payload = {
             "scenario": dist.scenario,
@@ -257,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="empirical value distribution up to x")
     add_scenario_args(p)
     p.add_argument("--x", type=int, required=True)
-    p.add_argument("--action", help="attach predicted atom masses from this action")
     p.add_argument("--t", type=float, action="append", help="characteristic samples")
     p.set_defaults(func=_cmd_dist)
 

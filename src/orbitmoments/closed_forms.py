@@ -4,6 +4,10 @@ Every function returns Fraction (or int where the value is integral by
 construction); floating point never enters.  Where two published forms of
 the same quantity exist, both are evaluated and cross-checked, and a
 mismatch raises ArithmeticError rather than silently picking one.
+
+The *_masses functions give the limiting share of primes at each value of
+N_p, |G(m)|/|G| for the Galois image G (Chebotarev); the moment formulas
+are their dual evaluations, sum(mass * m**k).
 """
 
 from fractions import Fraction
@@ -15,10 +19,6 @@ from .core_arith import (
     mobius,
 )
 from .residue_algebra import QuadOrderSpec
-
-# Exact rational values; Fraction keeps canonical reduced form with a
-# positive denominator and structural equality.
-ExactRational = Fraction
 
 
 def p_poly(a: int, b: int, k: int) -> int:
@@ -226,3 +226,52 @@ def gl2_densities(ell: int) -> tuple[Fraction, Fraction, Fraction]:
         Fraction(ell**3 - 2 * ell - 1, denom),
         Fraction(1, denom),
     )
+
+
+def unit_masses(n: int) -> dict[int, Fraction]:
+    """Share of the units u mod n with gcd(u - 1, n) = g, for each g that occurs.
+
+    These are the limiting masses of N_p(x**n - 1) = gcd(p - 1, n).  By CRT
+    the share is multiplicative over p**e || n: of the phi(p**e) units mod
+    p**e, p**(e-1) (p - 2) have g = 1, p**(e-j) - p**(e-j-1) have g = p**j
+    for 0 < j < e, and u = 1 alone has g = p**e.
+    """
+    if n < 1:
+        raise ValueError("unit_masses expects n >= 1")
+    counts, phi = {1: 1}, 1
+    for p, e in factorize(n):
+        local = {1: p ** (e - 1) * (p - 2), p**e: 1}
+        local.update({p**j: p ** (e - j) - p ** (e - j - 1) for j in range(1, e)})
+        counts = {g * h: c * lc for g, c in counts.items() for h, lc in local.items() if lc}
+        phi *= p**e - p ** (e - 1)
+    return {g: Fraction(c, phi) for g, c in counts.items()}
+
+
+def affine_masses(n: int) -> dict[int, Fraction]:
+    """Limiting masses of N_p(x**n - a) when Q(zeta_n, a**(1/n)) has degree n*phi(n).
+
+    The Galois group is Z/n x| (Z/n)^x acting on the roots as x -> d*x + b.
+    For each unit d, n/g of the n shifts b fix g = gcd(d - 1, n) roots and
+    the others fix none, so g carries unit_masses(n)[g]/g and 0 the rest.
+    """
+    masses = {g: m / g for g, m in unit_masses(n).items()}
+    rest = 1 - sum(masses.values())
+    return {0: rest, **masses} if rest else masses
+
+
+def cm_masses(ell: int, dk_ell: int, keep_split: bool | None = None) -> dict[int, Fraction]:
+    """Limiting masses of N_p(E[ell]) under the normalizer of the Cartan subgroup.
+
+    The Cartan coset (the split primes) carries split_densities.  In the
+    other coset (the inert primes) c*sigma, sigma the conjugation, has
+    trace 0 and square N(c), so it fixes a line when N(c) = 1, which holds
+    for 1/(ell - 1) of the c, and only 0 otherwise.  keep_split picks one
+    coset, None takes both.
+    """
+    split = dict(zip((1, ell, ell * ell), split_densities(ell, dk_ell)))
+    inert = {1: Fraction(ell - 2, 2 * (ell - 1)), ell: Fraction(1, 2 * (ell - 1))}
+    if keep_split is not None:
+        masses = split if keep_split else inert
+    else:
+        masses = {v: m + inert.get(v, 0) for v, m in split.items()}
+    return {v: m for v, m in masses.items() if m}

@@ -24,14 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closed_forms import (
-    cm_moment,
-    dk,
-    gl2_moment,
-    inert_partial_moment,
-    mk,
-    split_densities,
-)
+from .closed_forms import affine_masses, cm_masses, dk, gl2_densities, unit_masses
 from .core_arith import SIEVE_SEGMENT, is_prime, kronecker_array, prime_segments, primes_in_range
 from .local_counts import (
     BadPrimes,
@@ -40,7 +33,6 @@ from .local_counts import (
     count_roots_array,
     ec_torsion_count_array,
 )
-from .orbit_engine import PermutationAction, predicted_value_distribution
 from .residue_algebra import QuadOrderSpec
 
 
@@ -122,7 +114,9 @@ def _check_kummer(eq: PowerEquation):
 
 # Each counter names its excluded primes (bad_primes), values a segment of
 # the other primes (values: N_p -> number of primes) and gives the exact
-# limit of its k-th moment (predicted; None when no limit is known).
+# limiting share of primes at each value (masses; None when no limit is
+# known).  Under a split filter the masses are those of one coset of the
+# Galois image, and sum to its share of the primes.
 
 
 @dataclass(frozen=True)
@@ -148,12 +142,10 @@ class PowerCounter:
     def values(self, primes: np.ndarray) -> dict[int, int]:
         return _histogram(count_roots_array(self.eq, primes))
 
-    def predicted(self, k: int) -> Fraction | None:
+    def masses(self) -> dict[int, Fraction] | None:
         if self.split_filter is not None:
             return None
-        if k == 0:
-            return Fraction(1)
-        return mk(self.eq.n, k) if self.eq.a == 1 else mk(self.eq.n, k - 1)
+        return unit_masses(self.eq.n) if self.eq.a == 1 else affine_masses(self.eq.n)
 
 
 @dataclass(frozen=True)
@@ -186,8 +178,8 @@ class PowerProductCounter:
         hist = _histogram(count_roots_array(self.eq, primes))
         return {v ** (self.k1 + self.k2): c for v, c in hist.items()}
 
-    def predicted(self, k: int) -> Fraction | None:
-        return mk(self.eq.n, k * (self.k1 + self.k2) - 1) if k >= 1 else Fraction(1)
+    def masses(self) -> dict[int, Fraction]:
+        return {v ** (self.k1 + self.k2): m for v, m in affine_masses(self.eq.n).items()}
 
 
 @dataclass(frozen=True)
@@ -214,22 +206,16 @@ class TorsionCounter:
     def values(self, primes: np.ndarray) -> dict[int, int]:
         return _histogram(ec_torsion_count_array(self.curve, primes, self.ell))
 
-    def predicted(self, k: int) -> Fraction | None:
+    def masses(self) -> dict[int, Fraction] | None:
         curve, ell, filt = self.curve, self.ell, self.split_filter
-        if k == 0 and filt is None:
-            return Fraction(1)
         if curve.cm is None:
-            return gl2_moment(ell, k) if filt is None else None
-        # the CM forms hold at an odd ell that splits or is inert in K
+            return None if filt is not None else dict(zip((1, ell, ell * ell), gl2_densities(ell)))
+        # the CM image is known at an odd ell that splits or is inert in K,
+        # and its cosets are told apart by K alone
         d = dk(ell, curve.cm)
-        if ell == 2 or d == 3:
+        if ell == 2 or d == 3 or (filt is not None and filt.spec != curve.cm):
             return None
-        if filt is None:
-            return cm_moment(ell, k, d)
-        if not filt.keep_split:
-            return inert_partial_moment(ell, k)
-        d0, d1, d2 = split_densities(ell, d)
-        return d0 + d1 * ell**k + d2 * ell ** (2 * k)
+        return cm_masses(ell, d, None if filt is None else filt.keep_split)
 
 
 CounterSpec = PowerCounter | PowerProductCounter | TorsionCounter
@@ -301,8 +287,17 @@ def report_from_json_dict(data: dict) -> MomentReport:
 
 
 def predicted_moment(counter: CounterSpec, k: int) -> Fraction | None:
-    """The exact limit value for this counter and power, when one applies."""
-    return counter.predicted(k)
+    """The exact limit of the k-th moment, sum(mass * value**k) over counter.masses().
+
+    Unfiltered, every prime is counted, so the limit at k = 0 is 1 even
+    where no masses are known.
+    """
+    if k == 0 and counter.split_filter is None:
+        return Fraction(1)
+    masses = counter.masses()
+    if masses is None:
+        return None
+    return sum((m * v**k for v, m in masses.items()), Fraction(0))
 
 
 @dataclass
@@ -441,17 +436,12 @@ class DistributionReport:
 
 
 def empirical_distribution(
-    counter: CounterSpec,
-    x: int,
-    action: PermutationAction | None = None,
-    t_values: tuple[float, ...] = (),
+    counter: CounterSpec, x: int, t_values: tuple[float, ...] = ()
 ) -> DistributionReport:
-    """Histogram and CDF of N_p over p <= x, with predicted atom masses
-    |G(m)|/|G| when a matching action is supplied."""
+    """Histogram and CDF of N_p over p <= x, with the counter's predicted
+    masses where a limit is known."""
     if x < 2:
         raise ValueError("x must be >= 2")
-    # before the stream, so an action without an element list fails at once
-    predicted = predicted_value_distribution(action) if action is not None else None
     (tally,) = _accumulate(counter, [x + 1])
     hist, pi_x = tally.hist, tally.pi_x
     masses = {v: Fraction(c, pi_x) for v, c in sorted(hist.items())}
@@ -471,7 +461,7 @@ def empirical_distribution(
         pi_x=pi_x,
         masses=masses,
         cdf=cdf,
-        predicted_masses=predicted,
+        predicted_masses=counter.masses(),
         char_samples=samples,
     )
 

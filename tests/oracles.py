@@ -11,6 +11,11 @@ enumerate, at a cost that grows with p or with the group:
 - semidirect_table lists Z/n x| (Z/n)^x as one permutation row per
   element, and table_histogram counts fixed points by comparing each row
   of such a table with the identity.
+- affine_group_masses, matrix_group_masses and cartan_normalizer_cosets
+  give the share of the elements of a small group that fix m points, by
+  scanning every element and every point: the affine group Z/n x| (Z/n)^x
+  on Z/n, a list of matrices on (Z/nZ)**m, and the two cosets of the
+  normalizer of the Cartan subgroup (O_K/ell)^x.
 - ec_add, ec_mul and ec_points are affine point arithmetic and point
   enumeration; ec_torsion_count_enum counts the points P with
   ell*P = infinity among them.
@@ -25,7 +30,9 @@ enumerate, at a cost that grows with p or with the group:
 """
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Iterator
@@ -176,6 +183,49 @@ def table_histogram(table: np.ndarray) -> dict[int, int]:
     fixed = (table == np.arange(table.shape[1])).sum(axis=1)
     values, counts = np.unique(fixed, return_counts=True)
     return dict(zip(values.tolist(), counts.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point masses of small groups, each element and point scanned.
+
+def affine_group_masses(n: int) -> dict[int, Fraction]:
+    """m -> share of the maps x -> d*x + b (d a unit mod n) fixing m points of Z/n."""
+    units = [d for d in range(n) if gcd(d, n) == 1]
+    hist = Counter(
+        sum((d * x + b) % n == x for x in range(n)) for d in units for b in range(n)
+    )
+    return {m: Fraction(c, n * len(units)) for m, c in hist.items()}
+
+
+def _fixed_vectors(A: MatrixModN) -> int:
+    n = A.n
+    return sum(
+        all(sum(a * x for a, x in zip(row, v)) % n == v_i for row, v_i in zip(A.entries, v))
+        for v in itertools.product(range(n), repeat=A.m)
+    )
+
+
+def matrix_group_masses(mats, order: int) -> dict[int, Fraction]:
+    """m -> (number of the matrices fixing exactly m vectors of (Z/nZ)**m) / order."""
+    hist = Counter(_fixed_vectors(A) for A in mats)
+    return {m: Fraction(c, order) for m, c in hist.items()}
+
+
+def cartan_normalizer_cosets(ell: int, spec: QuadOrderSpec) -> tuple[list, list]:
+    """The Cartan subgroup (O_K/ell)^x and its other coset in the normalizer, as matrices.
+
+    Multiplication by u = a + b*omega on the basis (1, omega) is
+    [[a, s*b], [b, a + t*b]]; the other coset is those matrices times the
+    conjugation omega -> t - omega, [[1, t], [0, -1]].
+    """
+    t, s = spec.t, spec.s
+    cartan, other = [], []
+    for u in quad_unit_elements(ell, spec):
+        mult = ((u.a, s * u.b % ell), (u.b, (u.a + t * u.b) % ell))
+        cartan.append(MatrixModN(ell, mult))
+        # mult @ [[1, t], [0, -1]]
+        other.append(MatrixModN(ell, tuple((r0, (r0 * t - r1) % ell) for r0, r1 in mult)))
+    return cartan, other
 
 
 # ---------------------------------------------------------------------------

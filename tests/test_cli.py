@@ -1,14 +1,17 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import orbitmoments
-from orbitmoments.cli import main
+from orbitmoments.cli import build_parser, main
+from orbitmoments.moment_lab import TorsionCounter
 
 
 def run_cli(capsys, *argv):
@@ -234,8 +237,6 @@ def test_dist_command(capsys):
         "4",
         "--x",
         "10000",
-        "--action",
-        "units:4",
         "--t",
         "0.5",
     )
@@ -246,6 +247,48 @@ def test_dist_command(capsys):
     assert "0.5" in payload["char_samples"]
     last_value, num, den = payload["cdf"][-1]
     assert num == den  # CDF reaches 1 at the largest observed value
+
+
+def test_dist_has_no_action_option(capsys):
+    # the predicted masses come from the counter, so no action can be passed
+    with pytest.raises(SystemExit) as info:
+        main(["dist", "--scenario", "power", "--n", "4", "--x", "1000", "--action", "units:4"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --action units:4" in capsys.readouterr().err
+
+
+def test_dist_prints_the_gl2_masses_of_17a3(capsys):
+    argv = ["dist", "--scenario", "torsion", "--curve", "17a3", "--ell", "3", "--x", "10000"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    predicted = dict(re.findall(r"N_p=(\d+): mass \S+   predicted (\S+)", out))
+    assert predicted == {"1": "9/16", "3": "5/12", "9": "1/48"}
+
+
+def test_split_filter_by_a_foreign_field_has_no_prediction(capsys):
+    # the cosets of a CM image are told apart by its own field only
+    base = ["moment", "--scenario", "torsion", "--curve", "cm:-1", "--ell", "5", "--k", "2"]
+    base += ["--x", "100000"]
+    for filt in ("split", "nonsplit"):
+        code, out, _ = run_cli(capsys, *base, "--filter", filt, "--filter-d", "-3")
+        assert code == 0, filt
+        assert "empirical:" in out and "predicted:" not in out, filt
+    for filt, want in (("split", "49/2"), ("nonsplit", "7/2")):
+        code, out, _ = run_cli(capsys, *base, "--filter", filt, "--filter-d", "-1")
+        assert code == 0, filt
+        assert f"predicted: {want}\n" in out, filt
+
+
+def test_readme_cli_lines_parse(capsys):
+    # every orbitmoments line of the README's CLI block names options that exist
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("orbitmoments ")]
+    assert len(lines) >= 8
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        assert callable(args.func), line
 
 
 def test_power_moment_with_split_filter(capsys):
@@ -322,21 +365,22 @@ def test_verify_reports_seconds_per_suite(capsys, monkeypatch):
     assert lines[4:] == ["1/2 checks passed"]
 
 
+def test_verify_fails_the_rows_of_a_missing_prediction(capsys, monkeypatch):
+    # a counter that gives no masses must fail its rows, not crash the report
+    monkeypatch.setattr(TorsionCounter, "masses", lambda self: None)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "torsion-gl2")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL  17a3 ell=3 k=1: within 5% of None  (empirical=")
+    assert lines[0].endswith("rel_err=none)")
+    assert lines[4].startswith("FAIL  17a3 ell=3 mass at 9: within 5% absolute of None")
+    assert lines[-1] == "0/5 checks passed"
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "no-such-suite")
     assert code == 2
     assert "unknown suite" in err
-
-
-def test_dist_rejects_a_generator_only_action_past_the_tuple_budget(capsys):
-    # 9999**4 points, more than the orbit oracle could label even at k = 1
-    code, out, err = run_cli(
-        capsys, "dist", "--scenario", "power", "--n", "4", "--x", "1000", "--action", "glm:9999,4"
-    )
-    assert code == 2
-    assert out == ""
-    assert "needs 9996000599960001 points for the orbit oracle to label" in err
-    assert "budget is 10000000" in err
 
 
 def test_moment_rejects_a_product_whose_limit_does_not_hold(capsys):
@@ -376,17 +420,6 @@ def test_orbits_on_glm_dimension_one_past_the_order_size_clause(capsys):
     code, out, _ = run_cli(capsys, "orbits", "--action", "glm:10007,1", "--k", "2")
     assert code == 0
     assert out.strip() == "10009"
-
-
-def test_dist_rejects_predicted_masses_of_a_generator_only_action(capsys):
-    code, out, err = run_cli(
-        capsys, "dist", "--scenario", "power", "--n", "4", "--x", "1000", "--action", "glm:12,3"
-    )
-    assert code == 2
-    assert out == ""
-    assert "action glm:12,3 of order 966131712 keeps only its generators" in err
-    assert "not materialized" in err
-    assert "budget" not in err
 
 
 def test_usage_error_exit_code():

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    affine_group_masses,
+    cartan_normalizer_cosets,
+    enumerate_glm,
+    matrix_group_masses,
+)
 from orbitmoments.closed_forms import (
+    affine_masses,
+    cm_masses,
     cm_moment,
     dk,
     gl2_densities,
@@ -17,9 +25,16 @@ from orbitmoments.closed_forms import (
     noncm_moment,
     p_poly,
     split_densities,
+    unit_masses,
 )
 from orbitmoments.core_arith import divisor_count, primes_in_range
-from orbitmoments.orbit_engine import build_action, fixed_point_histogram
+from orbitmoments.local_counts import CURVE_PRESETS
+from orbitmoments.moment_lab import TorsionCounter
+from orbitmoments.orbit_engine import (
+    build_action,
+    fixed_point_histogram,
+    predicted_value_distribution,
+)
 from orbitmoments.residue_algebra import CLASS_NUMBER_ONE_D, QuadOrderSpec
 
 
@@ -215,3 +230,53 @@ def test_cm_zeroth_moments_are_one():
         for d in (2, 4):
             d0, d1, d2 = split_densities(ell, d)
             assert d0 + d1 + d2 + inert_partial_moment(ell, 0) == 1
+
+
+def test_unit_masses_equal_the_units_histogram():
+    for n in range(1, 61):
+        assert unit_masses(n) == predicted_value_distribution(build_action(f"units:{n}")), n
+
+
+def test_unit_masses_of_a_primorial_in_closed_form():
+    n = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41
+    masses = unit_masses(n)
+    assert sum(masses.values()) == 1
+    assert len(masses) == 2**12  # every g | n is even, and each odd prime may divide g or not
+    assert sum(m * g for g, m in masses.items()) == mk(n, 1) == 2**13
+
+
+def test_affine_masses_equal_the_affine_group():
+    for n in range(1, 31):
+        assert affine_masses(n) == affine_group_masses(n), n
+        for k in range(1, 7):
+            assert sum(m * v**k for v, m in affine_masses(n).items()) == mk(n, k - 1)
+
+
+def test_gl2_masses_equal_gl2():
+    for ell in (2, 3, 5, 7):
+        group = list(enumerate_glm(ell, 2))
+        want = matrix_group_masses(group, len(group))
+        assert TorsionCounter(CURVE_PRESETS["17a3"], ell).masses() == want, ell
+
+
+def test_cm_masses_equal_the_cartan_normalizer_cosets():
+    checked = 0
+    for ell in (3, 5, 7):
+        for d in CLASS_NUMBER_ONE_D:
+            dk_ell = dk(ell, QuadOrderSpec(d))
+            if dk_ell == 3:
+                continue
+            cartan, other = cartan_normalizer_cosets(ell, QuadOrderSpec(d))
+            order = 2 * len(cartan)
+            assert cm_masses(ell, dk_ell, True) == matrix_group_masses(cartan, order), (ell, d)
+            assert cm_masses(ell, dk_ell, False) == matrix_group_masses(other, order), (ell, d)
+            assert cm_masses(ell, dk_ell) == matrix_group_masses(cartan + other, order), (ell, d)
+            checked += 1
+    assert checked == 25  # 27 pairs, less 3 in Q(sqrt(-3)) and 7 in Q(sqrt(-7))
+
+
+def test_cm_masses_refuse_ell_2_and_a_ramified_ell():
+    with pytest.raises(ValueError):
+        cm_masses(2, 4)
+    with pytest.raises(ValueError):
+        cm_masses(3, 3)

@@ -14,7 +14,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitmoments import moment_lab
-from orbitmoments.closed_forms import mk
+from orbitmoments.closed_forms import (
+    cm_moment,
+    dk,
+    gl2_moment,
+    inert_partial_moment,
+    mk,
+    split_densities,
+)
 from orbitmoments.core_arith import (
     POW_ARRAY_LIMIT,
     SIEVE_SEGMENT,
@@ -45,7 +52,7 @@ from orbitmoments.moment_lab import (
     report_from_json_dict,
     trace_to_csv,
 )
-from orbitmoments.orbit_engine import build_units
+from orbitmoments.residue_algebra import QuadOrderSpec
 
 X_SMALL = 30_000
 
@@ -400,6 +407,90 @@ def test_conditioned_k0_densities():
     assert abs(float(report.empirical) - 0.5) < 0.02
 
 
+def hand_formula(counter, k):
+    """The limit each counter predicted before its masses, from the moment formulas."""
+    filt = counter.split_filter
+    if k == 0 and filt is None:
+        return Fraction(1)
+    if isinstance(counter, PowerCounter):
+        if filt is not None:
+            return None
+        return mk(counter.eq.n, k) if counter.eq.a == 1 else mk(counter.eq.n, k - 1)
+    if isinstance(counter, PowerProductCounter):
+        return mk(counter.eq.n, k * (counter.k1 + counter.k2) - 1)
+    curve, ell = counter.curve, counter.ell
+    if curve.cm is None:
+        return gl2_moment(ell, k) if filt is None else None
+    d = dk(ell, curve.cm)
+    if ell == 2 or d == 3:
+        return None
+    if filt is None:
+        return cm_moment(ell, k, d)
+    if not filt.keep_split:
+        return inert_partial_moment(ell, k)
+    d0, d1, d2 = split_densities(ell, d)
+    return d0 + d1 * ell**k + d2 * ell ** (2 * k)
+
+
+GAUSS = QuadOrderSpec(-1)
+CM_CURVES = [CURVE_PRESETS[name] for name in ("cm:-1", "cm:-3")]
+HAND_FORMULA_COUNTERS = (
+    [PowerCounter(PowerEquation(n, 1)) for n in (1, 2, 4, 6, 12, 30, 64)]
+    + [PowerCounter(PowerEquation(n, a)) for n, a in ((1, 2), (3, 2), (6, 2), (8, 3), (12, 5))]
+    + [PowerCounter(PowerEquation(4, 1), SplitFilter.split(GAUSS))]
+    + [
+        PowerProductCounter(PowerEquation(n, a), k1, k2)
+        for n, a, k1, k2 in ((6, 2, 1, 1), (12, 5, 2, 3), (6, 2, 1, 0))
+    ]
+    + [TorsionCounter(CURVE_PRESETS["17a3"], ell) for ell in (2, 3, 5, 7)]
+    + [TorsionCounter(CURVE_PRESETS["17a3"], 3, SplitFilter.split(GAUSS))]
+    # ell = 2 and the ramified cm:-3 at ell = 3 predict only k = 0
+    + [TorsionCounter(curve, ell) for curve in CM_CURVES for ell in (2, 3, 5, 7, 13)]
+    + [
+        TorsionCounter(curve, ell, filt(curve.cm))
+        for curve in CM_CURVES
+        for ell in (3, 5, 7, 13)
+        for filt in (SplitFilter.split, SplitFilter.nonsplit)
+    ]
+)
+
+
+@pytest.mark.parametrize("counter", HAND_FORMULA_COUNTERS, ids=lambda c: c.scenario)
+def test_predicted_moment_equals_the_hand_formula(counter):
+    for k in range(7):
+        assert predicted_moment(counter, k) == hand_formula(counter, k), k
+
+
+def test_ramified_ell_predicts_only_k_0():
+    # cm:-3 at ell = 3: no image is known, but every prime is counted at k = 0
+    counter = TorsionCounter(CURVE_PRESETS["cm:-3"], 3)
+    assert counter.masses() is None
+    assert predicted_moment(counter, 0) == 1
+    assert predicted_moment(counter, 1) is None
+
+
+def test_split_filter_by_a_foreign_field_predicts_nothing():
+    curve = CURVE_PRESETS["cm:-1"]
+    for filt in (SplitFilter.split, SplitFilter.nonsplit):
+        counter = TorsionCounter(curve, 5, filt(QuadOrderSpec(-3)))
+        assert counter.masses() is None
+        assert [predicted_moment(counter, k) for k in range(3)] == [None] * 3
+
+
+def test_distribution_masses_give_the_predicted_moments():
+    # dist and moment read the same masses, for every scenario with a limit
+    counters = (
+        PowerCounter(PowerEquation(8, 3)),
+        PowerProductCounter(PowerEquation(6, 2), 2, 1),
+        TorsionCounter(CURVE_PRESETS["cm:-1"], 5, SplitFilter.split(GAUSS)),
+    )
+    for counter in counters:
+        dist = empirical_distribution(counter, 2000)
+        for k in range(4):
+            want = predicted_moment(counter, k)
+            assert sum(m * v**k for v, m in dist.predicted_masses.items()) == want
+
+
 def test_histogram_support_within_action_fixed_point_set():
     # nonzero empirical values must be fixed-point counts of the action
     from orbitmoments.orbit_engine import build_action, fixed_point_histogram
@@ -417,8 +508,7 @@ def test_histogram_support_within_action_fixed_point_set():
 
 def test_distribution_report():
     counter = PowerCounter(PowerEquation(4, 1))
-    action = build_units(4)
-    dist = empirical_distribution(counter, X_SMALL, action=action, t_values=(0.5,))
+    dist = empirical_distribution(counter, X_SMALL, t_values=(0.5,))
     assert dist.predicted_masses == {4: Fraction(1, 2), 2: Fraction(1, 2)}
     assert sum(dist.masses.values()) == 1
     assert dist.cdf[-1][1] == 1

@@ -17,6 +17,9 @@ TEST_ONLY = (
     "enumerate_glm",
     "semidirect_table",
     "table_histogram",
+    "affine_group_masses",
+    "matrix_group_masses",
+    "cartan_normalizer_cosets",
     "ec_add",
     "ec_mul",
     "ec_points",
