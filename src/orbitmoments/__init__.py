@@ -5,13 +5,12 @@ from .closed_forms import (
     cm_masses,
     cm_moment,
     dk,
-    gl2_densities,
+    gl2_masses,
     gl2_moment,
-    inert_partial_moment,
     mk,
+    moment_of,
     noncm_moment,
     p_poly,
-    split_densities,
     unit_masses,
 )
 from .core_arith import (

@@ -154,11 +154,10 @@ def _cmd_dist(args, fmt: str) -> int:
         print(json.dumps(payload, sort_keys=True))
         return 0
     print(f"scenario: {dist.scenario}   x={dist.x}  pi(x)={dist.pi_x}")
-    for v, m in dist.masses.items():
-        predicted = ""
-        if dist.predicted_masses and v in dist.predicted_masses:
-            predicted = f"   predicted {_fmt_rational(dist.predicted_masses[v], fmt)}"
-        print(f"  N_p={v}: mass {_fmt_rational(m, fmt)}{predicted}")
+    predicted = dist.predicted_masses or {}
+    for v in sorted(dist.masses.keys() | predicted.keys()):
+        note = f"   predicted {_fmt_rational(predicted[v], fmt)}" if v in predicted else ""
+        print(f"  N_p={v}: mass {_fmt_rational(dist.mass(v), fmt)}{note}")
     for t, z in dist.char_samples.items():
         print(f"  phi({t}) ~ {z.real:.8f}{z.imag:+.8f}i")
     return 0

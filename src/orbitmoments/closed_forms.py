@@ -103,10 +103,33 @@ def dk(n: int, spec: QuadOrderSpec) -> int:
     return value
 
 
-def gl2_moment(ell: int, k: int) -> Fraction:
-    """k-th moment for the full GL2 action on pairs mod a prime ell."""
+def moment_of(masses: dict[int, Fraction], k: int) -> Fraction:
+    """The k-th moment sum(mass * value**k) of a mass dict: the dual of its masses."""
+    return sum((m * v**k for v, m in masses.items()), Fraction(0))
+
+
+def gl2_masses(ell: int) -> dict[int, Fraction]:
+    """Limiting masses of N_p(E[ell]) under the full GL2 image at a prime ell.
+
+    (ell**4 - 2ell**3 - ell**2 + 3ell, ell**3 - 2ell - 1, 1) at 1, ell and
+    ell**2, each over (ell**2 - ell)(ell**2 - 1); the three sum to 1.
+    """
     if not is_prime(ell):
         raise ValueError("ell must be prime")
+    denom = (ell**2 - ell) * (ell**2 - 1)
+    return {
+        1: Fraction(ell**4 - 2 * ell**3 - ell**2 + 3 * ell, denom),
+        ell: Fraction(ell**3 - 2 * ell - 1, denom),
+        ell * ell: Fraction(1, denom),
+    }
+
+
+def gl2_moment(ell: int, k: int) -> Fraction:
+    """k-th moment for the full GL2 action on pairs mod a prime ell.
+
+    The single-fraction form is cross-checked against moment_of(gl2_masses(ell), k).
+    """
+    masses = gl2_masses(ell)
     if k < 0:
         raise ValueError("k must be >= 0")
     num = (
@@ -117,7 +140,11 @@ def gl2_moment(ell: int, k: int) -> Fraction:
         + ell**k * (ell**3 - 2 * ell - 1)
         + ell ** (2 * k)
     )
-    return Fraction(num, (ell**2 - ell) * (ell**2 - 1))
+    closed = Fraction(num, (ell**2 - ell) * (ell**2 - 1))
+    by_masses = moment_of(masses, k)
+    if closed != by_masses:
+        raise ArithmeticError(f"gl2_moment({ell}, {k}): {closed} != {by_masses}")
+    return closed
 
 
 def noncm_moment(n: int, k: int) -> Fraction:
@@ -143,89 +170,6 @@ def noncm_moment(n: int, k: int) -> Fraction:
         )
         value *= Fraction(num, (ell - 1) ** 2 * (ell + 1))
     return value
-
-
-def _check_cm_args(ell: int, dk_ell: int):
-    if not is_prime(ell) or ell == 2:
-        raise ValueError("ell must be an odd prime")
-    if dk_ell not in (2, 4):
-        raise ValueError(
-            "dk_ell must be 4 (ell splits) or 2 (ell is inert); "
-            "the image at a ramified ell is not a Cartan normalizer"
-        )
-
-
-def cm_moment(ell: int, k: int, dk_ell: int) -> Fraction:
-    """k-th moment at an odd prime ell for a curve with CM by the full ring O_K.
-
-    dk_ell is 4 or 2 according as ell splits or is inert in K.  The mod-ell
-    image is the normalizer of the Cartan subgroup C = (O_K/ell)^x: split
-    primes take C, of order (ell - 1)**2 or ell**2 - 1, and the other
-    primes its second coset.  Evaluates both the single-fraction form and
-    the split densities plus inert_partial_moment, and cross-checks them.
-    """
-    _check_cm_args(ell, dk_ell)
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if dk_ell == 4:
-        num = ell ** (2 * k) + (3 * ell - 5) * ell**k + (ell - 2) * (2 * ell - 3)
-        closed = Fraction(num, 2 * (ell - 1) ** 2)
-    else:
-        num = ell ** (2 * k) + ell ** (k + 1) + ell**k + 2 * ell**2 - ell - 4
-        closed = Fraction(num, 2 * (ell**2 - 1))
-    d0, d1, d2 = split_densities(ell, dk_ell)
-    by_densities = d0 + d1 * ell**k + d2 * ell ** (2 * k) + inert_partial_moment(ell, k)
-    if closed != by_densities:
-        raise ArithmeticError(
-            f"cm_moment({ell}, {k}, {dk_ell}): {closed} != {by_densities}"
-        )
-    return closed
-
-
-def inert_partial_moment(ell: int, k: int) -> Fraction:
-    """Contribution of the inert-or-ramified primes: (ell-2 + ell**k)/(2(ell-1)).
-
-    Equals mk(ell, k)/2.
-    """
-    if not is_prime(ell) or ell == 2:
-        raise ValueError("ell must be an odd prime")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return Fraction(ell - 2, 2 * (ell - 1)) + Fraction(ell**k, 2 * (ell - 1))
-
-
-def split_densities(ell: int, dk_ell: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Densities of split primes with torsion count 1, ell, ell**2; sum is 1/2.
-
-    Among the elements of the Cartan subgroup (O_K/ell)^x, one fixes all
-    of O_K/ell, and at a split ell the 2(ell - 2) elements (1, b) and
-    (b, 1) with b != 1 fix a line; at an inert ell no other element fixes
-    a nonzero point.
-    """
-    _check_cm_args(ell, dk_ell)
-    order = (ell - 1) ** 2 if dk_ell == 4 else ell**2 - 1
-    line = 2 * (ell - 2) if dk_ell == 4 else 0
-    return (
-        Fraction(order - line - 1, 2 * order),
-        Fraction(line, 2 * order),
-        Fraction(1, 2 * order),
-    )
-
-
-def gl2_densities(ell: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Densities of primes with torsion count 1, ell, ell**2 under full GL2 image.
-
-    (ell**4 - 2ell**3 - ell**2 + 3ell, ell**3 - 2ell - 1, 1), each over
-    (ell**2 - ell)(ell**2 - 1); the three sum to 1.
-    """
-    if not is_prime(ell):
-        raise ValueError("ell must be prime")
-    denom = (ell**2 - ell) * (ell**2 - 1)
-    return (
-        Fraction(ell**4 - 2 * ell**3 - ell**2 + 3 * ell, denom),
-        Fraction(ell**3 - 2 * ell - 1, denom),
-        Fraction(1, denom),
-    )
 
 
 def unit_masses(n: int) -> dict[int, Fraction]:
@@ -262,16 +206,54 @@ def affine_masses(n: int) -> dict[int, Fraction]:
 def cm_masses(ell: int, dk_ell: int, keep_split: bool | None = None) -> dict[int, Fraction]:
     """Limiting masses of N_p(E[ell]) under the normalizer of the Cartan subgroup.
 
-    The Cartan coset (the split primes) carries split_densities.  In the
-    other coset (the inert primes) c*sigma, sigma the conjugation, has
-    trace 0 and square N(c), so it fixes a line when N(c) = 1, which holds
-    for 1/(ell - 1) of the c, and only 0 otherwise.  keep_split picks one
-    coset, None takes both.
+    dk_ell is 4 or 2 according as ell splits or is inert in K; at a
+    ramified ell the image is not a Cartan normalizer.  Each coset carries
+    half the primes.  The Cartan subgroup C = (O_K/ell)^x (the split
+    primes) has order (ell - 1)**2 or ell**2 - 1: one element fixes all of
+    O_K/ell, and at a split ell the 2(ell - 2) elements (1, b) and (b, 1)
+    with b != 1 fix a line.  In the other coset (the inert primes) c*sigma,
+    sigma the conjugation, has trace 0 and square N(c), so it fixes a line
+    when N(c) = 1, which holds for 1/(ell - 1) of the c, and only 0
+    otherwise.  keep_split picks one coset, None takes both.
     """
-    split = dict(zip((1, ell, ell * ell), split_densities(ell, dk_ell)))
+    if not is_prime(ell) or ell == 2:
+        raise ValueError("ell must be an odd prime")
+    if dk_ell not in (2, 4):
+        raise ValueError(
+            "dk_ell must be 4 (ell splits) or 2 (ell is inert); "
+            "the image at a ramified ell is not a Cartan normalizer"
+        )
+    order = (ell - 1) ** 2 if dk_ell == 4 else ell**2 - 1
+    line = 2 * (ell - 2) if dk_ell == 4 else 0
+    split = {
+        1: Fraction(order - line - 1, 2 * order),
+        ell: Fraction(line, 2 * order),
+        ell * ell: Fraction(1, 2 * order),
+    }
     inert = {1: Fraction(ell - 2, 2 * (ell - 1)), ell: Fraction(1, 2 * (ell - 1))}
     if keep_split is not None:
         masses = split if keep_split else inert
     else:
         masses = {v: m + inert.get(v, 0) for v, m in split.items()}
     return {v: m for v, m in masses.items() if m}
+
+
+def cm_moment(ell: int, k: int, dk_ell: int) -> Fraction:
+    """k-th moment at an odd prime ell for a curve with CM by the full ring O_K.
+
+    dk_ell is 4 or 2 according as ell splits or is inert in K.  The
+    single-fraction form is cross-checked against moment_of(cm_masses(...), k).
+    """
+    masses = cm_masses(ell, dk_ell)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if dk_ell == 4:
+        num = ell ** (2 * k) + (3 * ell - 5) * ell**k + (ell - 2) * (2 * ell - 3)
+        closed = Fraction(num, 2 * (ell - 1) ** 2)
+    else:
+        num = ell ** (2 * k) + ell ** (k + 1) + ell**k + 2 * ell**2 - ell - 4
+        closed = Fraction(num, 2 * (ell**2 - 1))
+    by_masses = moment_of(masses, k)
+    if closed != by_masses:
+        raise ArithmeticError(f"cm_moment({ell}, {k}, {dk_ell}): {closed} != {by_masses}")
+    return closed

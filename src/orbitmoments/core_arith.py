@@ -5,6 +5,7 @@ as ell**(2k) are handled without promotion tricks.
 """
 
 import math
+from collections import Counter
 from functools import lru_cache
 from typing import Iterator
 
@@ -122,31 +123,68 @@ def primes_in_range(lo: int, hi: int) -> Iterator[int]:
         yield from segment.tolist()
 
 
+def _rho_factor(n: int) -> int:
+    """A proper factor of a composite n, by Pollard-Brent rho.
+
+    Iterates y -> y**2 + c mod n and takes the gcd of a batch of 128
+    products |x - y| at a time; a batch that overshoots to n is replayed
+    one step at a time, and a c that still finds only n is replaced.
+    """
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for done in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - done)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"no factor of {n} found")
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Canonical factorization of n >= 1 as (prime, exponent) pairs, ascending."""
+    """Canonical factorization of n >= 1 as (prime, exponent) pairs, ascending.
+
+    Trial division by 2 and the odd numbers below 1000 takes out every prime
+    factor below 1000, and all of an n below 10**6; a cofactor that is left
+    and is not a prime is split by Pollard-Brent rho.
+    """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out = []
-    for p in (2, 3):
+    p = 2
+    while p * p <= n and p < 1000:
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             out.append((p, e))
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out.append((p, e))
-        f += 6
-    if n > 1:
-        out.append((n, 1))
-    return out
+        p += 1 if p == 2 else 2
+    if p * p > n:
+        return out + [(n, 1)] if n > 1 else out
+    large, rest = Counter(), [n]
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            large[m] += 1
+        else:
+            d = _rho_factor(m)
+            rest += [d, m // d]
+    return out + sorted(large.items())
 
 
 def divisors(n: int) -> list[int]:

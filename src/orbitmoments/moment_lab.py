@@ -24,8 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closed_forms import affine_masses, cm_masses, dk, gl2_densities, unit_masses
-from .core_arith import SIEVE_SEGMENT, is_prime, kronecker_array, prime_segments, primes_in_range
+from .closed_forms import affine_masses, cm_masses, dk, gl2_masses, moment_of, unit_masses
+from .core_arith import SIEVE_SEGMENT, factorize, is_prime, kronecker_array, prime_segments
 from .local_counts import (
     BadPrimes,
     PowerEquation,
@@ -72,28 +72,10 @@ def _histogram(values: np.ndarray) -> dict[int, int]:
     return dict(zip(values.tolist(), counts.tolist()))
 
 
-def _icbrt(n: int) -> int:
-    """floor(n ** (1/3)) for n >= 1, by integer Newton steps from above."""
-    x = 1 << -(-n.bit_length() // 3)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
-
-
 def _check_square_free_positive(a: int):
     if a <= 0:
         raise ValueError("a must be a positive integer")
-    # Divide out the primes up to cbrt(a); the cofactor then has at most two
-    # prime factors, so it is square-free exactly when it is not a square.
-    m = a
-    for q in primes_in_range(2, _icbrt(a) + 1):
-        if m % q == 0:
-            m //= q
-            if m % q == 0:
-                raise ValueError("a must be square-free")
-    if m > 1 and math.isqrt(m) ** 2 == m:
+    if any(e > 1 for _, e in factorize(a)):
         raise ValueError("a must be square-free")
 
 
@@ -209,7 +191,7 @@ class TorsionCounter:
     def masses(self) -> dict[int, Fraction] | None:
         curve, ell, filt = self.curve, self.ell, self.split_filter
         if curve.cm is None:
-            return None if filt is not None else dict(zip((1, ell, ell * ell), gl2_densities(ell)))
+            return None if filt is not None else gl2_masses(ell)
         # the CM image is known at an odd ell that splits or is inert in K,
         # and its cosets are told apart by K alone
         d = dk(ell, curve.cm)
@@ -295,9 +277,7 @@ def predicted_moment(counter: CounterSpec, k: int) -> Fraction | None:
     if k == 0 and counter.split_filter is None:
         return Fraction(1)
     masses = counter.masses()
-    if masses is None:
-        return None
-    return sum((m * v**k for v, m in masses.items()), Fraction(0))
+    return None if masses is None else moment_of(masses, k)
 
 
 @dataclass

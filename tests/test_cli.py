@@ -265,6 +265,35 @@ def test_dist_prints_the_gl2_masses_of_17a3(capsys):
     assert predicted == {"1": "9/16", "3": "5/12", "9": "1/48"}
 
 
+def test_dist_text_lists_the_atoms_no_prime_hit(capsys):
+    argv = ["dist", "--scenario", "torsion", "--curve", "17a3", "--ell", "3", "--x", "300"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "  N_p=0: mass 3/62",
+        "  N_p=1: mass 33/62   predicted 9/16",
+        "  N_p=3: mass 13/31   predicted 5/12",
+        "  N_p=9: mass 0   predicted 1/48",
+    ]
+    # the JSON keeps observed and predicted masses apart, as before
+    code, out, _ = run_cli(capsys, "--format", "json", *argv)
+    assert out == (
+        '{"cdf": [[0, 3, 62], [1, 18, 31], [3, 1, 1]], "char_samples": {}, '
+        '"masses": {"0": [3, 62], "1": [33, 62], "3": [13, 31]}, "pi_x": 62, '
+        '"predicted": {"1": [9, 16], "3": [5, 12], "9": [1, 48]}, '
+        '"scenario": "torsion:curve=17a3,ell=3", "x": 300}\n'
+    )
+
+
+def test_dist_of_a_large_prime_exponent_does_not_trial_divide_it(capsys):
+    start = time.perf_counter()
+    argv = ["dist", "--scenario", "power", "--n", "1000000000000037", "--x", "1000"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.2
+    assert code == 0
+    assert "N_p=1000000000000037: mass 0   predicted 1/1000000000000036" in out
+
+
 def test_split_filter_by_a_foreign_field_has_no_prediction(capsys):
     # the cosets of a CM image are told apart by its own field only
     base = ["moment", "--scenario", "torsion", "--curve", "cm:-1", "--ell", "5", "--k", "2"]
@@ -375,6 +404,76 @@ def test_verify_fails_the_rows_of_a_missing_prediction(capsys, monkeypatch):
     assert lines[0].endswith("rel_err=none)")
     assert lines[4].startswith("FAIL  17a3 ell=3 mass at 9: within 5% absolute of None")
     assert lines[-1] == "0/5 checks passed"
+
+
+VERIFY_CHECK_NAMES = [
+    "units(n) moments equal M_k(n) for n<=60, k<=6",
+    "semidirect(n) moments equal M_(2k-1)(n) for n<=30, k<=3",
+    "gl2(ell) moments match the closed form for ell in {2..13}, k<=4",
+    "glm(n,m) orbit count equals d(n) for n<=12, m<=3",
+    "quad-unit orbit count equals d_K(n) for n<=20, all nine fields",
+    "gl2(2): 3 elements fix exactly 2 points, 1 fixes 4",
+    "gl2(3): 20 elements fix exactly 3 points, 1 fixes 9",
+    "gl2(5): 114 elements fix exactly 5 points, 1 fixes 25",
+    "gl2(7): 328 elements fix exactly 7 points, 1 fixes 49",
+    "sum of psi(n/r) over r|n equals n**m for n<=200, m<=3",
+    "glm(n,2) orbit of r*e1 has size psi(n/r) for n<=10",
+    "M_k divisor sum equals Euler product for n<=2000, k<=8",
+    "gl2_moment equals the noncm ell-factor for ell<=13, k<=6",
+    "cm_moment two forms agree (ell<=13, k<=6, d_K in {2,4})",
+    "k=1 specializations reproduce d(n), 2, and (d_K+2)/2",
+    "density partitions and the half-M_k identity hold",
+    "power n=4 a=1 k=1: within 2% of 3",
+    "power n=4 a=1 k=2: within 2% of 10",
+    "power n=6 a=1 k=2: within 2% of 20",
+    "power n=3 a=2 k=1: within 2% of 1",
+    "power n=8 a=3 k=2: within 2% of 4",
+    "product n=6 a=2 k1=k2=1: within 2% of 4",
+    "17a3 ell=3 k=1: within 5% of 2",
+    "17a3 ell=3 k=2: within 5% of 6",
+    "17a3 ell=3 mass at 1: within 5% absolute of 9/16",
+    "17a3 ell=3 mass at 3: within 5% absolute of 5/12",
+    "17a3 ell=3 mass at 9: within 5% absolute of 1/48",
+    "cm:-1 ell=5 k=2: within 5% of 28",
+    "cm:-3 ell=7 k=2: within 5% of 45",
+    "cm:-1 ell=5 k=1: within 5% of 3",
+    "cm:-1 ell=5 inert+ramified part: within 5% of 1",
+    "cm:-1 ell=5 split part: within 5% of 2",
+    "cm:-1 ell=3 k=1: within 5% of 2",
+    "cm:-1 ell=3 inert+ramified part: within 5% of 1",
+    "cm:-1 ell=3 split part: within 5% of 1",
+    "power n=4 mass at 2: within 1% absolute of 1/2",
+    "power n=4 mass at 4: within 1% absolute of 1/2",
+    "characteristic function at t=0.1: series within tail bound of atom sum",
+    "characteristic function at t=0.5: series within tail bound of atom sum",
+    "characteristic function at t=0.9: series within tail bound of atom sum",
+    "burnside equals orbit oracle on 534 (action, k) pairs",
+]
+
+
+def test_verify_all_keeps_its_41_checks_in_order(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith(("PASS", "FAIL"))] == [
+        f"PASS  {name}" for name in VERIFY_CHECK_NAMES
+    ]
+    assert lines[-1] == "41/41 checks passed"
+
+
+def test_verify_tol_replaces_every_empirical_tolerance(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "torsion-gl2", "--tol", "0.5")
+    assert code == 0
+    rows = [line for line in out.splitlines() if line.startswith("PASS")]
+    assert rows == [
+        f"PASS  {name.replace('5%', '50%')}" for name in VERIFY_CHECK_NAMES[22:27]
+    ]
+    code, out, _ = run_cli(capsys, "verify", "--suite", "distribution", "--tol", "0.5")
+    assert code == 0
+    rows = [line for line in out.splitlines() if line.startswith("PASS")]
+    assert rows == [
+        f"PASS  {name.replace('1%', '50%')}" for name in VERIFY_CHECK_NAMES[35:40]
+    ]
 
 
 def test_verify_unknown_suite(capsys):

@@ -16,17 +16,17 @@ from orbitmoments.closed_forms import (
     cm_masses,
     cm_moment,
     dk,
-    gl2_densities,
+    gl2_masses,
     gl2_moment,
-    inert_partial_moment,
     mk,
     mk_divisor_sum,
     mk_euler_product,
+    moment_of,
     noncm_moment,
     p_poly,
-    split_densities,
     unit_masses,
 )
+from orbitmoments import closed_forms
 from orbitmoments.core_arith import divisor_count, primes_in_range
 from orbitmoments.local_counts import CURVE_PRESETS
 from orbitmoments.moment_lab import TorsionCounter
@@ -97,9 +97,8 @@ def test_mk_forms_agree_on_random_n(n, k):
     d=st.sampled_from((2, 4)),
 )
 def test_cm_moment_forms_agree_on_random_ell(ell, k, d):
-    value = cm_moment(ell, k, d)  # raises if its two forms disagree
-    d0, d1, d2 = split_densities(ell, d)
-    assert value == d0 + d1 * ell**k + d2 * ell ** (2 * k) + inert_partial_moment(ell, k)
+    value = cm_moment(ell, k, d)  # raises if its closed form and its masses disagree
+    assert value == moment_of(cm_masses(ell, d, True), k) + moment_of(cm_masses(ell, d, False), k)
 
 
 def test_mk_multiplicative():
@@ -179,29 +178,40 @@ def test_cm_moment_rejects():
     with pytest.raises(ValueError):  # a ramified ell
         cm_moment(3, 2, 3)
     with pytest.raises(ValueError):
-        split_densities(7, 3)
+        cm_masses(7, 3)
 
 
-def test_inert_partial_moment():
-    assert inert_partial_moment(5, 0) == Fraction(1, 2)
-    assert inert_partial_moment(5, 1) == 1
-    assert inert_partial_moment(5, 3) == 16
+def test_moment_formulas_check_themselves_against_their_masses(monkeypatch):
+    assert gl2_moment(5, 2) == 8 and cm_moment(5, 2, 4) == 28
+    masses = {"gl2_masses": gl2_masses(5), "cm_masses": cm_masses(5, 4)}
+    for name, right in masses.items():
+        wrong = {**right, 1: right[1] + Fraction(1, 10**9)}
+        monkeypatch.setattr(closed_forms, name, lambda *args, wrong=wrong: wrong)
+    with pytest.raises(ArithmeticError, match="gl2_moment"):
+        gl2_moment(5, 2)
+    with pytest.raises(ArithmeticError, match="cm_moment"):
+        cm_moment(5, 2, 4)
+
+
+def test_cm_masses_inert_coset_is_half_mk():
+    assert moment_of(cm_masses(5, 4, False), 0) == Fraction(1, 2)
+    assert moment_of(cm_masses(5, 4, False), 1) == 1
+    assert moment_of(cm_masses(5, 4, False), 3) == 16
     for ell in (3, 5, 7, 11):
-        for k in range(7):
-            assert inert_partial_moment(ell, k) == mk(ell, k) / 2
-
-
-def test_split_densities():
-    for ell in primes_in_range(2, 51):
-        if ell == 2:
-            continue
         for d in (2, 4):
-            assert sum(split_densities(ell, d)) == Fraction(1, 2)
-    assert split_densities(5, 4)[1] == Fraction(3, 16)
-    assert split_densities(7, 2)[1] == 0
+            for k in range(7):
+                assert moment_of(cm_masses(ell, d, False), k) == mk(ell, k) / 2
 
 
-def test_split_densities_are_half_the_cartan_histogram():
+def test_cm_masses_split_coset():
+    for ell in primes_in_range(3, 51):
+        for d in (2, 4):
+            assert sum(cm_masses(ell, d, True).values()) == Fraction(1, 2)
+    assert cm_masses(5, 4, True)[5] == Fraction(3, 16)
+    assert 7 not in cm_masses(7, 2, True)
+
+
+def test_cm_masses_split_coset_is_half_the_cartan_histogram():
     # quad:ell,d is the Cartan subgroup (O_K/ell)^x acting on O_K/ell
     for d in (-1, -3, -7):
         spec = QuadOrderSpec(d)
@@ -211,25 +221,25 @@ def test_split_densities_are_half_the_cartan_histogram():
                 continue
             action = build_action(f"quad:{ell},{d}")
             hist = fixed_point_histogram(action)
-            masses = [Fraction(hist.get(v, 0), 2 * action.group_order) for v in (1, ell, ell**2)]
-            assert list(split_densities(ell, dk_ell)) == masses, (ell, d)
+            masses = {v: Fraction(c, 2 * action.group_order) for v, c in hist.items()}
+            assert cm_masses(ell, dk_ell, True) == masses, (ell, d)
 
 
-def test_gl2_densities():
+def test_gl2_masses():
     for ell in primes_in_range(2, 51):
-        d0, d1, d2 = gl2_densities(ell)
-        assert d0 + d1 + d2 == 1
-        assert d0 > 0 and d1 > 0 and d2 > 0
-    assert gl2_densities(3)[2] == Fraction(1, 48)
-    assert gl2_densities(3)[1] * 48 == 20
+        masses = gl2_masses(ell)
+        assert list(masses) == [1, ell, ell * ell]
+        assert sum(masses.values()) == 1
+        assert all(m > 0 for m in masses.values())
+    assert gl2_masses(3)[9] == Fraction(1, 48)
+    assert gl2_masses(3)[3] * 48 == 20
 
 
 def test_cm_zeroth_moments_are_one():
     # zeroth moments are total densities
     for ell in (3, 5, 7):
         for d in (2, 4):
-            d0, d1, d2 = split_densities(ell, d)
-            assert d0 + d1 + d2 + inert_partial_moment(ell, 0) == 1
+            assert sum(cm_masses(ell, d, True).values()) + sum(cm_masses(ell, d, False).values()) == 1
 
 
 def test_unit_masses_equal_the_units_histogram():
@@ -249,7 +259,7 @@ def test_affine_masses_equal_the_affine_group():
     for n in range(1, 31):
         assert affine_masses(n) == affine_group_masses(n), n
         for k in range(1, 7):
-            assert sum(m * v**k for v, m in affine_masses(n).items()) == mk(n, k - 1)
+            assert moment_of(affine_masses(n), k) == mk(n, k - 1)
 
 
 def test_gl2_masses_equal_gl2():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -110,6 +111,27 @@ def test_factorize():
     assert factorize(1) == []
     assert factorize(97) == [(97, 1)]
     for n in range(1, 2000):
+        fact = factorize(n)
+        assert math.prod(p**e for p, e in fact) == n
+        assert all(is_prime(p) for p, _ in fact)
+        assert [p for p, _ in fact] == sorted(p for p, _ in fact)
+
+
+@pytest.mark.parametrize(
+    "n, want",
+    [
+        (1_000_000_000_000_037, [(1_000_000_000_000_037, 1)]),
+        ((10**9 + 7) * (10**9 + 9), [(10**9 + 7, 1), (10**9 + 9, 1)]),
+    ],
+)
+def test_factorize_splits_large_n_without_trial_division(n, want):
+    start = time.perf_counter()
+    assert factorize(n) == want
+    assert time.perf_counter() - start < 1
+
+
+def test_factorize_past_the_trial_division_bound():
+    for n in (997 * 1009, 1009**2, 2**5 * 1009**3 * 1013, (2**31 - 1) ** 2, 1_000_003**3):
         fact = factorize(n)
         assert math.prod(p**e for p, e in fact) == n
         assert all(is_prime(p) for p, _ in fact)

@@ -18,9 +18,7 @@ from orbitmoments.closed_forms import (
     cm_moment,
     dk,
     gl2_moment,
-    inert_partial_moment,
     mk,
-    split_densities,
 )
 from orbitmoments.core_arith import (
     POW_ARRAY_LIMIT,
@@ -159,7 +157,7 @@ def test_square_free_check_matches_trial_division():
 
 
 def test_square_free_check_on_large_a():
-    # trial division stops at cbrt(a); the cofactor has at most two prime factors
+    # factorize splits a large cofactor by Pollard-Brent rho, not by trial division
     start = time.perf_counter()
     PowerCounter(PowerEquation(3, 2**61 - 1))
     assert time.perf_counter() - start < 1
@@ -426,10 +424,10 @@ def hand_formula(counter, k):
         return None
     if filt is None:
         return cm_moment(ell, k, d)
+    # the nonsplit coset carries half of M_k(ell), the split coset the rest of the CM moment
     if not filt.keep_split:
-        return inert_partial_moment(ell, k)
-    d0, d1, d2 = split_densities(ell, d)
-    return d0 + d1 * ell**k + d2 * ell ** (2 * k)
+        return mk(ell, k) / 2
+    return cm_moment(ell, k, d) - mk(ell, k) / 2
 
 
 GAUSS = QuadOrderSpec(-1)

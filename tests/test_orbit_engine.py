@@ -16,7 +16,7 @@ from oracles import (
     table_histogram,
 )
 from orbitmoments import orbit_engine
-from orbitmoments.closed_forms import dk, gl2_densities, gl2_moment, mk
+from orbitmoments.closed_forms import dk, gl2_masses, gl2_moment, mk
 from orbitmoments.core_arith import CapacityError, divisor_count
 from orbitmoments.orbit_engine import (
     PermutationAction,
@@ -501,10 +501,7 @@ def test_orbit_size_generator_mode(monkeypatch):
 def test_predicted_distribution_gl2():
     for ell in (2, 3, 5, 7):
         dist = predicted_value_distribution(build_gl2(ell))
-        d0, d1, d2 = gl2_densities(ell)
-        assert dist[1] == d0
-        assert dist[ell] == d1
-        assert dist[ell * ell] == d2
+        assert dist == gl2_masses(ell)
 
 
 def test_predicted_distribution_units_mean():
