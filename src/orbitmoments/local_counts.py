@@ -126,13 +126,17 @@ def count_roots_array(eq: PowerEquation, primes: np.ndarray) -> np.ndarray:
     return np.array([count_roots_formula(eq, p) for p in primes.tolist()], dtype=np.int64)
 
 
+# The CM models by (a, b), with their CM field: y**2 = x**3 - x (O_K = Z[i])
+# and y**2 = x**3 + 1 (Z[omega]), whose Frobenius is read off p = X**2 - d*Y**2.
+_CM_MODELS = {(-1, 0): QuadOrderSpec(-1), (0, 1): QuadOrderSpec(-3)}
+
+
 @dataclass(frozen=True)
 class WeierstrassCurve:
-    """y**2 = x**3 + a*x + b over Z, with optional CM field tag."""
+    """y**2 = x**3 + a*x + b over Z."""
 
     a: int
     b: int
-    cm: QuadOrderSpec | None = None
     label: str | None = None
 
     def __post_init__(self):
@@ -142,6 +146,11 @@ class WeierstrassCurve:
     @property
     def discriminant(self) -> int:
         return -16 * (4 * self.a**3 + 27 * self.b**2)
+
+    @property
+    def cm(self) -> QuadOrderSpec | None:
+        """The CM field, read off the coefficients; None unless one of the _CM_MODELS."""
+        return _CM_MODELS.get((self.a, self.b))
 
     def bad_primes(self, ell: int = 1) -> BadPrimes:
         """Primes excluded when counting ell-torsion: p < 5 or p | ell*disc."""
@@ -157,31 +166,25 @@ CURVE_PRESETS = {
     # y^2 + y = x^3 - x^2 - 7x + 10
     "11a2": WeierstrassCurve(-9504, 365904, label="11a2"),
     # y^2 = x^3 - x, CM by Z[i]
-    "cm:-1": WeierstrassCurve(-1, 0, cm=QuadOrderSpec(-1), label="cm:-1"),
+    "cm:-1": WeierstrassCurve(-1, 0, label="cm:-1"),
     # y^2 = x^3 + 1, CM by Z[(1+sqrt(-3))/2]
-    "cm:-3": WeierstrassCurve(0, 1, cm=QuadOrderSpec(-3), label="cm:-3"),
+    "cm:-3": WeierstrassCurve(0, 1, label="cm:-3"),
 }
 
 
-# CM models whose Frobenius in O_K is read off p = X**2 + D*Y**2, by (a, b):
-# y**2 = x**3 - x (O_K = Z[i], D = 1) and y**2 = x**3 + 1 (Z[omega], D = 3).
-_FROBENIUS_MODELS = {(-1, 0): 1, (0, 1): 3}
-
-
 def parse_curve(text: str) -> WeierstrassCurve:
-    """Resolve a preset name or an "a,b" pair of short-Weierstrass coefficients.
+    """Resolve a preset name or an "a,b" pair of integer short-Weierstrass coefficients.
 
-    A pair naming one of the _FROBENIUS_MODELS is tagged with its CM field,
-    as its preset is, and keeps the label it was typed with.
+    A pair keeps the label it was typed with; its CM field, if any, comes
+    from its coefficients as a preset's does.
     """
     if text in CURVE_PRESETS:
         return CURVE_PRESETS[text]
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"unknown curve {text!r}: expected a preset name or 'a,b'")
-    a, b = int(parts[0]), int(parts[1])
-    d = _FROBENIUS_MODELS.get((a, b))
-    return WeierstrassCurve(a, b, cm=QuadOrderSpec(-d) if d else None, label=text)
+    try:
+        a, b = (int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"unknown curve {text!r}: expected a preset name or 'a,b'") from None
+    return WeierstrassCurve(a, b, label=text)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +513,7 @@ def _lane_counts(curve: WeierstrassCurve, primes: np.ndarray, ell: int) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# Torsion counts on the _FROBENIUS_MODELS, from Frobenius in O_K.
+# Torsion counts on the _CM_MODELS, from Frobenius in O_K.
 
 def _root_of_unity(p: np.ndarray, m: int) -> np.ndarray:
     """A root of unity of order m (4 or 3) mod each prime p = 1 mod m, p < 2**31.
@@ -553,7 +556,7 @@ def _cornacchia(p: np.ndarray, root: np.ndarray, D: int) -> tuple[np.ndarray, np
 
 
 def _frobenius_counts(D: int, p: np.ndarray, ell: int) -> np.ndarray:
-    """|E(F_p)[ell]| for odd ell on the _FROBENIUS_MODELS curve of D, each p a good int64 prime below 2**31.
+    """|E(F_p)[ell]| for odd ell on the _CM_MODELS curve of D, each p a good int64 prime below 2**31.
 
     E[ell] is O_K/ell, and Frobenius acts on it as an element pi of O_K
     with norm p, so the count is |O_K/(pi - 1, ell)|.  p inert in O_K
@@ -627,10 +630,11 @@ def ec_torsion_count_array(curve: WeierstrassCurve, primes: np.ndarray, ell: int
     if not primes.size:
         return np.zeros(0, dtype=np.int64)
     counts = np.empty(primes.size, dtype=np.int64)
-    D = _FROBENIUS_MODELS.get((curve.a, curve.b)) if ell % 2 else None
-    frobenius = primes < POW_ARRAY_LIMIT if D else np.zeros(primes.size, dtype=bool)
+    # by the exact model, not by curve.cm: the sign rules of _frobenius_counts hold for these alone
+    spec = _CM_MODELS.get((curve.a, curve.b)) if ell % 2 else None
+    frobenius = primes < POW_ARRAY_LIMIT if spec else np.zeros(primes.size, dtype=bool)
     if frobenius.any():
-        counts[frobenius] = _frobenius_counts(D, primes[frobenius].astype(np.int64), ell)
+        counts[frobenius] = _frobenius_counts(-spec.d, primes[frobenius].astype(np.int64), ell)
     if not frobenius.all():
         counts[~frobenius] = _lane_counts(curve, primes[~frobenius], ell)
     _check_torsion_counts(curve, primes, ell, counts)

@@ -205,8 +205,8 @@ CounterSpec = PowerCounter | PowerProductCounter | TorsionCounter
 
 @dataclass
 class MomentReport:
-    """One prime average; histogram[0] == excluded + filtered + zero_valued,
-    the last counting the valued primes with N_p = 0."""
+    """One prime average.  histogram[0] holds the excluded and the filtered
+    primes, and the valued primes with N_p = 0 (zero_valued) are the rest."""
 
     scenario: str
     k: int
@@ -217,13 +217,10 @@ class MomentReport:
     histogram: dict[int, int]
     excluded: int
     filtered: int
-    zero_valued: int
 
     @property
-    def abs_err(self) -> float | None:
-        if self.predicted is None:
-            return None
-        return abs(float(self.empirical - self.predicted))
+    def zero_valued(self) -> int:
+        return self.histogram.get(0, 0) - self.excluded - self.filtered
 
     @property
     def rel_err(self) -> float | None:
@@ -264,7 +261,6 @@ def report_from_json_dict(data: dict) -> MomentReport:
         histogram=hist,
         excluded=data["excluded"],
         filtered=data.get("filtered", 0),
-        zero_valued=data.get("zero_valued", 0),
     )
 
 
@@ -272,8 +268,10 @@ def predicted_moment(counter: CounterSpec, k: int) -> Fraction | None:
     """The exact limit of the k-th moment, sum(mass * value**k) over counter.masses().
 
     Unfiltered, every prime is counted, so the limit at k = 0 is 1 even
-    where no masses are known.
+    where no masses are known; k < 0 raises ValueError, before any stream.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if k == 0 and counter.split_filter is None:
         return Fraction(1)
     masses = counter.masses()
@@ -371,7 +369,6 @@ def _report(
         histogram=dict(tally.hist),
         excluded=tally.excluded,
         filtered=tally.filtered,
-        zero_valued=tally.hist[0] - tally.excluded - tally.filtered,
     )
 
 
@@ -389,8 +386,7 @@ def empirical_moment(
     """
     if x < 2:
         raise ValueError("x must be >= 2")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    predicted = predicted_moment(counter, k)
     (tally,) = _accumulate(counter, [x + 1])
     denom = tally.pi_x - tally.excluded if good_only else tally.pi_x
     if denom == 0:
@@ -398,7 +394,7 @@ def empirical_moment(
             f"good_only: every prime p <= {x} is excluded ({counter.bad_primes}), "
             "so there is nothing to average"
         )
-    return _report(counter, k, x, tally, denom, predicted_moment(counter, k))
+    return _report(counter, k, x, tally, denom, predicted)
 
 
 @dataclass

@@ -597,3 +597,26 @@ def test_env_var_format_outside_choices(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "ORBITMOMENTS_FORMAT must be one of text, json, human, got 'xml'" in captured.err
+
+
+@pytest.mark.parametrize("command", ["moment", "trace"])
+def test_negative_k_is_refused_before_any_prime_is_streamed(capsys, monkeypatch, command):
+    def no_stream(*args):
+        raise AssertionError("the prime stream ran")
+
+    monkeypatch.setattr("orbitmoments.moment_lab._accumulate", no_stream)
+    bound = ["--x", "100"] if command == "moment" else ["--checkpoints", "100"]
+    code, out, err = run_cli(
+        capsys, command, "--scenario", "power", "--n", "4", "--k", "-1", *bound
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: k must be >= 0\n"
+
+
+@pytest.mark.parametrize("text", ["1.5,2", "1,x", "1,2,3"])
+def test_curve_that_is_not_two_integers(capsys, text):
+    code, out, err = run_cli(
+        capsys, "moment", "--scenario", "torsion", f"--curve={text}", "--x", "100"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown curve {text!r}: expected a preset name or 'a,b'\n"

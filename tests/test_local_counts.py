@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 from math import gcd, isqrt
@@ -146,8 +147,18 @@ def test_curve_presets():
     assert {p for p in primes_in_range(2, 31) if c.discriminant % p == 0} == {2, 3, 17}
     c = CURVE_PRESETS["11a2"]
     assert {p for p in primes_in_range(2, 31) if c.discriminant % p == 0} == {2, 3, 11}
+    # CM is read off the coefficients, so the presets carry no tag
     assert CURVE_PRESETS["cm:-1"].cm == QuadOrderSpec(-1)
     assert CURVE_PRESETS["cm:-3"].cm == QuadOrderSpec(-3)
+    assert CURVE_PRESETS["17a3"].cm is None and CURVE_PRESETS["11a2"].cm is None
+
+
+def test_curve_has_no_cm_field():
+    assert [f.name for f in dataclasses.fields(WeierstrassCurve)] == ["a", "b", "label"]
+    with pytest.raises(TypeError):
+        WeierstrassCurve(-1, 0, cm=QuadOrderSpec(-1))
+    assert WeierstrassCurve(-1, 0).cm == QuadOrderSpec(-1)
+    assert WeierstrassCurve(0, 1).cm == QuadOrderSpec(-3)
 
 
 def test_parse_curve():
@@ -155,11 +166,12 @@ def test_parse_curve():
     c = parse_curve("-1,0")
     assert (c.a, c.b, c.cm, c.label) == (-1, 0, QuadOrderSpec(-1), "-1,0")
     assert parse_curve("0,1").cm == QuadOrderSpec(-3)
-    # only the two Frobenius models are tagged by their coefficients
-    for text in ("3,5", "-1,1", "0,2"):
+    # only the two CM models have a CM field, not yet their twists -4,0 and 0,2
+    for text in ("3,5", "-1,1", "0,2", "-4,0"):
         assert parse_curve(text).cm is None, text
-    with pytest.raises(ValueError):
-        parse_curve("nonsense")
+    for text in ("nonsense", "1.5,2", "1,2,3", "1,"):
+        with pytest.raises(ValueError, match="unknown curve"):
+            parse_curve(text)
     with pytest.raises(ValueError):
         WeierstrassCurve(0, 0)
 
@@ -678,7 +690,7 @@ def test_frobenius_path_matches_the_lanes(name, monkeypatch):
 def test_frobenius_path_matches_enumeration():
     for name in ("cm:-1", "cm:-3"):
         curve = CURVE_PRESETS[name]
-        D = local_counts._FROBENIUS_MODELS[(curve.a, curve.b)]
+        D = -local_counts._CM_MODELS[(curve.a, curve.b)].d
         for ell in (3, 5, 7, 11, 13):
             primes = _good_primes(curve, ell, 2, 400)
             got = local_counts._frobenius_counts(D, primes, ell).tolist()
@@ -712,10 +724,10 @@ def test_frobenius_path_leaves_ell_2_and_large_primes_to_the_lanes(monkeypatch):
 
 def test_frobenius_path_is_chosen_by_coefficients(monkeypatch):
     for name in ("cm:-1", "cm:-3"):
-        # the model without its CM tag
+        # the model without the preset's label has the preset's field
         curve = CURVE_PRESETS[name]
         plain = WeierstrassCurve(curve.a, curve.b)
-        assert plain.cm is None and plain != curve
+        assert plain.cm == curve.cm and plain != curve
         primes = _good_primes(curve, 7, 10**6, 10**6 + 20000)
         seen = _spy_lanes(monkeypatch)
         assert (
