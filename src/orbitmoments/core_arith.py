@@ -231,19 +231,32 @@ def pow_mod(b: int, e: int, m: int) -> int:
 POW_ARRAY_LIMIT = 1 << 31
 
 
-def pow_mod_array(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """Elementwise base**exp mod m on int64 arrays, by square-and-multiply.
+def pow_mod_array(base: np.ndarray | int, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """Elementwise base**exp mod m on int64 arrays, by left-to-right square-and-multiply.
 
-    Exact while every modulus is below 2**31: residues stay below 2**31, so
-    each product stays below 2**62.  Exponents must be >= 0.
+    The base, an array or one int, is reduced mod m first.  Each exponent
+    bit multiplies the result by the base where it is set, then squares it.
+    With B the largest reduced base and M the largest modulus, that product
+    is below B*M; while (B*M)**2 < 2**63 the square's % m reduces both, one
+    remainder per bit.  Otherwise the product is reduced before the square,
+    exact while every modulus is below 2**31.  Exponents must be >= 0.
     """
-    result = np.ones_like(mod)
     base = base % mod
-    for bit in range(int(exp.max(initial=0)).bit_length()):
-        odd = (exp >> bit) & 1 == 1
-        result = np.where(odd, result * base % mod, result)
-        base = base * base % mod
-    return result
+    fold = (int(base.max(initial=1)) * int(mod.max(initial=1))) ** 2 < 1 << 63
+    step = base - 1
+    result = np.ones_like(mod)
+    for bit in reversed(range(int(exp.max(initial=0)).bit_length())):
+        factor = exp >> bit
+        factor &= 1
+        factor *= step
+        factor += 1
+        result *= factor
+        if bit:
+            if not fold:
+                result %= mod
+            result *= result
+            result %= mod
+    return result % mod
 
 
 def kronecker_symbol(a: int, n: int) -> int:
@@ -309,6 +322,6 @@ def kronecker_array(a: int, primes: np.ndarray) -> np.ndarray:
     if abs(a) < 1 << 63:  # a % p on int64
         euler = (primes % 2 == 1) & (primes < POW_ARRAY_LIMIT) & (a % primes != 0)
         q = primes[euler]
-        symbols[euler] = np.where(pow_mod_array(a % q, (q - 1) // 2, q) == 1, 1, -1)
+        symbols[euler] = np.where(pow_mod_array(a, (q - 1) // 2, q) == 1, 1, -1)
     symbols[~euler] = [kronecker_symbol(a, p) for p in primes[~euler].tolist()]
     return symbols

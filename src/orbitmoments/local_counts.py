@@ -45,12 +45,18 @@ class BadPrimes:
         return divides if self.floor <= 2 else f"p < {self.floor} or {divides}"
 
     def mask(self, primes: np.ndarray) -> np.ndarray:
-        """`p in self` for each entry of an int64 array, exact for any modulus."""
+        """`p in self` for each entry of an int64 array, exact for any modulus.
+
+        Only the primes up to |m| take m % p when some exceed a nonzero m.
+        """
         m = abs(self.modulus)
-        if m < _INT64_LIMIT:
-            divides = m % primes == 0
-        else:
+        if m >= _INT64_LIMIT:
             divides = np.array([m % p == 0 for p in primes.tolist()], dtype=bool)
+        elif m and int(primes.max(initial=0)) > m:
+            divides = primes <= m
+            divides[divides] = m % primes[divides] == 0
+        else:
+            divides = m % primes == 0
         return (primes < self.floor) | divides
 
 
@@ -100,10 +106,11 @@ def count_roots_array(eq: PowerEquation, primes: np.ndarray) -> np.ndarray:
     quadratic character settles even d, since an n-th power is a square:
     (a|p) = -1 gives 0 and d = 2 with (a|p) = 1 gives 2.  Only d > 2
     with (a|p) = 1, or odd d > 1, take the criterion a**((p-1)/d) = 1
-    through pow_mod_array -- a quarter of the primes for x**8 - a.
-    Vectorized on int64 while every prime is below POW_ARRAY_LIMIT and n
-    and a fit int64; otherwise each prime takes count_roots_formula.  d is
-    gathered from a cached table over p mod n while n <= 2**17.
+    through pow_mod_array -- a quarter of the primes for x**8 - a, at one
+    remainder per exponent bit for a small a > 0.  Vectorized on int64
+    while every prime is below POW_ARRAY_LIMIT and n and a fit int64;
+    otherwise each prime takes count_roots_formula.  d is gathered from a
+    cached table over p mod n while n <= 2**17.
     """
     n, a = eq.n, eq.a
     fits = n < _INT64_LIMIT and abs(a) < _INT64_LIMIT
@@ -121,7 +128,7 @@ def count_roots_array(eq: PowerEquation, primes: np.ndarray) -> np.ndarray:
         counts = np.where((d == 1) | ((d == 2) & residue), d, 0)
         rest = np.flatnonzero((d > 2) & residue)
         q, e = primes[rest], d[rest]
-        counts[rest] = np.where(pow_mod_array(a % q, (q - 1) // e, q) == 1, e, 0)
+        counts[rest] = np.where(pow_mod_array(a, (q - 1) // e, q) == 1, e, 0)
         return counts
     return np.array([count_roots_formula(eq, p) for p in primes.tolist()], dtype=np.int64)
 
@@ -527,7 +534,7 @@ def _root_of_unity(p: np.ndarray, m: int) -> np.ndarray:
     c = 2
     while todo.size:
         q = p[todo]
-        r = pow_mod_array(np.full_like(q, c), (q - 1) // m, q)
+        r = pow_mod_array(c, (q - 1) // m, q)
         found = (r * r % q if m == 4 else r) != 1
         root[todo[found]] = r[found]
         todo = todo[~found]

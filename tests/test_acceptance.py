@@ -4,9 +4,12 @@ The empirical criteria run at their documented sizes (x = 10**6 for the
 power scenarios, x = 10**5 for the elliptic ones) and tolerances (2%
 relative, 5% relative/absolute for elliptic, 1% absolute for the
 distribution atoms).  The slow-marked checks repeat the full-image torsion
-moment at x = 10**6 and x = 10**7 and the x^6 - 1 power moment at
-x = 10**8 (deselect them with -m "not slow").
+moment at x = 10**6 and x = 10**7, the x^6 - 1 power moment at x = 10**8,
+and pin the exact x^8 - 3 moment at x = 10**8 (deselect them with
+-m "not slow").
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -68,6 +71,15 @@ def test_criterion_6_power_moment_at_1e8():
     assert report.predicted == mk(6, 2)
     print(f"x^6-1 k=2 x=10**8: empirical={float(report.empirical):.6f} rel_err={report.rel_err:.2e}")
     assert report.rel_err <= TOL_POWER
+
+
+@pytest.mark.slow
+def test_criterion_6_power_moment_pinned_at_1e8():
+    # x^8 - 3 takes Euler's criterion through pow_mod_array on a quarter of its primes
+    report = empirical_moment(PowerCounter(PowerEquation(8, 3)), 2, 10**8)
+    print(f"x^8-3 k=2 x=10**8: empirical={report.empirical} predicted={report.predicted}")
+    assert report.predicted == 4
+    assert report.empirical == Fraction(23042308, 5761455)
 
 
 def test_criterion_7_torsion_full_image():

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbitmoments.core_arith import (
     POW_ARRAY_LIMIT,
@@ -195,6 +197,55 @@ def test_pow_mod_array_against_builtin():
     )
     base = rng.integers(0, 2**62, mod.size)
     exp = np.concatenate([np.arange(500), rng.integers(0, POW_ARRAY_LIMIT, 500)])
+    got = pow_mod_array(base, exp, mod).tolist()
+    assert got == [pow(b, e, m) for b, e, m in zip(base.tolist(), exp.tolist(), mod.tolist())]
+
+
+# (b*m)**2 < 2**63 exactly when b*m <= _FOLD_EDGE: the bound below which
+# pow_mod_array leaves a set bit's factor for the next square to reduce
+_FOLD_EDGE = math.isqrt((1 << 63) - 1)
+
+
+@st.composite
+def _pow_lane(draw):
+    """(base, exp, mod): a small or large base, shifted by a few multiples of mod."""
+    mod = draw(st.one_of(st.integers(2, 100), st.integers(2, POW_ARRAY_LIMIT - 1)))
+    base = draw(st.one_of(st.integers(-10, 10), st.integers(-(2**62), 2**62))) + draw(st.integers(-3, 3)) * mod
+    exp = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 2**40)))
+    return base, exp, mod
+
+
+@settings(max_examples=200, deadline=None)
+@given(lanes=st.lists(_pow_lane(), max_size=24))
+@example(lanes=[])
+@example(lanes=[(3, 0, 7), (-3, 1, 7), (10, 1, 7), (7, 5, 7), (14, 0, 7)])
+@example(lanes=[(2, 2**40 - 1, POW_ARRAY_LIMIT - 1), (2**62, 2**40 - 1, POW_ARRAY_LIMIT - 1)])
+def test_pow_mod_array_matches_builtin_property(lanes):
+    base, exp, mod = (np.array([lane[i] for lane in lanes], dtype=np.int64) for i in range(3))
+    got = pow_mod_array(base, exp, mod).tolist()
+    assert got == [pow(b, e, m) for b, e, m in lanes]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    b=st.integers(2, 50_000),
+    over=st.one_of(st.integers(-1000, 1), st.integers(2, 10**9)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(b=5, over=0, seed=0)
+@example(b=5, over=1, seed=0)
+def test_pow_mod_array_around_the_fold_bound(b, over, seed):
+    # largest reduced base b and largest modulus m, with (b*m)**2 below 2**63
+    # for over <= 0 (just below at 0) and at or above it otherwise (just above at 1)
+    m = min(_FOLD_EDGE // b + over, POW_ARRAY_LIMIT - 1)
+    assert ((b * m) ** 2 < 1 << 63) == (over <= 0)
+    rng = np.random.default_rng(seed)
+    mod = np.concatenate([[m], rng.integers(m - 1000, m, 255)])
+    # every base reduces to at most b < mod; the first lane's is b itself, given at or above mod
+    base = rng.integers(0, b + 1, mod.size) + rng.integers(-2, 3, mod.size) * mod
+    base[0] = b + m
+    exp = rng.integers(0, POW_ARRAY_LIMIT, mod.size)
+    exp[1:3] = 0, 1
     got = pow_mod_array(base, exp, mod).tolist()
     assert got == [pow(b, e, m) for b, e, m in zip(base.tolist(), exp.tolist(), mod.tolist())]
 

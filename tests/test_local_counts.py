@@ -81,6 +81,12 @@ def test_count_roots_formula_matches_brute():
 @example(n=12, a=-32_771, lo=999_000, width=3000)
 # n past the d table's bound of 2**17, so d comes from np.gcd
 @example(n=(1 << 17) + 6, a=5, lo=2, width=3000)
+# a = 5 and 23 around p = isqrt(2**63 - 1) / a: pow_mod_array folds each set
+# bit's factor into the next square below it, and takes % p twice per bit above
+@example(n=8, a=5, lo=607_397_000, width=3000)
+@example(n=8, a=5, lo=607_399_000, width=3000)
+@example(n=8, a=23, lo=132_040_500, width=3000)
+@example(n=8, a=23, lo=132_042_000, width=3000)
 def test_count_roots_array_matches_formula_property(n, a, lo, width):
     eq = PowerEquation(n, a)
     primes = np.concatenate([np.empty(0, dtype=np.int64), *prime_segments(lo, lo + width)])
