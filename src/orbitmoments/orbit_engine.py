@@ -27,11 +27,11 @@ and quad always list theirs.
 """
 
 from collections import Counter
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial
 
 import numpy as np
@@ -47,11 +47,7 @@ _MATRIX_CHUNK = 1 << 15
 
 
 def _perm_dtype(size: int):
-    if size <= 2**8:
-        return np.uint8
-    if size <= 2**16:
-        return np.uint16
-    return np.int64
+    return np.uint8 if size <= 2**8 else np.uint16 if size <= 2**16 else np.int64
 
 
 @dataclass
@@ -99,9 +95,7 @@ def _check_table(rows: int, size: int) -> None:
 
 def build_units(n: int) -> PermutationAction:
     """(Z/nZ)^x acting on Z/nZ by multiplication, as GL_1(Z/nZ)."""
-    action = build_glm(n, 1)
-    action.descriptor = f"units:{n}"
-    return action
+    return replace(build_glm(n, 1), descriptor=f"units:{n}")
 
 
 def build_semidirect(n: int) -> PermutationAction:
@@ -158,24 +152,31 @@ def build_quad_units(n: int, d: int) -> PermutationAction:
     if n * n > ELEMENT_BUDGET:
         raise CapacityError(n * n, ELEMENT_BUDGET, what="candidate matrices")
     spec = QuadOrderSpec(d)
+
+    def blocks():
+        for lo in range(0, n * n, _MATRIX_CHUNK):
+            a, b = np.divmod(np.arange(lo, min(lo + _MATRIX_CHUNK, n * n), dtype=np.int64), n)
+            entries = [a, spec.s * b % n, b, (a + spec.t * b) % n]
+            unit = np.gcd(_det_mod([entries[:2], entries[2:]], n), n) == 1
+            yield np.stack([e[unit] for e in entries], axis=1)
+
     # entries lie in [0, n), so the units are stored as glm stores its elements
-    units = np.empty((quad_unit_order(n, spec), 4), dtype=_perm_dtype(n))
-    filled = 0
-    for lo in range(0, n * n, _MATRIX_CHUNK):
-        a, b = np.divmod(np.arange(lo, min(lo + _MATRIX_CHUNK, n * n), dtype=np.int64), n)
-        entries = [[a, spec.s * b % n], [b, (a + spec.t * b) % n]]
-        unit = np.gcd(_det_mod(entries, n), n) == 1
-        count = np.count_nonzero(unit)
-        if filled + count <= len(units):
-            for column, e in enumerate(e for row in entries for e in row):
-                units[filled : filled + count, column] = e[unit]
-        filled += count
-    if filled != len(units):
-        raise ArithmeticError(f"quad:{n},{d} has {filled} units, not |(O_K/n)^x| = {len(units)}")
-    units = units.reshape(-1, 2, 2)
-    descriptor = f"quad:{n},{d}"
+    descriptor, dtype = f"quad:{n},{d}", _perm_dtype(n)
+    units = _fill_stack(blocks(), quad_unit_order(n, spec), 4, dtype, descriptor).reshape(-1, 2, 2)
     gens = lambda: _apply_matrices(units[_generating_subset(units, n, descriptor)], n)
     return PermutationAction(n * n, len(units), gens, descriptor, matrices=units, modulus=n)
+
+
+def _fill_stack(blocks: Iterator[np.ndarray], order: int, width: int, dtype, descriptor: str) -> np.ndarray:
+    """The rows of blocks in one (order, width) stack; ArithmeticError unless they fill it."""
+    stack, filled = np.empty((order, width), dtype=dtype), 0
+    for block in blocks:
+        if filled + len(block) <= order:
+            stack[filled : filled + len(block)] = block
+        filled += len(block)
+    if filled != order:
+        raise ArithmeticError(f"{descriptor} lists {filled} elements, not its order {order}")
+    return stack
 
 
 def _apply_matrices(mats: np.ndarray, n: int) -> np.ndarray:
@@ -254,18 +255,12 @@ def _glm_generator_matrices(n: int, m: int) -> np.ndarray:
     prime power, and the determinant is adjusted by the diagonal units.
     The u run over a generating set of (Z/nZ)^x, not over every unit.
     """
-    gens = []
     units = _enumerate_glm_matrices(n, 1)
-    for u in units[_generating_subset(units, n, f"units:{n}"), 0, 0]:
-        g = np.eye(m, dtype=np.int64)
-        g[0, 0] = u
-        gens.append(g)
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                g = np.eye(m, dtype=np.int64)
-                g[i, j] = 1
-                gens.append(g)
+    scalings = units[_generating_subset(units, n, f"units:{n}"), 0, 0].tolist()
+    gens = [np.diag([u] + [1] * (m - 1)) for u in scalings]
+    for i, j in permutations(range(m), 2):
+        gens.append(np.eye(m, dtype=np.int64))
+        gens[-1][i, j] = 1
     # GL_1 of Z/1 or Z/2 is trivial and has no generators
     return np.array(gens, dtype=np.int64).reshape(-1, m, m) % n
 
@@ -297,26 +292,29 @@ def _enumerate_glm_matrices(n: int, m: int) -> np.ndarray:
     p | n is, so each p has a table of flags over the matrices mod p
     (_glm_flags).  Candidates come in _lex_blocks, and the flag index of
     each is an np.add.outer sum of the offset of its leading entries and
-    that of its trailing ones.  Entries lie in [0, n), so they are stored in
-    the dtype of a permutation of n points.  More than ELEMENT_BUDGET
-    candidates, n**(m*m), raise CapacityError before any is made.
+    that of its trailing ones.  Entries lie in [0, n), so the invertible
+    ones fill a stack of the dtype of a permutation of n points, allocated
+    once at |GL_m(Z/n)| rows.  More than ELEMENT_BUDGET candidates,
+    n**(m*m), raise CapacityError before any is made.
     """
     if n ** (m * m) > ELEMENT_BUDGET:
         raise CapacityError(n ** (m * m), ELEMENT_BUDGET, what="candidate matrices")
     dtype = _perm_dtype(n)
-    blocks, trailing = _lex_blocks(n, m * m)
+    leading_blocks, trailing = _lex_blocks(n, m * m)
     trailing = trailing.astype(dtype)
     flag_tables = [(p, _glm_flags(p, m), _digits_index(trailing % p, p)) for p, _ in factorize(n)]
-    kept = []
-    for leading in blocks:
-        leading = leading.astype(dtype)
-        invertible = np.ones((len(leading), len(trailing)), dtype=bool)
-        for p, flags, trailing_index in flag_tables:
-            offsets = _digits_index(leading % p, p) * p ** trailing.shape[1]
-            invertible &= flags[np.add.outer(offsets, trailing_index)]
-        rows, cols = np.nonzero(invertible)
-        kept.append(np.concatenate([leading[rows], trailing[cols]], axis=1))
-    return np.concatenate(kept).reshape(-1, m, m)
+
+    def blocks():
+        for leading in leading_blocks:
+            leading = leading.astype(dtype)
+            invertible = np.ones((len(leading), len(trailing)), dtype=bool)
+            for p, flags, trailing_index in flag_tables:
+                offsets = _digits_index(leading % p, p) * p ** trailing.shape[1]
+                invertible &= flags[np.add.outer(offsets, trailing_index)]
+            rows, cols = np.nonzero(invertible)
+            yield np.concatenate([leading[rows], trailing[cols]], axis=1)
+
+    return _fill_stack(blocks(), glm_order(n, m), m * m, dtype, f"glm:{n},{m}").reshape(-1, m, m)
 
 
 def _glm_flags(p: int, m: int) -> np.ndarray:
@@ -331,22 +329,23 @@ def _glm_flags(p: int, m: int) -> np.ndarray:
     return np.concatenate(flags)
 
 
-def _lex_blocks(n: int, width: int) -> tuple[list[np.ndarray], np.ndarray]:
+def _lex_blocks(n: int, width: int) -> tuple[Iterator[np.ndarray], np.ndarray]:
     """The width-digit base-n numbers in ascending order, about 2**15 at a time.
 
     Returns (blocks, trailing).  trailing holds every value of the last t
-    digits, the most with n**t <= 2**15 (at least one digit); each block
-    holds a run of values of the leading digits, and stands for each of its
-    rows followed by each row of trailing.  Digits are int64, most
-    significant first.
+    digits, the most with n**t <= 2**15 (one empty row when n > 2**15);
+    blocks yields runs of values of the leading digits, each made from
+    np.arange when reached, and each row of a block stands for itself
+    followed by each row of trailing.  Digits are int64, most significant first.
     """
-    t = 1
+    t = 0
     while t < width and n ** (t + 1) <= _MATRIX_CHUNK:
         t += 1
     trailing = np.indices((n,) * t).reshape(t, n**t).T
-    leading = np.indices((n,) * (width - t)).reshape(width - t, n ** (width - t)).T
-    per_block = max(1, _MATRIX_CHUNK // n**t)
-    return [leading[lo : lo + per_block] for lo in range(0, len(leading), per_block)], trailing
+    powers = n ** np.arange(width - t - 1, -1, -1, dtype=np.int64)
+    total, step = n ** (width - t), max(1, _MATRIX_CHUNK // n**t)
+    lead = (np.arange(lo, min(lo + step, total), dtype=np.int64) for lo in range(0, total, step))
+    return (values[:, None] // powers % n for values in lead), trailing
 
 
 def _digits_index(digits: np.ndarray, base: int) -> np.ndarray:
@@ -376,9 +375,7 @@ def _det_mod(rows: list, n: int):
 def build_gl2(ell: int) -> PermutationAction:
     if not is_prime(ell):
         raise ValueError("gl2 actions are indexed by a prime")
-    action = build_glm(ell, 2)
-    action.descriptor = f"gl2:{ell}"
-    return action
+    return replace(build_glm(ell, 2), descriptor=f"gl2:{ell}")
 
 
 def build_action(descriptor: str) -> PermutationAction:
@@ -406,12 +403,13 @@ def build_action(descriptor: str) -> PermutationAction:
 # Burnside evaluation.
 
 def fixed_point_histogram(action: PermutationAction) -> dict[int, int]:
-    """m -> number of group elements fixing exactly m points.
+    """m -> number of group elements fixing exactly m points, m ascending.
 
     An action built with its histogram returns it; a matrix action counts
-    the fixed points of g as |ker(g - I)| from its matrices (_kernel_sizes,
-    2**15 elements at a time), once per action.  A generator-only action
-    has no histogram and raises ValueError.
+    the fixed points of g as |ker(g - I)| (_kernel_sizes, with g - I in the
+    narrowest signed dtype that holds n), 2**15 elements at a time, once per
+    action: each chunk's sizes, few since they divide n**m, are sorted in
+    place and counted by runs.  A generator-only action raises ValueError.
     """
     if action.histogram is None:
         if action.matrices is None:
@@ -419,13 +417,17 @@ def fixed_point_histogram(action: PermutationAction) -> dict[int, int]:
                 f"action {action.descriptor} of order {action.group_order} keeps only its "
                 "generators: its elements were not materialized, so it has no fixed-point histogram"
             )
-        counts = np.zeros(action.size + 1, dtype=np.int64)
         mats, n = action.matrices, action.modulus
-        identity = np.eye(mats.shape[1], dtype=np.int64)
+        width = np.min_scalar_type(-n)
+        identity = np.eye(mats.shape[1], dtype=width)
+        hist = Counter()
         for lo in range(0, len(mats), _MATRIX_CHUNK):
-            fixed = _kernel_sizes(mats[lo : lo + _MATRIX_CHUNK] - identity, n)
-            counts += np.bincount(fixed, minlength=action.size + 1)
-        action.histogram = {m: int(c) for m, c in enumerate(counts) if c}
+            g_minus_i = np.subtract(mats[lo : lo + _MATRIX_CHUNK], identity, dtype=width)
+            fixed = _kernel_sizes(g_minus_i, n)
+            fixed.sort()
+            ends = np.append(np.flatnonzero(fixed[1:] != fixed[:-1]), len(fixed) - 1)
+            hist.update(dict(zip(fixed[ends].tolist(), np.diff(ends, prepend=-1).tolist())))
+        action.histogram = dict(sorted(hist.items()))
     return dict(action.histogram)
 
 
@@ -436,23 +438,21 @@ def _kernel_sizes(mats: np.ndarray, n: int) -> np.ndarray:
     kernel mod n is that of the Smith form: prod gcd(s_i, n) vectors.  The
     invariant factors are s_i = D_i / D_(i-1), where D_i is the gcd of the
     i x i minors and D_0 = 1; D_i = 0 gives s_i = 0, and gcd(0, n) = n.
-    Entries are lifted to [0, n) first, and each i x i minor is expanded
-    along its first row from the (i-1) x (i-1) minors, exactly on int64:
-    none exceeds m! (n-1)**m in absolute value.
+    Entries are lifted to [0, n), and each i x i minor is expanded along
+    its first row from the (i-1) x (i-1) minors and folded into D_i at
+    once.  No minor or partial sum passes m! (n-1)**m in absolute value:
+    the work and the sizes are int32 while that and n fit, else int64.
     """
     m = mats.shape[1]
-    if factorial(m) * (n - 1) ** m >= 2**63:
-        raise OverflowError(
-            f"{m} x {m} minors of matrices mod {n} can reach {factorial(m) * (n - 1) ** m}, "
-            "past int64"
-        )
-    a = mats.astype(np.int64, copy=False) % n
-    minors = {((), ()): np.ones(len(a), dtype=np.int64)}
-    previous = np.ones(len(a), dtype=np.int64)
-    sizes = np.ones(len(a), dtype=np.int64)
+    bound = factorial(m) * (n - 1) ** m
+    if bound >= 2**63:
+        raise OverflowError(f"{m} x {m} minors of matrices mod {n} can reach {bound}, past int64")
+    dtype = np.int32 if max(bound, n) < 2**31 else np.int64
+    a = np.remainder(mats, n, dtype=np.promote_types(mats.dtype, dtype)).astype(dtype, copy=False)
+    minors, previous, sizes = {((), ()): 1}, np.ones(len(a), dtype=dtype), 1
     for i in range(1, m + 1):
         subsets = list(combinations(range(m), i))
-        larger = {}
+        larger, d = {}, np.zeros(len(a), dtype=dtype)
         for rows in subsets:
             for cols in subsets:
                 minor = 0
@@ -460,11 +460,11 @@ def _kernel_sizes(mats: np.ndarray, n: int) -> np.ndarray:
                     term = a[:, rows[0], c] * minors[rows[1:], cols[:j] + cols[j + 1 :]]
                     minor = minor - term if j % 2 else minor + term
                 larger[rows, cols] = minor
+                np.gcd(d, minor, out=d)
         minors = larger
-        d = np.gcd.reduce(np.stack(list(minors.values())), axis=0, initial=0)
         # D_(i-1) = 0 forces D_i = 0 (rank < i - 1), and then s_i = 0
         s_i = np.where(d == 0, 0, d // np.maximum(previous, 1))
-        sizes *= np.gcd(s_i, n)
+        sizes = sizes * np.gcd(s_i, n)
         previous = d
     return sizes
 

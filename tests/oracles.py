@@ -8,6 +8,8 @@ enumerate, at a cost that grows with p or with the group:
   products, norms and units of O_K/nO_K, one Python object each.
 - MatrixModN, det_mod_n (by cofactor expansion) and enumerate_glm, which
   lists GL_m(Z/nZ) by scanning all n**(m*m) matrices.
+- kernel_size_by_minors gives |ker(A mod n)| from the invariant factors
+  of an integer matrix, every minor a Leibniz sum on Python ints.
 - semidirect_table lists Z/n x| (Z/n)^x as one permutation row per
   element, and table_histogram counts fixed points by comparing each row
   of such a table with the identity.
@@ -135,6 +137,36 @@ def _det(rows, n: int) -> int:
         total += sign * rows[0][j] * _det(minor, n)
         sign = -sign
     return total % n
+
+
+def kernel_size_by_minors(mat, n: int) -> int:
+    """prod gcd(s_i, n) over the invariant factors s_i = D_i / D_(i-1) of mat.
+
+    D_i is the math.gcd of every i x i minor of the entries as given, each
+    minor a Leibniz sum on Python ints, so no value has a width to overflow.
+    """
+    rows = [[int(v) for v in row] for row in mat]
+    m = len(rows)
+    size, previous = 1, 1
+    for i in range(1, m + 1):
+        d = 0
+        for r in itertools.combinations(range(m), i):
+            for c in itertools.combinations(range(m), i):
+                d = gcd(d, _leibniz([[rows[x][y] for y in c] for x in r]))
+        size *= gcd(d // previous if d else 0, n)
+        previous = d
+    return size
+
+
+def _leibniz(rows) -> int:
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(len(perm)), 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
 
 
 DEFAULT_ENUM_BUDGET = 10**8

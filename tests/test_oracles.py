@@ -13,6 +13,8 @@ TEST_ONLY = (
     "MatrixModN",
     "det_mod_n",
     "_det",
+    "kernel_size_by_minors",
+    "_leibniz",
     "DEFAULT_ENUM_BUDGET",
     "enumerate_glm",
     "semidirect_table",

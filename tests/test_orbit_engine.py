@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     QuadResidue,
     enumerate_glm,
+    kernel_size_by_minors,
     quad_mul,
     quad_unit_elements,
     semidirect_table,
@@ -185,6 +186,18 @@ def test_building_quad_stays_near_its_unit_stack():
     assert action.matrices.dtype == np.uint16
     assert action.group_order == len(action.matrices) == 1280000
     assert peak < 1.5 * action.matrices.nbytes, (peak, action.matrices.nbytes)
+
+
+def test_element_stacks_are_checked_against_the_group_order(monkeypatch):
+    # glm and quad fill a stack allocated at the order their formula gives,
+    # and a scan that lists more or fewer elements than that is refused
+    monkeypatch.setattr(orbit_engine, "glm_order", lambda n, m: glm_order(n, m) + 1)
+    with pytest.raises(ArithmeticError, match="glm:5,2 lists 480 elements, not its order 481"):
+        build_glm(5, 2)
+    order = orbit_engine.quad_unit_order
+    monkeypatch.setattr(orbit_engine, "quad_unit_order", lambda n, spec: order(n, spec) - 1)
+    with pytest.raises(ArithmeticError, match="quad:5,-1 lists 16 elements, not its order 15"):
+        build_quad_units(5, -1)
 
 
 def test_quad_unit_stack_length_is_the_unit_group_order():
@@ -631,6 +644,57 @@ def test_kernel_sizes_refuse_minors_past_int64():
     # only listed actions have a histogram; a listed 4-dimensional glm has
     # order * n**4 <= ENTRY_BUDGET = 6 * 10**7, so n <= 88
     assert _kernel_sizes(np.zeros((1, 4, 4), dtype=np.int64), 88)[0] == 88**4
+
+
+def test_kernel_sizes_match_python_ints_on_both_sides_of_the_int32_switch():
+    # m! (n-1)**m fits int32 up to n = 32768, 711 and 98 for m = 2, 3 and 4;
+    # one past that the minors are formed on int64
+    rng = np.random.default_rng(0)
+    cases = ((2, 32768, np.int32), (2, 32769, np.int64), (3, 711, np.int32))
+    cases += ((3, 712, np.int64), (4, 98, np.int32), (4, 99, np.int64))
+    for m, n, dtype in cases:
+        extremes = rng.choice(np.array([0, 1, n - 2, n - 1]), size=(150, m, m))
+        mats = np.concatenate([extremes, rng.integers(0, n, size=(150, m, m))])
+        # as in test_invariant_factors_count_the_kernel, the last `tied` rows
+        # are multiples of the first, so singular matrices over Z come up often
+        for t, mat in enumerate(mats):
+            tied = t % (m + 1)
+            for r in range(max(1, m - tied), m):
+                mat[r] = mat[0] * (r + 1)
+        sizes = _kernel_sizes(mats, n)
+        assert sizes.dtype == dtype, (m, n)
+        assert sizes.tolist() == [kernel_size_by_minors(mat, n) for mat in mats], (m, n)
+
+
+def test_histogram_peak_stays_below_half_the_element_stack():
+    # each chunk's kernel sizes are sorted in place and counted by runs: no
+    # array of size + 1 counts (about 10**6 here) and no int64 copy of a chunk
+    for descriptor in ("units:999983", "quad:1009,-1"):
+        action = build_action(descriptor)
+        tracemalloc.start()
+        try:
+            hist = fixed_point_histogram(action)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert list(hist) == sorted(hist), descriptor
+        assert sum(hist.values()) == action.group_order, descriptor
+        assert peak < action.matrices.nbytes / 2, (descriptor, peak, action.matrices.nbytes)
+    # 999983 is prime: only the identity fixes more than the zero vector
+    assert fixed_point_histogram(build_action("units:999983")) == {1: 999981, 999983: 1}
+
+
+def test_building_units_stays_near_its_element_stack():
+    # one digit past 2**15 leaves no trailing digits, so the 999,983
+    # candidates come 2**15 at a time into a stack allocated once
+    tracemalloc.start()
+    try:
+        action = build_action("units:999983")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert action.group_order == len(action.matrices) == 999982
+    assert peak <= 2 * action.matrices.nbytes, (peak, action.matrices.nbytes)
 
 
 def test_burnside_on_matrix_actions_builds_no_permutation_table():
