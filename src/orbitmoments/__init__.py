@@ -16,14 +16,11 @@ from .closed_forms import (
 from .core_arith import (
     CapacityError,
     divisor_count,
-    euler_phi,
     factorize,
     is_prime,
     kronecker_symbol,
     mobius,
-    pow_mod,
     prime_segments,
-    primes_in_range,
 )
 from .local_counts import (
     CURVE_PRESETS,
@@ -32,7 +29,6 @@ from .local_counts import (
     WeierstrassCurve,
     count_roots_array,
     count_roots_formula,
-    ec_torsion_count,
     ec_torsion_count_array,
     parse_curve,
 )
@@ -55,7 +51,6 @@ from .orbit_engine import (
     burnside_moment,
     fixed_point_histogram,
     orbit_count_oracle,
-    predicted_value_distribution,
 )
 from .residue_algebra import QuadOrderSpec, glm_order, psi
 

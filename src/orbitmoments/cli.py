@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("--suite", default="all", help=f"one of: {', '.join(SUITES)}, all")
-    p.add_argument("--tol", type=float, help="override the suite tolerance")
+    p.add_argument("--tol", type=float, help="tolerance of every scenario row, a finite number >= 0")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -117,12 +117,6 @@ def prime_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
             yield primes
 
 
-def primes_in_range(lo: int, hi: int) -> Iterator[int]:
-    """Yield the primes in [lo, hi) in ascending order, as Python ints."""
-    for segment in prime_segments(lo, hi):
-        yield from segment.tolist()
-
-
 def _rho_factor(n: int) -> int:
     """A proper factor of a composite n, by Pollard-Brent rho.
 
@@ -195,13 +189,6 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
-def euler_phi(n: int) -> int:
-    result = 1
-    for p, e in factorize(n):
-        result *= p**e - p ** (e - 1)
-    return result
-
-
 def mobius(n: int) -> int:
     result = 1
     for _, e in factorize(n):
@@ -216,15 +203,6 @@ def divisor_count(n: int) -> int:
     for _, e in factorize(n):
         result *= e + 1
     return result
-
-
-def pow_mod(b: int, e: int, m: int) -> int:
-    """b**e mod m, for m >= 2 and e >= 0."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    if e < 0:
-        raise ValueError("exponent must be >= 0")
-    return pow(b, e, m)
 
 
 # pow_mod_array is exact for moduli below this bound.

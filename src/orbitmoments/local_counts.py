@@ -17,7 +17,6 @@ from .core_arith import (
     RESIDUE_TABLE_LIMIT,
     is_prime,
     kronecker_array,
-    pow_mod,
     pow_mod_array,
 )
 from .residue_algebra import QuadOrderSpec
@@ -87,7 +86,7 @@ def count_roots_formula(eq: PowerEquation, p: int) -> int:
     if eq.a % p == 0:
         return 1
     d = gcd(p - 1, eq.n)
-    return d if pow_mod(eq.a, (p - 1) // d, p) == 1 else 0
+    return d if pow(eq.a, (p - 1) // d, p) == 1 else 0
 
 
 @lru_cache(maxsize=32)
@@ -218,14 +217,13 @@ def _psub(f, g):
     return _ptrim([x - y for x, y in zip(f, g)])
 
 
-def division_polynomial(ell: int, a: int, b: int, p: int | None = None) -> list[int]:
-    """The ell-th division polynomial of y**2 = x**3 + ax + b for odd ell.
+def division_polynomial(ell: int, a: int, b: int) -> list[int]:
+    """The ell-th division polynomial of y**2 = x**3 + ax + b over Z, for odd ell.
 
-    Over Z, or reduced mod p when p is given.  Returned in x alone
-    (even-index terms of the standard recurrence carry an implicit factor y
-    that cancels); degree (ell**2 - 1)/2 with leading coefficient ell, and
-    its roots are the x-coordinates of the nontrivial points with
-    ell*P = infinity.
+    Returned in x alone (even-index terms of the standard recurrence carry
+    an implicit factor y that cancels); degree (ell**2 - 1)/2 with leading
+    coefficient ell, and its roots are the x-coordinates of the nontrivial
+    points with ell*P = infinity.
     """
     if ell % 2 == 0:
         raise ValueError("odd ell only")
@@ -259,8 +257,7 @@ def division_polynomial(ell: int, a: int, b: int, p: int | None = None) -> list[
         table[k] = out
         return out
 
-    poly = list(psi(ell))
-    return poly if p is None else _ptrim([c % p for c in poly])
+    return list(psi(ell))
 
 
 @lru_cache(maxsize=16)
@@ -646,13 +643,3 @@ def ec_torsion_count_array(curve: WeierstrassCurve, primes: np.ndarray, ell: int
         counts[~frobenius] = _lane_counts(curve, primes[~frobenius], ell)
     _check_torsion_counts(curve, primes, ell, counts)
     return counts
-
-
-def ec_torsion_count(curve: WeierstrassCurve, p: int, ell: int) -> int:
-    """|E(F_p)[ell]| including infinity; 0 for excluded primes (p < 5 or p | ell*disc).
-
-    Any other prime is one lane of ec_torsion_count_array.
-    """
-    if p in curve.bad_primes(ell):
-        return 0
-    return int(ec_torsion_count_array(curve, np.array([p], dtype=object), ell)[0])

@@ -29,7 +29,6 @@ and quad always list theirs.
 from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations, permutations
 from math import factorial
@@ -549,9 +548,3 @@ def orbit_size(action: PermutationAction, point: int) -> int:
         return int(np.count_nonzero(seen))
     labels = _orbit_labels(action.generators, action.size, 1)
     return int(np.count_nonzero(labels == labels[point]))
-
-
-def predicted_value_distribution(action: PermutationAction) -> dict[int, Fraction]:
-    """m -> |G(m)|/|G|, the predicted density of primes with value m."""
-    hist = fixed_point_histogram(action)
-    return {m: Fraction(c, action.group_order) for m, c in hist.items()}

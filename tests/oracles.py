@@ -29,6 +29,10 @@ enumerate, at a cost that grows with p or with the group:
   coefficient lists (schoolbook products, long division, Euclid), at a
   cost that grows with log p, for primes far out.  Both take psi_ell
   from division_polynomial, as the lanes do.
+
+primes_between is no reference: it lists the library's own prime stream
+as Python ints, for tests that loop over a small range of primes.
+test_core_arith checks that stream against trial division.
 """
 
 import itertools
@@ -41,9 +45,14 @@ from typing import Iterator
 
 import numpy as np
 
-from orbitmoments.core_arith import POW_ARRAY_LIMIT, CapacityError
+from orbitmoments.core_arith import POW_ARRAY_LIMIT, CapacityError, prime_segments
 from orbitmoments.local_counts import PowerEquation, WeierstrassCurve, division_polynomial
 from orbitmoments.residue_algebra import QuadOrderSpec, glm_order
+
+def primes_between(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi), ascending, from prime_segments."""
+    return [p for segment in prime_segments(lo, hi) for p in segment.tolist()]
+
 
 def count_roots_brute(eq: PowerEquation, p: int) -> int:
     """#{x in F_p : x**n = a}, by scanning all residues.

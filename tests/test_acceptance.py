@@ -16,20 +16,7 @@ import pytest
 from orbitmoments.closed_forms import gl2_moment, mk
 from orbitmoments.local_counts import CURVE_PRESETS, PowerEquation
 from orbitmoments.moment_lab import PowerCounter, TorsionCounter, empirical_moment
-from orbitmoments.verify import (
-    TOL_ELLIPTIC,
-    TOL_POWER,
-    suite_distribution,
-    suite_formula_identities,
-    suite_gl2_fixed_points,
-    suite_number_field_orbits,
-    suite_oracle_equivalence,
-    suite_orbit_vs_closed_form,
-    suite_power_moments,
-    suite_psi_partition,
-    suite_torsion_cm,
-    suite_torsion_gl2,
-)
+from orbitmoments.verify import TOL_ELLIPTIC, TOL_POWER, run_suite
 
 
 def _run(results):
@@ -42,27 +29,27 @@ def _run(results):
 
 
 def test_criterion_1_orbit_identities():
-    _run(suite_orbit_vs_closed_form())
+    _run(run_suite("orbit-vs-closed-form"))
 
 
 def test_criterion_2_number_field_orbits():
-    _run(suite_number_field_orbits())
+    _run(run_suite("number-field-orbits"))
 
 
 def test_criterion_3_gl2_fixed_point_counts():
-    _run(suite_gl2_fixed_points())
+    _run(run_suite("gl2-fixed-points"))
 
 
 def test_criterion_4_psi_partition():
-    _run(suite_psi_partition())
+    _run(run_suite("psi-partition"))
 
 
 def test_criterion_5_formula_cross_identities():
-    _run(suite_formula_identities())
+    _run(run_suite("formula-identities"))
 
 
 def test_criterion_6_power_moment_convergence():
-    _run(suite_power_moments())
+    _run(run_suite("power-moments"))
 
 
 @pytest.mark.slow
@@ -83,7 +70,7 @@ def test_criterion_6_power_moment_pinned_at_1e8():
 
 
 def test_criterion_7_torsion_full_image():
-    _run(suite_torsion_gl2())
+    _run(run_suite("torsion-gl2"))
 
 
 @pytest.mark.slow
@@ -103,12 +90,12 @@ def test_criterion_7_torsion_full_image_at_1e7():
 
 
 def test_criterion_8_torsion_cm():
-    _run(suite_torsion_cm())
+    _run(run_suite("torsion-cm"))
 
 
 def test_criterion_9_distribution():
-    _run(suite_distribution())
+    _run(run_suite("distribution"))
 
 
 def test_criterion_10_oracle_equivalence():
-    _run(suite_oracle_equivalence())
+    _run(run_suite("oracle-equivalence"))

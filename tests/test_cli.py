@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -480,6 +481,57 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "no-such-suite")
     assert code == 2
     assert "unknown suite" in err
+
+
+def test_verify_fails_a_row_whose_closed_forms_disagree(capsys, monkeypatch):
+    # cm_moment raises ArithmeticError when its closed form and its masses
+    # part; the rows that call it fail with that message, and the rest run
+    from orbitmoments import closed_forms
+
+    real = closed_forms.cm_masses
+
+    def off_at_7(ell, dk_ell, keep_split=None):
+        masses = real(ell, dk_ell, keep_split)
+        return {v: m * Fraction(999_999, 10**6) for v, m in masses.items()} if ell == 7 else masses
+
+    monkeypatch.setattr(closed_forms, "cm_masses", off_at_7)
+    code, out, err = run_cli(capsys, "verify", "--suite", "formula-identities")
+    assert (code, err) == (1, "")
+    rows = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert rows[:2] == [f"PASS  {name}" for name in VERIFY_CHECK_NAMES[11:13]]
+    assert rows[2:4] == [
+        f"FAIL  {VERIFY_CHECK_NAMES[13]}  (cm_moment(7, 0, 2): 1 != 999999/1000000)",
+        f"FAIL  {VERIFY_CHECK_NAMES[14]}  (cm_moment(7, 1, 2): 2 != 999999/500000)",
+    ]
+    assert rows[4] == f"PASS  {VERIFY_CHECK_NAMES[15]}"
+    assert out.splitlines()[-1] == "3/5 checks passed"
+
+
+def test_verify_runs_on_past_a_suite_that_raises(capsys, monkeypatch):
+    from orbitmoments import cli, verify
+
+    def broken():
+        raise ArithmeticError("not a group")
+
+    suites = {"one": broken, "two": lambda: [verify.CheckResult("b", True)]}
+    monkeypatch.setattr(verify, "SUITES", suites)
+    monkeypatch.setattr(cli, "SUITES", suites)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+    lines = out.splitlines()
+    assert code == 1
+    assert (lines[0], lines[2]) == ("FAIL  one  (not a group)", "PASS  b")
+    assert lines[-1] == "1/2 checks passed"
+
+
+@pytest.mark.parametrize("tol", ["inf", "1e400", "nan", "-1"])
+def test_verify_refuses_a_tol_that_is_not_finite_and_nonnegative(capsys, monkeypatch, tol):
+    from orbitmoments import verify
+
+    monkeypatch.setattr(verify, "empirical_moment", lambda *args: pytest.fail("streamed"))
+    for suite in ("power-moments", "all"):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--tol", tol)
+        assert (code, out) == (2, "")
+        assert "tol must be a finite number >= 0" in err
 
 
 def test_moment_rejects_a_product_whose_limit_does_not_hold(capsys):

@@ -10,6 +10,7 @@ from oracles import (
     cartan_normalizer_cosets,
     enumerate_glm,
     matrix_group_masses,
+    primes_between,
 )
 from orbitmoments.closed_forms import (
     affine_masses,
@@ -27,13 +28,12 @@ from orbitmoments.closed_forms import (
     unit_masses,
 )
 from orbitmoments import closed_forms
-from orbitmoments.core_arith import divisor_count, primes_in_range
+from orbitmoments.core_arith import divisor_count
 from orbitmoments.local_counts import CURVE_PRESETS
 from orbitmoments.moment_lab import TorsionCounter
 from orbitmoments.orbit_engine import (
     build_action,
     fixed_point_histogram,
-    predicted_value_distribution,
 )
 from orbitmoments.residue_algebra import CLASS_NUMBER_ONE_D, QuadOrderSpec
 
@@ -92,7 +92,7 @@ def test_mk_forms_agree_on_random_n(n, k):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    ell=st.sampled_from(list(primes_in_range(3, 10**4))),
+    ell=st.sampled_from(primes_between(3, 10**4)),
     k=st.integers(0, 8),
     d=st.sampled_from((2, 4)),
 )
@@ -204,7 +204,7 @@ def test_cm_masses_inert_coset_is_half_mk():
 
 
 def test_cm_masses_split_coset():
-    for ell in primes_in_range(3, 51):
+    for ell in primes_between(3, 51):
         for d in (2, 4):
             assert sum(cm_masses(ell, d, True).values()) == Fraction(1, 2)
     assert cm_masses(5, 4, True)[5] == Fraction(3, 16)
@@ -226,7 +226,7 @@ def test_cm_masses_split_coset_is_half_the_cartan_histogram():
 
 
 def test_gl2_masses():
-    for ell in primes_in_range(2, 51):
+    for ell in primes_between(2, 51):
         masses = gl2_masses(ell)
         assert list(masses) == [1, ell, ell * ell]
         assert sum(masses.values()) == 1
@@ -244,7 +244,9 @@ def test_cm_zeroth_moments_are_one():
 
 def test_unit_masses_equal_the_units_histogram():
     for n in range(1, 61):
-        assert unit_masses(n) == predicted_value_distribution(build_action(f"units:{n}")), n
+        action = build_action(f"units:{n}")
+        hist = fixed_point_histogram(action)
+        assert unit_masses(n) == {m: Fraction(c, action.group_order) for m, c in hist.items()}, n
 
 
 def test_unit_masses_of_a_primorial_in_closed_form():

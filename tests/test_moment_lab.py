@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import primes_between
 from orbitmoments import moment_lab
 from orbitmoments.closed_forms import (
     cm_moment,
@@ -24,7 +25,6 @@ from orbitmoments.core_arith import (
     SIEVE_SEGMENT,
     kronecker_symbol,
     prime_segments,
-    primes_in_range,
 )
 from orbitmoments.local_counts import (
     CURVE_PRESETS,
@@ -64,7 +64,7 @@ def reference_moments(counter, ks, x):
     time, torsion values from one ec_torsion_count_array call over every
     valued prime.
     """
-    primes = list(primes_in_range(2, x + 1))
+    primes = primes_between(2, x + 1)
     valued = []
     excluded = filtered = 0
     filt = getattr(counter, "split_filter", None)
@@ -235,7 +235,7 @@ def test_empirical_exact_average():
     # average of gcd(p-1, 4) over odd primes <= 100, p = 2 excluded
     counter = PowerCounter(PowerEquation(4, 1))
     report = empirical_moment(counter, 1, 100)
-    primes = [p for p in primes_in_range(2, 101)]
+    primes = primes_between(2, 101)
     total = sum(0 if p == 2 else __import__("math").gcd(p - 1, 4) for p in primes)
     assert report.empirical == Fraction(total, len(primes))
     assert report.excluded == 1
@@ -554,7 +554,7 @@ def test_convergence_trace():
     reports = convergence_trace(counter, 2, checkpoints)
     assert [r.x for r in reports] == checkpoints
     for r in reports:
-        assert r.pi_x == sum(1 for _ in primes_in_range(2, r.x + 1))
+        assert r.pi_x == len(primes_between(2, r.x + 1))
         assert r.predicted == mk(6, 2)
     # one-pass snapshots must equal independent runs
     for r in reports:
@@ -573,7 +573,7 @@ def test_trace_checkpoints_around_segment_boundary():
     assert [r.x for r in reports] == checkpoints
     for r in reports:
         assert_matches_reference(r, reference_moments(counter, (2,), r.x))
-    assert reports[1].pi_x == reports[0].pi_x + sum(1 for _ in primes_in_range(1001, 262_140))
+    assert reports[1].pi_x == reports[0].pi_x + len(primes_between(1001, 262_140))
     assert reports[1].pi_x == reports[2].pi_x == reports[3].pi_x == reports[4].pi_x - 1
 
 
@@ -745,7 +745,7 @@ def test_memo_hit_does_no_kernel_work(monkeypatch):
     assert len(valued) == 4
     assert max(int(primes.max()) for primes in valued) < edge + SIEVE_SEGMENT
     assert sum(primes.size for primes in valued) == sum(
-        1 for p in primes_in_range(2, edge + SIEVE_SEGMENT) if 6 % p
+        1 for p in primes_between(2, edge + SIEVE_SEGMENT) if 6 % p
     )
 
 
