@@ -175,6 +175,8 @@ def _cmd_trace(args, fmt: str) -> int:
 
 
 def _cmd_verify(args, fmt: str) -> int:
+    if args.suite != "all" and args.suite not in SUITES:
+        raise ValueError(f"unknown suite {args.suite!r}; choices: {', '.join(SUITES)}, all")
     checks = failures = 0
     for name in SUITES if args.suite == "all" else [args.suite]:
         start = time.perf_counter()

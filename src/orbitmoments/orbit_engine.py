@@ -10,20 +10,20 @@ invariant factors of g - I; semidirect keeps only its histogram, in
 closed form.  No action keeps a permutation table: perms builds one for
 a matrix action on request, and the permutation rows of the generators,
 which only the orbit oracle reads, are built when first read.  units and
-quad list every element, and their generators come from a small
-generating subset of that list (_generating_subset).
+quad list every element, through one lister (_list_matrices), and their
+generators come from a small generating subset of that list
+(_generating_subset).
 
 Three budgets bound memory, each checked once, before what it bounds is
-allocated: ELEMENT_BUDGET the candidates a build scans (n for units and
-semidirect, n**2 for quad in build_quad_units, n**(m*m) in
-_enumerate_glm_matrices), ENTRY_BUDGET the entries of every permutation
-table (_check_table), and TUPLE_BUDGET the tuples the orbit oracle labels
-(orbit_count_oracle), so build_glm refuses a generator-only action with
-more points than that.  glm with m >= 2 lists its elements only when
-order <= ELEMENT_BUDGET and order * size <= ENTRY_BUDGET; that second
-clause bounds no table, since none is kept, and is a cost policy that
-keeps the histogram of a listed action cheap.  units (glm with m = 1)
-and quad always list theirs.
+allocated: ELEMENT_BUDGET the candidates _list_matrices scans (n for
+units and semidirect, n**2 for quad, n**(m*m) for glm), ENTRY_BUDGET the
+entries of every permutation table (_check_table), and TUPLE_BUDGET the
+tuples the orbit oracle labels (orbit_count_oracle), so build_glm refuses
+a generator-only action with more points than that.  glm with m >= 2
+lists its elements only when order <= ELEMENT_BUDGET and order * size <=
+ENTRY_BUDGET; that second clause bounds no table, since none is kept, and
+is a cost policy that keeps the histogram of a listed action cheap.
+units (glm with m = 1) and quad always list theirs.
 """
 
 from collections import Counter
@@ -46,7 +46,9 @@ _MATRIX_CHUNK = 1 << 15
 
 
 def _perm_dtype(size: int):
-    return np.uint8 if size <= 2**8 else np.uint16 if size <= 2**16 else np.int64
+    if size <= 2**16:
+        return np.uint8 if size <= 2**8 else np.uint16
+    return np.int32 if size <= 2**31 else np.int64
 
 
 @dataclass
@@ -139,43 +141,23 @@ def build_quad_units(n: int, d: int) -> PermutationAction:
     """(O_K/nO_K)^x acting on O_K/nO_K by multiplication.
 
     Multiplication by u = a + b*omega is the matrix [[a, s*b], [b, a + t*b]]
-    on the basis (1, omega), and u is a unit iff gcd(det, n) = 1.  The point
-    x + y*omega has index x + y*n, as for glm:n,2; units are ordered by (a, b).
-    The unit stack is allocated once, |(O_K/n)^x| long (quad_unit_order),
-    and filled as the candidates (a, b) are scanned 2**15 at a time.
-    Every element is kept; the generators are a small generating subset.
-    Orbit counts do not depend on how points or elements are numbered.
+    on the basis (1, omega), and the units are the pairs (a, b), in (a, b)
+    order, whose matrix _list_matrices keeps: |(O_K/n)^x| of them
+    (quad_unit_order).  The point x + y*omega has index x + y*n, as for
+    glm:n,2.  The generators are a small generating subset of the units;
+    orbit counts do not depend on how points or elements are numbered.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n * n > ELEMENT_BUDGET:
-        raise CapacityError(n * n, ELEMENT_BUDGET, what="candidate matrices")
-    spec = QuadOrderSpec(d)
+    spec, descriptor = QuadOrderSpec(d), f"quad:{n},{d}"
 
-    def blocks():
-        for lo in range(0, n * n, _MATRIX_CHUNK):
-            a, b = np.divmod(np.arange(lo, min(lo + _MATRIX_CHUNK, n * n), dtype=np.int64), n)
-            entries = [a, spec.s * b % n, b, (a + spec.t * b) % n]
-            unit = np.gcd(_det_mod([entries[:2], entries[2:]], n), n) == 1
-            yield np.stack([e[unit] for e in entries], axis=1)
+    def entries(digits: np.ndarray) -> np.ndarray:
+        a, b = digits.T.astype(np.int64)
+        return np.array([a, spec.s * b % n, b, (a + spec.t * b) % n]).T
 
-    # entries lie in [0, n), so the units are stored as glm stores its elements
-    descriptor, dtype = f"quad:{n},{d}", _perm_dtype(n)
-    units = _fill_stack(blocks(), quad_unit_order(n, spec), 4, dtype, descriptor).reshape(-1, 2, 2)
+    units = _list_matrices(n, 2, 2, entries, quad_unit_order(n, spec), descriptor)
     gens = lambda: _apply_matrices(units[_generating_subset(units, n, descriptor)], n)
     return PermutationAction(n * n, len(units), gens, descriptor, matrices=units, modulus=n)
-
-
-def _fill_stack(blocks: Iterator[np.ndarray], order: int, width: int, dtype, descriptor: str) -> np.ndarray:
-    """The rows of blocks in one (order, width) stack; ArithmeticError unless they fill it."""
-    stack, filled = np.empty((order, width), dtype=dtype), 0
-    for block in blocks:
-        if filled + len(block) <= order:
-            stack[filled : filled + len(block)] = block
-        filled += len(block)
-    if filled != order:
-        raise ArithmeticError(f"{descriptor} lists {filled} elements, not its order {order}")
-    return stack
 
 
 def _apply_matrices(mats: np.ndarray, n: int) -> np.ndarray:
@@ -285,66 +267,82 @@ def build_glm(n: int, m: int) -> PermutationAction:
 
 
 def _enumerate_glm_matrices(n: int, m: int) -> np.ndarray:
-    """All invertible m x m matrices mod n, entry-lexicographic, about 2**15 candidates at a time.
+    """All invertible m x m matrices mod n, entry-lexicographic: the digits are the entries."""
+    return _list_matrices(n, m, m * m, lambda digits: digits, glm_order(n, m), f"glm:{n},{m}")
 
-    A matrix is invertible mod n exactly when its reduction mod each prime
-    p | n is, so each p has a table of flags over the matrices mod p
-    (_glm_flags).  Candidates come in _lex_blocks, and the flag index of
-    each is an np.add.outer sum of the offset of its leading entries and
-    that of its trailing ones.  Entries lie in [0, n), so the invertible
-    ones fill a stack of the dtype of a permutation of n points, allocated
-    once at |GL_m(Z/n)| rows.  More than ELEMENT_BUDGET candidates,
-    n**(m*m), raise CapacityError before any is made.
+
+def _list_matrices(
+    n: int, m: int, width: int, entries_of: Callable[[np.ndarray], np.ndarray], order: int, descriptor: str
+) -> np.ndarray:
+    """The invertible m x m matrices mod n that entries_of gives the
+    width-digit base-n numbers, in ascending order of those numbers.
+
+    entries_of maps an (L, width) array of digit rows to the (L, m*m)
+    entries in [0, n) of their matrices, as integer polynomials in the
+    digits, so a matrix mod a prime p | n depends only on the digits mod p.
+    It is invertible mod n when it is mod each such p, and each p has a
+    table of flags over the p**width digit rows, built with _det_mod.  The
+    candidates come in _lex_blocks, each block is filtered against the
+    tables by an np.add.outer index and then mapped, and the kept entries
+    fill a stack of the dtype of a permutation of n points, allocated once
+    at order rows; ArithmeticError unless they fill it exactly.  More than
+    ELEMENT_BUDGET candidates, n**width, raise CapacityError before any is
+    made.
     """
-    if n ** (m * m) > ELEMENT_BUDGET:
-        raise CapacityError(n ** (m * m), ELEMENT_BUDGET, what="candidate matrices")
-    dtype = _perm_dtype(n)
-    leading_blocks, trailing = _lex_blocks(n, m * m)
-    trailing = trailing.astype(dtype)
-    flag_tables = [(p, _glm_flags(p, m), _digits_index(trailing % p, p)) for p, _ in factorize(n)]
+    if n**width > ELEMENT_BUDGET:
+        raise CapacityError(n**width, ELEMENT_BUDGET, what="candidate matrices")
 
-    def blocks():
-        for leading in leading_blocks:
-            leading = leading.astype(dtype)
-            invertible = np.ones((len(leading), len(trailing)), dtype=bool)
-            for p, flags, trailing_index in flag_tables:
-                offsets = _digits_index(leading % p, p) * p ** trailing.shape[1]
-                invertible &= flags[np.add.outer(offsets, trailing_index)]
-            rows, cols = np.nonzero(invertible)
-            yield np.concatenate([leading[rows], trailing[cols]], axis=1)
+    def invertible(rows: np.ndarray, p: int) -> np.ndarray:
+        entries = np.remainder(entries_of(rows), p, dtype=np.int64)
+        return _det_mod([[entries[:, i * m + j] for j in range(m)] for i in range(m)], p) != 0
 
-    return _fill_stack(blocks(), glm_order(n, m), m * m, dtype, f"glm:{n},{m}").reshape(-1, m, m)
-
-
-def _glm_flags(p: int, m: int) -> np.ndarray:
-    """flags[i] says whether the m x m matrix mod p whose entries are the base-p digits of i is invertible."""
-    blocks, trailing = _lex_blocks(p, m * m)
-    flags = []
-    for leading in blocks:
-        # columns of both broadcast to the (len(leading), len(trailing)) block
-        entries = [*(leading[:, e, None] for e in range(leading.shape[1])), *trailing.T]
-        det = _det_mod([entries[i * m : (i + 1) * m] for i in range(m)], p)
-        flags.append((det != 0).ravel())
-    return np.concatenate(flags)
+    flag_tables = [
+        (p, np.concatenate([invertible(rows, p) for _, rows in _lex_blocks(p, width)[0]]))
+        for p, _ in factorize(n)
+    ]
+    blocks, trailing = _lex_blocks(n, width)
+    indexed = [(p, flags, _digits_index(trailing % p, p)) for p, flags in flag_tables]
+    stack, filled = np.empty((order, m * m), dtype=_perm_dtype(n)), 0
+    for leading, rows in blocks:
+        kept = np.ones(len(rows), dtype=bool)
+        for p, flags, trailing_index in indexed:
+            offsets = _digits_index(leading % p, p) * p ** trailing.shape[1]
+            kept &= flags[np.add.outer(offsets, trailing_index).ravel()]
+        block = entries_of(rows.compress(kept, axis=0))
+        if filled + len(block) <= order:
+            stack[filled : filled + len(block)] = block
+        filled += len(block)
+    if filled != order:
+        raise ArithmeticError(f"{descriptor} lists {filled} elements, not its order {order}")
+    return stack.reshape(-1, m, m)
 
 
-def _lex_blocks(n: int, width: int) -> tuple[Iterator[np.ndarray], np.ndarray]:
+def _lex_blocks(n: int, width: int) -> tuple[Iterator[tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """The width-digit base-n numbers in ascending order, about 2**15 at a time.
 
     Returns (blocks, trailing).  trailing holds every value of the last t
-    digits, the most with n**t <= 2**15 (one empty row when n > 2**15);
-    blocks yields runs of values of the leading digits, each made from
-    np.arange when reached, and each row of a block stands for itself
-    followed by each row of trailing.  Digits are int64, most significant first.
+    digits, the most with n**t <= 2**15 (one empty row when n > 2**15).
+    blocks yields pairs (leading, rows), made when reached: leading is a
+    run of values of the other digits, from np.arange, and rows the digits
+    of each of those followed by each row of trailing.  Digits are most
+    significant first, of the dtype of a permutation of n points.
     """
+    dtype = _perm_dtype(n)
     t = 0
     while t < width and n ** (t + 1) <= _MATRIX_CHUNK:
         t += 1
-    trailing = np.indices((n,) * t).reshape(t, n**t).T
+    trailing = np.indices((n,) * t, dtype=dtype).reshape(t, n**t).T
     powers = n ** np.arange(width - t - 1, -1, -1, dtype=np.int64)
     total, step = n ** (width - t), max(1, _MATRIX_CHUNK // n**t)
-    lead = (np.arange(lo, min(lo + step, total), dtype=np.int64) for lo in range(0, total, step))
-    return (values[:, None] // powers % n for values in lead), trailing
+
+    def blocks():
+        for lo in range(0, total, step):
+            leading = (np.arange(lo, min(lo + step, total))[:, None] // powers % n).astype(dtype)
+            yield leading, np.concatenate(
+                [np.repeat(leading, len(trailing), axis=0), np.tile(trailing, (len(leading), 1))], axis=1
+            )
+
+    return blocks(), trailing
 
 
 def _digits_index(digits: np.ndarray, base: int) -> np.ndarray:

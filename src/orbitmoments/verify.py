@@ -328,13 +328,11 @@ SUITES = {
 
 
 def run_suite(name: str, tol: float | None = None) -> list[CheckResult]:
-    """The rows of one suite, or of every suite in order for "all"."""
+    """The rows of one suite, named as in SUITES."""
     if tol is not None and not 0 <= tol < math.inf:
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
-    if name == "all":
-        return [row for suite in SUITES for row in run_suite(suite, tol)]
     if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choices: {', '.join(SUITES)}, all")
+        raise ValueError(f"unknown suite {name!r}; choices: {', '.join(SUITES)}")
     try:
         return _scenario_rows(name, tol) + SUITES[name]()
     except ArithmeticError as exc:

@@ -483,6 +483,19 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+def test_run_suite_takes_one_suite_name(capsys):
+    # "all" is the CLI's expansion, one run_suite call per suite, so the
+    # library refuses it and offers only the names it accepts; the CLI
+    # still offers "all"
+    from orbitmoments.verify import SUITES, run_suite
+
+    with pytest.raises(ValueError, match="unknown suite 'all'") as info:
+        run_suite("all")
+    assert str(info.value).split("choices: ")[1].split(", ") == list(SUITES)
+    _, _, err = run_cli(capsys, "verify", "--suite", "nope")
+    assert err.strip().split("choices: ")[1].split(", ") == [*SUITES, "all"]
+
+
 def test_verify_fails_a_row_whose_closed_forms_disagree(capsys, monkeypatch):
     # cm_moment raises ArithmeticError when its closed form and its masses
     # part; the rows that call it fail with that message, and the rest run

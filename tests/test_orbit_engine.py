@@ -173,9 +173,9 @@ def test_refusals_come_before_any_allocation():
 
 
 def test_building_quad_stays_near_its_unit_stack():
-    # 4,000,000 candidates (a, b) are scanned 2**15 at a time into a unit
-    # stack allocated once, so the peak is that stack and one block of int64
-    # temporaries, not n**2-long arrays and not a second copy of the stack
+    # 4,000,000 candidates (a, b) are filtered and mapped 2**15 at a time
+    # into a unit stack allocated once, so the peak is that stack and one
+    # block of candidates, not n**2-long arrays and not a second copy of the stack
     tracemalloc.start()
     try:
         action = build_action("quad:2000,-1")
@@ -532,13 +532,32 @@ def test_vectorized_enumeration_matches_reference_enumeration():
     # oracles must produce the same matrices in the same order
     from orbitmoments.orbit_engine import _enumerate_glm_matrices
 
-    for n, m in ((3, 2), (4, 2), (2, 3), (6, 2), (9, 2), (12, 1), (1, 2), (997, 1)):
+    for n, m in ((3, 2), (4, 2), (2, 3), (6, 2), (9, 2), (12, 1), (1, 2), (997, 1), (70000, 1)):
         mats = _enumerate_glm_matrices(n, m)
         vectorized = [tuple(tuple(int(v) for v in row) for row in mat) for mat in mats]
         reference = [mat.entries for mat in enumerate_glm(n, m)]
         assert vectorized == reference, (n, m)
         # entries lie in [0, n): the dtype of a permutation of n points
-        assert mats.dtype == (np.uint8 if n <= 2**8 else np.uint16), (n, m)
+        dtype = np.uint8 if n <= 2**8 else np.uint16 if n <= 2**16 else np.int32
+        assert mats.dtype == dtype, (n, m)
+    # past 2**16 the int32 stack still gives mk's moment
+    assert burnside_moment(build_units(70000), 2) == mk(70000, 2)
+
+
+def test_quad_stacks_match_reference_enumeration():
+    # row for row, each unit's matrix is multiplication by the unit that
+    # quad_unit_elements lists at its place: its columns are u*1 and u*omega
+    for d in CLASS_NUMBER_ONE_D:
+        spec = QuadOrderSpec(d)
+        for n in range(1, 17):
+            one, omega = QuadResidue(1 % n, 0, n, spec), QuadResidue(0, 1 % n, n, spec)
+            reference = []
+            for u in quad_unit_elements(n, spec):
+                c0, c1 = quad_mul(u, one), quad_mul(u, omega)
+                reference.append([[c0.a, c1.a], [c0.b, c1.b]])
+            mats = build_quad_units(n, d).matrices
+            assert mats.tolist() == reference, (n, d)
+            assert mats.dtype == np.uint8, (n, d)
 
 
 def test_bad_descriptor():
