@@ -151,9 +151,9 @@ def build_quad_units(n: int, d: int) -> PermutationAction:
         raise ValueError("n must be >= 1")
     spec, descriptor = QuadOrderSpec(d), f"quad:{n},{d}"
 
-    def entries(digits: np.ndarray) -> np.ndarray:
-        a, b = digits.T.astype(np.int64)
-        return np.array([a, spec.s * b % n, b, (a + spec.t * b) % n]).T
+    def entries(digits: list) -> list:
+        a, b = digits
+        return [a, spec.s * b % n, b, (a + spec.t * b) % n]
 
     units = _list_matrices(n, 2, 2, entries, quad_unit_order(n, spec), descriptor)
     gens = lambda: _apply_matrices(units[_generating_subset(units, n, descriptor)], n)
@@ -272,88 +272,67 @@ def _enumerate_glm_matrices(n: int, m: int) -> np.ndarray:
 
 
 def _list_matrices(
-    n: int, m: int, width: int, entries_of: Callable[[np.ndarray], np.ndarray], order: int, descriptor: str
+    n: int, m: int, width: int, entries_of: Callable[[list], list], order: int, descriptor: str
 ) -> np.ndarray:
     """The invertible m x m matrices mod n that entries_of gives the
     width-digit base-n numbers, in ascending order of those numbers.
 
-    entries_of maps an (L, width) array of digit rows to the (L, m*m)
-    entries in [0, n) of their matrices, as integer polynomials in the
-    digits, so a matrix mod a prime p | n depends only on the digits mod p.
-    It is invertible mod n when it is mod each such p, and each p has a
-    table of flags over the p**width digit rows, built with _det_mod.  The
-    candidates come in _lex_blocks, each block is filtered against the
-    tables by an np.add.outer index and then mapped, and the kept entries
-    fill a stack of the dtype of a permutation of n points, allocated once
-    at order rows; ArithmeticError unless they fill it exactly.  More than
-    ELEMENT_BUDGET candidates, n**width, raise CapacityError before any is
-    made.
+    entries_of maps the width digit columns, int32 arrays that broadcast
+    together, to the m*m entries in [0, n) of their matrices, row by row,
+    and uses every digit.  The candidates come in _lex_blocks, and a block
+    is valued in one broadcast step: a matrix is kept when its det mod n
+    is a unit, read off a table of the n residues.  Every value _det_mod
+    makes stays below m * n**2, and n**2 <= n**width <= ELEMENT_BUDGET
+    once m >= 2, so the work is int32.  Only the kept candidates are
+    mapped into a stack of the dtype of a permutation of n points,
+    allocated once at order rows; ArithmeticError unless they fill it
+    exactly.  More than ELEMENT_BUDGET candidates, n**width, raise
+    CapacityError before any is made.
     """
     if n**width > ELEMENT_BUDGET:
         raise CapacityError(n**width, ELEMENT_BUDGET, what="candidate matrices")
-
-    def invertible(rows: np.ndarray, p: int) -> np.ndarray:
-        entries = np.remainder(entries_of(rows), p, dtype=np.int64)
-        return _det_mod([[entries[:, i * m + j] for j in range(m)] for i in range(m)], p) != 0
-
-    flag_tables = [
-        (p, np.concatenate([invertible(rows, p) for _, rows in _lex_blocks(p, width)[0]]))
-        for p, _ in factorize(n)
-    ]
     blocks, trailing = _lex_blocks(n, width)
-    indexed = [(p, flags, _digits_index(trailing % p, p)) for p, flags in flag_tables]
+    unit = np.ones(n, dtype=bool)  # r is a unit mod n when no prime p | n divides it
+    for p, _ in factorize(n):
+        unit[::p] = False
     stack, filled = np.empty((order, m * m), dtype=_perm_dtype(n)), 0
-    for leading, rows in blocks:
-        kept = np.ones(len(rows), dtype=bool)
-        for p, flags, trailing_index in indexed:
-            offsets = _digits_index(leading % p, p) * p ** trailing.shape[1]
-            kept &= flags[np.add.outer(offsets, trailing_index).ravel()]
-        block = entries_of(rows.compress(kept, axis=0))
-        if filled + len(block) <= order:
-            stack[filled : filled + len(block)] = block
-        filled += len(block)
+    for leading in blocks:
+        entries = entries_of([*leading[:, :, None], *trailing])
+        det = _det_mod([entries[i * m : (i + 1) * m] for i in range(m)], n)
+        rows, cols = np.nonzero(unit[det].reshape(leading.shape[1], trailing.shape[1]))
+        if filled + len(rows) <= order:
+            for j, column in enumerate(entries_of([*leading[:, rows], *trailing[:, cols]])):
+                stack[filled : filled + len(rows), j] = column
+        filled += len(rows)
     if filled != order:
         raise ArithmeticError(f"{descriptor} lists {filled} elements, not its order {order}")
     return stack.reshape(-1, m, m)
 
 
-def _lex_blocks(n: int, width: int) -> tuple[Iterator[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+def _lex_blocks(n: int, width: int) -> tuple[Iterator[np.ndarray], np.ndarray]:
     """The width-digit base-n numbers in ascending order, about 2**15 at a time.
 
-    Returns (blocks, trailing).  trailing holds every value of the last t
-    digits, the most with n**t <= 2**15 (one empty row when n > 2**15).
-    blocks yields pairs (leading, rows), made when reached: leading is a
-    run of values of the other digits, from np.arange, and rows the digits
-    of each of those followed by each row of trailing.  Digits are most
-    significant first, of the dtype of a permutation of n points.
+    Returns (blocks, trailing), one digit per row, most significant first,
+    int32.  trailing holds every value of the last t digits, the most with
+    n**t <= 2**15 (one empty column when n > 2**15); blocks yields runs of
+    values of the leading digits, each made from np.arange when reached,
+    and each column of a block stands for itself followed by each column
+    of trailing.
     """
-    dtype = _perm_dtype(n)
     t = 0
     while t < width and n ** (t + 1) <= _MATRIX_CHUNK:
         t += 1
-    trailing = np.indices((n,) * t, dtype=dtype).reshape(t, n**t).T
-    powers = n ** np.arange(width - t - 1, -1, -1, dtype=np.int64)
+    trailing = np.indices((n,) * t, dtype=np.int32).reshape(t, n**t)
+    powers = n ** np.arange(width - t - 1, -1, -1, dtype=np.int32)[:, None]
     total, step = n ** (width - t), max(1, _MATRIX_CHUNK // n**t)
-
-    def blocks():
-        for lo in range(0, total, step):
-            leading = (np.arange(lo, min(lo + step, total))[:, None] // powers % n).astype(dtype)
-            yield leading, np.concatenate(
-                [np.repeat(leading, len(trailing), axis=0), np.tile(trailing, (len(leading), 1))], axis=1
-            )
-
-    return blocks(), trailing
-
-
-def _digits_index(digits: np.ndarray, base: int) -> np.ndarray:
-    """Each row of base digits, most significant first, read as a number."""
-    return digits @ base ** np.arange(digits.shape[1] - 1, -1, -1, dtype=np.int64)
+    lead = (np.arange(lo, min(lo + step, total), dtype=np.int32) for lo in range(0, total, step))
+    return (values // powers % n for values in lead), trailing
 
 
 def _det_mod(rows: list, n: int):
     """Determinant mod n of the square matrix whose (i, j) entry is rows[i][j].
 
-    Entries are int64 arrays in [0, n) that broadcast together.  Cofactor
+    Entries are integer arrays in [0, n) that broadcast together.  Cofactor
     expansion along the first row, reduced mod n at each level, keeps every
     value below m * n**2.
     """

@@ -173,9 +173,9 @@ def test_refusals_come_before_any_allocation():
 
 
 def test_building_quad_stays_near_its_unit_stack():
-    # 4,000,000 candidates (a, b) are filtered and mapped 2**15 at a time
-    # into a unit stack allocated once, so the peak is that stack and one
-    # block of candidates, not n**2-long arrays and not a second copy of the stack
+    # 4,000,000 candidates (a, b) are valued 2**15 at a time, and the units
+    # go into a stack allocated once, so the peak is that stack and one block
+    # of int32 temporaries, not n**2-long arrays and not a second copy of the stack
     tracemalloc.start()
     try:
         action = build_action("quad:2000,-1")
