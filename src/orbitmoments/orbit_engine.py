@@ -8,21 +8,20 @@ space, which computes the same number from its definition.  A matrix
 action keeps its element matrices and reads its histogram off the
 invariant factors of g - I; semidirect keeps only its histogram, in
 closed form.  No action keeps a permutation table: perms builds one for
-a matrix action on request, and the permutation rows of the generators,
-which only the orbit oracle reads, are built when first read.  units and
-quad list every element, through one lister (_list_matrices), and their
-generators come from a small generating subset of that list
-(_generating_subset).
+a matrix action on request, and the generators' permutation rows, which
+only the orbit oracle reads, are built when first read.  units and quad
+list every element through one lister (_list_matrices), and take their
+generators from a small generating subset of it (_generating_subset).
 
-Three budgets bound memory, each checked once, before what it bounds is
-allocated: ELEMENT_BUDGET the candidates _list_matrices scans (n for
-units and semidirect, n**2 for quad, n**(m*m) for glm), ENTRY_BUDGET the
-entries of every permutation table (_check_table), and TUPLE_BUDGET the
-tuples the orbit oracle labels (orbit_count_oracle), so build_glm refuses
-a generator-only action with more points than that.  glm with m >= 2
-lists its elements only when order <= ELEMENT_BUDGET and order * size <=
-ENTRY_BUDGET; that second clause bounds no table, since none is kept, and
-is a cost policy that keeps the histogram of a listed action cheap.
+Three budgets bound memory, each checked before what it bounds is made:
+ELEMENT_BUDGET the candidates _list_matrices scans (n for units and
+semidirect, n**2 for quad, n**(m*m) for glm), ENTRY_BUDGET the entries
+of every permutation table (_check_table), and TUPLE_BUDGET the tuples
+the orbit oracle labels, one int32 each, so build_glm refuses a
+generator-only action with more points.  glm with m >= 2 lists its
+elements only when order <= ELEMENT_BUDGET and order * size <=
+ENTRY_BUDGET; that second clause bounds no table, since none is kept,
+and is a cost policy that keeps the histogram of a listed action cheap.
 units (glm with m = 1) and quad always list theirs.
 """
 
@@ -279,15 +278,12 @@ def _list_matrices(
 
     entries_of maps the width digit columns, int32 arrays that broadcast
     together, to the m*m entries in [0, n) of their matrices, row by row,
-    and uses every digit.  The candidates come in _lex_blocks, and a block
-    is valued in one broadcast step: a matrix is kept when its det mod n
-    is a unit, read off a table of the n residues.  Every value _det_mod
-    makes stays below m * n**2, and n**2 <= n**width <= ELEMENT_BUDGET
-    once m >= 2, so the work is int32.  Only the kept candidates are
-    mapped into a stack of the dtype of a permutation of n points,
-    allocated once at order rows; ArithmeticError unless they fill it
-    exactly.  More than ELEMENT_BUDGET candidates, n**width, raise
-    CapacityError before any is made.
+    using every digit.  A _lex_blocks block is valued in one broadcast
+    step: a matrix is kept when its det mod n is a unit, read off a table
+    of the n residues.  _det_mod stays below m * n**2 <= m * ELEMENT_BUDGET
+    once m >= 2, so the work is int32.  The kept candidates must fill a
+    stack of _perm_dtype(n) made once at order rows (else ArithmeticError);
+    more than ELEMENT_BUDGET candidates, n**width, raise CapacityError first.
     """
     if n**width > ELEMENT_BUDGET:
         raise CapacityError(n**width, ELEMENT_BUDGET, what="candidate matrices")
@@ -310,19 +306,20 @@ def _list_matrices(
 
 
 def _lex_blocks(n: int, width: int) -> tuple[Iterator[np.ndarray], np.ndarray]:
-    """The width-digit base-n numbers in ascending order, about 2**15 at a time.
+    """The width-digit base-n numbers in ascending order, at most 2**15 at a time.
 
     Returns (blocks, trailing), one digit per row, most significant first,
     int32.  trailing holds every value of the last t digits, the most with
     n**t <= 2**15 (one empty column when n > 2**15); blocks yields runs of
-    values of the leading digits, each made from np.arange when reached,
-    and each column of a block stands for itself followed by each column
-    of trailing.
+    values of the leading digits (one empty column when t = width), and
+    each column of a block stands for itself followed by each of trailing.
     """
     t = 0
     while t < width and n ** (t + 1) <= _MATRIX_CHUNK:
         t += 1
     trailing = np.indices((n,) * t, dtype=np.int32).reshape(t, n**t)
+    if t == width:
+        return iter([np.empty((0, 1), dtype=np.int32)]), trailing
     powers = n ** np.arange(width - t - 1, -1, -1, dtype=np.int32)[:, None]
     total, step = n ** (width - t), max(1, _MATRIX_CHUNK // n**t)
     lead = (np.arange(lo, min(lo + step, total), dtype=np.int32) for lo in range(0, total, step))
@@ -383,9 +380,10 @@ def fixed_point_histogram(action: PermutationAction) -> dict[int, int]:
 
     An action built with its histogram returns it; a matrix action counts
     the fixed points of g as |ker(g - I)| (_kernel_sizes, with g - I in the
-    narrowest signed dtype that holds n), 2**15 elements at a time, once per
-    action: each chunk's sizes, few since they divide n**m, are sorted in
-    place and counted by runs.  A generator-only action raises ValueError.
+    narrowest signed dtype that holds n), once per action, 2**17 // m**2
+    elements at a time (2**15 up to m = 2), so a chunk's minors take about
+    what 2 x 2 ones would.  Each chunk's sizes, which divide n**m, are sorted
+    in place and counted by runs.  A generator-only action raises ValueError.
     """
     if action.histogram is None:
         if action.matrices is None:
@@ -397,8 +395,9 @@ def fixed_point_histogram(action: PermutationAction) -> dict[int, int]:
         width = np.min_scalar_type(-n)
         identity = np.eye(mats.shape[1], dtype=width)
         hist = Counter()
-        for lo in range(0, len(mats), _MATRIX_CHUNK):
-            g_minus_i = np.subtract(mats[lo : lo + _MATRIX_CHUNK], identity, dtype=width)
+        chunk = _MATRIX_CHUNK * 4 // max(mats.shape[1], 2) ** 2
+        for lo in range(0, len(mats), chunk):
+            g_minus_i = np.subtract(mats[lo : lo + chunk], identity, dtype=width)
             fixed = _kernel_sizes(g_minus_i, n)
             fixed.sort()
             ends = np.append(np.flatnonzero(fixed[1:] != fixed[:-1]), len(fixed) - 1)
@@ -446,12 +445,9 @@ def _kernel_sizes(mats: np.ndarray, n: int) -> np.ndarray:
 
 
 def burnside_moment(action: PermutationAction, k: int) -> int:
-    """Number of orbits on k-tuples.
-
-    Materialized actions use the histogram average (1/|G|) sum chi(g)**k,
-    asserting the division is exact; generator-only actions count orbits
-    on the tuple space directly.
-    """
+    """Number of orbits on k-tuples: the histogram average (1/|G|) sum
+    chi(g)**k, its division asserted exact, for a materialized action, and
+    a direct count on the tuple space for a generator-only one."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if action.materialized:
@@ -468,31 +464,32 @@ def burnside_moment(action: PermutationAction, k: int) -> int:
 
 
 def _orbit_labels(generators: np.ndarray, size: int, k: int) -> np.ndarray:
-    """For every k-tuple index (digit i has weight size**i), the least index
-    in its orbit under the group the generator rows generate.
+    """For every k-tuple index, the least index in its orbit under the group
+    the generator rows generate.
 
-    Min-label propagation with pointer jumping, as in Shiloach-Vishkin: each
-    round lowers every label to the label of its image under each generator,
-    then replaces labels by the labels of the labels until that is stable.
-    labels[t] <= t and labels[t] lies in the orbit of t throughout, so labels
-    only fall, and a round that leaves their sum unchanged changed nothing.
-    At the fixed point labels[t] <= labels[g(t)] for every generator g;
-    along a cycle of g that forces equality, so labels are constant on
-    orbits.  Tuple images are recomputed per generator, so memory stays a
-    few arrays of size**k, of int32 while every index fits.
+    Min-label propagation with pointer jumping (Shiloach-Vishkin) in place
+    on one labels array, int32 while size**k < 2**31, a block of
+    _lex_blocks(size, k) at a time: labels fall to those of their images
+    under each generator g (g of the leading digits plus a table of g on
+    the trailing ones), then to those of their labels.  labels[t] <= t
+    stays in the orbit of t, so labels only fall, and a sweep that keeps
+    their sum changed nothing.  Then labels[t] <= labels[g(t)] for every g,
+    equal along each cycle of g, so labels are constant on orbits.  Every
+    image is a tuple index, so take skips its bounds check.
     """
-    dtype = np.int32 if size**k < 2**31 else np.int64
-    labels = np.arange(size**k, dtype=dtype)
-    # axis j of the outer sum carries digit k-1-j, so ravel() yields tuple order
-    weights = [size**i for i in reversed(range(k))]
+    labels = np.arange(size**k, dtype=np.int32 if size**k < 2**31 else np.int64)
+    under = lambda g, rows: reduce(lambda v, d: v * size + g[d], rows, np.zeros(rows.shape[1], int))
+    trailing = _lex_blocks(size, k)[1]
+    tails, inner = [under(g, trailing) for g in generators], trailing.shape[1]
     while True:
-        before = int(labels.sum())
-        for g in generators:
-            g_wide = g.astype(dtype)
-            image = reduce(np.add.outer, [g_wide * w for w in weights]).ravel()
-            np.minimum(labels, labels[image], out=labels)
-        while not np.array_equal(labels, jumped := labels[labels]):
-            labels = jumped
+        before, lo = int(labels.sum()), 0
+        for leading in _lex_blocks(size, k)[0]:
+            block = labels[lo : lo + leading.shape[1] * inner]
+            for g, tail in zip(generators, tails):
+                image = (under(g, leading)[:, None] * inner + tail).ravel()
+                np.minimum(block, labels.take(image, mode="clip"), out=block)
+            block[:] = labels.take(block, mode="clip")
+            lo += len(block)
         if int(labels.sum()) == before:
             return labels
 
@@ -504,8 +501,11 @@ def orbit_count_oracle(action: PermutationAction, k: int) -> int:
     total = action.size**k
     if total > TUPLE_BUDGET:
         raise CapacityError(total, TUPLE_BUDGET, what="tuples")
-    labels = _orbit_labels(action.generators, action.size, k)
-    return int(np.count_nonzero(labels == np.arange(total)))
+    labels, orbits = _orbit_labels(action.generators, action.size, k), 0
+    for lo in range(0, total, _MATRIX_CHUNK):
+        block = labels[lo : lo + _MATRIX_CHUNK]
+        orbits += int(np.count_nonzero(block == np.arange(lo, lo + len(block), dtype=block.dtype)))
+    return orbits
 
 
 def orbit_size(action: PermutationAction, point: int) -> int:

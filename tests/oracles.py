@@ -13,6 +13,8 @@ enumerate, at a cost that grows with p or with the group:
 - semidirect_table lists Z/n x| (Z/n)^x as one permutation row per
   element, and table_histogram counts fixed points by comparing each row
   of such a table with the identity.
+- tuple_orbit_minima labels every k-tuple with the least tuple of its
+  orbit, by a breadth-first search from each tuple not yet reached.
 - affine_group_masses, matrix_group_masses and cartan_normalizer_cosets
   give the share of the elements of a small group that fix m points, by
   scanning every element and every point: the affine group Z/n x| (Z/n)^x
@@ -224,6 +226,31 @@ def table_histogram(table: np.ndarray) -> dict[int, int]:
     fixed = (table == np.arange(table.shape[1])).sum(axis=1)
     values, counts = np.unique(fixed, return_counts=True)
     return dict(zip(values.tolist(), counts.tolist()))
+
+
+def tuple_orbit_minima(generators, size: int, k: int) -> list[int]:
+    """For every k-tuple index (digit i has weight size**i), the least index
+    in its orbit under the permutations generators, acting digit by digit.
+
+    Tuples are started from in ascending order, and a search reaches the
+    whole orbit of its start, since every inverse is a power of its
+    element; so each start is the least index of its orbit.
+    """
+    gens = [[int(v) for v in g] for g in generators]
+    weights = [size**i for i in range(k)]
+    minima = [-1] * size**k
+    for start in range(size**k):
+        if minima[start] >= 0:
+            continue
+        minima[start], queue = start, [start]
+        for t in queue:
+            digits = [t // w % size for w in weights]
+            for g in gens:
+                image = sum(g[d] * w for d, w in zip(digits, weights))
+                if minima[image] < 0:
+                    minima[image] = start
+                    queue.append(image)
+    return minima
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ TEST_ONLY = (
     "enumerate_glm",
     "semidirect_table",
     "table_histogram",
+    "tuple_orbit_minima",
     "affine_group_masses",
     "matrix_group_masses",
     "cartan_normalizer_cosets",

@@ -15,6 +15,7 @@ from oracles import (
     quad_unit_elements,
     semidirect_table,
     table_histogram,
+    tuple_orbit_minima,
 )
 from orbitmoments import orbit_engine
 from orbitmoments.closed_forms import dk, gl2_masses, gl2_moment, mk
@@ -466,8 +467,9 @@ def test_oracle_memory_stays_a_few_tuple_arrays():
     finally:
         tracemalloc.stop()
     assert value == burnside_moment(action, 3) == 9556
-    # no tuple-image array is kept per generator (there are 32)
-    assert peak < 16 * 8 * action.size**3
+    # the int32 labels are the only array of all 262,144 tuples: images and
+    # counts are made a block at a time
+    assert peak < 2 * 4 * action.size**3, peak
 
 
 @settings(max_examples=80, deadline=None)
@@ -490,6 +492,26 @@ def test_burnside_equals_oracle_on_random_actions(gens):
     for point in range(size):
         want = np.unique(elements[:, point]).size
         assert orbit_size(bare, point) == orbit_size(action, point) == want, point
+    # blocks of at most 4 tuples: sizes 5 and 6 have no trailing digit, 3 and 4
+    # one, 2 two, and 1 only trailing ones, so every sweep crosses blocks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orbit_engine, "_MATRIX_CHUNK", 4)
+        for k in (1, 2, 3):
+            labels = orbit_engine._orbit_labels(generators, size, k)
+            assert labels.tolist() == tuple_orbit_minima(gens, size, k), k
+            assert orbit_count_oracle(bare, k) == burnside_moment(action, k), k
+
+
+def test_oracle_across_many_blocks(monkeypatch):
+    # blocks of at most 2**10 tuples: 54 to 256 blocks a sweep, the last one of units:60 short
+    monkeypatch.setattr(orbit_engine, "_MATRIX_CHUNK", 2**10)
+    units, quad, glm = (build_action(d) for d in ("units:60", "quad:8,-1", "glm:6,3"))
+    assert orbit_count_oracle(units, 3) == burnside_moment(units, 3) == mk(60, 3)
+    assert orbit_count_oracle(quad, 3) == burnside_moment(quad, 3) == 9556
+    assert orbit_count_oracle(glm, 2) == 30
+    for action, k in ((units, 2), (quad, 2), (glm, 1)):
+        labels = orbit_engine._orbit_labels(action.generators, action.size, k)
+        assert labels.tolist() == tuple_orbit_minima(action.generators, action.size, k)
 
 
 def test_orbit_sizes_are_psi():
@@ -741,11 +763,21 @@ def test_histogram_is_computed_once_per_action(monkeypatch):
     monkeypatch.setattr(orbit_engine, "_kernel_sizes", counted)
     action = build_action("glm:4,3")
     assert burnside_moment(action, 1) == mk(4, 1)
-    # 86,016 elements in chunks of 2**15
-    assert calls == [2**15, 2**15, 86016 - 2**16]
+    # 86,016 elements in chunks of 2**17 // 3**2 = 14,563
+    chunks = [14563] * 5 + [86016 - 5 * 14563]
+    assert calls == chunks
     for k in range(2, 7):
         burnside_moment(action, k)
-    assert calls == [2**15, 2**15, 86016 - 2**16]
+    assert calls == chunks
+    # 2**15 matrices a chunk up to m = 2, and 2**13 at m = 4
+    for descriptor, order, chunk in (
+        ("units:99991", 99990, 2**15),
+        ("gl2:17", 78336, 2**15),
+        ("glm:2,4", 20160, 2**13),
+    ):
+        calls.clear()
+        fixed_point_histogram(build_action(descriptor))
+        assert calls == [chunk] * (order // chunk) + [order % chunk], descriptor
     # callers get a copy, so the cached histogram cannot be emptied
     hist = fixed_point_histogram(action)
     hist.clear()
@@ -761,7 +793,9 @@ def test_glm_4_3_burnside_peak_stays_below_the_candidate_stack():
     finally:
         tracemalloc.stop()
     assert values[0] == mk(4, 1)
-    # the histogram is valued 2**15 matrices at a time, so the build and
-    # every moment stay below the int64 stack of all 4**9 candidates
+    # the histogram is valued 14,563 matrices at a time, so the 3 x 3 minors
+    # of a chunk take about what a 2**15 chunk of 2 x 2 ones would, and the
+    # build and every moment stay below a sixth of the int64 stack of all
+    # 4**9 candidates (about 3 MB)
     candidates = 8 * 9 * 4**9
-    assert peak < candidates, peak
+    assert peak < candidates / 6, peak
