@@ -137,6 +137,8 @@ def _cmd_dist(args, fmt: str) -> int:
             "scenario": dist.scenario,
             "x": dist.x,
             "pi_x": dist.pi_x,
+            "excluded": dist.excluded,
+            "filtered": dist.filtered,
             "masses": {
                 str(v): [m.numerator, m.denominator] for v, m in dist.masses.items()
             },
@@ -153,10 +155,15 @@ def _cmd_dist(args, fmt: str) -> int:
         }
         print(json.dumps(payload, sort_keys=True))
         return 0
-    print(f"scenario: {dist.scenario}   x={dist.x}  pi(x)={dist.pi_x}")
+    print(
+        f"scenario: {dist.scenario}   x={dist.x}  pi(x)={dist.pi_x}  "
+        f"excluded={dist.excluded}  filtered={dist.filtered}"
+    )
     predicted = dist.predicted_masses or {}
     for v in sorted(dist.masses.keys() | predicted.keys()):
         note = f"   predicted {_fmt_rational(predicted[v], fmt)}" if v in predicted else ""
+        if v == 0 and dist.excluded + dist.filtered:
+            note += f"   ({dist.excluded} excluded, {dist.filtered} filtered)"
         print(f"  N_p={v}: mass {_fmt_rational(dist.mass(v), fmt)}{note}")
     for t, z in dist.char_samples.items():
         print(f"  phi({t}) ~ {z.real:.8f}{z.imag:+.8f}i")

@@ -267,7 +267,8 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 # Per-prime values that depend only on p mod some modulus are read from a
 # cached table over the residues while the modulus stays within this bound:
-# (a|p) mod 4|a| in kronecker_array, gcd(p - 1, n) mod n in count_roots_array.
+# (a|p) mod 4|a| in kronecker_array, and N_p(x**n - a), or the degree d of
+# its criterion, mod n or lcm(n, 4|a|) in count_roots_array.
 RESIDUE_TABLE_LIMIT = 1 << 17
 
 
@@ -288,18 +289,10 @@ def kronecker_array(a: int, primes: np.ndarray) -> np.ndarray:
     For odd p the symbol depends only on p mod 4|a| (quadratic
     reciprocity), so while 4|a| <= 2**17 it is read from a cached table
     over those residues; p = 2 leaves the residue 2, whose entry is (a|2).
-    Larger a take Euler's criterion a**((p-1)/2) mod p through
-    pow_mod_array on the odd primes below POW_ARRAY_LIMIT that do not
-    divide a, and kronecker_symbol on every other prime.
+    Larger a, which no caller in this package passes, take kronecker_symbol
+    one prime at a time.
     """
     m = 4 * abs(a)
     if 0 < m <= RESIDUE_TABLE_LIMIT:
         return _kronecker_table(a)[primes % m]
-    symbols = np.empty(primes.shape, dtype=np.int8)
-    euler = np.zeros(primes.shape, dtype=bool)
-    if abs(a) < 1 << 63:  # a % p on int64
-        euler = (primes % 2 == 1) & (primes < POW_ARRAY_LIMIT) & (a % primes != 0)
-        q = primes[euler]
-        symbols[euler] = np.where(pow_mod_array(a, (q - 1) // 2, q) == 1, 1, -1)
-    symbols[~euler] = [kronecker_symbol(a, p) for p in primes[~euler].tolist()]
-    return symbols
+    return np.array([kronecker_symbol(a, p) for p in primes.tolist()], dtype=np.int8)

@@ -8,7 +8,7 @@ convention keeps the estimators simple.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -30,11 +30,17 @@ class BadPrimes:
     """The exclusion rule: p is excluded when p < floor or p divides modulus.
 
     x**n - a uses the modulus n*a; a curve counting ell-torsion uses
-    ell*disc with floor 5.
+    ell*disc with floor 5.  No prime above bound is excluded, so a stream
+    cut after it skips the mask on every piece past it.
     """
 
     modulus: int
     floor: int = 2
+
+    @property
+    def bound(self) -> int | None:
+        """max(floor - 1, |modulus|), or None for modulus 0, which every prime divides."""
+        return max(self.floor - 1, abs(self.modulus)) if self.modulus else None
 
     def __contains__(self, p: int) -> bool:
         return p < self.floor or self.modulus % p == 0
@@ -89,10 +95,30 @@ def count_roots_formula(eq: PowerEquation, p: int) -> int:
     return d if pow(eq.a, (p - 1) // d, p) == 1 else 0
 
 
+def _class_modulus(eq: PowerEquation) -> int:
+    """The M with N_p(x**n - a) read off p mod M: n for a = 1 or odd n, else lcm(n, 4|a|)."""
+    n, a = eq.n, eq.a
+    return n if a == 1 or n % 2 else lcm(n, 4 * abs(a))
+
+
 @lru_cache(maxsize=32)
-def _root_degree_table(n: int) -> np.ndarray:
-    """gcd(r - 1, n) at each residue r mod n, which is gcd(p - 1, n) for p = r mod n."""
-    table = np.gcd(np.arange(n, dtype=np.int64) - 1, n)
+def _class_table(eq: PowerEquation) -> np.ndarray:
+    """N_p at p = r mod M for each residue r, or -d where a**((p-1)/d) = 1 must decide.
+
+    With d = gcd(r - 1, n): d = 1 gives 1, and a = 1 gives d.  For even n
+    and a != 1, (a|p) is fixed by r mod 4|a|, and an n-th power is a
+    square, so (a|p) = -1 gives 0 and d = 2 with (a|p) = 1 gives 2.  The
+    entries at residues that share a factor with M are right for a = 1
+    only: for a != 1 a prime dividing M divides n*a and is excluded.
+    """
+    n, a, m = eq.n, eq.a, _class_modulus(eq)
+    r = np.arange(m, dtype=np.int64)
+    d = np.gcd(r - 1, n)
+    table = d if a == 1 else np.where(d > 1, -d, 1)
+    if a != 1 and n % 2 == 0:
+        symbol = kronecker_array(a, r)
+        table[symbol == -1] = 0
+        table[(symbol == 1) & (d == 2)] = 2
     table.flags.writeable = False
     return table
 
@@ -100,33 +126,27 @@ def _root_degree_table(n: int) -> np.ndarray:
 def count_roots_array(eq: PowerEquation, primes: np.ndarray) -> np.ndarray:
     """count_roots_formula for each entry of an int64 array of primes coprime to n*a.
 
-    With d = gcd(p-1, n), most primes are decided before any power is
-    taken: d = 1 gives 1 (x -> x**n permutes F_p), and for even n the
-    quadratic character settles even d, since an n-th power is a square:
-    (a|p) = -1 gives 0 and d = 2 with (a|p) = 1 gives 2.  Only d > 2
-    with (a|p) = 1, or odd d > 1, take the criterion a**((p-1)/d) = 1
-    through pow_mod_array -- a quarter of the primes for x**8 - a, at one
-    remainder per exponent bit for a small a > 0.  Vectorized on int64
-    while every prime is below POW_ARRAY_LIMIT and n and a fit int64;
-    otherwise each prime takes count_roots_formula.  d is gathered from a
-    cached table over p mod n while n <= 2**17.
+    While M = _class_modulus(eq) <= RESIDUE_TABLE_LIMIT, each prime reads
+    one entry of _class_table at p mod M: its count, or -d, and only the
+    lanes holding -d take the criterion a**((p-1)/d) = 1 through
+    pow_mod_array -- a quarter of the primes for x**8 - a, at one
+    remainder per exponent bit for a small a > 0.  Past that bound d =
+    gcd(p - 1, n) is computed, and every lane with d > 1 and a != 1 takes
+    the criterion.  Vectorized on int64 while every prime is below
+    POW_ARRAY_LIMIT and n and a fit int64; otherwise each prime takes
+    count_roots_formula.  With a = 1 each count is d, exact at every prime.
     """
     n, a = eq.n, eq.a
     fits = n < _INT64_LIMIT and abs(a) < _INT64_LIMIT
     if primes.size and primes.max() < POW_ARRAY_LIMIT and fits:
-        if n <= RESIDUE_TABLE_LIMIT:
-            d = _root_degree_table(n)[primes % n]
+        m = _class_modulus(eq)
+        if 0 < m <= RESIDUE_TABLE_LIMIT:
+            counts = _class_table(eq)[primes % m]
         else:
             d = np.gcd(primes - 1, n)
-        if a == 1:
-            return d
-        # lanes where a may still be an n-th power; odd n leaves every d odd
-        residue = np.ones(d.shape, dtype=bool)
-        if n % 2 == 0:
-            residue = kronecker_array(a, primes) == 1
-        counts = np.where((d == 1) | ((d == 2) & residue), d, 0)
-        rest = np.flatnonzero((d > 2) & residue)
-        q, e = primes[rest], d[rest]
+            counts = d if a == 1 else np.where(d > 1, -d, 1)
+        rest = np.flatnonzero(counts < 0)
+        q, e = primes[rest], -counts[rest]
         counts[rest] = np.where(pow_mod_array(a, (q - 1) // e, q) == 1, e, 0)
         return counts
     return np.array([count_roots_formula(eq, p) for p in primes.tolist()], dtype=np.int64)

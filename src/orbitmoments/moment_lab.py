@@ -6,8 +6,9 @@ from the sieve: it masks the excluded primes of a whole segment at once,
 evaluates the kernels on the segment with numpy, and books the values in
 a histogram from which the exact sums are taken.  That histogram does not
 depend on k, so each piece of the stream is valued once per process: the
-stream [2, x] is cut on the sieve's segment grid and at the checkpoints,
-and the tally of each piece [lo, hi) is kept in an LRU memo keyed by
+stream [2, x] is cut on the sieve's segment grid, at the checkpoints and
+after the exclusion bound (the pieces past it skip the mask), and the
+tally of each piece [lo, hi) is kept in an LRU memo keyed by
 (counter, lo, hi) and bounded by STREAM_MEMO_PIECES.  Repeated streams
 in one process (verify, library callers, benchmark rounds) read their
 pieces from it; a single CLI call does not gain.  A trace snapshots the
@@ -68,7 +69,19 @@ def _filter_suffix(f: SplitFilter | None) -> str:
 
 
 def _histogram(values: np.ndarray) -> dict[int, int]:
-    values, counts = np.unique(values, return_counts=True)
+    """{value: count} of an integer array, in ascending order of value.
+
+    np.bincount counts without sorting a copy when every value is >= 0 and
+    below the number of values (power counts divide n, torsion counts are
+    at most ell**2); other values, such as the divisors of a huge n, have
+    no such bound and take np.unique.
+    """
+    if values.size and values.min() >= 0 and values.max() < values.size:
+        counts = np.bincount(values)
+        values = np.flatnonzero(counts)
+        counts = counts[values]
+    else:
+        values, counts = np.unique(values, return_counts=True)
     return dict(zip(values.tolist(), counts.tolist()))
 
 
@@ -293,7 +306,10 @@ class _Tally:
 
     def add_primes(self, counter: CounterSpec, primes: np.ndarray):
         self.pi_x += primes.size
-        good = primes[~counter.bad_primes.mask(primes)]
+        good, bad = primes, counter.bad_primes
+        # an ascending segment past bad.bound holds no excluded prime
+        if primes.size and (bad.bound is None or int(primes[0]) <= bad.bound):
+            good = primes[~bad.mask(primes)]
         self.excluded += primes.size - good.size
         if counter.split_filter is not None:
             keep = counter.split_filter.mask(good)
@@ -341,15 +357,18 @@ def _piece(counter: CounterSpec, lo: int, hi: int) -> tuple:
 def _accumulate(counter: CounterSpec, marks: list[int]) -> list[_Tally]:
     """Tallies of the primes below each ascending exclusive bound in marks.
 
-    [2, marks[-1]) is cut on the sieve's segment grid 2 + j * SIEVE_SEGMENT
-    and at every mark, and the pieces are read through the memo in order.
+    [2, marks[-1]) is cut on the sieve's segment grid 2 + j * SIEVE_SEGMENT,
+    at every mark and after counter.bad_primes.bound, so the pieces past it
+    skip the mask, and the pieces are read through the memo in order.
     """
     tally = _Tally()
     snapshots = []
-    lo = 2
+    lo, bound = 2, counter.bad_primes.bound
     for mark in marks:
         while lo < mark:
             hi = min(mark, lo + SIEVE_SEGMENT - (lo - 2) % SIEVE_SEGMENT)
+            if bound is not None and lo <= bound < hi - 1:
+                hi = bound + 1
             tally.merge(_piece(counter, lo, hi))
             lo = hi
         snapshots.append(replace(tally, hist=Counter(tally.hist)))
@@ -399,6 +418,10 @@ def empirical_moment(
 
 @dataclass
 class DistributionReport:
+    """The masses of N_p over p <= x.  masses[0] holds the excluded and the
+    filtered primes, as MomentReport.histogram[0] does, with the valued
+    primes at N_p = 0."""
+
     scenario: str
     x: int
     pi_x: int
@@ -406,6 +429,8 @@ class DistributionReport:
     cdf: list[tuple[int, Fraction]]
     predicted_masses: dict[int, Fraction] | None
     char_samples: dict[float, complex]
+    excluded: int
+    filtered: int
 
     def mass(self, value: int) -> Fraction:
         return self.masses.get(value, Fraction(0))
@@ -439,6 +464,8 @@ def empirical_distribution(
         cdf=cdf,
         predicted_masses=counter.masses(),
         char_samples=samples,
+        excluded=tally.excluded,
+        filtered=tally.filtered,
     )
 
 

@@ -270,8 +270,10 @@ def test_dist_text_lists_the_atoms_no_prime_hit(capsys):
     argv = ["dist", "--scenario", "torsion", "--curve", "17a3", "--ell", "3", "--x", "300"]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert out.splitlines()[1:] == [
-        "  N_p=0: mass 3/62",
+    # every prime at N_p = 0 is excluded (2, 3 and 17): torsion counts are never 0
+    assert out.splitlines() == [
+        "scenario: torsion:curve=17a3,ell=3   x=300  pi(x)=62  excluded=3  filtered=0",
+        "  N_p=0: mass 3/62   (3 excluded, 0 filtered)",
         "  N_p=1: mass 33/62   predicted 9/16",
         "  N_p=3: mass 13/31   predicted 5/12",
         "  N_p=9: mass 0   predicted 1/48",
@@ -279,8 +281,8 @@ def test_dist_text_lists_the_atoms_no_prime_hit(capsys):
     # the JSON keeps observed and predicted masses apart, as before
     code, out, _ = run_cli(capsys, "--format", "json", *argv)
     assert out == (
-        '{"cdf": [[0, 3, 62], [1, 18, 31], [3, 1, 1]], "char_samples": {}, '
-        '"masses": {"0": [3, 62], "1": [33, 62], "3": [13, 31]}, "pi_x": 62, '
+        '{"cdf": [[0, 3, 62], [1, 18, 31], [3, 1, 1]], "char_samples": {}, "excluded": 3, '
+        '"filtered": 0, "masses": {"0": [3, 62], "1": [33, 62], "3": [13, 31]}, "pi_x": 62, '
         '"predicted": {"1": [9, 16], "3": [5, 12], "9": [1, 48]}, '
         '"scenario": "torsion:curve=17a3,ell=3", "x": 300}\n'
     )

@@ -302,9 +302,9 @@ def test_kronecker_array_on_class_number_one_discriminants():
 
 
 def test_kronecker_array_on_both_sides_of_its_table():
-    # the table covers 4|a| <= 2**17, that is |a| <= 32768; past it Euler's
-    # criterion runs below POW_ARRAY_LIMIT, and kronecker_symbol above it
-    # and for a beyond int64
+    # the table covers 4|a| <= 2**17, that is |a| <= 32768; past it each
+    # prime takes kronecker_symbol, below and above POW_ARRAY_LIMIT and for
+    # a beyond int64
     chunks = (
         _stream(2, 3000),
         _stream(POW_ARRAY_LIMIT - 3000, POW_ARRAY_LIMIT + 3000),

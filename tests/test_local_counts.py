@@ -1,7 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 import pytest
@@ -75,10 +75,11 @@ def test_count_roots_formula_matches_brute():
     lo=st.integers(2, 10**6),
     width=st.integers(1, 3000),
 )
-# 4|a| past the character table's bound of 2**17, so Euler's criterion runs
+# lcm(n, 4|a|) past the class table's bound of 2**17, so every lane with
+# gcd(p - 1, n) > 1 takes the criterion
 @example(n=8, a=40_009, lo=2, width=3000)
 @example(n=12, a=-32_771, lo=999_000, width=3000)
-# n past the d table's bound of 2**17, so d comes from np.gcd
+# n past the class table's bound of 2**17, so d comes from np.gcd
 @example(n=(1 << 17) + 6, a=5, lo=2, width=3000)
 # a = 5 and 23 around p = isqrt(2**63 - 1) / a: pow_mod_array folds each set
 # bit's factor into the next square below it, and takes % p twice per bit above
@@ -86,6 +87,14 @@ def test_count_roots_formula_matches_brute():
 @example(n=8, a=5, lo=607_399_000, width=3000)
 @example(n=8, a=23, lo=132_040_500, width=3000)
 @example(n=8, a=23, lo=132_042_000, width=3000)
+# M = lcm(512, 4a) = 130,560 reads the class table, 131,584 is past its bound
+@example(n=512, a=255, lo=2, width=3000)
+@example(n=512, a=255, lo=10**6, width=3000)
+@example(n=512, a=257, lo=2, width=3000)
+@example(n=512, a=257, lo=10**6, width=3000)
+# a negative a, and an odd n with a != 1 (M = n)
+@example(n=24, a=-15, lo=2, width=3000)
+@example(n=15, a=7, lo=2, width=3000)
 def test_count_roots_array_matches_formula_property(n, a, lo, width):
     eq = PowerEquation(n, a)
     primes = np.concatenate([np.empty(0, dtype=np.int64), *prime_segments(lo, lo + width)])
@@ -94,14 +103,29 @@ def test_count_roots_array_matches_formula_property(n, a, lo, width):
     assert count_roots_array(eq, primes).tolist() == want
 
 
-def test_root_degree_table_matches_gcd_on_a_full_sieve_segment():
+def test_class_table_matches_formula_on_a_full_sieve_segment():
     # the first segment from 2 spans 2**18 integers, so its primes leave
-    # every residue mod n <= 64 that a prime can leave, 0 included (p = n)
+    # every residue mod M <= 64 * 28 that a prime can leave, 0 included
+    # (p = M); with a = 1 the table is exact at every prime, p | n included
     primes = next(prime_segments(2, 10**6))
     for n in range(1, 65):
-        want = np.gcd(primes - 1, n)
-        assert np.array_equal(local_counts._root_degree_table(n)[primes % n], want), n
-        assert np.array_equal(count_roots_array(PowerEquation(n, 1), primes), want), n
+        for a in (1, (2, -3, 7, -1, 6, 5, -14)[n % 7]):
+            eq = PowerEquation(n, a)
+            if a == 1:  # count_roots_formula at a = 1 is gcd(p - 1, n) at every prime
+                valued, want = primes, np.gcd(primes - 1, n)
+            else:
+                valued = primes[~eq.bad_primes.mask(primes)]
+                want = np.array([count_roots_formula(eq, p) for p in valued.tolist()])
+            m = local_counts._class_modulus(eq)
+            assert m == (n if a == 1 or n % 2 else lcm(n, 4 * abs(a))), (n, a)
+            entry = local_counts._class_table(eq)[valued % m]
+            # an entry is the count, or -d where the criterion decides between d and 0
+            d = np.gcd(valued - 1, n)
+            criterion = entry < 0
+            assert np.array_equal(entry[~criterion], want[~criterion]), (n, a)
+            assert np.array_equal(-entry[criterion], d[criterion]), (n, a)
+            assert ((want == 0) | (want == d))[criterion].all(), (n, a)
+            assert np.array_equal(count_roots_array(eq, valued), want), (n, a)
 
 
 def test_count_roots_formula_falls_back_on_shared_factor():

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from orbitmoments.core_arith import (
 )
 from orbitmoments.local_counts import (
     CURVE_PRESETS,
+    BadPrimes,
     PowerEquation,
     WeierstrassCurve,
     count_roots_array,
@@ -331,6 +333,82 @@ def test_shard_invariance_property(n, a, checkpoints):
         assert_matches_reference(r, reference_moments(counter, (2,), r.x))
 
 
+@pytest.mark.parametrize(
+    "values, counted",
+    [
+        ([], False),
+        ([0], True),
+        ([3, 1, 1, 0], True),
+        ([2, 2, 2], True),
+        ([4, 1, 1, 2], False),  # 4 is not below the number of values
+        ([-1, 0, 2], False),
+        ([5], False),
+        ([2**40, 7, 7], False),
+    ],
+)
+def test_histogram_equals_np_unique(values, counted, monkeypatch):
+    values = np.array(values, dtype=np.int64)
+    keys, counts = np.unique(values, return_counts=True)
+    want = list(zip(keys.tolist(), counts.tolist()))
+    if counted:  # np.bincount alone, with no sorted copy
+        monkeypatch.setattr(np, "unique", None)
+    got = moment_lab._histogram(values)
+    assert list(got.items()) == want
+    assert all(type(v) is int and type(c) is int for v, c in got.items())
+
+
+def test_tally_masks_exactly_the_segments_a_rule_can_reach(monkeypatch):
+    # the mask runs on a segment whose first prime is at most the rule's
+    # bound, and on every segment under modulus 0; the excluded count is
+    # the rule's, one prime at a time
+    x = 3 * SIEVE_SEGMENT
+    segments = list(prime_segments(2, x))
+    torsion = CURVE_PRESETS["17a3"].bad_primes(5)
+    assert torsion.bound > x  # |5 * disc| keeps every segment masked
+    # 300,007 lies in the second segment, so the third one skips the mask
+    rules = (BadPrimes(0), torsion, BadPrimes(300_007), BadPrimes(12))
+    real_mask = BadPrimes.mask
+    for rule in rules:
+        masked = []
+
+        def mask(self, primes):
+            masked.append(primes.size)
+            return real_mask(self, primes)
+
+        monkeypatch.setattr(BadPrimes, "mask", mask)
+        counter = SimpleNamespace(
+            bad_primes=rule,
+            split_filter=None,
+            values=lambda primes: moment_lab._histogram(np.ones_like(primes)),
+        )
+        tally = moment_lab._Tally()
+        for primes in [*segments, np.empty(0, dtype=np.int64)]:
+            tally.add_primes(counter, primes)
+        reach = [s for s in segments if rule.bound is None or s[0] <= rule.bound]
+        assert masked == [s.size for s in reach], rule
+        assert tally.excluded == sum(p in rule for s in segments for p in s.tolist()), rule
+        assert tally.hist[0] == tally.excluded and sum(tally.hist.values()) == tally.pi_x
+        if rule.bound is None:
+            assert tally.excluded == tally.pi_x  # every prime divides 0
+
+
+def test_stream_from_2_books_the_excluded_primes_of_later_segments(monkeypatch):
+    # x**2 - q excludes 2 and q, which lies in the second sieve segment; the
+    # stream is cut at 2q + 1 inside the third, and only the primes up to 2q
+    # reach the mask
+    q = 300_007
+    counter = PowerCounter(PowerEquation(2, q))
+    x = 5 * SIEVE_SEGMENT
+    masked = []
+    real_mask = BadPrimes.mask
+    monkeypatch.setattr(BadPrimes, "mask", lambda self, p: masked.append(p) or real_mask(self, p))
+    clear_stream_memo()
+    report = empirical_moment(counter, 2, x)
+    assert_matches_reference(report, reference_moments(counter, (2,), x))
+    assert report.excluded == 2
+    assert [int(p[-1]) for p in masked] == [262_139, 524_287, 600_011]  # last primes below each cut
+
+
 def test_power_kernel_across_int64_limit():
     # the segment reaching past 2**31 takes the per-prime builtin pow path;
     # the primes below 2**31 alone take the int64 path at its largest products
@@ -523,6 +601,16 @@ def test_distribution_report():
     phi = dist.char_samples[0.5]
     direct = sum(float(m) * cmath.exp(0.5j * v) for v, m in dist.masses.items())
     assert abs(phi - direct) < 1e-12
+
+
+def test_distribution_books_excluded_and_filtered_primes_as_the_moment_does():
+    curve = CURVE_PRESETS["cm:-1"]
+    for counter in (TorsionCounter(curve, 5), TorsionCounter(curve, 5, SplitFilter.split(curve.cm))):
+        dist = empirical_distribution(counter, 3000)
+        report = empirical_moment(counter, 1, 3000)
+        assert (dist.excluded, dist.filtered) == (report.excluded, report.filtered)
+        assert dist.mass(0) * dist.pi_x == report.histogram[0]
+    assert dist.filtered > 0 and dist.excluded == 3  # 2, 3 and 5
 
 
 def test_characteristic_function_basics():
@@ -735,8 +823,9 @@ def test_memo_hit_does_no_kernel_work(monkeypatch):
     assert warm == empirical_moment(torsion, 2, 20_000)
 
     # a trace after a moment to the same x values only the pieces cut at its
-    # marks: [2, 1001) and [1001, edge) of the first segment, and the second
-    # segment cut at 300,001; the third segment ends at x + 1 both times
+    # marks: [7, 1001) and [1001, edge) of the first segment, and the second
+    # segment cut at 300,001; both streams cut [2, 7) at the exclusion bound
+    # 6, and the third segment ends at x + 1 both times
     power = PowerCounter(PowerEquation(6, 1))
     edge = 2 + SIEVE_SEGMENT
     empirical_moment(power, 2, 600_000)
@@ -745,7 +834,7 @@ def test_memo_hit_does_no_kernel_work(monkeypatch):
     assert len(valued) == 4
     assert max(int(primes.max()) for primes in valued) < edge + SIEVE_SEGMENT
     assert sum(primes.size for primes in valued) == sum(
-        1 for p in primes_between(2, edge + SIEVE_SEGMENT) if 6 % p
+        1 for p in primes_between(7, edge + SIEVE_SEGMENT) if 6 % p
     )
 
 

@@ -1,3 +1,4 @@
+import tokenize
 import tracemalloc
 from fractions import Fraction
 from math import gcd, log2
@@ -799,3 +800,16 @@ def test_glm_4_3_burnside_peak_stays_below_the_candidate_stack():
     # 4**9 candidates (about 3 MB)
     candidates = 8 * 9 * 4**9
     assert peak < candidates / 6, peak
+
+
+def test_orbit_engine_stays_below_the_parser_token_budget():
+    # Compiling a module of 4,096 or more parser tokens makes CPython 3.11's
+    # parser grow its token array, a compile peak of 256 KB more (1,792 KB
+    # against 1,536 KB of ru_maxrss); every benchmark round imports this
+    # module from source, and an earlier 4,191-token version raised
+    # power-stream peak_rss_mb by 0.3 MB.  Delete as much as you add, or
+    # split the module.
+    with open(orbit_engine.__file__) as fh:
+        tokens = tokenize.generate_tokens(fh.readline)
+        count = sum(t.type not in (tokenize.COMMENT, tokenize.NL) for t in tokens)
+    assert count < 4096, count
