@@ -287,12 +287,27 @@ def kronecker_array(a: int, primes: np.ndarray) -> np.ndarray:
     """kronecker_symbol(a, p) for each entry of an int64 array of primes, as int8.
 
     For odd p the symbol depends only on p mod 4|a| (quadratic
-    reciprocity), so while 4|a| <= 2**17 it is read from a cached table
-    over those residues; p = 2 leaves the residue 2, whose entry is (a|2).
-    Larger a, which no caller in this package passes, take kronecker_symbol
-    one prime at a time.
+    reciprocity), so it is read from a cached table over those residues;
+    p = 2 leaves the residue 2, whose entry is (a|2).  The caller keeps
+    0 < 4|a| <= RESIDUE_TABLE_LIMIT: _class_table asks only while
+    lcm(n, 4|a|) is within it, and SplitFilter passes class-number-one
+    discriminants, 4|disc| <= 652.
     """
-    m = 4 * abs(a)
-    if 0 < m <= RESIDUE_TABLE_LIMIT:
-        return _kronecker_table(a)[primes % m]
-    return np.array([kronecker_symbol(a, p) for p in primes.tolist()], dtype=np.int8)
+    return _kronecker_table(a)[primes % (4 * abs(a))]
+
+
+def value_counts(values: np.ndarray) -> dict[int, int]:
+    """{value: count} of an integer array, in ascending order of value.
+
+    np.bincount counts without sorting a copy when every value is >= 0 and
+    below the number of values (power counts divide n, torsion counts are
+    at most ell**2); other values, such as the divisors of a huge n or the
+    kernel sizes of a matrix stack, have no such bound and take np.unique.
+    """
+    if values.size and values.min() >= 0 and values.max() < values.size:
+        counts = np.bincount(values)
+        values = np.flatnonzero(counts)
+        counts = counts[values]
+    else:
+        values, counts = np.unique(values, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))

@@ -52,14 +52,14 @@ class BadPrimes:
     def mask(self, primes: np.ndarray) -> np.ndarray:
         """`p in self` for each entry of an int64 array, exact for any modulus.
 
-        Only the primes up to |m| take m % p when some exceed a nonzero m.
+        An |m| that fits int64 takes m % p on the whole array, exact for
+        every p, since a p above a nonzero m leaves m (the stream, cut
+        after bound, masks no such p); a larger |m| takes m % p one prime
+        at a time.
         """
         m = abs(self.modulus)
         if m >= _INT64_LIMIT:
             divides = np.array([m % p == 0 for p in primes.tolist()], dtype=bool)
-        elif m and int(primes.max(initial=0)) > m:
-            divides = primes <= m
-            divides[divides] = m % primes[divides] == 0
         else:
             divides = m % primes == 0
         return (primes < self.floor) | divides
@@ -357,10 +357,12 @@ class _LaneRing:
 
     An element is a (d, L) array in the dtype of p, coefficient by lane, so
     numpy's inner loops run along the lanes; no array holds more than a
-    product's (2d - 1, L) buffer.  A product sums its coefficient products
-    and folds its top d - 1 coefficients, each % p, into the lower ones by
-    x**d = x_d mod g.  A coefficient so sums at most 2d - 1 terms below
-    p**2; above d = 64 the buffer is taken % p before the folds, leaving d.
+    square's (2d - 1, L) buffer.  pow's only product of two elements is a
+    square; the others are by x (times_x) or by the cubic of _euler_is_one.
+    A square sums its coefficient products and folds its top d - 1
+    coefficients, each % p, into the lower ones by x**d = x_d mod g.  A
+    coefficient so sums at most 2d - 1 terms below p**2; above d = 64 the
+    buffer is taken % p before the folds, leaving d.
     """
 
     def __init__(self, p: np.ndarray, x_d: np.ndarray):
@@ -376,17 +378,14 @@ class _LaneRing:
         out[1:] += a[:-1]
         return out % self.p
 
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def square(self, a: np.ndarray) -> np.ndarray:
+        """a * a, with each cross term taken once and doubled."""
         d, p = self.d, self.p
         full = np.zeros((2 * d - 1, a.shape[1]), dtype=p.dtype)
-        if a is b:  # a square: each cross term once, doubled
-            full[::2] = a * a
-            twice = 2 * a
-            for i in range(d - 1):
-                full[2 * i + 1 : i + d] += twice[i] * a[i + 1 :]
-        else:
-            for i in range(d):
-                full[i : i + d] += a[i] * b
+        full[::2] = a * a
+        twice = 2 * a
+        for i in range(d - 1):
+            full[2 * i + 1 : i + d] += twice[i] * a[i + 1 :]
         if d > _REDUCE_BEFORE_FOLD:
             full %= p
         return self.reduce(full)
@@ -408,7 +407,7 @@ class _LaneRing:
         acc = np.zeros((self.d, exp.size), dtype=self.p.dtype)
         acc[(exp >> (bits - skip)).astype(np.int64), np.arange(exp.size)] = 1
         for bit in reversed(range(bits - skip)):
-            acc = self.mul(acc, acc)
+            acc = self.square(acc)
             np.copyto(acc, times(acc), where=(exp >> bit) & 1 == 1)
         return acc
 
@@ -446,7 +445,7 @@ class _LaneRing:
 def _lane_dtype(d: int, p_max: int):
     """Lane dtype for degree d and primes up to p_max: int64 where every sum fits, else object.
 
-    A _LaneRing product sums fewer than 2d terms below p**2, or d above
+    A _LaneRing square sums fewer than 2d terms below p**2, or d above
     _REDUCE_BEFORE_FOLD.  The other sums are smaller: (p + 1)*p in times_x,
     6p**2 in a product by f and 2p**2 in a divstep, and as the bound holds
     only for p < 2**31, Horner's rule in _residues stays below 2**61 and

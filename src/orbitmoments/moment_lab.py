@@ -26,7 +26,14 @@ from functools import lru_cache
 import numpy as np
 
 from .closed_forms import affine_masses, cm_masses, dk, gl2_masses, moment_of, unit_masses
-from .core_arith import SIEVE_SEGMENT, factorize, is_prime, kronecker_array, prime_segments
+from .core_arith import (
+    SIEVE_SEGMENT,
+    factorize,
+    is_prime,
+    kronecker_array,
+    prime_segments,
+    value_counts,
+)
 from .local_counts import (
     BadPrimes,
     PowerEquation,
@@ -66,23 +73,6 @@ def _filter_suffix(f: SplitFilter | None) -> str:
     if f is None:
         return ""
     return ",split" if f.keep_split else ",nonsplit"
-
-
-def _histogram(values: np.ndarray) -> dict[int, int]:
-    """{value: count} of an integer array, in ascending order of value.
-
-    np.bincount counts without sorting a copy when every value is >= 0 and
-    below the number of values (power counts divide n, torsion counts are
-    at most ell**2); other values, such as the divisors of a huge n, have
-    no such bound and take np.unique.
-    """
-    if values.size and values.min() >= 0 and values.max() < values.size:
-        counts = np.bincount(values)
-        values = np.flatnonzero(counts)
-        counts = counts[values]
-    else:
-        values, counts = np.unique(values, return_counts=True)
-    return dict(zip(values.tolist(), counts.tolist()))
 
 
 def _check_square_free_positive(a: int):
@@ -135,7 +125,7 @@ class PowerCounter:
         return self.eq.bad_primes
 
     def values(self, primes: np.ndarray) -> dict[int, int]:
-        return _histogram(count_roots_array(self.eq, primes))
+        return value_counts(count_roots_array(self.eq, primes))
 
     def masses(self) -> dict[int, Fraction] | None:
         if self.split_filter is not None:
@@ -170,7 +160,7 @@ class PowerProductCounter:
     def values(self, primes: np.ndarray) -> dict[int, int]:
         # N_p(x**n - 1) = gcd(p-1, n), and N_p(x**n - a) is either that or 0,
         # so with k1 >= 1 the product is N_p(x**n - a)**(k1 + k2).
-        hist = _histogram(count_roots_array(self.eq, primes))
+        hist = value_counts(count_roots_array(self.eq, primes))
         return {v ** (self.k1 + self.k2): c for v, c in hist.items()}
 
     def masses(self) -> dict[int, Fraction]:
@@ -199,7 +189,7 @@ class TorsionCounter:
         return self.curve.bad_primes(self.ell)
 
     def values(self, primes: np.ndarray) -> dict[int, int]:
-        return _histogram(ec_torsion_count_array(self.curve, primes, self.ell))
+        return value_counts(ec_torsion_count_array(self.curve, primes, self.ell))
 
     def masses(self) -> dict[int, Fraction] | None:
         curve, ell, filt = self.curve, self.ell, self.split_filter

@@ -7,11 +7,12 @@ keep a generating set and fall back to direct orbit counting on the tuple
 space, which computes the same number from its definition.  A matrix
 action keeps its element matrices and reads its histogram off the
 invariant factors of g - I; semidirect keeps only its histogram, in
-closed form.  No action keeps a permutation table: perms builds one for
-a matrix action on request, and the generators' permutation rows, which
-only the orbit oracle reads, are built when first read.  units and quad
-list every element through one lister (_list_matrices), and take their
-generators from a small generating subset of it (_generating_subset).
+closed form from that of units:n, whose generators it also reuses.  No
+action keeps a permutation table: perms builds one for a matrix action
+on request, and the generators' permutation rows, which only the orbit
+oracle reads, are built when first read.  units and quad list every
+element through one lister (_list_matrices), and take their generators
+from a small generating subset of it (_generating_subset).
 
 Three budgets bound memory, each checked before what it bounds is made:
 ELEMENT_BUDGET the candidates _list_matrices scans (n for units and
@@ -34,7 +35,7 @@ from math import factorial
 
 import numpy as np
 
-from .core_arith import CapacityError, factorize, is_prime
+from .core_arith import CapacityError, factorize, is_prime, value_counts
 from .residue_algebra import QuadOrderSpec, glm_order, quad_unit_order
 
 ELEMENT_BUDGET = 10**7
@@ -105,31 +106,24 @@ def build_semidirect(n: int) -> PermutationAction:
     (b, d) fixes (i, j) when i*(d - 1) = -b and j*(d - 1) = 0 mod n.  With
     g = gcd(d - 1, n), that has g**2 solutions when g | b and none
     otherwise, so each unit d gives n/g elements fixing g**2 points and
-    n - n/g fixing none.  The histogram is read off the unit scan, and the
-    generators are (1, 1) and (0, u) for u in a generating subset of the
-    units.
+    n - n/g fixing none.  The unit d fixes g points of Z/n, so the
+    histogram is read off that of units:n, and the generators are the
+    translation (1, 1) and (0, u) for each generator u of units:n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    units = _enumerate_glm_matrices(n, 1)
-    hist = Counter()
-    gs, counts = np.unique(np.gcd(units.astype(np.int64) - 1, n), return_counts=True)
-    for g, c in zip(gs.tolist(), counts.tolist()):
+    units, hist = build_units(n), Counter()
+    for g, c in fixed_point_histogram(units).items():
         hist[0] += c * (n - n // g)
         hist[g * g] += c * (n // g)
 
     def generator_rows() -> np.ndarray:
-        gens = [(1 % n, 1 % n)] + [
-            (0, int(u)) for u in units[_generating_subset(units, n, f"units:{n}"), 0, 0]
-        ]
-        _check_table(len(gens), n * n)
+        _check_table(len(units.generators) + 1, n * n)
         i, j = np.divmod(np.arange(n * n), n)
-        rows = [((b + i * d) % n) * n + (j * d) % n for b, d in gens]
+        rows = [(i + 1) % n * n + j] + [u[i] * n + u[j] for u in units.generators.astype(np.int64)]
         return np.stack(rows).astype(_perm_dtype(n * n))
 
     return PermutationAction(
         size=n * n,
-        group_order=n * len(units),
+        group_order=n * units.group_order,
         generator_rows=generator_rows,
         descriptor=f"semidirect:{n}",
         histogram={m: c for m, c in sorted(hist.items()) if c},
@@ -382,8 +376,8 @@ def fixed_point_histogram(action: PermutationAction) -> dict[int, int]:
     the fixed points of g as |ker(g - I)| (_kernel_sizes, with g - I in the
     narrowest signed dtype that holds n), once per action, 2**17 // m**2
     elements at a time (2**15 up to m = 2), so a chunk's minors take about
-    what 2 x 2 ones would.  Each chunk's sizes, which divide n**m, are sorted
-    in place and counted by runs.  A generator-only action raises ValueError.
+    what 2 x 2 ones would.  Each chunk's sizes, which divide n**m, are
+    counted by value_counts.  A generator-only action raises ValueError.
     """
     if action.histogram is None:
         if action.matrices is None:
@@ -398,10 +392,7 @@ def fixed_point_histogram(action: PermutationAction) -> dict[int, int]:
         chunk = _MATRIX_CHUNK * 4 // max(mats.shape[1], 2) ** 2
         for lo in range(0, len(mats), chunk):
             g_minus_i = np.subtract(mats[lo : lo + chunk], identity, dtype=width)
-            fixed = _kernel_sizes(g_minus_i, n)
-            fixed.sort()
-            ends = np.append(np.flatnonzero(fixed[1:] != fixed[:-1]), len(fixed) - 1)
-            hist.update(dict(zip(fixed[ends].tolist(), np.diff(ends, prepend=-1).tolist())))
+            hist.update(value_counts(_kernel_sizes(g_minus_i, n)))
         action.histogram = dict(sorted(hist.items()))
     return dict(action.histogram)
 

@@ -26,6 +26,7 @@ from orbitmoments.core_arith import (
     SIEVE_SEGMENT,
     kronecker_symbol,
     prime_segments,
+    value_counts,
 )
 from orbitmoments.local_counts import (
     CURVE_PRESETS,
@@ -352,7 +353,7 @@ def test_histogram_equals_np_unique(values, counted, monkeypatch):
     want = list(zip(keys.tolist(), counts.tolist()))
     if counted:  # np.bincount alone, with no sorted copy
         monkeypatch.setattr(np, "unique", None)
-    got = moment_lab._histogram(values)
+    got = value_counts(values)
     assert list(got.items()) == want
     assert all(type(v) is int and type(c) is int for v, c in got.items())
 
@@ -379,7 +380,7 @@ def test_tally_masks_exactly_the_segments_a_rule_can_reach(monkeypatch):
         counter = SimpleNamespace(
             bad_primes=rule,
             split_filter=None,
-            values=lambda primes: moment_lab._histogram(np.ones_like(primes)),
+            values=lambda primes: value_counts(np.ones_like(primes)),
         )
         tally = moment_lab._Tally()
         for primes in [*segments, np.empty(0, dtype=np.int64)]:
@@ -588,6 +589,19 @@ def test_histogram_support_within_action_fixed_point_set():
         report = empirical_moment(counter, 1, 5000)
         support = set(fixed_point_histogram(build_action(descriptor)))
         assert set(report.histogram) - {0} <= support, (counter.scenario, descriptor)
+
+
+def test_semidirect_is_the_image_of_the_product_scenario():
+    # Galois acts on the pairs of roots of x**n - a and x**n - 1 through
+    # Z/n x| (Z/n)^x, so the product N_p(x**n - a) * N_p(x**n - 1) has the
+    # orbit counts of semidirect:n as its moments
+    from orbitmoments.orbit_engine import build_action, burnside_moment
+
+    for n in range(1, 31):
+        action = build_action(f"semidirect:{n}")
+        counter = PowerProductCounter(PowerEquation(n, 11), 1, 1)
+        for k in (1, 2, 3):
+            assert burnside_moment(action, k) == predicted_moment(counter, k), (n, k)
 
 
 def test_distribution_report():
