@@ -309,8 +309,6 @@ def _check_torsion_counts(
 # temporary, holds about this many entries (256 KB on int64).
 _LANE_ENTRIES = 1 << 15
 _LIMB_BITS = 30
-# Above this degree a product buffer is taken % p before its folds.
-_REDUCE_BEFORE_FOLD = 64
 
 
 @lru_cache(maxsize=32)
@@ -361,8 +359,7 @@ class _LaneRing:
     square; the others are by x (times_x) or by the cubic of _euler_is_one.
     A square sums its coefficient products and folds its top d - 1
     coefficients, each % p, into the lower ones by x**d = x_d mod g.  A
-    coefficient so sums at most 2d - 1 terms below p**2; above d = 64 the
-    buffer is taken % p before the folds, leaving d.
+    coefficient so sums at most 2d - 1 terms below p**2, at every degree.
     """
 
     def __init__(self, p: np.ndarray, x_d: np.ndarray):
@@ -386,8 +383,6 @@ class _LaneRing:
         twice = 2 * a
         for i in range(d - 1):
             full[2 * i + 1 : i + d] += twice[i] * a[i + 1 :]
-        if d > _REDUCE_BEFORE_FOLD:
-            full %= p
         return self.reduce(full)
 
     def reduce(self, full: np.ndarray) -> np.ndarray:
@@ -445,16 +440,16 @@ class _LaneRing:
 def _lane_dtype(d: int, p_max: int):
     """Lane dtype for degree d and primes up to p_max: int64 where every sum fits, else object.
 
-    A _LaneRing square sums fewer than 2d terms below p**2, or d above
-    _REDUCE_BEFORE_FOLD.  The other sums are smaller: (p + 1)*p in times_x,
-    6p**2 in a product by f and 2p**2 in a divstep, and as the bound holds
-    only for p < 2**31, Horner's rule in _residues stays below 2**61 and
-    pow_mod_array, which inverts the leading coefficient of h, is exact.
-    The ring modulo h has degree e < d, so its sums are smaller still.
-    Object lanes take the same steps on Python ints, exact for any p.
+    A _LaneRing square sums fewer than 2d terms below p**2 at every degree,
+    so one rule, 2d * p_max**2 < 2**63, serves them all.  The other sums
+    are smaller: (p + 1)*p in times_x, 6p**2 in a product by f and 2p**2 in
+    a divstep, and as the bound holds only for p < 2**31, Horner's rule in
+    _residues stays below 2**61 and pow_mod_array, which inverts the
+    leading coefficient of h, is exact.  The ring modulo h has degree
+    e < d, so its sums are smaller still.  Object lanes take the same steps
+    on Python ints, exact for any p.
     """
-    terms = 2 * d if d <= _REDUCE_BEFORE_FOLD else d
-    return np.int64 if terms * p_max * p_max < _INT64_LIMIT else object
+    return np.int64 if 2 * d * p_max * p_max < _INT64_LIMIT else object
 
 
 def _euler_is_one(curve: WeierstrassCurve, ring: _LaneRing) -> np.ndarray:

@@ -9,10 +9,13 @@ action keeps its element matrices and reads its histogram off the
 invariant factors of g - I; semidirect keeps only its histogram, in
 closed form from that of units:n, whose generators it also reuses.  No
 action keeps a permutation table: perms builds one for a matrix action
-on request, and the generators' permutation rows, which only the orbit
-oracle reads, are built when first read.  units and quad list every
-element through one lister (_list_matrices), and take their generators
-from a small generating subset of it (_generating_subset).
+on request, and the generators' permutation rows, which the orbit oracle
+and orbit_size read, are built when first read.  units and quad list
+every element through one lister (_list_matrices); each element is
+determined by the point it sends e_1 to, so _generating_rows walks those
+points to keep a few elements and their rows, and the rows are the
+generators.  glm with m >= 2 reads its diagonal scalings off those of
+units:n.
 
 Three budgets bound memory, each checked before what it bounds is made:
 ELEMENT_BUDGET the candidates _list_matrices scans (n for units and
@@ -137,8 +140,8 @@ def build_quad_units(n: int, d: int) -> PermutationAction:
     on the basis (1, omega), and the units are the pairs (a, b), in (a, b)
     order, whose matrix _list_matrices keeps: |(O_K/n)^x| of them
     (quad_unit_order).  The point x + y*omega has index x + y*n, as for
-    glm:n,2.  The generators are a small generating subset of the units;
-    orbit counts do not depend on how points or elements are numbered.
+    glm:n,2.  The generator rows are those _generating_rows walks the units
+    for; orbit counts do not depend on how points or elements are numbered.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -149,7 +152,7 @@ def build_quad_units(n: int, d: int) -> PermutationAction:
         return [a, spec.s * b % n, b, (a + spec.t * b) % n]
 
     units = _list_matrices(n, 2, 2, entries, quad_unit_order(n, spec), descriptor)
-    gens = lambda: _apply_matrices(units[_generating_subset(units, n, descriptor)], n)
+    gens = lambda: _generating_rows(units, n, descriptor)
     return PermutationAction(n * n, len(units), gens, descriptor, matrices=units, modulus=n)
 
 
@@ -171,54 +174,40 @@ def _apply_matrices(mats: np.ndarray, n: int) -> np.ndarray:
     return perms
 
 
-def _generating_subset(stack: np.ndarray, n: int, descriptor: str) -> np.ndarray:
-    """Indices, ascending, of a small generating set of the group that stack lists.
+def _generating_rows(stack: np.ndarray, n: int, descriptor: str) -> np.ndarray:
+    """Permutation rows of a small generating set of the group that stack lists.
 
     The stack holds every element of a commutative group of m x m matrices
-    mod n.  Its elements are scanned in order, and one that lies outside
-    the subgroup H generated so far is kept.  H then grows to <H, g>, the
-    union of the cosets H g^i, by doubling: with C the cosets for i < s,
-    C and C g^s hold those for i < 2s, until C g^s adds nothing.  Each kept
-    element at least doubles H, so at most log2(order) are kept.  Every
-    product is looked up in the stack by its entries, and one that is
-    missing raises ArithmeticError: the stack is then not a group.
+    mod n in which each element g is determined by the point g e_1, its
+    first column (units and quad: multiplication by u sends 1 to u).  A
+    subgroup H is then the mask of the points H e_1, and the row of g maps
+    the mask of C e_1 to that of C g e_1.  The elements are scanned in
+    order, and one whose point lies outside H is kept and its row built.
+    H then grows to <H, g>, the union of the cosets H g^i, by doubling:
+    with C the cosets for i < s, C and C g^s hold those for i < 2s, until
+    C g^s adds nothing.  Each kept element at least doubles H, so at most
+    log2(order) are kept.  The rows together are one table, checked
+    against ENTRY_BUDGET before each is built.  A walk that reaches more
+    points than the stack has elements raises ArithmeticError: the stack
+    is then not a group.
     """
-    m = stack.shape[1]
-    weights = n ** np.arange(m * m, dtype=np.int64)
-    mats = stack.astype(np.int64)
-    keys = mats.reshape(len(mats), -1) @ weights
-    by_key = np.argsort(keys)
-    sorted_keys = keys[by_key]
-
-    def index_of(products: np.ndarray) -> np.ndarray:
-        wanted = products.reshape(len(products), -1) % n @ weights
-        pos = np.minimum(np.searchsorted(sorted_keys, wanted), len(keys) - 1)
-        if not np.array_equal(sorted_keys[pos], wanted):
-            raise ArithmeticError(
-                f"{descriptor}: a product of its elements is missing from its element "
-                "stack, which is therefore not a group"
-            )
-        return by_key[pos]
-
-    inside = np.zeros(len(mats), dtype=bool)
-    inside[index_of(np.eye(m, dtype=np.int64)[None])] = True
-    kept = []
-    nxt = 0
-    while nxt < len(mats):
-        nxt += int(np.argmin(inside[nxt:]))  # the first element outside H
-        if inside[nxt]:
+    m, size = stack.shape[1], n ** stack.shape[1]
+    points = stack[:, 0, 0] if m == 1 else stack[:, 0, 0] + stack[:, 1, 0].astype(np.int32) * n
+    inside, rows, i = np.zeros(size, dtype=bool), [], 0
+    inside[1 % n] = True
+    while i < len(points):
+        i += int(np.argmin(inside[points[i:]]))  # the first element outside H
+        if inside[points[i]]:
             break
-        kept.append(nxt)
-        step = mats[nxt]
-        while True:
-            images = index_of(mats[inside] @ step)
-            fresh = images[~inside[images]]
-            if not len(fresh):
-                break
-            inside[fresh] = True
-            step = step @ step % n
-        nxt += 1
-    return np.array(kept, dtype=np.int64)
+        _check_table(len(rows) + 1, size)
+        rows.append(step := _apply_matrices(stack[i : i + 1], n)[0])
+        while not inside[images := step[inside]].all():
+            inside[images] = True
+            step = step[step]
+        i += 1
+    if np.count_nonzero(inside) > len(stack):
+        raise ArithmeticError(f"{descriptor}: products of its elements leave its stack, not a group")
+    return np.array(rows, dtype=_perm_dtype(size)).reshape(-1, size)
 
 
 def _glm_generator_matrices(n: int, m: int) -> np.ndarray:
@@ -227,16 +216,14 @@ def _glm_generator_matrices(n: int, m: int) -> np.ndarray:
 
     These generate GL_m(Z/nZ): Gaussian elimination works locally at each
     prime power, and the determinant is adjusted by the diagonal units.
-    The u run over a generating set of (Z/nZ)^x, not over every unit.
+    The u run over the generators of units:n, each read off its row as the
+    image of 1.
     """
-    units = _enumerate_glm_matrices(n, 1)
-    scalings = units[_generating_subset(units, n, f"units:{n}"), 0, 0].tolist()
-    gens = [np.diag([u] + [1] * (m - 1)) for u in scalings]
+    gens = [np.diag([u] + [1] * (m - 1)) for u in build_units(n).generators[:, 1 % n].tolist()]
     for i, j in permutations(range(m), 2):
         gens.append(np.eye(m, dtype=np.int64))
         gens[-1][i, j] = 1
-    # GL_1 of Z/1 or Z/2 is trivial and has no generators
-    return np.array(gens, dtype=np.int64).reshape(-1, m, m) % n
+    return np.array(gens, dtype=np.int64) % n
 
 
 def build_glm(n: int, m: int) -> PermutationAction:
@@ -244,7 +231,8 @@ def build_glm(n: int, m: int) -> PermutationAction:
 
     Past the listing rule of the module docstring only the generators are
     kept, and their matrices are made when they are first read.  m = 1
-    always lists its elements: its n candidates passed ELEMENT_BUDGET.
+    always lists its elements, its n candidates having passed
+    ELEMENT_BUDGET, and takes its generator rows from them (_generating_rows).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -254,9 +242,12 @@ def build_glm(n: int, m: int) -> PermutationAction:
     listed = m == 1 or (order <= ELEMENT_BUDGET and order * size <= ENTRY_BUDGET)
     if not listed and size > TUPLE_BUDGET:
         raise CapacityError(size, TUPLE_BUDGET, what="points for the orbit oracle to label")
-    elements = _enumerate_glm_matrices(n, m) if listed else None
-    gens = lambda: _apply_matrices(_glm_generator_matrices(n, m), n)
-    return PermutationAction(size, order, gens, f"glm:{n},{m}", matrices=elements, modulus=n)
+    elements, descriptor = _enumerate_glm_matrices(n, m) if listed else None, f"glm:{n},{m}"
+    if m == 1:
+        gens = lambda: _generating_rows(elements, n, descriptor)
+    else:
+        gens = lambda: _apply_matrices(_glm_generator_matrices(n, m), n)
+    return PermutationAction(size, order, gens, descriptor, matrices=elements, modulus=n)
 
 
 def _enumerate_glm_matrices(n: int, m: int) -> np.ndarray:
@@ -500,19 +491,6 @@ def orbit_count_oracle(action: PermutationAction, k: int) -> int:
 
 
 def orbit_size(action: PermutationAction, point: int) -> int:
-    """Size of the orbit of a single point.
-
-    A matrix action marks the images g v mod n of the point's vector v
-    under every element matrix; any other action labels the orbits of
-    points through its generators.
-    """
-    if action.matrices is not None:
-        mats, n = action.matrices, action.modulus
-        weights = n ** np.arange(mats.shape[1], dtype=np.int64)
-        vector = point // weights % n
-        seen = np.zeros(action.size, dtype=bool)
-        for lo in range(0, len(mats), _MATRIX_CHUNK):
-            seen[(mats[lo : lo + _MATRIX_CHUNK] @ vector) % n @ weights] = True
-        return int(np.count_nonzero(seen))
+    """Size of the orbit of a single point, labelled through the generators."""
     labels = _orbit_labels(action.generators, action.size, 1)
     return int(np.count_nonzero(labels == labels[point]))

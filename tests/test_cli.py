@@ -96,8 +96,9 @@ def test_orbits_builds_permutation_rows_for_the_generators_only(capsys, monkeypa
     assert code == 0
     payload = json.loads(out)
     assert payload["oracle"] == payload["moment"] == 3
-    # one call, on the transvections and the unit scaling diag(3, 1, 1)
-    assert stacks == [len(orbit_engine._glm_generator_matrices(4, 3))] == [7]
+    # the row of 3 on Z/4, which gives the unit scaling diag(3, 1, 1), then
+    # one call on the transvections and that scaling
+    assert stacks == [1, 7]
 
 
 def test_orbits_on_units_997_agrees_with_its_oracle(capsys):

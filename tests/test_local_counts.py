@@ -496,8 +496,8 @@ def test_lane_gcd_degree_matches_pgcd():
 
 def test_lane_product_at_its_exactness_limit():
     # the largest p int64 lanes take, with coefficients near p - 1 and
-    # g = x**d + ... + x + 1, so the int64 sums come near their bounds: at
-    # d = 64, the last without a % p before the folds, and above it
+    # g = x**d + ... + x + 1, so the int64 sums come near their bound of
+    # 2d * p**2, which every degree shares
     rng = np.random.default_rng(3)
     for d in (64, 127):
         top = _int64_switch(d)

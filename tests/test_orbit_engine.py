@@ -141,6 +141,10 @@ def test_units_and_quad_budget_the_rows_of_their_generating_subset(monkeypatch):
     with pytest.raises(CapacityError, match="needs 4 permutation table entries, budget is 3"):
         quad.generators
     assert not built(quad, "generators")
+    # quad:5,-1 keeps 3 generators on 25 points, budgeted as one table
+    monkeypatch.setattr(orbit_engine, "ENTRY_BUDGET", 74)
+    with pytest.raises(CapacityError, match="needs 75 permutation table entries, budget is 74"):
+        build_action("quad:5,-1").generators
 
 
 def _refusal_and_peak(build) -> tuple[str, int]:
@@ -258,11 +262,32 @@ def test_generators_generate_the_whole_group():
             assert len(action.generators) <= log2(action.group_order), desc
 
 
+def test_generators_are_the_greedy_lexicographic_choice():
+    # each generator row is that of the first listed element outside the
+    # group the earlier rows generate, so the oracle's work stays fixed
+    catalog = [f"units:{n}" for n in range(1, 61)] + [
+        f"quad:{n},{d}" for d in CLASS_NUMBER_ONE_D for n in range(1, 13)
+    ]
+    for desc in catalog:
+        action = build_action(desc)
+        identity = tuple(range(action.size))
+        want, closure = [], {identity}
+        for row in (tuple(int(v) for v in row) for row in action.perms):
+            if row not in closure:
+                want.append(row)
+                closure = mulclose(np.array(want)) | {identity}
+        assert [tuple(row) for row in action.generators.tolist()] == want, desc
+    # the generator counts of the benchmark's oracle actions
+    counts = {"quad:5,-1": 3, "quad:5,-11": 2, "quad:5,-19": 2, "glm:6,3": 7, "glm:12,3": 8, "gl2:5": 3}
+    for desc, count in counts.items():
+        assert len(build_action(desc).generators) == count, desc
+
+
 def test_generating_subset_rejects_a_stack_that_is_not_a_group():
     # 1 and 2 mod 5 are not closed under products: 2 * 2 = 4 is missing
     stack = np.array([1, 2], dtype=np.uint8).reshape(2, 1, 1)
     with pytest.raises(ArithmeticError, match="broken:5"):
-        orbit_engine._generating_subset(stack, 5, "broken:5")
+        orbit_engine._generating_rows(stack, 5, "broken:5")
 
 
 def test_generator_rows_are_built_on_first_read(monkeypatch):
@@ -286,13 +311,12 @@ def test_generator_rows_are_built_on_first_read(monkeypatch):
         if action.materialized:
             burnside_moment(action, 2)
             fixed_point_histogram(action)
-            orbit_size(action, action.size - 1)
     assert calls == []
     action = build_action("quad:5,-1")
     for k in (2, 3):
         assert orbit_count_oracle(action, k) == burnside_moment(action, k), k
-    # one stack, the generators, kept after the first read
-    assert calls == [len(action.generators)]
+    # one single-row stack per kept element, the generators kept after the first read
+    assert calls == [1] * len(action.generators) == [1, 1, 1]
 
 
 def test_units_histogram_by_direct_count():
