@@ -219,9 +219,9 @@ def pow_mod_array(base: np.ndarray | int, exp: np.ndarray, mod: np.ndarray) -> n
     remainder per bit.  Otherwise the product is reduced before the square,
     exact while every modulus is below 2**31.  Exponents must be >= 0.
     """
-    base = base % mod
-    fold = (int(base.max(initial=1)) * int(mod.max(initial=1))) ** 2 < 1 << 63
-    step = base - 1
+    step = base % mod
+    fold = (int(step.max(initial=1)) * int(mod.max(initial=1))) ** 2 < 1 << 63
+    step -= 1
     result = np.ones_like(mod)
     for bit in reversed(range(int(exp.max(initial=0)).bit_length())):
         factor = exp >> bit

@@ -27,12 +27,19 @@ elements only when order <= ELEMENT_BUDGET and order * size <=
 ENTRY_BUDGET; that second clause bounds no table, since none is kept,
 and is a cost policy that keeps the histogram of a listed action cheap.
 units (glm with m = 1) and quad always list theirs.
+
+Past what the budgets bound (the element stack, the rows a caller asks
+for, the labels), every temporary is one block long, whatever the size
+of the group or of the tuple space: _list_matrices and
+fixed_point_histogram take _MATRIX_CHUNK matrices a step (fewer for m >=
+3), _apply_matrices about 8 * _TUPLE_CHUNK images and the orbit oracle
+_TUPLE_CHUNK tuples.
 """
 
 from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations, permutations
 from math import factorial
 
@@ -45,7 +52,10 @@ ELEMENT_BUDGET = 10**7
 ENTRY_BUDGET = 6 * 10**7
 TUPLE_BUDGET = 10**7
 # matrices per vectorized step when enumerating or valuing a stack
-_MATRIX_CHUNK = 1 << 15
+_MATRIX_CHUNK = 1 << 13
+# tuples per step of the orbit oracle (each block costs a few calls per generator),
+# and an eighth of the images per step of _apply_matrices
+_TUPLE_CHUNK = 1 << 15
 
 
 def _perm_dtype(size: int):
@@ -158,19 +168,23 @@ def build_quad_units(n: int, d: int) -> PermutationAction:
 
 def _apply_matrices(mats: np.ndarray, n: int) -> np.ndarray:
     """Map each matrix of a (k, m, m) stack to the permutation it induces on
-    (Z/nZ)**m, where vector v has index sum v_i * n**i."""
-    m = mats.shape[1]
+    (Z/nZ)**m, where vector v has index sum v_i * n**i.
+
+    The int64 work takes a block of points a step, about 8 * _TUPLE_CHUNK
+    images, so its temporaries stay one block long whatever n**m is; only
+    the rows, of _perm_dtype, are whole."""
+    m, images = mats.shape[1], 8 * _TUPLE_CHUNK
     size = n**m
     _check_table(len(mats), size)
-    idx = np.arange(size, dtype=np.int64)
-    points = np.stack([(idx // n**i) % n for i in range(m)])  # column j is vector j
     weights = (n ** np.arange(m, dtype=np.int64)).reshape(1, m, 1)
     perms = np.empty((len(mats), size), dtype=_perm_dtype(size))
-    # about 2**18 images per chunk: the int64 temporaries stay a few MB
-    chunk = max(1, 2**18 // size)
-    for lo in range(0, len(mats), chunk):
-        images = np.matmul(mats[lo : lo + chunk], points) % n  # (chunk, m, size)
-        perms[lo : lo + chunk] = (images * weights).sum(axis=1)
+    chunk = max(1, images // size)
+    for start in range(0, size, images):
+        points = np.arange(start, min(start + images, size), dtype=np.int64)
+        points = np.stack([points // n**i % n for i in range(m)])  # column j is vector start + j
+        for lo in range(0, len(mats), chunk):
+            block = perms[lo : lo + chunk, start : start + images]
+            block[:] = (np.matmul(mats[lo : lo + chunk], points) % n * weights).sum(axis=1)
     return perms
 
 
@@ -290,18 +304,25 @@ def _list_matrices(
     return stack.reshape(-1, m, m)
 
 
+def _trailing_digits(n: int, width: int, chunk: int) -> int:
+    """The most trailing digits t <= width of base-n numbers with n**t <= chunk."""
+    t = 0
+    while t < width and n ** (t + 1) <= chunk:
+        t += 1
+    return t
+
+
 def _lex_blocks(n: int, width: int) -> tuple[Iterator[np.ndarray], np.ndarray]:
-    """The width-digit base-n numbers in ascending order, at most 2**15 at a time.
+    """The width-digit base-n numbers in ascending order, at most
+    _MATRIX_CHUNK at a time.
 
     Returns (blocks, trailing), one digit per row, most significant first,
-    int32.  trailing holds every value of the last t digits, the most with
-    n**t <= 2**15 (one empty column when n > 2**15); blocks yields runs of
-    values of the leading digits (one empty column when t = width), and
-    each column of a block stands for itself followed by each of trailing.
+    int32.  trailing holds every value of the last _trailing_digits (one
+    empty column when there are none); blocks yields runs of values of the
+    leading digits (one empty column when there are none), and each column
+    of a block stands for itself followed by each of trailing.
     """
-    t = 0
-    while t < width and n ** (t + 1) <= _MATRIX_CHUNK:
-        t += 1
+    t = _trailing_digits(n, width, _MATRIX_CHUNK)
     trailing = np.indices((n,) * t, dtype=np.int32).reshape(t, n**t)
     if t == width:
         return iter([np.empty((0, 1), dtype=np.int32)]), trailing
@@ -365,10 +386,10 @@ def fixed_point_histogram(action: PermutationAction) -> dict[int, int]:
 
     An action built with its histogram returns it; a matrix action counts
     the fixed points of g as |ker(g - I)| (_kernel_sizes, with g - I in the
-    narrowest signed dtype that holds n), once per action, 2**17 // m**2
-    elements at a time (2**15 up to m = 2), so a chunk's minors take about
-    what 2 x 2 ones would.  Each chunk's sizes, which divide n**m, are
-    counted by value_counts.  A generator-only action raises ValueError.
+    narrowest signed dtype that holds n), once per action, 4 * _MATRIX_CHUNK
+    // m**2 elements at a time, so a chunk's minors take about what 2 x 2
+    ones would.  Each chunk's sizes, which divide n**m, are counted by
+    value_counts.  A generator-only action raises ValueError.
     """
     if action.histogram is None:
         if action.matrices is None:
@@ -450,28 +471,42 @@ def _orbit_labels(generators: np.ndarray, size: int, k: int) -> np.ndarray:
     the generator rows generate.
 
     Min-label propagation with pointer jumping (Shiloach-Vishkin) in place
-    on one labels array, int32 while size**k < 2**31, a block of
-    _lex_blocks(size, k) at a time: labels fall to those of their images
-    under each generator g (g of the leading digits plus a table of g on
-    the trailing ones), then to those of their labels.  labels[t] <= t
-    stays in the orbit of t, so labels only fall, and a sweep that keeps
-    their sum changed nothing.  Then labels[t] <= labels[g(t)] for every g,
-    equal along each cycle of g, so labels are constant on orbits.  Every
-    image is a tuple index, so take skips its bounds check.
+    on one labels array, int32 while size**k < 2**31, swept in blocks of
+    at most _TUPLE_CHUNK tuples: labels fall to those of their images under
+    each generator g, then to those of their labels.  With t =
+    _trailing_digits(size, k, _TUPLE_CHUNK), the image of a tuple is
+    head[leading digits] * size**t + tail[trailing digits], two tables
+    made from g once per call (g itself for one digit of int32 rows).  A
+    block's images go into one reused intp buffer and what take reads into
+    one of the labels' dtype, so beside the labels and tables the oracle
+    holds two block buffers.  labels[t] <= t stays in the orbit of t, so
+    labels only fall, and a sweep that keeps their sum changed nothing.
+    Then labels[t] <= labels[g(t)] for every g, equal along each cycle of
+    g, so labels are constant on orbits.  Every image is a tuple index, so
+    take skips its bounds check.
     """
-    labels = np.arange(size**k, dtype=np.int32 if size**k < 2**31 else np.int64)
-    under = lambda g, rows: reduce(lambda v, d: v * size + g[d], rows, np.zeros(rows.shape[1], int))
-    trailing = _lex_blocks(size, k)[1]
-    tails, inner = [under(g, trailing) for g in generators], trailing.shape[1]
+    total = size**k
+    labels = np.arange(total, dtype=np.int32 if total < 2**31 else np.int64)
+
+    def table(g, j):  # the image under g of every j-digit index
+        v = g.astype(labels.dtype, copy=False) if j else np.zeros(1, labels.dtype)
+        for _ in range(j - 1):
+            v = np.add.outer(v * size, g).ravel()
+        return v
+
+    t = _trailing_digits(size, k, _TUPLE_CHUNK)
+    inner, maps = size**t, [(table(g, k - t), table(g, t)) for g in generators]
+    rows = max(1, _TUPLE_CHUNK // inner)
+    images, taken = np.empty((rows, inner), dtype=np.intp), np.empty((rows, inner), labels.dtype)
     while True:
-        before, lo = int(labels.sum()), 0
-        for leading in _lex_blocks(size, k)[0]:
-            block = labels[lo : lo + leading.shape[1] * inner]
-            for g, tail in zip(generators, tails):
-                image = (under(g, leading)[:, None] * inner + tail).ravel()
-                np.minimum(block, labels.take(image, mode="clip"), out=block)
-            block[:] = labels.take(block, mode="clip")
-            lo += len(block)
+        before = int(labels.sum())
+        for lo in range(0, total // inner, rows):
+            block = labels[lo * inner : (lo + rows) * inner].reshape(-1, inner)
+            image, seen = images[: len(block)], taken[: len(block)]
+            for head, tail in maps:
+                np.add(np.multiply(head[lo : lo + rows, None], inner, out=image), tail, out=image)
+                np.minimum(block, labels.take(image, out=seen, mode="clip"), out=block)
+            block[:] = labels.take(block, out=seen, mode="clip")
         if int(labels.sum()) == before:
             return labels
 
@@ -484,8 +519,8 @@ def orbit_count_oracle(action: PermutationAction, k: int) -> int:
     if total > TUPLE_BUDGET:
         raise CapacityError(total, TUPLE_BUDGET, what="tuples")
     labels, orbits = _orbit_labels(action.generators, action.size, k), 0
-    for lo in range(0, total, _MATRIX_CHUNK):
-        block = labels[lo : lo + _MATRIX_CHUNK]
+    for lo in range(0, total, _TUPLE_CHUNK):
+        block = labels[lo : lo + _TUPLE_CHUNK]
         orbits += int(np.count_nonzero(block == np.arange(lo, lo + len(block), dtype=block.dtype)))
     return orbits
 

@@ -179,7 +179,7 @@ def test_refusals_come_before_any_allocation():
 
 
 def test_building_quad_stays_near_its_unit_stack():
-    # 4,000,000 candidates (a, b) are valued 2**15 at a time, and the units
+    # 4,000,000 candidates (a, b) are valued 2**13 at a time, and the units
     # go into a stack allocated once, so the peak is that stack and one block
     # of int32 temporaries, not n**2-long arrays and not a second copy of the stack
     tracemalloc.start()
@@ -288,6 +288,36 @@ def test_generating_subset_rejects_a_stack_that_is_not_a_group():
     stack = np.array([1, 2], dtype=np.uint8).reshape(2, 1, 1)
     with pytest.raises(ArithmeticError, match="broken:5"):
         orbit_engine._generating_rows(stack, 5, "broken:5")
+
+
+def test_permutation_rows_match_across_point_blocks():
+    # blocks of 8 and 24 images (8 * _TUPLE_CHUNK) split every action's
+    # points, one matrix a step; glm:4,3 keeps every 44th of its 86,016 elements
+    for descriptor in ("units:60", "quad:8,-1", "glm:4,3", "gl2:5"):
+        action = build_action(descriptor)
+        mats = action.matrices[:: 1 + len(action.matrices) // 2000]
+        whole = orbit_engine._apply_matrices(mats, action.modulus)
+        for tuples in (1, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(orbit_engine, "_TUPLE_CHUNK", tuples)
+                rows = orbit_engine._apply_matrices(mats, action.modulus)
+            assert rows.dtype == whole.dtype and rows.shape == whole.shape, (descriptor, tuples)
+            assert rows.tobytes() == whole.tobytes(), (descriptor, tuples)
+        assert (np.sort(whole, axis=1) == np.arange(action.size)).all(), descriptor
+
+
+def test_one_row_of_a_million_points_stays_a_few_blocks_above_itself():
+    # one int32 row of 999,983 points (3.8 MB) and int64 temporaries of a
+    # block of 2**18 points (a few times 2 MB), not of every point
+    stack = build_action("units:999983").matrices[1:2]
+    tracemalloc.start()
+    try:
+        row = orbit_engine._apply_matrices(stack, 999983)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row.dtype == np.int32 and row[1] == stack[0, 0, 0] and row[0] == 0
+    assert peak < 12 * 2**20, peak
 
 
 def test_generator_rows_are_built_on_first_read(monkeypatch):
@@ -520,7 +550,7 @@ def test_burnside_equals_oracle_on_random_actions(gens):
     # blocks of at most 4 tuples: sizes 5 and 6 have no trailing digit, 3 and 4
     # one, 2 two, and 1 only trailing ones, so every sweep crosses blocks
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(orbit_engine, "_MATRIX_CHUNK", 4)
+        patch.setattr(orbit_engine, "_TUPLE_CHUNK", 4)
         for k in (1, 2, 3):
             labels = orbit_engine._orbit_labels(generators, size, k)
             assert labels.tolist() == tuple_orbit_minima(gens, size, k), k
@@ -529,7 +559,7 @@ def test_burnside_equals_oracle_on_random_actions(gens):
 
 def test_oracle_across_many_blocks(monkeypatch):
     # blocks of at most 2**10 tuples: 54 to 256 blocks a sweep, the last one of units:60 short
-    monkeypatch.setattr(orbit_engine, "_MATRIX_CHUNK", 2**10)
+    monkeypatch.setattr(orbit_engine, "_TUPLE_CHUNK", 2**10)
     units, quad, glm = (build_action(d) for d in ("units:60", "quad:8,-1", "glm:6,3"))
     assert orbit_count_oracle(units, 3) == burnside_moment(units, 3) == mk(60, 3)
     assert orbit_count_oracle(quad, 3) == burnside_moment(quad, 3) == 9556
@@ -636,7 +666,7 @@ def test_building_glm_4_3_holds_no_candidate_stack():
     finally:
         tracemalloc.stop()
     assert burnside_moment(action, 1) == mk(4, 1)
-    # candidates are filtered 2**15 at a time, so the peak is one chunk of
+    # candidates are filtered 2**13 at a time, so the peak is one chunk of
     # candidates next to the invertible matrices, well below the full
     # candidate stack
     candidates = 8 * 9 * 4**9
@@ -754,8 +784,8 @@ def test_histogram_peak_stays_below_half_the_element_stack():
 
 
 def test_building_units_stays_near_its_element_stack():
-    # one digit past 2**15 leaves no trailing digits, so the 999,983
-    # candidates come 2**15 at a time into a stack allocated once
+    # one digit past 2**13 leaves no trailing digits, so the 999,983
+    # candidates come 2**13 at a time into a stack allocated once
     tracemalloc.start()
     try:
         action = build_action("units:999983")
@@ -788,17 +818,17 @@ def test_histogram_is_computed_once_per_action(monkeypatch):
     monkeypatch.setattr(orbit_engine, "_kernel_sizes", counted)
     action = build_action("glm:4,3")
     assert burnside_moment(action, 1) == mk(4, 1)
-    # 86,016 elements in chunks of 2**17 // 3**2 = 14,563
-    chunks = [14563] * 5 + [86016 - 5 * 14563]
+    # 86,016 elements in chunks of 2**15 // 3**2 = 3,640
+    chunks = [3640] * 23 + [86016 - 23 * 3640]
     assert calls == chunks
     for k in range(2, 7):
         burnside_moment(action, k)
     assert calls == chunks
-    # 2**15 matrices a chunk up to m = 2, and 2**13 at m = 4
+    # 2**13 matrices a chunk up to m = 2, and 2**11 at m = 4
     for descriptor, order, chunk in (
-        ("units:99991", 99990, 2**15),
-        ("gl2:17", 78336, 2**15),
-        ("glm:2,4", 20160, 2**13),
+        ("units:99991", 99990, 2**13),
+        ("gl2:17", 78336, 2**13),
+        ("glm:2,4", 20160, 2**11),
     ):
         calls.clear()
         fixed_point_histogram(build_action(descriptor))
@@ -818,12 +848,12 @@ def test_glm_4_3_burnside_peak_stays_below_the_candidate_stack():
     finally:
         tracemalloc.stop()
     assert values[0] == mk(4, 1)
-    # the histogram is valued 14,563 matrices at a time, so the 3 x 3 minors
-    # of a chunk take about what a 2**15 chunk of 2 x 2 ones would, and the
-    # build and every moment stay below a sixth of the int64 stack of all
-    # 4**9 candidates (about 3 MB)
+    # the candidates are listed 2**13 at a time and the histogram is valued
+    # 3,640 matrices at a time, so the 3 x 3 minors of a chunk take about what
+    # a 2**13 chunk of 2 x 2 ones would, and the build and every moment stay
+    # below a twelfth of the int64 stack of all 4**9 candidates (1.57 MB)
     candidates = 8 * 9 * 4**9
-    assert peak < candidates / 6, peak
+    assert peak < candidates / 12, peak
 
 
 def test_orbit_engine_stays_below_the_parser_token_budget():
