@@ -50,8 +50,8 @@ from .orbit_engine import (
     build_action,
     burnside_moment,
     fixed_point_histogram,
-    orbit_count_oracle,
 )
+from .orbit_oracle import orbit_count_oracle
 from .residue_algebra import QuadOrderSpec, glm_order, psi
 
 __version__ = "0.1.0"

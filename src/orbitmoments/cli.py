@@ -27,7 +27,8 @@ from .moment_lab import (
     empirical_moment,
     trace_to_csv,
 )
-from .orbit_engine import build_action, burnside_moment, orbit_count_oracle
+from .orbit_engine import build_action, burnside_moment
+from .orbit_oracle import orbit_count_oracle
 from .residue_algebra import QuadOrderSpec
 from .verify import SUITES, run_suite
 

@@ -640,8 +640,8 @@ def ec_torsion_count_array(curve: WeierstrassCurve, primes: np.ndarray, ell: int
     psi_ell is built over Z once per curve and reduced mod p.  Every prime
     takes x**p and the gcd, and the lanes of each deg h class the same
     second stage, one lane each, in blocks of lanes: int64 lanes
-    while a block's largest prime keeps every sum below 2**63 (2d p**2 <
-    2**63 for deg g = d <= 64, d p**2 above), Python-int lanes otherwise.
+    while a block's largest prime keeps every sum below 2**63 (one rule,
+    2d p_max**2 < 2**63, at every degree d), Python-int lanes otherwise.
     Each count, on either path, is checked against the values ell-torsion
     can take.
     """

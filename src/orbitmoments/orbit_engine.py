@@ -3,9 +3,9 @@
 The k-th moment of an action is the number of orbits on k-tuples.  For a
 materialized action it is evaluated through the fixed-point histogram
 (average of chi(g)**k over the group); actions too large to materialize
-keep a generating set and fall back to direct orbit counting on the tuple
-space, which computes the same number from its definition.  A matrix
-action keeps its element matrices and reads its histogram off the
+keep a generating set and fall back to the orbit oracle (orbit_oracle),
+which counts the same number on the tuple space from its definition.  A
+matrix action keeps its element matrices and reads its histogram off the
 invariant factors of g - I; semidirect keeps only its histogram, in
 closed form from that of units:n, whose generators it also reuses.  No
 action keeps a permutation table: perms builds one for a matrix action
@@ -17,23 +17,22 @@ points to keep a few elements and their rows, and the rows are the
 generators.  glm with m >= 2 reads its diagonal scalings off those of
 units:n.
 
-Three budgets bound memory, each checked before what it bounds is made:
-ELEMENT_BUDGET the candidates _list_matrices scans (n for units and
-semidirect, n**2 for quad, n**(m*m) for glm), ENTRY_BUDGET the entries
-of every permutation table (_check_table), and TUPLE_BUDGET the tuples
-the orbit oracle labels, one int32 each, so build_glm refuses a
-generator-only action with more points.  glm with m >= 2 lists its
-elements only when order <= ELEMENT_BUDGET and order * size <=
-ENTRY_BUDGET; that second clause bounds no table, since none is kept,
-and is a cost policy that keeps the histogram of a listed action cheap.
-units (glm with m = 1) and quad always list theirs.
+Three budgets bound memory, each checked before what it bounds is made.
+This module owns two: ELEMENT_BUDGET the candidates _list_matrices scans
+(n for units and semidirect, n**2 for quad, n**(m*m) for glm), and
+ENTRY_BUDGET the entries of every permutation table (_check_table).  The
+third, orbit_oracle.TUPLE_BUDGET, bounds the tuples the oracle labels;
+build_glm reads it at call time to refuse a generator-only action with
+more points.  glm with m >= 2 lists its elements only when order <=
+ELEMENT_BUDGET and order * size <= ENTRY_BUDGET; that second clause
+bounds no table, since none is kept, and is a cost policy that keeps the
+histogram of a listed action cheap.  units (glm with m = 1) and quad
+always list theirs.
 
 Past what the budgets bound (the element stack, the rows a caller asks
-for, the labels), every temporary is one block long, whatever the size
-of the group or of the tuple space: _list_matrices and
-fixed_point_histogram take _MATRIX_CHUNK matrices a step (fewer for m >=
-3), _apply_matrices about 8 * _TUPLE_CHUNK images and the orbit oracle
-_TUPLE_CHUNK tuples.
+for), every temporary is one block long, whatever the size of the group:
+_list_matrices and fixed_point_histogram take _MATRIX_CHUNK matrices a
+step (fewer for m >= 3), and _apply_matrices 32 * _MATRIX_CHUNK images.
 """
 
 from collections import Counter
@@ -45,17 +44,15 @@ from math import factorial
 
 import numpy as np
 
+from . import orbit_oracle
 from .core_arith import CapacityError, factorize, is_prime, value_counts
+from .orbit_oracle import _trailing_digits, orbit_count_oracle
 from .residue_algebra import QuadOrderSpec, glm_order, quad_unit_order
 
 ELEMENT_BUDGET = 10**7
 ENTRY_BUDGET = 6 * 10**7
-TUPLE_BUDGET = 10**7
 # matrices per vectorized step when enumerating or valuing a stack
 _MATRIX_CHUNK = 1 << 13
-# tuples per step of the orbit oracle (each block costs a few calls per generator),
-# and an eighth of the images per step of _apply_matrices
-_TUPLE_CHUNK = 1 << 15
 
 
 def _perm_dtype(size: int):
@@ -170,10 +167,10 @@ def _apply_matrices(mats: np.ndarray, n: int) -> np.ndarray:
     """Map each matrix of a (k, m, m) stack to the permutation it induces on
     (Z/nZ)**m, where vector v has index sum v_i * n**i.
 
-    The int64 work takes a block of points a step, about 8 * _TUPLE_CHUNK
+    The int64 work takes a block of points a step, about 32 * _MATRIX_CHUNK
     images, so its temporaries stay one block long whatever n**m is; only
     the rows, of _perm_dtype, are whole."""
-    m, images = mats.shape[1], 8 * _TUPLE_CHUNK
+    m, images = mats.shape[1], 32 * _MATRIX_CHUNK
     size = n**m
     _check_table(len(mats), size)
     weights = (n ** np.arange(m, dtype=np.int64)).reshape(1, m, 1)
@@ -221,7 +218,10 @@ def _generating_rows(stack: np.ndarray, n: int, descriptor: str) -> np.ndarray:
         i += 1
     if np.count_nonzero(inside) > len(stack):
         raise ArithmeticError(f"{descriptor}: products of its elements leave its stack, not a group")
-    return np.array(rows, dtype=_perm_dtype(size)).reshape(-1, size)
+    table = np.empty((len(rows), size), dtype=_perm_dtype(size))
+    for j in range(len(rows)):  # drop each row as it is copied, so none exists twice
+        table[j], rows[j] = rows[j], None
+    return table
 
 
 def _glm_generator_matrices(n: int, m: int) -> np.ndarray:
@@ -254,8 +254,10 @@ def build_glm(n: int, m: int) -> PermutationAction:
         raise ValueError("matrix dimension must be between 1 and 4")
     order, size = glm_order(n, m), n**m
     listed = m == 1 or (order <= ELEMENT_BUDGET and order * size <= ENTRY_BUDGET)
-    if not listed and size > TUPLE_BUDGET:
-        raise CapacityError(size, TUPLE_BUDGET, what="points for the orbit oracle to label")
+    if not listed and size > orbit_oracle.TUPLE_BUDGET:
+        raise CapacityError(
+            size, orbit_oracle.TUPLE_BUDGET, what="points for the orbit oracle to label"
+        )
     elements, descriptor = _enumerate_glm_matrices(n, m) if listed else None, f"glm:{n},{m}"
     if m == 1:
         gens = lambda: _generating_rows(elements, n, descriptor)
@@ -302,14 +304,6 @@ def _list_matrices(
     if filled != order:
         raise ArithmeticError(f"{descriptor} lists {filled} elements, not its order {order}")
     return stack.reshape(-1, m, m)
-
-
-def _trailing_digits(n: int, width: int, chunk: int) -> int:
-    """The most trailing digits t <= width of base-n numbers with n**t <= chunk."""
-    t = 0
-    while t < width and n ** (t + 1) <= chunk:
-        t += 1
-    return t
 
 
 def _lex_blocks(n: int, width: int) -> tuple[Iterator[np.ndarray], np.ndarray]:
@@ -361,21 +355,19 @@ def build_action(descriptor: str) -> PermutationAction:
     """Build from a descriptor string: units:4, glm:12,2, semidirect:6,
     quad:5,-1, gl2:7."""
     kind, _, arg = descriptor.partition(":")
+    builders = {
+        ("units", 1): build_units,
+        ("semidirect", 1): build_semidirect,
+        ("quad", 2): build_quad_units,
+        ("glm", 2): build_glm,
+        ("gl2", 1): build_gl2,
+    }
     try:
-        nums = [int(v) for v in arg.split(",")] if arg else []
-    except ValueError:
+        nums = [int(v) for v in arg.split(",")]
+        builder = builders[kind, len(nums)]
+    except (KeyError, ValueError):
         raise ValueError(f"bad action descriptor {descriptor!r}")
-    if kind == "units" and len(nums) == 1:
-        return build_units(nums[0])
-    if kind == "semidirect" and len(nums) == 1:
-        return build_semidirect(nums[0])
-    if kind == "quad" and len(nums) == 2:
-        return build_quad_units(nums[0], nums[1])
-    if kind == "glm" and len(nums) == 2:
-        return build_glm(nums[0], nums[1])
-    if kind == "gl2" and len(nums) == 1:
-        return build_gl2(nums[0])
-    raise ValueError(f"bad action descriptor {descriptor!r}")
+    return builder(*nums)
 
 
 # ---------------------------------------------------------------------------
@@ -464,68 +456,3 @@ def burnside_moment(action: PermutationAction, k: int) -> int:
             )
         return orbits
     return orbit_count_oracle(action, k)
-
-
-def _orbit_labels(generators: np.ndarray, size: int, k: int) -> np.ndarray:
-    """For every k-tuple index, the least index in its orbit under the group
-    the generator rows generate.
-
-    Min-label propagation with pointer jumping (Shiloach-Vishkin) in place
-    on one labels array, int32 while size**k < 2**31, swept in blocks of
-    at most _TUPLE_CHUNK tuples: labels fall to those of their images under
-    each generator g, then to those of their labels.  With t =
-    _trailing_digits(size, k, _TUPLE_CHUNK), the image of a tuple is
-    head[leading digits] * size**t + tail[trailing digits], two tables
-    made from g once per call (g itself for one digit of int32 rows).  A
-    block's images go into one reused intp buffer and what take reads into
-    one of the labels' dtype, so beside the labels and tables the oracle
-    holds two block buffers.  labels[t] <= t stays in the orbit of t, so
-    labels only fall, and a sweep that keeps their sum changed nothing.
-    Then labels[t] <= labels[g(t)] for every g, equal along each cycle of
-    g, so labels are constant on orbits.  Every image is a tuple index, so
-    take skips its bounds check.
-    """
-    total = size**k
-    labels = np.arange(total, dtype=np.int32 if total < 2**31 else np.int64)
-
-    def table(g, j):  # the image under g of every j-digit index
-        v = g.astype(labels.dtype, copy=False) if j else np.zeros(1, labels.dtype)
-        for _ in range(j - 1):
-            v = np.add.outer(v * size, g).ravel()
-        return v
-
-    t = _trailing_digits(size, k, _TUPLE_CHUNK)
-    inner, maps = size**t, [(table(g, k - t), table(g, t)) for g in generators]
-    rows = max(1, _TUPLE_CHUNK // inner)
-    images, taken = np.empty((rows, inner), dtype=np.intp), np.empty((rows, inner), labels.dtype)
-    while True:
-        before = int(labels.sum())
-        for lo in range(0, total // inner, rows):
-            block = labels[lo * inner : (lo + rows) * inner].reshape(-1, inner)
-            image, seen = images[: len(block)], taken[: len(block)]
-            for head, tail in maps:
-                np.add(np.multiply(head[lo : lo + rows, None], inner, out=image), tail, out=image)
-                np.minimum(block, labels.take(image, out=seen, mode="clip"), out=block)
-            block[:] = labels.take(block, out=seen, mode="clip")
-        if int(labels.sum()) == before:
-            return labels
-
-
-def orbit_count_oracle(action: PermutationAction, k: int) -> int:
-    """Count orbits on k-tuples directly, from the generators alone."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    total = action.size**k
-    if total > TUPLE_BUDGET:
-        raise CapacityError(total, TUPLE_BUDGET, what="tuples")
-    labels, orbits = _orbit_labels(action.generators, action.size, k), 0
-    for lo in range(0, total, _TUPLE_CHUNK):
-        block = labels[lo : lo + _TUPLE_CHUNK]
-        orbits += int(np.count_nonzero(block == np.arange(lo, lo + len(block), dtype=block.dtype)))
-    return orbits
-
-
-def orbit_size(action: PermutationAction, point: int) -> int:
-    """Size of the orbit of a single point, labelled through the generators."""
-    labels = _orbit_labels(action.generators, action.size, 1)
-    return int(np.count_nonzero(labels == labels[point]))

@@ -39,13 +39,8 @@ from .moment_lab import (
     empirical_distribution,
     empirical_moment,
 )
-from .orbit_engine import (
-    build_action,
-    burnside_moment,
-    fixed_point_histogram,
-    orbit_count_oracle,
-    orbit_size,
-)
+from .orbit_engine import build_action, burnside_moment, fixed_point_histogram
+from .orbit_oracle import orbit_count_oracle, orbit_size
 from .residue_algebra import CLASS_NUMBER_ONE_D, QuadOrderSpec, psi
 
 X_POWER = 10**6

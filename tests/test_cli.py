@@ -59,10 +59,10 @@ def test_orbits_json_includes_oracle(capsys):
 
 
 def test_orbits_runs_the_oracle_once_on_generator_only_actions(capsys, monkeypatch):
-    from orbitmoments import cli, orbit_engine
+    from orbitmoments import cli, orbit_engine, orbit_oracle
 
     calls = []
-    oracle = orbit_engine.orbit_count_oracle
+    oracle = orbit_oracle.orbit_count_oracle
 
     def counted(action, k, **kwargs):
         calls.append((action.descriptor, k))

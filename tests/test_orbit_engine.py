@@ -1,3 +1,4 @@
+import ast
 import tokenize
 import tracemalloc
 from fractions import Fraction
@@ -18,7 +19,7 @@ from oracles import (
     table_histogram,
     tuple_orbit_minima,
 )
-from orbitmoments import orbit_engine
+from orbitmoments import orbit_engine, orbit_oracle
 from orbitmoments.closed_forms import dk, gl2_masses, gl2_moment, mk
 from orbitmoments.core_arith import CapacityError, divisor_count
 from orbitmoments.orbit_engine import (
@@ -32,9 +33,8 @@ from orbitmoments.orbit_engine import (
     build_units,
     burnside_moment,
     fixed_point_histogram,
-    orbit_count_oracle,
-    orbit_size,
 )
+from orbitmoments.orbit_oracle import orbit_count_oracle, orbit_size
 from orbitmoments.residue_algebra import (
     CLASS_NUMBER_ONE_D,
     QuadOrderSpec,
@@ -291,19 +291,22 @@ def test_generating_subset_rejects_a_stack_that_is_not_a_group():
 
 
 def test_permutation_rows_match_across_point_blocks():
-    # blocks of 8 and 24 images (8 * _TUPLE_CHUNK) split every action's
-    # points, one matrix a step; glm:4,3 keeps every 44th of its 86,016 elements
-    for descriptor in ("units:60", "quad:8,-1", "glm:4,3", "gl2:5"):
-        action = build_action(descriptor)
-        mats = action.matrices[:: 1 + len(action.matrices) // 2000]
-        whole = orbit_engine._apply_matrices(mats, action.modulus)
-        for tuples in (1, 3):
+    # blocks of 32 and 96 images (32 * _MATRIX_CHUNK) split the 100 to 125
+    # points of every stack, one matrix a step; gl2:11 keeps every 7th of its
+    # 13,200 elements, and glm:5,3, which lists none, gives its generators
+    stacks = {d: build_action(d) for d in ("units:101", "quad:11,-1", "glm:10,2", "gl2:11")}
+    stacks = {d: (a.matrices[:: 1 + len(a.matrices) // 2000], a.modulus) for d, a in stacks.items()}
+    stacks["glm:5,3"] = orbit_engine._glm_generator_matrices(5, 3), 5
+    for descriptor, (mats, n) in stacks.items():
+        whole = orbit_engine._apply_matrices(mats, n)
+        assert whole.shape[1] > 96, descriptor
+        for chunk in (1, 3):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(orbit_engine, "_TUPLE_CHUNK", tuples)
-                rows = orbit_engine._apply_matrices(mats, action.modulus)
-            assert rows.dtype == whole.dtype and rows.shape == whole.shape, (descriptor, tuples)
-            assert rows.tobytes() == whole.tobytes(), (descriptor, tuples)
-        assert (np.sort(whole, axis=1) == np.arange(action.size)).all(), descriptor
+                patch.setattr(orbit_engine, "_MATRIX_CHUNK", chunk)
+                rows = orbit_engine._apply_matrices(mats, n)
+            assert rows.dtype == whole.dtype and rows.shape == whole.shape, (descriptor, chunk)
+            assert rows.tobytes() == whole.tobytes(), (descriptor, chunk)
+        assert (np.sort(whole, axis=1) == np.arange(whole.shape[1])).all(), descriptor
 
 
 def test_one_row_of_a_million_points_stays_a_few_blocks_above_itself():
@@ -498,10 +501,14 @@ def test_oracle_singleton():
 
 def test_oracle_budget(monkeypatch):
     action = build_units(60)
-    monkeypatch.setattr(orbit_engine, "TUPLE_BUDGET", 10**5)
+    monkeypatch.setattr(orbit_oracle, "TUPLE_BUDGET", 10**5)
     with pytest.raises(CapacityError, match="needs 12960000 tuples, budget is 100000"):
         orbit_count_oracle(action, 4)
     assert orbit_count_oracle(action, 2) == mk(60, 2)
+    # the same patch moves build_glm's refusal of a generator-only action
+    monkeypatch.setattr(orbit_oracle, "TUPLE_BUDGET", 215)
+    with pytest.raises(CapacityError, match="needs 216 points for the orbit oracle"):
+        build_action("glm:6,3")
 
 
 def test_oracle_on_generator_only_glm():
@@ -550,22 +557,22 @@ def test_burnside_equals_oracle_on_random_actions(gens):
     # blocks of at most 4 tuples: sizes 5 and 6 have no trailing digit, 3 and 4
     # one, 2 two, and 1 only trailing ones, so every sweep crosses blocks
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(orbit_engine, "_TUPLE_CHUNK", 4)
+        patch.setattr(orbit_oracle, "_TUPLE_CHUNK", 4)
         for k in (1, 2, 3):
-            labels = orbit_engine._orbit_labels(generators, size, k)
+            labels = orbit_oracle._orbit_labels(generators, size, k)
             assert labels.tolist() == tuple_orbit_minima(gens, size, k), k
             assert orbit_count_oracle(bare, k) == burnside_moment(action, k), k
 
 
 def test_oracle_across_many_blocks(monkeypatch):
     # blocks of at most 2**10 tuples: 54 to 256 blocks a sweep, the last one of units:60 short
-    monkeypatch.setattr(orbit_engine, "_TUPLE_CHUNK", 2**10)
+    monkeypatch.setattr(orbit_oracle, "_TUPLE_CHUNK", 2**10)
     units, quad, glm = (build_action(d) for d in ("units:60", "quad:8,-1", "glm:6,3"))
     assert orbit_count_oracle(units, 3) == burnside_moment(units, 3) == mk(60, 3)
     assert orbit_count_oracle(quad, 3) == burnside_moment(quad, 3) == 9556
     assert orbit_count_oracle(glm, 2) == 30
     for action, k in ((units, 2), (quad, 2), (glm, 1)):
-        labels = orbit_engine._orbit_labels(action.generators, action.size, k)
+        labels = orbit_oracle._orbit_labels(action.generators, action.size, k)
         assert labels.tolist() == tuple_orbit_minima(action.generators, action.size, k)
 
 
@@ -638,10 +645,15 @@ def test_quad_stacks_match_reference_enumeration():
 
 
 def test_bad_descriptor():
-    with pytest.raises(ValueError):
-        build_action("frobnicate:3")
-    with pytest.raises(ValueError):
-        build_action("units:x")
+    # an unknown kind, a bad number or the wrong count of numbers
+    for descriptor in ("frobnicate:3", "units:x", "units:", "units", "units:3,4", "glm:5", "quad:5"):
+        with pytest.raises(ValueError, match=f"^bad action descriptor '{descriptor}'$"):
+            build_action(descriptor)
+    # a builder's own refusal is not rewritten
+    with pytest.raises(ValueError, match="between 1 and 4"):
+        build_action("glm:5,9")
+    with pytest.raises(ValueError, match="indexed by a prime"):
+        build_action("gl2:4")
 
 
 def test_building_glm_4_3_stays_near_its_candidate_stack():
@@ -859,11 +871,26 @@ def test_glm_4_3_burnside_peak_stays_below_the_candidate_stack():
 def test_orbit_engine_stays_below_the_parser_token_budget():
     # Compiling a module of 4,096 or more parser tokens makes CPython 3.11's
     # parser grow its token array, a compile peak of 256 KB more (1,792 KB
-    # against 1,536 KB of ru_maxrss); every benchmark round imports this
-    # module from source, and an earlier 4,191-token version raised
+    # against 1,536 KB of ru_maxrss); every benchmark round imports these
+    # modules from source, and an earlier 4,191-token orbit_engine raised
     # power-stream peak_rss_mb by 0.3 MB.  Delete as much as you add, or
-    # split the module.
-    with open(orbit_engine.__file__) as fh:
-        tokens = tokenize.generate_tokens(fh.readline)
-        count = sum(t.type not in (tokenize.COMMENT, tokenize.NL) for t in tokens)
-    assert count < 4096, count
+    # split the module again.
+    for module in (orbit_engine, orbit_oracle):
+        with open(module.__file__) as fh:
+            tokens = tokenize.generate_tokens(fh.readline)
+            count = sum(t.type not in (tokenize.COMMENT, tokenize.NL) for t in tokens)
+        assert count < 4096, (module.__name__, count)
+
+
+def test_orbit_oracle_imports_nothing_from_orbit_engine():
+    # the oracle checks the builders' histograms, so it must not reach them
+    with open(orbit_oracle.__file__) as fh:
+        tree = ast.parse(fh.read())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert "core_arith" in names and "numpy" in names, names
+    assert not any("orbit_engine" in name for name in names), names
