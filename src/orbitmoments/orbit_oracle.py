@@ -6,7 +6,8 @@ action's size and its generators (one permutation row per generator), so
 it needs nothing from the builders it checks.  TUPLE_BUDGET bounds the
 tuples it labels, one int32 each (int64 from 2**31 on), and orbit_engine's
 build_glm reads it to refuse a generator-only action with more points.
-Beside the labels, every temporary is one block of _TUPLE_CHUNK tuples.
+Beside the labels, and a boolean mask of the points while the rows are
+checked, every temporary is one block of _TUPLE_CHUNK tuples.
 """
 
 import numpy as np
@@ -26,6 +27,19 @@ def _trailing_digits(n: int, width: int, chunk: int) -> int:
     return t
 
 
+def _check_rows(generators: np.ndarray, size: int) -> None:
+    """Refuse a generator row that is not a permutation of range(size): take
+    with mode="clip" would label through it and miscount without a word."""
+    for i, g in enumerate(generators):
+        hit = np.zeros(size, dtype=bool)
+        if len(g) == size and g.min() >= 0 and g.max() < size:
+            hit[g] = True
+        # count_nonzero, which the oracle runs anyway, not all(): all() would fault in
+        # 64 KB more of numpy's code and raise exact-limits' peak RSS by about 0.1 MB
+        if np.count_nonzero(hit) != size:
+            raise ValueError(f"generator row {i} is not a permutation of range({size})")
+
+
 def _orbit_labels(generators: np.ndarray, size: int, k: int) -> np.ndarray:
     """For every k-tuple index, the least index in its orbit under the group
     the generator rows generate.
@@ -34,17 +48,24 @@ def _orbit_labels(generators: np.ndarray, size: int, k: int) -> np.ndarray:
     on one labels array, int32 while size**k < 2**31, swept in blocks of
     at most _TUPLE_CHUNK tuples: labels fall to those of their images under
     each generator g, then to those of their labels.  With t =
-    _trailing_digits(size, k, _TUPLE_CHUNK), the image of a tuple is
-    head[leading digits] * size**t + tail[trailing digits], two tables
-    made from g once per call (g itself for one digit of int32 rows).  A
-    block's images go into one reused intp buffer and what take reads into
-    one of the labels' dtype, so beside the labels and tables the oracle
-    holds two block buffers.  labels[t] <= t stays in the orbit of t, so
-    labels only fall, and a sweep that keeps their sum changed nothing.
-    Then labels[t] <= labels[g(t)] for every g, equal along each cycle of
-    g, so labels are constant on orbits.  Every image is a tuple index, so
-    take skips its bounds check.
+    _trailing_digits(size, k, _TUPLE_CHUNK), the labels are a grid of
+    size**t-wide rows, one per value of the leading digits, and g sends
+    row r to row head[r] with its columns permuted by tail, two tables made
+    from g once per call in the labels' dtype (g itself for one digit of
+    int32 rows; intp tails would spare take a conversion per block, but
+    cost exact-limits 0.2-0.3 MB of peak RSS).  So the image labels of a
+    block are its rows' image rows, gathered whole, with their columns
+    then gathered through tail, and no image index is ever computed; with
+    no trailing digit the head slice is the image.  Beside the labels and
+    tables the oracle holds two block buffers of the labels' dtype.
+    labels[t] <= t stays in the orbit of t, so labels only fall, and a
+    sweep that keeps their sum changed nothing.  Then labels[t] <=
+    labels[g(t)] for every g, equal along each cycle of g, so labels are
+    constant on orbits.  A row that is not a permutation of range(size)
+    raises ValueError before any labelling, so every index take reads is
+    a tuple's, and take skips its bounds check.
     """
+    _check_rows(generators, size)
     total = size**k
     labels = np.arange(total, dtype=np.int32 if total < 2**31 else np.int64)
 
@@ -55,17 +76,22 @@ def _orbit_labels(generators: np.ndarray, size: int, k: int) -> np.ndarray:
         return v
 
     t = _trailing_digits(size, k, _TUPLE_CHUNK)
-    inner, maps = size**t, [(table(g, k - t), table(g, t)) for g in generators]
-    rows = max(1, _TUPLE_CHUNK // inner)
-    images, taken = np.empty((rows, inner), dtype=np.intp), np.empty((rows, inner), labels.dtype)
+    maps = [(table(g, k - t), table(g, t)) for g in generators]
+    inner = size**t
+    grid, rows = labels.reshape(-1, inner), max(1, _TUPLE_CHUNK // inner)
+    gathered, taken = np.empty((2, rows, inner), labels.dtype)
     while True:
         before = int(labels.sum())
-        for lo in range(0, total // inner, rows):
-            block = labels[lo * inner : (lo + rows) * inner].reshape(-1, inner)
-            image, seen = images[: len(block)], taken[: len(block)]
+        for lo in range(0, len(grid), rows):
+            block = grid[lo : lo + rows]
+            image, seen = gathered[: len(block)], taken[: len(block)]
             for head, tail in maps:
-                np.add(np.multiply(head[lo : lo + rows, None], inner, out=image), tail, out=image)
-                np.minimum(block, labels.take(image, out=seen, mode="clip"), out=block)
+                if t:
+                    grid.take(head[lo : lo + rows], axis=0, out=image, mode="clip")
+                    image.take(tail, axis=1, out=seen, mode="clip")
+                else:
+                    labels.take(head[lo : lo + rows], out=seen[:, 0], mode="clip")
+                np.minimum(block, seen, out=block)
             block[:] = labels.take(block, out=seen, mode="clip")
         if int(labels.sum()) == before:
             return labels

@@ -24,6 +24,7 @@ from orbitmoments.closed_forms import dk, gl2_masses, gl2_moment, mk
 from orbitmoments.core_arith import CapacityError, divisor_count
 from orbitmoments.orbit_engine import (
     PermutationAction,
+    _enumerate_glm_matrices,
     _kernel_sizes,
     build_action,
     build_gl2,
@@ -576,6 +577,37 @@ def test_oracle_across_many_blocks(monkeypatch):
         assert labels.tolist() == tuple_orbit_minima(action.generators, action.size, k)
 
 
+def test_oracle_refuses_rows_that_are_not_permutations():
+    # take(mode="clip") would count 2, 3 and 1 orbits at k = 1 through these
+    # rows, and give point 0 an orbit of 1 under the second
+    good = [1, 2, 0]
+    for bad in ([1, 0, 7], [1, 1, 2], [2, -1, 0]):
+        for rows, index in (([bad], 0), ([good, bad], 1)):
+            action = PermutationAction(3, 2, lambda rows=rows: np.array(rows))
+            message = rf"^generator row {index} is not a permutation of range\(3\)$"
+            for k in (1, 2):
+                with pytest.raises(ValueError, match=message):
+                    orbit_count_oracle(action, k)
+            with pytest.raises(ValueError, match=message):
+                orbit_size(action, 0)
+    assert orbit_count_oracle(PermutationAction(3, 3, lambda: np.array([good])), 1) == 1
+
+
+def test_oracle_on_a_million_points_keeps_its_heads_in_the_labels_dtype():
+    action = build_action("units:999983")
+    assert action.generators.dtype == np.int32 and len(action.generators) == 2
+    tracemalloc.start()
+    try:
+        value = orbit_count_oracle(action, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 2
+    # with no trailing digit each int32 row is its own head, read a block at a
+    # time; an intp copy of one row would add 8 MB to the 4 MB of int32 labels
+    assert peak < 2 * 4 * action.size, peak
+
+
 def test_orbit_sizes_are_psi():
     from orbitmoments.core_arith import divisors
 
@@ -611,21 +643,31 @@ def test_predicted_distribution_units_mean():
         assert sum(Fraction(m) * mass for m, mass in dist.items()) == divisor_count(n)
 
 
-def test_vectorized_enumeration_matches_reference_enumeration():
+def _check_enumeration(n: int, m: int) -> None:
     # the action builder's vectorized scan and the generator in
     # oracles must produce the same matrices in the same order
-    from orbitmoments.orbit_engine import _enumerate_glm_matrices
+    mats = _enumerate_glm_matrices(n, m)
+    vectorized = [tuple(tuple(int(v) for v in row) for row in mat) for mat in mats]
+    reference = [mat.entries for mat in enumerate_glm(n, m)]
+    assert vectorized == reference, (n, m)
+    # entries lie in [0, n): the dtype of a permutation of n points
+    dtype = np.uint8 if n <= 2**8 else np.uint16 if n <= 2**16 else np.int32
+    assert mats.dtype == dtype, (n, m)
 
-    for n, m in ((3, 2), (4, 2), (2, 3), (6, 2), (9, 2), (12, 1), (1, 2), (997, 1), (70000, 1)):
-        mats = _enumerate_glm_matrices(n, m)
-        vectorized = [tuple(tuple(int(v) for v in row) for row in mat) for mat in mats]
-        reference = [mat.entries for mat in enumerate_glm(n, m)]
-        assert vectorized == reference, (n, m)
-        # entries lie in [0, n): the dtype of a permutation of n points
-        dtype = np.uint8 if n <= 2**8 else np.uint16 if n <= 2**16 else np.int32
-        assert mats.dtype == dtype, (n, m)
+
+def test_vectorized_enumeration_matches_reference_enumeration():
+    # glm:3,3 spans three blocks of candidates
+    cases = ((3, 2), (4, 2), (2, 3), (3, 3), (6, 2), (9, 2), (12, 1), (1, 2), (997, 1), (70000, 1))
+    for n, m in cases:
+        _check_enumeration(n, m)
     # past 2**16 the int32 stack still gives mk's moment
     assert burnside_moment(build_units(70000), 2) == mk(70000, 2)
+
+
+@pytest.mark.slow
+def test_vectorized_enumeration_matches_reference_enumeration_for_glm_4_3():
+    # its 4**9 candidates come in 32 blocks; the reference takes about 1.5 s
+    _check_enumeration(4, 3)
 
 
 def test_quad_stacks_match_reference_enumeration():
