@@ -118,6 +118,7 @@ def _cmd_moment(args, fmt: str) -> int:
         print(json.dumps(report.to_json_dict(), sort_keys=True))
         return 0
     print(f"scenario:  {report.scenario}")
+    print(f"path:      {report.path}")
     print(
         f"k={report.k}  x={report.x}  pi(x)={report.pi_x}  "
         f"excluded={report.excluded}  filtered={report.filtered}  "

@@ -117,6 +117,67 @@ def prime_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
             yield primes
 
 
+def grid_column(x: int, v: int) -> int | None:
+    """The column of v in class_prime_counts(x, m), or None when v is past
+    isqrt(x) and is not x // i for any i."""
+    r = math.isqrt(x)
+    if v <= r:
+        return v
+    j = x // v
+    return r + 1 + x // (r + 1) - j if x // j == v else None
+
+
+@lru_cache(maxsize=1)
+def class_prime_counts(x: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(residues, counts) with counts[i, grid_column(x, v)] = pi(v; m, residues[i]).
+
+    residues are the classes prime to m, ascending.  The columns run over
+    the grid 0, 1, ..., r = isqrt(x), then x // j for j = x // (r + 1) down
+    to 1, which holds every x // i.  Lucy's recursion carried per class: a
+    row starts as the count of the integers 2 <= k <= v in its class, and
+    each prime p <= r that does not divide m takes from the columns v >=
+    p*p of class c the numbers p*k with k >= p and no prime factor below
+    p, which class c / p holds at v // p less its primes below p.  The
+    column of v // p is v // p while that is at most r, and -j*p for v = x
+    // j past that.  The primes dividing m lie in no row.  The table holds
+    phi(m) * ~2 sqrt(x) entries, int32 below x = 2**31 and int64 from
+    there, the sieve stops at r, and the last table is cached.
+    """
+    r = math.isqrt(x)
+    n = r + 1 + x // (r + 1)
+    grid = np.arange(n, dtype=np.int32 if x < 1 << 31 else np.int64)
+    grid[r + 1 :] = x // grid[n - r - 1 : 0 : -1]
+    residues = np.flatnonzero(np.gcd(np.arange(m), m) == 1)
+    counts = grid - np.where(residues == 0, m, residues).astype(grid.dtype)[:, None]
+    counts //= m
+    counts += 1
+    counts[residues == 1 % m] -= 1
+    counts[:, 0] = 0
+    flat = counts.reshape(-1)
+    row = np.zeros(m, dtype=np.int64)
+    row[residues] = np.arange(0, residues.size * n, n)
+    rows_over = {}  # p mod m -> where flat holds the row of class c / p, for each row c
+    block = max(1, (1 << 17) // residues.size)  # columns per step: temporaries of ~1 MB
+    odd = _odd_base(r.bit_length())
+    for p in [2, *odd[odd <= r].tolist()] if r > 1 else ():
+        if m % p == 0:
+            continue
+        over = rows_over.get(p % m)
+        if over is None:
+            over = rows_over[p % m] = row[residues * pow(p, -1, m) % m][:, None]
+        start = p * p if p * p <= r else n - x // (p * p)
+        split = max(start, n - x // ((r + 1) * p))  # v // p > r from here on
+        # v // p < v, so stepping down the columns, each step reads only
+        # columns no earlier step of p has written
+        for hi in range(n, start, -block):
+            lo = max(start, hi - block)
+            mid = min(max(lo, split), hi)
+            counts[:, mid:hi] -= flat[over + np.arange(n - p * (n - mid), n - p * (n - hi), p)]
+            counts[:, lo:mid] -= flat[over + grid[lo:mid] // p]
+        counts[:, start:] += flat[over + (p - 1)]
+    return residues, counts
+
+
 def _rho_factor(n: int) -> int:
     """A proper factor of a composite n, by Pollard-Brent rho.
 

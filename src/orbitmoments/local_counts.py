@@ -141,7 +141,8 @@ def count_roots_array(eq: PowerEquation, primes: np.ndarray) -> np.ndarray:
     if primes.size and primes.max() < POW_ARRAY_LIMIT and fits:
         m = _class_modulus(eq)
         if 0 < m <= RESIDUE_TABLE_LIMIT:
-            counts = _class_table(eq)[primes % m]
+            counts = primes % m
+            _class_table(eq).take(counts, out=counts, mode="clip")  # in place: no second temporary
         else:
             d = np.gcd(primes - 1, n)
             counts = d if a == 1 else np.where(d > 1, -d, 1)

@@ -58,6 +58,10 @@ def test_criterion_6_power_moment_at_1e8():
     assert report.predicted == mk(6, 2)
     print(f"x^6-1 k=2 x=10**8: empirical={float(report.empirical):.6f} rel_err={report.rel_err:.2e}")
     assert report.rel_err <= TOL_POWER
+    # the sums the prime stream gave, pi(10**8) = 5761455 = 3 * 1920485
+    assert (report.pi_x, report.empirical) == (5761455, Fraction(38407452, 1920485))
+    octic = empirical_moment(PowerCounter(PowerEquation(8, 1)), 2, 10**8)
+    assert octic.empirical == Fraction(126730424, 5761455)
 
 
 @pytest.mark.slow

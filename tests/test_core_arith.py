@@ -11,9 +11,11 @@ from orbitmoments.core_arith import (
     POW_ARRAY_LIMIT,
     SIEVE_SEGMENT,
     _simple_sieve,
+    class_prime_counts,
     divisor_count,
     divisors,
     factorize,
+    grid_column,
     is_prime,
     kronecker_array,
     kronecker_symbol,
@@ -87,6 +89,41 @@ def test_prime_segments_match_simple_sieve():
             check(lo, hi)
     assert len(list(prime_segments(2, edge))) == 1
     assert len(list(prime_segments(2, edge + 2))) == 2  # edge + 1 = 262147 is prime
+
+
+@pytest.mark.parametrize("x", [2, 3, 4, 5, 10, 11, 97, 100, 1000, 12_345, 10**6])
+def test_class_prime_counts_match_the_sieve(x):
+    # every column of the grid, against the sieve's primes sorted into classes
+    primes = _simple_sieve(x)
+    grid = {x // i for i in range(1, math.isqrt(x) + 1)} | set(range(math.isqrt(x) + 1))
+    grid = np.array(sorted(grid))
+    below = np.searchsorted(primes, grid, side="right")  # pi(v) for each v on the grid
+    for m in (1, 2, 3, 4, 6, 7, 8, 12, 30, 49, 240):
+        residues, counts = class_prime_counts(x, m)
+        assert residues.tolist() == [c for c in range(m) if math.gcd(c, m) == 1]
+        columns = [grid_column(x, v) for v in grid.tolist()]
+        for row, c in zip(counts.tolist(), residues.tolist()):
+            in_class = np.concatenate([[0], np.cumsum(primes % m == c)])
+            assert [row[j] for j in columns] == in_class[below].tolist(), (m, c)
+        # the classes prime to m and the primes dividing m make up pi(x)
+        dividing = sum(1 for p, _ in factorize(m) if p <= x)
+        assert int(counts[:, grid_column(x, x)].sum()) + dividing == primes.size, m
+
+
+def test_grid_column_refuses_values_off_the_grid():
+    x = 10**6
+    # isqrt(x) = 1000 columns past 0, then x // j for j = 999 down to 1
+    assert grid_column(x, 1000) == 1000 and grid_column(x, 1001) == 1001
+    assert grid_column(x, 5000) is not None and grid_column(x, 5001) is None
+    assert grid_column(x, x // 7) is not None and grid_column(x, x // 7 + 1) is None
+    assert [grid_column(x, v) for v in (x // 2, x)] == [1998, 1999]
+
+
+def test_class_prime_counts_at_1e9():
+    residues, counts = class_prime_counts(10**9, 8)
+    assert residues.tolist() == [1, 3, 5, 7]
+    assert int(counts[:, -1].sum()) + 1 == 50_847_534
+    assert int(counts[:, grid_column(10**9, 10**8)].sum()) + 1 == 5_761_455
 
 
 def test_prime_segments_random_partition():

@@ -5,6 +5,7 @@ import math
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import primes_between
-from orbitmoments import moment_lab
+from orbitmoments import moment_lab, orbit_engine
 from orbitmoments.closed_forms import (
     cm_moment,
     dk,
@@ -427,7 +428,8 @@ def test_power_kernel_across_int64_limit():
             assert count_roots_array(eq, chunk).tolist() == want, eq
 
 
-def test_stream_memory_stays_bounded():
+def test_stream_memory_stays_bounded(monkeypatch):
+    monkeypatch.setattr(moment_lab, "_class_runs", lambda counter, xs: None)
     tracemalloc.start()
     try:
         empirical_moment(PowerCounter(PowerEquation(6, 1)), 2, 10**7)
@@ -837,10 +839,10 @@ def test_memo_hit_does_no_kernel_work(monkeypatch):
     assert warm == empirical_moment(torsion, 2, 20_000)
 
     # a trace after a moment to the same x values only the pieces cut at its
-    # marks: [7, 1001) and [1001, edge) of the first segment, and the second
-    # segment cut at 300,001; both streams cut [2, 7) at the exclusion bound
-    # 6, and the third segment ends at x + 1 both times
-    power = PowerCounter(PowerEquation(6, 1))
+    # marks: [25, 1001) and [1001, edge) of the first segment, and the second
+    # segment cut at 300,001; both streams cut [2, 25) at the exclusion bound
+    # 24, and the third segment ends at x + 1 both times
+    power = PowerCounter(PowerEquation(8, 3))
     edge = 2 + SIEVE_SEGMENT
     empirical_moment(power, 2, 600_000)
     valued.clear()
@@ -848,7 +850,7 @@ def test_memo_hit_does_no_kernel_work(monkeypatch):
     assert len(valued) == 4
     assert max(int(primes.max()) for primes in valued) < edge + SIEVE_SEGMENT
     assert sum(primes.size for primes in valued) == sum(
-        1 for p in primes_between(7, edge + SIEVE_SEGMENT) if 6 % p
+        1 for p in primes_between(25, edge + SIEVE_SEGMENT) if 24 % p
     )
 
 
@@ -867,12 +869,158 @@ def test_memo_holds_at_most_its_bound(monkeypatch):
 def test_memo_of_a_stream_to_1e8_stays_small():
     tracemalloc.start()
     try:
-        empirical_moment(PowerCounter(PowerEquation(6, 1)), 2, 10**8)
+        empirical_moment(PowerCounter(PowerEquation(8, 3)), 2, 10**8)
         pieces = moment_lab._piece.cache_info().currsize
         held, _ = tracemalloc.get_traced_memory()
         clear_stream_memo()
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert pieces <= moment_lab.STREAM_MEMO_PIECES
+    # [2, 25) up to the exclusion bound 24, then the 382 segments of the grid
+    # that reach 10**8 + 1, the first of them from 25
+    assert pieces == 383 <= moment_lab.STREAM_MEMO_PIECES
     assert 0 < freed < 4 * 2**20, freed
+
+
+# ---------------------------------------------------------------------------
+# Class counts: counters whose N_p is read off p mod L, with the stream as the oracle.
+
+
+def _on_both_paths(monkeypatch, run):
+    """run() with the class counts forced, then with the stream forced."""
+    with monkeypatch.context() as patch:
+        patch.setattr(moment_lab, "_class_cost", lambda x, phi: 0)
+        classes = run()
+    clear_stream_memo()
+    with monkeypatch.context() as patch:
+        patch.setattr(moment_lab, "_class_runs", lambda counter, xs: None)
+        stream = run()
+    return classes, stream
+
+
+def _assert_paths_agree(classes, stream):
+    classes, stream = list(classes), list(stream)
+    assert [r.path for r in classes] == ["classes"] * len(classes)
+    assert [r.path for r in stream] == ["stream"] * len(stream)
+    assert [replace(r, path="stream") for r in classes] == stream
+
+
+def _class_modulus_of(counter) -> int:
+    return moment_lab._class_values(counter)[0]
+
+
+def test_class_path_equals_the_stream_for_x_n_minus_1(monkeypatch):
+    for n in range(1, 31):
+        counter = PowerCounter(PowerEquation(n, 1))
+        m = _class_modulus_of(counter)
+        assert m == n
+        for x in sorted({2, 3, m - 1, m, m + 1, 10**4, 10**6} - {0, 1}):
+            reports = _on_both_paths(monkeypatch, lambda: [empirical_moment(counter, 2, x)])
+            _assert_paths_agree(*reports)
+
+
+def test_class_path_equals_the_stream_for_x2_minus_a(monkeypatch):
+    # the split filters fold in as classes mod lcm(M, 4|disc|)
+    filters = (None,) + tuple(
+        f(QuadOrderSpec(d)) for d in (-1, -3) for f in (SplitFilter.split, SplitFilter.nonsplit)
+    )
+    counters = [PowerCounter(PowerEquation(2, a), f) for a in (2, 3, 5, 6, 7, 10) for f in filters]
+    counters.append(PowerProductCounter(PowerEquation(2, 5), 2, 1))
+    for counter in counters:
+        m = _class_modulus_of(counter)
+        for x in (2, 3, m - 1, m, m + 1, 10**4, 10**6):
+            for k in (0, 2):
+                reports = _on_both_paths(monkeypatch, lambda: [empirical_moment(counter, k, x)])
+                _assert_paths_agree(*reports)
+    assert {_class_modulus_of(c) for c in counters} >= {8, 12, 24, 40, 120}
+
+
+def test_class_path_books_good_only_and_distributions_as_the_stream(monkeypatch):
+    counter = PowerCounter(PowerEquation(2, 5), SplitFilter.nonsplit(GAUSS))
+    reports = _on_both_paths(monkeypatch, lambda: [empirical_moment(counter, 3, 10**5, True)])
+    _assert_paths_agree(*reports)
+    assert reports[0][0].excluded == 2 and reports[0][0].filtered > 0
+    dists = _on_both_paths(monkeypatch, lambda: empirical_distribution(counter, 10**5, (0.5,)))
+    assert dists[0] == dists[1]
+
+
+def test_class_trace_reads_checkpoints_on_and_off_the_grid(monkeypatch):
+    # 10**5 = 10**6 // 10 lies on the grid of the run at 10**6, and 5001 does
+    # not, so it takes a run of its own, which holds 1000 = 5001 // 5
+    counter = PowerCounter(PowerEquation(8, 1))
+    checkpoints = [1000, 5001, 10**5, 10**6]
+    runs = []
+
+    def trace():
+        misses = moment_lab.class_prime_counts.cache_info().misses
+        reports = convergence_trace(counter, 2, checkpoints)
+        runs.append(moment_lab.class_prime_counts.cache_info().misses - misses)
+        return reports
+
+    _assert_paths_agree(*_on_both_paths(monkeypatch, trace))
+    assert runs == [2, 0]
+    monkeypatch.setattr(moment_lab, "_class_cost", lambda x, phi: 0)
+    _, _, tops = moment_lab._class_runs(counter, checkpoints)
+    assert tops == [(1000, 5001), (5001, 5001), (10**5, 10**6), (10**6, 10**6)]
+
+
+def test_class_trace_after_a_moment_to_its_bound_runs_nothing_again():
+    counter = PowerCounter(PowerEquation(6, 1))
+    moment = empirical_moment(counter, 2, 10**7)
+    misses = moment_lab.class_prime_counts.cache_info().misses
+    trace = convergence_trace(counter, 2, [10**5, 10**6, 10**7])
+    assert moment_lab.class_prime_counts.cache_info().misses == misses == 1
+    assert moment.path == "classes" and trace[-1] == moment
+    assert [r.pi_x for r in trace] == [9592, 78498, 664579]
+    clear_stream_memo()
+    assert moment_lab.class_prime_counts.cache_info().currsize == 0
+
+
+def test_rule_sends_only_class_determined_counters_to_the_classes():
+    def path(counter, x):
+        return "stream" if moment_lab._class_runs(counter, [x]) is None else "classes"
+
+    cheap = (
+        PowerCounter(PowerEquation(6, 1)),
+        PowerCounter(PowerEquation(8, 1)),
+        PowerCounter(PowerEquation(2, 5), SplitFilter.split(GAUSS)),
+        PowerProductCounter(PowerEquation(2, 3), 1, 2),
+    )
+    assert [path(c, 10**8) for c in cheap] == ["classes"] * 4
+    # below the crossover the stream is cheaper, and so it is for a modulus
+    # with many classes
+    assert [path(c, 10**4) for c in cheap] == ["stream"] * 4
+    assert path(PowerCounter(PowerEquation(6, 1)), 10**7) == "classes"
+    assert path(PowerCounter(PowerEquation(240, 1)), 10**7) == "stream"
+    # x**8 - 3 needs Euler's criterion where (3|p) = 1, x**3 - 2 where p = 1
+    # mod 3, x - 5 excludes 5, which divides no modulus, and torsion is no class count
+    others = (
+        PowerCounter(PowerEquation(8, 3)),
+        PowerCounter(PowerEquation(3, 2)),
+        PowerCounter(PowerEquation(1, 5)),
+        PowerCounter(PowerEquation(10**12 + 39, 1)),
+        TorsionCounter(CURVE_PRESETS["17a3"], 3),
+    )
+    assert [moment_lab._class_values(c) for c in others] == [None] * len(others)
+
+
+def test_entry_budget_sends_the_counter_to_the_stream(monkeypatch):
+    counter = PowerCounter(PowerEquation(6, 1))
+    classes = empirical_moment(counter, 2, 10**7)
+    clear_stream_memo()
+    # phi(6) = 2 rows of 3162 + 1 + 3161 columns
+    monkeypatch.setattr(orbit_engine, "ENTRY_BUDGET", 2 * 6324 - 1)
+    stream = empirical_moment(counter, 2, 10**7)
+    _assert_paths_agree([classes], [stream])
+    monkeypatch.setattr(orbit_engine, "ENTRY_BUDGET", 2 * 6324)
+    assert empirical_moment(counter, 2, 10**7).path == "classes"
+
+
+def test_report_path_roundtrips_through_json():
+    report = empirical_moment(PowerCounter(PowerEquation(6, 1)), 2, 10**7)
+    blob = json.loads(json.dumps(report.to_json_dict()))
+    assert blob["path"] == "classes"
+    assert report_from_json_dict(blob) == report
+    # JSON written before the path existed reads back as a stream
+    del blob["path"]
+    assert report_from_json_dict(blob) == replace(report, path="stream")
