@@ -18,6 +18,7 @@ from .closed_forms import dk, mk
 from .core_arith import CapacityError
 from .local_counts import PowerEquation, parse_curve
 from .moment_lab import (
+    DistributionReport,
     PowerCounter,
     PowerProductCounter,
     SplitFilter,
@@ -131,36 +132,57 @@ def _cmd_moment(args, fmt: str) -> int:
     return 0
 
 
+def distribution_to_json_dict(dist: DistributionReport) -> dict:
+    """The --format json payload of dist; distribution_from_json_dict reads it back."""
+    return {
+        "scenario": dist.scenario,
+        "x": dist.x,
+        "pi_x": dist.pi_x,
+        "excluded": dist.excluded,
+        "filtered": dist.filtered,
+        "masses": {str(v): [m.numerator, m.denominator] for v, m in dist.masses.items()},
+        "cdf": [[v, c.numerator, c.denominator] for v, c in dist.cdf],
+        "predicted": None
+        if dist.predicted_masses is None
+        else {
+            str(v): [m.numerator, m.denominator] for v, m in dist.predicted_masses.items()
+        },
+        "char_samples": {str(t): [z.real, z.imag] for t, z in dist.char_samples.items()},
+        "path": dist.path,
+    }
+
+
+def distribution_from_json_dict(data: dict) -> DistributionReport:
+    """The report a dist payload was written from; one without path, as
+    written before reports named it, reads back as "stream"."""
+    predicted = data["predicted"]
+    return DistributionReport(
+        scenario=data["scenario"],
+        x=data["x"],
+        pi_x=data["pi_x"],
+        masses={int(v): Fraction(*m) for v, m in data["masses"].items()},
+        cdf=[(v, Fraction(num, den)) for v, num, den in data["cdf"]],
+        predicted_masses=None
+        if predicted is None
+        else {int(v): Fraction(*m) for v, m in predicted.items()},
+        char_samples={float(t): complex(*z) for t, z in data["char_samples"].items()},
+        excluded=data["excluded"],
+        filtered=data["filtered"],
+        path=data.get("path", "stream"),
+    )
+
+
 def _cmd_dist(args, fmt: str) -> int:
     counter = _build_counter(args)
     dist = empirical_distribution(counter, args.x, t_values=tuple(args.t or ()))
     if fmt == "json":
-        payload = {
-            "scenario": dist.scenario,
-            "x": dist.x,
-            "pi_x": dist.pi_x,
-            "excluded": dist.excluded,
-            "filtered": dist.filtered,
-            "masses": {
-                str(v): [m.numerator, m.denominator] for v, m in dist.masses.items()
-            },
-            "cdf": [[v, c.numerator, c.denominator] for v, c in dist.cdf],
-            "predicted": None
-            if dist.predicted_masses is None
-            else {
-                str(v): [m.numerator, m.denominator]
-                for v, m in dist.predicted_masses.items()
-            },
-            "char_samples": {
-                str(t): [z.real, z.imag] for t, z in dist.char_samples.items()
-            },
-        }
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(distribution_to_json_dict(dist), sort_keys=True))
         return 0
     print(
         f"scenario: {dist.scenario}   x={dist.x}  pi(x)={dist.pi_x}  "
         f"excluded={dist.excluded}  filtered={dist.filtered}"
     )
+    print(f"path:     {dist.path}")
     predicted = dist.predicted_masses or {}
     for v in sorted(dist.masses.keys() | predicted.keys()):
         note = f"   predicted {_fmt_rational(predicted[v], fmt)}" if v in predicted else ""

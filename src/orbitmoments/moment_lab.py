@@ -535,7 +535,7 @@ def empirical_moment(
 class DistributionReport:
     """The masses of N_p over p <= x.  masses[0] holds the excluded and the
     filtered primes, as MomentReport.histogram[0] does, with the valued
-    primes at N_p = 0."""
+    primes at N_p = 0; path is MomentReport's."""
 
     scenario: str
     x: int
@@ -546,6 +546,7 @@ class DistributionReport:
     char_samples: dict[float, complex]
     excluded: int
     filtered: int
+    path: str = "stream"
 
     def mass(self, value: int) -> Fraction:
         return self.masses.get(value, Fraction(0))
@@ -581,6 +582,7 @@ def empirical_distribution(
         char_samples=samples,
         excluded=tally.excluded,
         filtered=tally.filtered,
+        path=tally.path,
     )
 
 

@@ -1,36 +1,29 @@
 """Finite group actions and exact orbit counting.
 
-The k-th moment of an action is the number of orbits on k-tuples.  For a
-materialized action it is evaluated through the fixed-point histogram
-(average of chi(g)**k over the group); actions too large to materialize
-keep a generating set and fall back to the orbit oracle (orbit_oracle),
-which counts the same number on the tuple space from its definition.  A
-matrix action keeps its element matrices and reads its histogram off the
-invariant factors of g - I; semidirect keeps only its histogram, in
-closed form from that of units:n, whose generators it also reuses.  No
-action keeps a permutation table: perms builds one for a matrix action
-on request, and the generators' permutation rows, which the orbit oracle
-and orbit_size read, are built when first read.  units and quad list
-every element through one lister (_list_matrices); each element is
-determined by the point it sends e_1 to, so _generating_rows walks those
-points to keep a few elements and their rows, and the rows are the
-generators.  glm with m >= 2 reads its diagonal scalings off those of
-units:n.
+The k-th moment of an action is the number of orbits on k-tuples.  A
+materialized action evaluates it through the fixed-point histogram (the
+average of chi(g)**k over the group); an action too large to materialize
+keeps a generating set, on whose tuple space the orbit oracle
+(orbit_oracle) counts the same number.  A matrix action keeps its element
+matrices and reads its histogram off the minors of g - I; semidirect keeps
+only its histogram, read off that of units:n, as are its generators.  No
+action keeps a permutation table: perms builds one for a matrix action on
+request, and generator rows are built when first read.  units and quad
+list every element (_list_matrices) and walk their points for generators
+(_generating_rows); glm with m >= 2 reads its scalings off units:n.
 
 Three budgets bound memory, each checked before what it bounds is made.
-This module owns two: ELEMENT_BUDGET the candidates _list_matrices scans
-(n for units and semidirect, n**2 for quad, n**(m*m) for glm), and
-ENTRY_BUDGET the entries of every permutation table (_check_table).  The
-third, orbit_oracle.TUPLE_BUDGET, bounds the tuples the oracle labels;
-build_glm reads it at call time to refuse a generator-only action with
-more points.  glm with m >= 2 lists its elements only when order <=
-ELEMENT_BUDGET and order * size <= ENTRY_BUDGET; that second clause
-bounds no table, since none is kept, and is a cost policy that keeps the
-histogram of a listed action cheap.  units (glm with m = 1) and quad
+This module owns ELEMENT_BUDGET, the candidates _list_matrices scans (n
+for units and semidirect, n**2 for quad, n**(m*m) for glm), and
+ENTRY_BUDGET, the entries of every permutation table (_check_table).
+build_glm reads the third, orbit_oracle.TUPLE_BUDGET on the tuples the
+oracle labels, at call time to refuse a generator-only action with more
+points.  glm with m >= 2 lists its elements only when order <=
+ELEMENT_BUDGET and order * size <= ENTRY_BUDGET, a cost policy (no table
+is kept) that keeps its histogram cheap; units (glm with m = 1) and quad
 always list theirs.
 
-Past what the budgets bound (the element stack, the rows a caller asks
-for), every temporary is one block long, whatever the size of the group:
+Past what the budgets bound, every temporary is one block long:
 _list_matrices and fixed_point_histogram take _MATRIX_CHUNK matrices a
 step (fewer for m >= 3), and _apply_matrices 32 * _MATRIX_CHUNK images.
 """
@@ -38,7 +31,7 @@ step (fewer for m >= 3), and _apply_matrices 32 * _MATRIX_CHUNK images.
 from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
@@ -65,13 +58,11 @@ def _perm_dtype(size: int):
 class PermutationAction:
     """A finite group acting on {0, ..., size-1}.
 
-    A materialized group keeps either matrices, the (order, m, m) stack of
-    its elements acting on (Z/modulus)**m, or histogram, its fixed-point
-    histogram; fixed_point_histogram fills histogram in for a matrix
-    action.  An action that keeps neither has only its generating set.
-    generator_rows() returns one permutation row per generator, and the
-    rows always generate the full group; generators calls it once, when
-    first read.
+    A materialized group keeps matrices, the (order, m, m) stack of its
+    elements acting on (Z/modulus)**m, or histogram, its fixed-point
+    histogram, which fixed_point_histogram fills in for a matrix action; an
+    action with neither has only generator_rows(), one permutation row per
+    generator, which generators calls once, when first read.
     """
 
     size: int
@@ -113,11 +104,9 @@ def build_semidirect(n: int) -> PermutationAction:
     """Pairs (b, d) with d a unit, acting on (i, j) by (b + i*d, j*d); point
     index = i*n + j.
 
-    (b, d) fixes (i, j) when i*(d - 1) = -b and j*(d - 1) = 0 mod n.  With
-    g = gcd(d - 1, n), that has g**2 solutions when g | b and none
-    otherwise, so each unit d gives n/g elements fixing g**2 points and
-    n - n/g fixing none.  The unit d fixes g points of Z/n, so the
-    histogram is read off that of units:n, and the generators are the
+    (b, d) fixes (i, j) when i*(d - 1) = -b and j*(d - 1) = 0 mod n: with
+    g = gcd(d - 1, n), the points that the unit d fixes in Z/n, n/g of the
+    (b, d) fix g**2 points and n - n/g fix none.  The generators are the
     translation (1, 1) and (0, u) for each generator u of units:n.
     """
     units, hist = build_units(n), Counter()
@@ -144,11 +133,10 @@ def build_quad_units(n: int, d: int) -> PermutationAction:
     """(O_K/nO_K)^x acting on O_K/nO_K by multiplication.
 
     Multiplication by u = a + b*omega is the matrix [[a, s*b], [b, a + t*b]]
-    on the basis (1, omega), and the units are the pairs (a, b), in (a, b)
-    order, whose matrix _list_matrices keeps: |(O_K/n)^x| of them
-    (quad_unit_order).  The point x + y*omega has index x + y*n, as for
-    glm:n,2.  The generator rows are those _generating_rows walks the units
-    for; orbit counts do not depend on how points or elements are numbered.
+    on the basis (1, omega); _list_matrices keeps those of the units, in
+    (a, b) order, |(O_K/n)^x| of them (quad_unit_order).  The point
+    x + y*omega has index x + y*n, as for glm:n,2.  The generator rows are
+    those _generating_rows walks the units for.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -167,9 +155,8 @@ def _apply_matrices(mats: np.ndarray, n: int) -> np.ndarray:
     """Map each matrix of a (k, m, m) stack to the permutation it induces on
     (Z/nZ)**m, where vector v has index sum v_i * n**i.
 
-    The int64 work takes a block of points a step, about 32 * _MATRIX_CHUNK
-    images, so its temporaries stay one block long whatever n**m is; only
-    the rows, of _perm_dtype, are whole."""
+    The int64 work takes a block of about 32 * _MATRIX_CHUNK images a step,
+    whatever n**m is; only the rows, of _perm_dtype, are whole."""
     m, images = mats.shape[1], 32 * _MATRIX_CHUNK
     size = n**m
     _check_table(len(mats), size)
@@ -188,19 +175,15 @@ def _apply_matrices(mats: np.ndarray, n: int) -> np.ndarray:
 def _generating_rows(stack: np.ndarray, n: int, descriptor: str) -> np.ndarray:
     """Permutation rows of a small generating set of the group that stack lists.
 
-    The stack holds every element of a commutative group of m x m matrices
-    mod n in which each element g is determined by the point g e_1, its
-    first column (units and quad: multiplication by u sends 1 to u).  A
-    subgroup H is then the mask of the points H e_1, and the row of g maps
-    the mask of C e_1 to that of C g e_1.  The elements are scanned in
-    order, and one whose point lies outside H is kept and its row built.
-    H then grows to <H, g>, the union of the cosets H g^i, by doubling:
-    with C the cosets for i < s, C and C g^s hold those for i < 2s, until
-    C g^s adds nothing.  Each kept element at least doubles H, so at most
-    log2(order) are kept.  The rows together are one table, checked
-    against ENTRY_BUDGET before each is built.  A walk that reaches more
-    points than the stack has elements raises ArithmeticError: the stack
-    is then not a group.
+    The stack lists a commutative group of m x m matrices mod n in which g
+    is determined by the point g e_1 (units and quad: u sends 1 to u), so a
+    subgroup H is the mask of the points H e_1, and the row of g maps that
+    of C e_1 to that of C g e_1.  Scanned in order, an element whose point
+    lies outside H is kept, its row built, and H grown to <H, g> by
+    doubling: with C the cosets H g^i for i < s, C and C g^s hold those for
+    i < 2s, until C g^s adds nothing.  So at most log2(order) are kept, in
+    one table checked against ENTRY_BUDGET before each row.  A walk that
+    reaches more points than the stack has elements raises ArithmeticError.
     """
     m, size = stack.shape[1], n ** stack.shape[1]
     points = stack[:, 0, 0] if m == 1 else stack[:, 0, 0] + stack[:, 1, 0].astype(np.int32) * n
@@ -225,14 +208,9 @@ def _generating_rows(stack: np.ndarray, n: int, descriptor: str) -> np.ndarray:
 
 
 def _glm_generator_matrices(n: int, m: int) -> np.ndarray:
-    """Elementary transvections plus scalings diag(u, 1, ..., 1) of the first
-    coordinate, as a stack of matrices mod n.
-
-    These generate GL_m(Z/nZ): Gaussian elimination works locally at each
-    prime power, and the determinant is adjusted by the diagonal units.
-    The u run over the generators of units:n, each read off its row as the
-    image of 1.
-    """
+    """Elementary transvections plus diag(u, 1, ..., 1), u over the
+    generators of units:n (the images of 1), as matrices mod n: these
+    generate GL_m(Z/nZ), since elimination works at each prime power."""
     gens = [np.diag([u] + [1] * (m - 1)) for u in build_units(n).generators[:, 1 % n].tolist()]
     for i, j in permutations(range(m), 2):
         gens.append(np.eye(m, dtype=np.int64))
@@ -244,9 +222,8 @@ def build_glm(n: int, m: int) -> PermutationAction:
     """GL_m(Z/nZ) acting on (Z/nZ)**m; vector index = sum v_i * n**i.
 
     Past the listing rule of the module docstring only the generators are
-    kept, and their matrices are made when they are first read.  m = 1
-    always lists its elements, its n candidates having passed
-    ELEMENT_BUDGET, and takes its generator rows from them (_generating_rows).
+    kept, made when first read.  m = 1 always lists its elements, once its
+    n candidates pass ELEMENT_BUDGET, and walks them (_generating_rows).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -278,13 +255,12 @@ def _list_matrices(
     width-digit base-n numbers, in ascending order of those numbers.
 
     entries_of maps the width digit columns, int32 arrays that broadcast
-    together, to the m*m entries in [0, n) of their matrices, row by row,
-    using every digit.  A _lex_blocks block is valued in one broadcast
-    step: a matrix is kept when its det mod n is a unit, read off a table
-    of the n residues.  _det_mod stays below m * n**2 <= m * ELEMENT_BUDGET
-    once m >= 2, so the work is int32.  The kept candidates must fill a
-    stack of _perm_dtype(n) made once at order rows (else ArithmeticError);
-    more than ELEMENT_BUDGET candidates, n**width, raise CapacityError first.
+    together, to the m*m entries in [0, n) of their matrices, row by row.
+    A _lex_blocks block is valued in one broadcast step: a matrix is kept
+    when its det mod n (_det_mod, int32) is a unit.  The kept candidates
+    must fill a stack of _perm_dtype(n) made once at order rows (else
+    ArithmeticError); more than ELEMENT_BUDGET candidates, n**width, raise
+    CapacityError first.
     """
     if n**width > ELEMENT_BUDGET:
         raise CapacityError(n**width, ELEMENT_BUDGET, what="candidate matrices")
@@ -310,11 +286,11 @@ def _lex_blocks(n: int, width: int) -> tuple[Iterator[np.ndarray], np.ndarray]:
     """The width-digit base-n numbers in ascending order, at most
     _MATRIX_CHUNK at a time.
 
-    Returns (blocks, trailing), one digit per row, most significant first,
-    int32.  trailing holds every value of the last _trailing_digits (one
-    empty column when there are none); blocks yields runs of values of the
-    leading digits (one empty column when there are none), and each column
-    of a block stands for itself followed by each of trailing.
+    Returns (blocks, trailing), int32, one digit per row, most significant
+    first: trailing holds every value of the last _trailing_digits, and
+    blocks yields runs of values of the leading digits (either is one empty
+    column when it has no digit); a block column stands for itself followed
+    by each of trailing.
     """
     t = _trailing_digits(n, width, _MATRIX_CHUNK)
     trailing = np.indices((n,) * t, dtype=np.int32).reshape(t, n**t)
@@ -327,12 +303,9 @@ def _lex_blocks(n: int, width: int) -> tuple[Iterator[np.ndarray], np.ndarray]:
 
 
 def _det_mod(rows: list, n: int):
-    """Determinant mod n of the square matrix whose (i, j) entry is rows[i][j].
-
-    Entries are integer arrays in [0, n) that broadcast together.  Cofactor
-    expansion along the first row, reduced mod n at each level, keeps every
-    value below m * n**2.
-    """
+    """Determinant mod n of the matrix whose (i, j) entry is rows[i][j], integer
+    arrays in [0, n) that broadcast together: the expansion along the first
+    row, reduced mod n at each level, keeps every value below m * n**2."""
     m = len(rows)
     if m == 1:
         return rows[0][0] % n
@@ -377,11 +350,10 @@ def fixed_point_histogram(action: PermutationAction) -> dict[int, int]:
     """m -> number of group elements fixing exactly m points, m ascending.
 
     An action built with its histogram returns it; a matrix action counts
-    the fixed points of g as |ker(g - I)| (_kernel_sizes, with g - I in the
-    narrowest signed dtype that holds n), once per action, 4 * _MATRIX_CHUNK
-    // m**2 elements at a time, so a chunk's minors take about what 2 x 2
-    ones would.  Each chunk's sizes, which divide n**m, are counted by
-    value_counts.  A generator-only action raises ValueError.
+    the fixed points of g as |ker(g - I)| (_kernel_sizes) once, on chunks
+    of 4 * _MATRIX_CHUNK // m**2 elements, whose minors take about what
+    2 x 2 ones would, copied entry-major less 1 on their diagonal rows;
+    value_counts counts the sizes.  A generator-only action raises ValueError.
     """
     if action.histogram is None:
         if action.matrices is None:
@@ -389,54 +361,82 @@ def fixed_point_histogram(action: PermutationAction) -> dict[int, int]:
                 f"action {action.descriptor} of order {action.group_order} keeps only its "
                 "generators: its elements were not materialized, so it has no fixed-point histogram"
             )
-        mats, n = action.matrices, action.modulus
-        width = np.min_scalar_type(-n)
-        identity = np.eye(mats.shape[1], dtype=width)
-        hist = Counter()
-        chunk = _MATRIX_CHUNK * 4 // max(mats.shape[1], 2) ** 2
+        mats, n, hist = action.matrices, action.modulus, Counter()
+        m, dtype = mats.shape[1], _minor_plan(mats.shape[1], n)[0]
+        chunk = _MATRIX_CHUNK * 4 // max(m, 2) ** 2
         for lo in range(0, len(mats), chunk):
-            g_minus_i = np.subtract(mats[lo : lo + chunk], identity, dtype=width)
-            hist.update(value_counts(_kernel_sizes(g_minus_i, n)))
+            g_minus_i = mats[lo : lo + chunk].reshape(-1, m * m).T.astype(dtype, order="C")
+            g_minus_i[:: m + 1] -= 1
+            hist.update(value_counts(_kernel_sizes(g_minus_i.T.reshape(-1, m, m), n)))
         action.histogram = dict(sorted(hist.items()))
     return dict(action.histogram)
+
+
+@lru_cache(maxsize=1)
+def _minor_plan(m: int, n: int) -> tuple:
+    """(dtype, prime, _laplace_tables(m)) for m x m stacks mod n.  No minor
+    of entries in (-n, n) passes m! (n-1)**m in absolute value, so the work
+    is int32 while that and n fit, else int64."""
+    bound = factorial(m) * (n - 1) ** m
+    if bound >= 2**63:
+        raise OverflowError(f"{m} x {m} minors of matrices mod {n} can reach {bound}, past int64")
+    return np.int32 if max(bound, n) < 2**31 else np.int64, is_prime(n), _laplace_tables(m)
+
+
+@lru_cache(maxsize=4)
+def _laplace_tables(m: int) -> list[np.ndarray]:
+    """tables[i - 2] builds level i, the i x i minors on rows R and columns C in
+    combinations order: row j pairs entry (R[0], C[j]) with the minor on R[1:]
+    and C less C[j], last j first, so t_0 - (t_1 - ...) expands along R[0]."""
+    tables, at = [], {((r,), (c,)): r * m + c for r in range(m) for c in range(m)}
+    for i in range(2, m + 1):
+        keys = [(r, c) for r in combinations(range(m), i) for c in combinations(range(m), i)]
+        pairs = [
+            [(r[0] * m + c[j], at[r[1:], c[:j] + c[j + 1 :]]) for r, c in keys]
+            for j in reversed(range(i))
+        ]
+        tables.append(np.array(pairs).transpose(0, 2, 1))
+        at = dict(zip(keys, range(len(keys))))
+    return tables
 
 
 def _kernel_sizes(mats: np.ndarray, n: int) -> np.ndarray:
     """|ker(A mod n)| on (Z/nZ)**m for each A of an (L, m, m) integer stack.
 
-    Over Z, A = U diag(s_1, ..., s_m) V with U and V unimodular, so its
-    kernel mod n is that of the Smith form: prod gcd(s_i, n) vectors.  The
-    invariant factors are s_i = D_i / D_(i-1), where D_i is the gcd of the
-    i x i minors and D_0 = 1; D_i = 0 gives s_i = 0, and gcd(0, n) = n.
-    Entries are lifted to [0, n), and each i x i minor is expanded along
-    its first row from the (i-1) x (i-1) minors and folded into D_i at
-    once.  No minor or partial sum passes m! (n-1)**m in absolute value:
-    the work and the sizes are int32 while that and n fit, else int64.
+    A is read entry-major, row r*m + c of an (m*m, L) array holding entry
+    (r, c), lifted to [0, n) only if an entry lies outside (-n, n), and its
+    minors are built a level at a time (_laplace_tables).  At a prime n the
+    kernel has n**(m - rank) vectors, rank counting the levels that hold a
+    minor x != x // n * n; otherwise prod gcd(s_i, n), over the invariant
+    factors s_i = D_i / D_(i-1) of A, D_i the gcd of level i and D_0 = 1.
     """
-    m = mats.shape[1]
-    bound = factorial(m) * (n - 1) ** m
-    if bound >= 2**63:
-        raise OverflowError(f"{m} x {m} minors of matrices mod {n} can reach {bound}, past int64")
-    dtype = np.int32 if max(bound, n) < 2**31 else np.int64
-    a = np.remainder(mats, n, dtype=np.promote_types(mats.dtype, dtype)).astype(dtype, copy=False)
-    minors, previous, sizes = {((), ()): 1}, np.ones(len(a), dtype=dtype), 1
-    for i in range(1, m + 1):
-        subsets = list(combinations(range(m), i))
-        larger, d = {}, np.zeros(len(a), dtype=dtype)
-        for rows in subsets:
-            for cols in subsets:
-                minor = 0
-                for j, c in enumerate(cols):
-                    term = a[:, rows[0], c] * minors[rows[1:], cols[:j] + cols[j + 1 :]]
-                    minor = minor - term if j % 2 else minor + term
-                larger[rows, cols] = minor
-                np.gcd(d, minor, out=d)
-        minors = larger
-        # D_(i-1) = 0 forces D_i = 0 (rank < i - 1), and then s_i = 0
-        s_i = np.where(d == 0, 0, d // np.maximum(previous, 1))
-        sizes = sizes * np.gcd(s_i, n)
-        previous = d
-    return sizes
+    m, count = mats.shape[1], len(mats)
+    dtype, prime, tables = _minor_plan(m, n)
+    if count and (mats.min() <= -n or mats.max() >= n):
+        mats = mats.astype(np.int64) % n
+    level = entries = mats.reshape(count, m * m).T.astype(dtype, order="C", copy=False)
+    rank, sizes, previous = 0, 1, np.ones(count, dtype)
+    for i in range(m):
+        if i:
+            below, level = level, 0
+            for entry, minor in tables[i - 1]:
+                term = entries.take(entry, axis=0)
+                term *= below.take(minor, axis=0)
+                level = np.subtract(term, level, out=term)
+        if prime:  # |entries| < n: only a larger minor can be a nonzero multiple of n
+            multiple = level // n if i else 0
+            multiple *= n
+            nonzero = level != multiple
+            for row in nonzero[1:]:
+                nonzero[0] |= row
+            rank += nonzero[0]
+        else:
+            d = np.gcd(level[0], level[-1])
+            for row in level[1:-1]:
+                np.gcd(d, row, out=d)
+            sizes *= np.gcd(d // np.maximum(previous, 1), n)  # D_(i-1) = 0 forces D_i = 0
+            previous = d
+    return (n ** np.arange(m, -1, -1, dtype=dtype)).take(rank) if prime else sizes
 
 
 def burnside_moment(action: PermutationAction, k: int) -> int:

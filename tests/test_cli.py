@@ -11,8 +11,14 @@ from pathlib import Path
 import pytest
 
 import orbitmoments
-from orbitmoments.cli import build_parser, main
-from orbitmoments.moment_lab import TorsionCounter
+from orbitmoments.cli import (
+    build_parser,
+    distribution_from_json_dict,
+    distribution_to_json_dict,
+    main,
+)
+from orbitmoments.local_counts import PowerEquation
+from orbitmoments.moment_lab import PowerCounter, TorsionCounter, empirical_distribution
 
 
 def run_cli(capsys, *argv):
@@ -274,6 +280,7 @@ def test_dist_text_lists_the_atoms_no_prime_hit(capsys):
     # every prime at N_p = 0 is excluded (2, 3 and 17): torsion counts are never 0
     assert out.splitlines() == [
         "scenario: torsion:curve=17a3,ell=3   x=300  pi(x)=62  excluded=3  filtered=0",
+        "path:     stream",
         "  N_p=0: mass 3/62   (3 excluded, 0 filtered)",
         "  N_p=1: mass 33/62   predicted 9/16",
         "  N_p=3: mass 13/31   predicted 5/12",
@@ -283,10 +290,34 @@ def test_dist_text_lists_the_atoms_no_prime_hit(capsys):
     code, out, _ = run_cli(capsys, "--format", "json", *argv)
     assert out == (
         '{"cdf": [[0, 3, 62], [1, 18, 31], [3, 1, 1]], "char_samples": {}, "excluded": 3, '
-        '"filtered": 0, "masses": {"0": [3, 62], "1": [33, 62], "3": [13, 31]}, "pi_x": 62, '
-        '"predicted": {"1": [9, 16], "3": [5, 12], "9": [1, 48]}, '
+        '"filtered": 0, "masses": {"0": [3, 62], "1": [33, 62], "3": [13, 31]}, "path": "stream", '
+        '"pi_x": 62, "predicted": {"1": [9, 16], "3": [5, 12], "9": [1, 48]}, '
         '"scenario": "torsion:curve=17a3,ell=3", "x": 300}\n'
     )
+
+
+def test_dist_names_the_path_that_counted_its_primes(capsys):
+    # N_p(x^4 - 1) = gcd(p - 1, 4) is read off p mod 4, so no prime is listed;
+    # N_p(x^8 - 3) is not a function of p mod 8, so the sieve streams the primes
+    for argv, path in (
+        (["--n", "4"], "classes"),
+        (["--n", "8", "--a", "3"], "stream"),
+    ):
+        argv = ["dist", "--scenario", "power", *argv, "--x", "1000000", "--t", "0.25"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.splitlines()[1] == f"path:     {path}", out
+        code, out, _ = run_cli(capsys, "--format", "json", *argv)
+        payload = json.loads(out)
+        assert (code, payload["path"]) == (0, path)
+        report = distribution_from_json_dict(payload)
+        assert report.path == path
+        assert distribution_to_json_dict(report) == payload
+        # JSON written before dist named its path reads back as the stream
+        del payload["path"]
+        assert distribution_from_json_dict(payload).path == "stream"
+    counter = PowerCounter(PowerEquation(4, 1))
+    dist = empirical_distribution(counter, 10**6, t_values=(0.25,))
+    assert distribution_from_json_dict(json.loads(json.dumps(distribution_to_json_dict(dist)))) == dist
 
 
 def test_dist_of_a_large_prime_exponent_does_not_trial_divide_it(capsys):

@@ -21,7 +21,7 @@ from oracles import (
 )
 from orbitmoments import orbit_engine, orbit_oracle
 from orbitmoments.closed_forms import dk, gl2_masses, gl2_moment, mk
-from orbitmoments.core_arith import CapacityError, divisor_count
+from orbitmoments.core_arith import CapacityError, divisor_count, is_prime
 from orbitmoments.orbit_engine import (
     PermutationAction,
     _enumerate_glm_matrices,
@@ -801,11 +801,15 @@ def test_kernel_sizes_refuse_minors_past_int64():
 
 def test_kernel_sizes_match_python_ints_on_both_sides_of_the_int32_switch():
     # m! (n-1)**m fits int32 up to n = 32768, 711 and 98 for m = 2, 3 and 4;
-    # one past that the minors are formed on int64
+    # one past that the minors are formed on int64.  Each prime pair brackets
+    # the same switch, and a prime n takes the rank test in place of gcds
     rng = np.random.default_rng(0)
     cases = ((2, 32768, np.int32), (2, 32769, np.int64), (3, 711, np.int32))
     cases += ((3, 712, np.int64), (4, 98, np.int32), (4, 99, np.int64))
+    cases += ((2, 32749, np.int32), (2, 32771, np.int64), (3, 709, np.int32))
+    cases += ((3, 719, np.int64), (4, 97, np.int32), (4, 101, np.int64))
     for m, n, dtype in cases:
+        assert is_prime(n) == (n in (32749, 32771, 709, 719, 97, 101)), n
         extremes = rng.choice(np.array([0, 1, n - 2, n - 1]), size=(150, m, m))
         mats = np.concatenate([extremes, rng.integers(0, n, size=(150, m, m))])
         # as in test_invariant_factors_count_the_kernel, the last `tied` rows
@@ -814,9 +818,34 @@ def test_kernel_sizes_match_python_ints_on_both_sides_of_the_int32_switch():
             tied = t % (m + 1)
             for r in range(max(1, m - tied), m):
                 mat[r] = mat[0] * (r + 1)
+        if is_prime(n):
+            mats = np.concatenate([mats, _singular_mod_only(rng, m, n)])
         sizes = _kernel_sizes(mats, n)
         assert sizes.dtype == dtype, (m, n)
         assert sizes.tolist() == [kernel_size_by_minors(mat, n) for mat in mats], (m, n)
+
+
+def _singular_mod_only(rng, m: int, n: int) -> np.ndarray:
+    """Stacks singular mod the prime n but not over Z.
+
+    In the first the last row is a combination of the others mod n, so a
+    minor, not an entry, is a nonzero multiple of n; the same stacks follow
+    with some entries shifted by nonzero multiples of n, with the first row
+    made of nonzero multiples of n, and with every entry one.  A stack
+    singular over Z is dropped: its kernel mod 2**89 - 1, a prime above
+    every minor here, is not trivial.
+    """
+    base = rng.integers(0, n, size=(60, m, m))
+    combination = rng.integers(1, n, size=(60, m - 1))
+    base[:, -1] = np.einsum("li,lij->lj", combination, base[:, :-1]) % n
+    multiples = n * rng.choice([-3, -2, -1, 1, 2, 3], size=(60, m, m))
+    shifted = base + multiples * (rng.random((60, m, m)) < 0.5)
+    first_row = base.copy()
+    first_row[:, 0] = multiples[:, 0]
+    stacks = np.concatenate([base, shifted, first_row, multiples])
+    stacks = stacks[[kernel_size_by_minors(mat, 2**89 - 1) == 1 for mat in stacks]]
+    assert len(stacks) > 200 and all(kernel_size_by_minors(mat, n) > 1 for mat in stacks)
+    return stacks
 
 
 def test_histogram_peak_stays_below_half_the_element_stack():
