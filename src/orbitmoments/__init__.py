@@ -9,7 +9,6 @@ from .closed_forms import (
     gl2_moment,
     mk,
     moment_of,
-    noncm_moment,
     p_poly,
     unit_masses,
 )

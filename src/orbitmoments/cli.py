@@ -196,7 +196,12 @@ def _cmd_dist(args, fmt: str) -> int:
 
 def _cmd_trace(args, fmt: str) -> int:
     counter = _build_counter(args)
-    checkpoints = [int(v) for v in args.checkpoints.split(",")]
+    try:
+        checkpoints = [int(v) for v in args.checkpoints.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"--checkpoints must be comma-separated integers, got {args.checkpoints!r}"
+        ) from None
     reports = convergence_trace(counter, args.k, checkpoints)
     if fmt == "json":
         print(json.dumps([r.to_json_dict() for r in reports], sort_keys=True))

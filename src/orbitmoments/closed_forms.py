@@ -16,7 +16,6 @@ from .core_arith import (
     factorize,
     is_prime,
     kronecker_symbol,
-    mobius,
 )
 from .residue_algebra import QuadOrderSpec
 
@@ -145,31 +144,6 @@ def gl2_moment(ell: int, k: int) -> Fraction:
     if closed != by_masses:
         raise ArithmeticError(f"gl2_moment({ell}, {k}): {closed} != {by_masses}")
     return closed
-
-
-def noncm_moment(n: int, k: int) -> Fraction:
-    """k-th moment for surjective mod-ell images at every ell | n, square-free n.
-
-    Product over ell | n of
-    (ell**(2k-1) + ell**(k-1)(ell**3 - 2ell - 1) + ell**3 - 2ell**2 - ell + 3)
-    / ((ell-1)**2 (ell+1)).
-    """
-    if n < 1 or mobius(n) == 0:
-        raise ValueError("noncm_moment is defined for square-free n only")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    value = Fraction(1)
-    for ell, _ in factorize(n):
-        num = (
-            ell ** (2 * k - 1)
-            + ell ** (k - 1) * (ell**3 - 2 * ell - 1)
-            + ell**3
-            - 2 * ell**2
-            - ell
-            + 3
-        )
-        value *= Fraction(num, (ell - 1) ** 2 * (ell + 1))
-    return value
 
 
 def unit_masses(n: int) -> dict[int, Fraction]:

@@ -53,7 +53,7 @@ def is_prime(n: int) -> bool:
 
 
 # Integers per sieve segment; the segment's mask holds only its odd half.
-# A stream from 2 is cut on the grid 2 + j * SIEVE_SEGMENT.
+# prime_segments(lo, hi) cuts [lo, hi) on the grid lo + j * SIEVE_SEGMENT.
 SIEVE_SEGMENT = 1 << 18
 
 

@@ -16,16 +16,15 @@ on that grid of x // i, and the last table is cached.
 Stream: one accumulator walks the primes as int64 segments from the
 sieve: it masks the excluded primes of a whole segment at once, evaluates
 the kernels on the segment with numpy, and books the values in a
-histogram from which the exact sums are taken.  That histogram does not
-depend on k, so each piece of the stream is valued once per process: the
-stream [2, x] is cut on the sieve's segment grid, at the checkpoints and
-after the exclusion bound (the pieces past it skip the mask), and the
-tally of each piece [lo, hi) is kept in an LRU memo keyed by
-(counter, lo, hi) and bounded by STREAM_MEMO_PIECES.  Repeated streams
-in one process (verify, library callers, benchmark rounds) read their
-pieces from it; a single CLI call does not gain.  A trace snapshots the
-running histogram at each checkpoint, so its reports equal separate runs
-to those bounds.
+histogram from which the exact sums are taken.  The walk is cut at each
+checkpoint, where a trace snapshots the running histogram, so its reports
+equal separate runs to those bounds, and after the exclusion bound, so the
+segments past it skip the mask.
+
+Either path's tallies do not depend on k, so they are memoized whole per
+(counter, bounds), at most STREAM_MEMO_RUNS of them: a repeat of the same
+bounds (k = 2 after k = 1, a distribution after a moment) reads them
+back, and other bounds take a pass of their own.
 """
 
 import cmath
@@ -41,7 +40,6 @@ from . import orbit_engine
 from .closed_forms import affine_masses, cm_masses, dk, gl2_masses, moment_of, unit_masses
 from .core_arith import (
     RESIDUE_TABLE_LIMIT,
-    SIEVE_SEGMENT,
     class_prime_counts,
     factorize,
     grid_column,
@@ -339,14 +337,6 @@ class _Tally:
             self.hist[0] += primes.size - good.size
         self.hist.update(counter.values(good))
 
-    def merge(self, piece: tuple):
-        """Add a memoized piece: (histogram items, excluded, filtered, pi_x)."""
-        items, excluded, filtered, pi_x = piece
-        self.hist.update(dict(items))
-        self.excluded += excluded
-        self.filtered += filtered
-        self.pi_x += pi_x
-
     def moment_sum(self, k: int) -> int:
         """Sum of N_p**k over the primes that were valued."""
         # Excluded and filtered primes sit in hist[0] but add nothing, even at k = 0.
@@ -354,26 +344,16 @@ class _Tally:
         return sum(c * v**k for v, c in self.hist.items()) - unvalued * 0**k
 
 
-# Bound on the stream memo.  A piece spans at most one sieve segment
-# (2**18 integers) and takes under 1 KB, so the default covers one stream
-# to about 10**9 in a few MB.
-STREAM_MEMO_PIECES = 4096
+# Bound on the memo of _accumulate, in passes: each holds one small
+# histogram per bound, and the repeats it serves come one after another.
+STREAM_MEMO_RUNS = 8
 
 
 def clear_stream_memo():
-    """Forget every memoized piece and the cached class_prime_counts table, so
+    """Forget every memoized pass and the cached class_prime_counts table, so
     the next stream sieves and values afresh and the next class count runs."""
-    _piece.cache_clear()
+    _accumulate.cache_clear()
     class_prime_counts.cache_clear()
-
-
-@lru_cache(maxsize=STREAM_MEMO_PIECES)
-def _piece(counter: CounterSpec, lo: int, hi: int) -> tuple:
-    """(histogram items, excluded, filtered, pi_x) of the primes in [lo, hi)."""
-    tally = _Tally()
-    for primes in prime_segments(lo, hi):
-        tally.add_primes(counter, primes)
-    return (tuple(tally.hist.items()), tally.excluded, tally.filtered, tally.pi_x)
 
 
 def _class_values(counter: CounterSpec) -> tuple[int, np.ndarray, int] | None:
@@ -462,31 +442,31 @@ def _class_tally(
     return tally
 
 
-def _accumulate(counter: CounterSpec, marks: list[int]) -> list[_Tally]:
-    """Tallies of the primes below each ascending exclusive bound in marks.
+@lru_cache(maxsize=STREAM_MEMO_RUNS)
+def _accumulate(counter: CounterSpec, marks: tuple[int, ...]) -> tuple[_Tally, ...]:
+    """Tallies of the primes below each ascending exclusive bound in marks,
+    memoized; callers only read them.
 
     A counter that _class_runs sends to class counts reads each tally off
-    a table.  Otherwise [2, marks[-1]) is cut on the sieve's segment grid
-    2 + j * SIEVE_SEGMENT, at every mark and after counter.bad_primes.bound,
-    so the pieces past it skip the mask, and the pieces are read through
-    the memo in order.
+    a table.  Otherwise the stream walks prime_segments from mark to mark,
+    cut after counter.bad_primes.bound, so the segments past it skip the
+    mask.
     """
     route = _class_runs(counter, [mark - 1 for mark in marks])
     if route is not None:
         modulus, values, runs = route
-        return [_class_tally(counter, modulus, values, x, top) for x, top in runs]
+        return tuple(_class_tally(counter, modulus, values, x, top) for x, top in runs)
     tally = _Tally()
     snapshots = []
     lo, bound = 2, counter.bad_primes.bound
     for mark in marks:
-        while lo < mark:
-            hi = min(mark, lo + SIEVE_SEGMENT - (lo - 2) % SIEVE_SEGMENT)
-            if bound is not None and lo <= bound < hi - 1:
-                hi = bound + 1
-            tally.merge(_piece(counter, lo, hi))
+        cut = [bound + 1] if bound is not None and lo <= bound < mark - 1 else []
+        for hi in [*cut, mark]:
+            for primes in prime_segments(lo, hi):
+                tally.add_primes(counter, primes)
             lo = hi
         snapshots.append(replace(tally, hist=Counter(tally.hist)))
-    return snapshots
+    return tuple(snapshots)
 
 
 def _report(
@@ -521,7 +501,7 @@ def empirical_moment(
     if x < 2:
         raise ValueError("x must be >= 2")
     predicted = predicted_moment(counter, k)
-    (tally,) = _accumulate(counter, [x + 1])
+    (tally,) = _accumulate(counter, (x + 1,))
     denom = tally.pi_x - tally.excluded if good_only else tally.pi_x
     if denom == 0:
         raise ValueError(
@@ -559,7 +539,7 @@ def empirical_distribution(
     masses where a limit is known."""
     if x < 2:
         raise ValueError("x must be >= 2")
-    (tally,) = _accumulate(counter, [x + 1])
+    (tally,) = _accumulate(counter, (x + 1,))
     hist, pi_x = tally.hist, tally.pi_x
     masses = {v: Fraction(c, pi_x) for v, c in sorted(hist.items())}
     cdf = []
@@ -621,7 +601,7 @@ def convergence_trace(
     if checkpoints[0] < 2:
         raise ValueError("checkpoints must be >= 2")
     predicted = predicted_moment(counter, k)
-    tallies = _accumulate(counter, [c + 1 for c in checkpoints])
+    tallies = _accumulate(counter, tuple(c + 1 for c in checkpoints))
     return [
         _report(counter, k, bound, tally, tally.pi_x, predicted)
         for bound, tally in zip(checkpoints, tallies)

@@ -26,7 +26,6 @@ from .closed_forms import (
     mk_divisor_sum,
     mk_euler_product,
     moment_of,
-    noncm_moment,
 )
 from .core_arith import divisor_count, divisors
 from .local_counts import CURVE_PRESETS, PowerEquation
@@ -161,11 +160,6 @@ def suite_formula_identities() -> list[CheckResult]:
             "M_k divisor sum equals Euler product for n<=2000, k<=8",
             [(n, k) for n in range(1, 2001) for k in range(9)],
             lambda n, k: mk_divisor_sum(n, k) == mk_euler_product(n, k),
-        ),
-        _every(
-            "gl2_moment equals the noncm ell-factor for ell<=13, k<=6",
-            [(ell, k) for ell in (2,) + ells for k in range(1, 7)],
-            lambda ell, k: gl2_moment(ell, k) == noncm_moment(ell, k),
         ),
         _every(
             "cm_moment two forms agree (ell<=13, k<=6, d_K in {2,4})",

@@ -23,7 +23,6 @@ from orbitmoments.closed_forms import (
     mk_divisor_sum,
     mk_euler_product,
     moment_of,
-    noncm_moment,
     p_poly,
     unit_masses,
 )
@@ -140,23 +139,6 @@ def test_gl2_moment_values():
 def test_gl2_moment_rejects_composite():
     with pytest.raises(ValueError):
         gl2_moment(6, 1)
-
-
-def test_noncm_matches_gl2_at_primes():
-    for ell in (2, 3, 5, 7, 11, 13):
-        for k in range(1, 7):
-            assert noncm_moment(ell, k) == gl2_moment(ell, k)
-
-
-def test_noncm_values():
-    assert noncm_moment(3, 1) == 2
-    assert noncm_moment(15, 2) == 6 * 8  # product of (ell + 3) over 3, 5
-    assert noncm_moment(1, 3) == 1
-
-
-def test_noncm_rejects_square_factor():
-    with pytest.raises(ValueError):
-        noncm_moment(12, 1)
 
 
 def test_cm_moment_values():

@@ -1,5 +1,6 @@
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import primes_between
+from orbitmoments import core_arith
 from orbitmoments.core_arith import (
     POW_ARRAY_LIMIT,
     SIEVE_SEGMENT,
@@ -175,6 +177,24 @@ def test_factorize_past_the_trial_division_bound():
         assert [p for p, _ in fact] == sorted(p for p, _ in fact)
 
 
+
+def test_factorize_replays_a_batch_whose_gcd_overshoots_to_n(monkeypatch):
+    # 1009 * 1049 is past trial division, and one batch of rho's products
+    # is divisible by both primes, so its gcd is n; the batch is replayed
+    # one step at a time, and that splits n
+    n = 1009 * 1049
+    gcds = []
+
+    def gcd(a, b):
+        gcds.append(math.gcd(a, b))
+        return gcds[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(core_arith, "math", SimpleNamespace(gcd=gcd))
+        assert core_arith._rho_factor(n) in (1009, 1049)
+    assert n in gcds and gcds[-1] in (1009, 1049)
+    assert factorize(n) == [(1009, 1), (1049, 1)]
+
 def test_divisors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
@@ -324,6 +344,15 @@ def test_kronecker_bottom_multiplicative():
                     a, n1
                 ) * kronecker_symbol(a, n2)
 
+
+
+def test_kronecker_at_negative_n():
+    # (a|-1) is -1 for a < 0 and 1 otherwise, and (a|-n) = (a|-1)(a|n)
+    assert [kronecker_symbol(a, -1) for a in (-3, -1, 0, 1, 2)] == [-1, -1, 1, 1, 1]
+    for a in range(-30, 31):
+        for n in range(1, 60):
+            want = kronecker_symbol(a, -1) * kronecker_symbol(a, n)
+            assert kronecker_symbol(a, -n) == want, (a, n)
 
 def test_kronecker_rejects_zero():
     with pytest.raises(ValueError):

@@ -1,5 +1,4 @@
 import cmath
-import functools
 import json
 import math
 import time
@@ -838,31 +837,33 @@ def test_memo_hit_does_no_kernel_work(monkeypatch):
     clear_stream_memo()
     assert warm == empirical_moment(torsion, 2, 20_000)
 
-    # a trace after a moment to the same x values only the pieces cut at its
-    # marks: [25, 1001) and [1001, edge) of the first segment, and the second
-    # segment cut at 300,001; both streams cut [2, 25) at the exclusion bound
-    # 24, and the third segment ends at x + 1 both times
+    # a distribution after a moment, and a trace after the same trace, read
+    # the pass memoized under the same bounds; a trace to other bounds than
+    # the moment's takes a pass of its own
     power = PowerCounter(PowerEquation(8, 3))
-    edge = 2 + SIEVE_SEGMENT
-    empirical_moment(power, 2, 600_000)
+    checkpoints = [1000, 300_000, 600_000]
+    moment = empirical_moment(power, 2, 600_000)
     valued.clear()
-    convergence_trace(power, 2, [1000, 300_000, 600_000])
-    assert len(valued) == 4
-    assert max(int(primes.max()) for primes in valued) < edge + SIEVE_SEGMENT
-    assert sum(primes.size for primes in valued) == sum(
-        1 for p in primes_between(25, edge + SIEVE_SEGMENT) if 24 % p
-    )
+    assert empirical_distribution(power, 600_000).pi_x == moment.pi_x
+    assert valued == []
+    trace = convergence_trace(power, 2, checkpoints)
+    assert trace[-1] == moment
+    assert sum(primes.size for primes in valued) == moment.pi_x - moment.excluded
+    valued.clear()
+    assert convergence_trace(power, 2, checkpoints) == trace
+    assert valued == []
 
 
-def test_memo_holds_at_most_its_bound(monkeypatch):
+def test_memo_holds_at_most_its_bound():
     counter = PowerCounter(PowerEquation(8, 3))
-    x = 1 + 40 * SIEVE_SEGMENT  # 40 segments of the grid from 2
-    checkpoints = [10**5, 5 * 10**6, x]
-    cold = (empirical_moment(counter, 2, x), convergence_trace(counter, 1, checkpoints))
-    monkeypatch.setattr(moment_lab, "_piece", functools.lru_cache(8)(moment_lab._piece.__wrapped__))
-    bounded = (empirical_moment(counter, 2, x), convergence_trace(counter, 1, checkpoints))
-    assert moment_lab._piece.cache_info().currsize <= 8
-    assert bounded == cold
+    xs = range(1000, 1000 + 3 * moment_lab.STREAM_MEMO_RUNS)
+    cold = [empirical_moment(counter, 2, x) for x in xs]
+    info = moment_lab._accumulate.cache_info()
+    assert info.currsize == info.maxsize == moment_lab.STREAM_MEMO_RUNS
+    # the first pass was dropped, so it runs again, to the same report
+    assert empirical_moment(counter, 2, xs[0]) == cold[0]
+    assert moment_lab._accumulate.cache_info().misses == info.misses + 1
+    assert [empirical_moment(counter, 2, x) for x in xs] == cold
 
 
 @pytest.mark.slow
@@ -870,16 +871,16 @@ def test_memo_of_a_stream_to_1e8_stays_small():
     tracemalloc.start()
     try:
         empirical_moment(PowerCounter(PowerEquation(8, 3)), 2, 10**8)
-        pieces = moment_lab._piece.cache_info().currsize
+        passes = moment_lab._accumulate.cache_info().currsize
         held, _ = tracemalloc.get_traced_memory()
         clear_stream_memo()
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # [2, 25) up to the exclusion bound 24, then the 382 segments of the grid
-    # that reach 10**8 + 1, the first of them from 25
-    assert pieces == 383 <= moment_lab.STREAM_MEMO_PIECES
-    assert 0 < freed < 4 * 2**20, freed
+    # one pass keeps one tally, whose histogram holds the five values 0, 1,
+    # 2, 4 and 8 of N_p(x**8 - 3)
+    assert passes == 1
+    assert 0 < freed < 16 * 2**10, freed
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +888,9 @@ def test_memo_of_a_stream_to_1e8_stays_small():
 
 
 def _on_both_paths(monkeypatch, run):
-    """run() with the class counts forced, then with the stream forced."""
+    """run() with the class counts forced, then with the stream forced,
+    each from an empty memo."""
+    clear_stream_memo()
     with monkeypatch.context() as patch:
         patch.setattr(moment_lab, "_class_cost", lambda x, phi: 0)
         classes = run()
@@ -1013,6 +1016,7 @@ def test_entry_budget_sends_the_counter_to_the_stream(monkeypatch):
     stream = empirical_moment(counter, 2, 10**7)
     _assert_paths_agree([classes], [stream])
     monkeypatch.setattr(orbit_engine, "ENTRY_BUDGET", 2 * 6324)
+    clear_stream_memo()
     assert empirical_moment(counter, 2, 10**7).path == "classes"
 
 
