@@ -1,7 +1,9 @@
 """Integer primitives: primes, factorization, multiplicative functions.
 
 Everything here is exact; Python integers never overflow, so values such
-as ell**(2k) are handled without promotion tricks.
+as ell**(2k) are handled without promotion tricks.  _odd_segment is the
+one sieve, for each segment of prime_segments and for the cached base
+primes; ENTRY_BUDGET and trailing_digits are shared with the orbit layer.
 """
 
 import math
@@ -21,6 +23,11 @@ class CapacityError(Exception):
         super().__init__(
             f"enumeration needs {required} {what}, budget is {budget}"
         )
+
+
+# Entries past which a table is not made, read at call time: a permutation table
+# and glm's element table (orbit_engine), and a class-count table (moment_lab).
+ENTRY_BUDGET = 6 * 10**7
 
 
 # Deterministic witness set, valid for every n < 3.3 * 10**24.
@@ -57,21 +64,13 @@ def is_prime(n: int) -> bool:
 SIEVE_SEGMENT = 1 << 18
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
-
-
 @lru_cache(maxsize=8)
 def _odd_base(bits: int) -> np.ndarray:
-    """The odd primes below 2**bits, read-only: the base of any sieve below 4**bits."""
-    base = _simple_sieve((1 << bits) - 1)[1:]
+    """The odd primes below 2**bits, read-only: the base of any sieve below
+    4**bits, sieved by _odd_segment from the base of half as many bits."""
+    # no odd prime squared is below 2**3, so up to there the base may be empty
+    half = _odd_base((bits + 1) // 2) if bits > 3 else np.empty(0, dtype=np.int64)
+    base = _odd_segment(3, max(3, 1 << bits), half)
     base.flags.writeable = False
     return base
 
@@ -350,9 +349,9 @@ def kronecker_array(a: int, primes: np.ndarray) -> np.ndarray:
     For odd p the symbol depends only on p mod 4|a| (quadratic
     reciprocity), so it is read from a cached table over those residues;
     p = 2 leaves the residue 2, whose entry is (a|2).  The caller keeps
-    0 < 4|a| <= RESIDUE_TABLE_LIMIT: _class_table asks only while
-    lcm(n, 4|a|) is within it, and SplitFilter passes class-number-one
-    discriminants, 4|disc| <= 652.
+    0 < 4|a| <= RESIDUE_TABLE_LIMIT: local_counts.class_table asks only
+    while lcm(n, 4|a|) is within it, and SplitFilter passes
+    class-number-one discriminants, 4|disc| <= 652.
     """
     return _kronecker_table(a)[primes % (4 * abs(a))]
 
@@ -372,3 +371,8 @@ def value_counts(values: np.ndarray) -> dict[int, int]:
     else:
         values, counts = np.unique(values, return_counts=True)
     return dict(zip(values.tolist(), counts.tolist()))
+
+
+def trailing_digits(n: int, width: int, chunk: int) -> int:
+    """The most trailing digits t <= width of base-n numbers with n**t <= chunk."""
+    return next(t for t in range(width, -1, -1) if n**t <= chunk)

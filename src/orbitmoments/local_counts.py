@@ -95,15 +95,11 @@ def count_roots_formula(eq: PowerEquation, p: int) -> int:
     return d if pow(eq.a, (p - 1) // d, p) == 1 else 0
 
 
-def _class_modulus(eq: PowerEquation) -> int:
-    """The M with N_p(x**n - a) read off p mod M: n for a = 1 or odd n, else lcm(n, 4|a|)."""
-    n, a = eq.n, eq.a
-    return n if a == 1 or n % 2 else lcm(n, 4 * abs(a))
-
-
 @lru_cache(maxsize=32)
-def _class_table(eq: PowerEquation) -> np.ndarray:
-    """N_p at p = r mod M for each residue r, or -d where a**((p-1)/d) = 1 must decide.
+def class_table(eq: PowerEquation) -> np.ndarray | None:
+    """N_p at p = r mod M for each residue r < M, or -d where a**((p-1)/d) = 1
+    must decide; None past RESIDUE_TABLE_LIMIT.  M is n for a = 1 or odd n,
+    else lcm(n, 4|a|).
 
     With d = gcd(r - 1, n): d = 1 gives 1, and a = 1 gives d.  For even n
     and a != 1, (a|p) is fixed by r mod 4|a|, and an n-th power is a
@@ -111,7 +107,10 @@ def _class_table(eq: PowerEquation) -> np.ndarray:
     entries at residues that share a factor with M are right for a = 1
     only: for a != 1 a prime dividing M divides n*a and is excluded.
     """
-    n, a, m = eq.n, eq.a, _class_modulus(eq)
+    n, a = eq.n, eq.a
+    m = n if a == 1 or n % 2 else lcm(n, 4 * abs(a))
+    if not 0 < m <= RESIDUE_TABLE_LIMIT:
+        return None
     r = np.arange(m, dtype=np.int64)
     d = np.gcd(r - 1, n)
     table = d if a == 1 else np.where(d > 1, -d, 1)
@@ -126,23 +125,23 @@ def _class_table(eq: PowerEquation) -> np.ndarray:
 def count_roots_array(eq: PowerEquation, primes: np.ndarray) -> np.ndarray:
     """count_roots_formula for each entry of an int64 array of primes coprime to n*a.
 
-    While M = _class_modulus(eq) <= RESIDUE_TABLE_LIMIT, each prime reads
-    one entry of _class_table at p mod M: its count, or -d, and only the
-    lanes holding -d take the criterion a**((p-1)/d) = 1 through
-    pow_mod_array -- a quarter of the primes for x**8 - a, at one
-    remainder per exponent bit for a small a > 0.  Past that bound d =
-    gcd(p - 1, n) is computed, and every lane with d > 1 and a != 1 takes
-    the criterion.  Vectorized on int64 while every prime is below
-    POW_ARRAY_LIMIT and n and a fit int64; otherwise each prime takes
-    count_roots_formula.  With a = 1 each count is d, exact at every prime.
+    While class_table(eq) has a table, of size M, each prime reads its
+    entry at p mod M: its count, or -d, and only the lanes holding -d take
+    the criterion a**((p-1)/d) = 1 through pow_mod_array -- a quarter of
+    the primes for x**8 - a, at one remainder per exponent bit for a small
+    a > 0.  Past RESIDUE_TABLE_LIMIT d = gcd(p - 1, n) is computed, and
+    every lane with d > 1 and a != 1 takes the criterion.  Vectorized on
+    int64 while every prime is below POW_ARRAY_LIMIT and n and a fit
+    int64; otherwise each prime takes count_roots_formula.  With a = 1
+    each count is d, exact at every prime.
     """
     n, a = eq.n, eq.a
     fits = n < _INT64_LIMIT and abs(a) < _INT64_LIMIT
     if primes.size and primes.max() < POW_ARRAY_LIMIT and fits:
-        m = _class_modulus(eq)
-        if 0 < m <= RESIDUE_TABLE_LIMIT:
-            counts = primes % m
-            _class_table(eq).take(counts, out=counts, mode="clip")  # in place: no second temporary
+        table = class_table(eq)
+        if table is not None:
+            counts = primes % table.size
+            table.take(counts, out=counts, mode="clip")  # in place: no second temporary
         else:
             d = np.gcd(primes - 1, n)
             counts = d if a == 1 else np.where(d > 1, -d, 1)

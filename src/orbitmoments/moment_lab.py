@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import orbit_engine
+from . import core_arith
 from .closed_forms import affine_masses, cm_masses, dk, gl2_masses, moment_of, unit_masses
 from .core_arith import (
     RESIDUE_TABLE_LIMIT,
@@ -52,8 +52,7 @@ from .local_counts import (
     BadPrimes,
     PowerEquation,
     WeierstrassCurve,
-    _class_modulus,
-    _class_table,
+    class_table,
     count_roots_array,
     ec_torsion_count_array,
 )
@@ -361,15 +360,15 @@ def _class_values(counter: CounterSpec) -> tuple[int, np.ndarray, int] | None:
     dividing L, with -1 where the split filter drops p; None for any other
     counter.
 
-    That holds for x**n - a, and its product counter, when _class_table
-    has no -d entry at a class prime to L and every excluded prime divides
-    L; a split filter is folded in as the class condition mod L = lcm(M,
-    4|disc|), with M the table's modulus.
+    That holds for x**n - a, and its product counter, when class_table
+    has a table with no -d entry at a class prime to L and every excluded
+    prime divides L; a split filter is folded in as the class condition
+    mod L = lcm(M, 4|disc|), with M the table's size.
     """
-    eq = getattr(counter, "eq", None)
-    if eq is None:
+    table = class_table(counter.eq) if hasattr(counter, "eq") else None
+    if table is None:
         return None
-    m = modulus = _class_modulus(eq)
+    m = modulus = table.size
     filt = counter.split_filter
     if filt is not None:
         modulus = math.lcm(m, 4 * abs(filt.spec.discriminant))
@@ -378,7 +377,7 @@ def _class_values(counter: CounterSpec) -> tuple[int, np.ndarray, int] | None:
         return None
     residues = np.arange(modulus)
     prime_to = np.gcd(residues, modulus) == 1
-    values = _class_table(eq)[residues % m]
+    values = table[residues % m]
     if values[prime_to].min() < 0:
         return None
     if filt is not None:
@@ -401,7 +400,7 @@ def _class_runs(counter: CounterSpec, xs: list[int]) -> tuple[int, np.ndarray, l
     """The class-count path for the ascending bounds xs, or None for the stream.
 
     The rule: a counter whose N_p is read off p mod L (_class_values) takes
-    class counts when every table fits ENTRY_BUDGET and the summed
+    class counts when every table fits core_arith.ENTRY_BUDGET and the summed
     _class_cost of the runs is below xs[-1], the stream's cost.  One run
     at xs[-1] serves each bound on its grid; a bound off it takes a run
     of its own, which then serves the smaller bounds on its grid.  Returns
@@ -416,8 +415,8 @@ def _class_runs(counter: CounterSpec, xs: list[int]) -> tuple[int, np.ndarray, l
         top = runs[-1][1] if runs and grid_column(runs[-1][1], x) is not None else x
         runs.append((x, top))
     tops = {top for _, top in runs}
-    columns = max(math.isqrt(top) + 1 + top // (math.isqrt(top) + 1) for top in tops)
-    if phi * columns > orbit_engine.ENTRY_BUDGET:
+    columns = max(grid_column(top, top) + 1 for top in tops)
+    if phi * columns > core_arith.ENTRY_BUDGET:
         return None
     if sum(_class_cost(top, phi) for top in tops) >= xs[-1]:
         return None

@@ -12,16 +12,16 @@ request, and generator rows are built when first read.  units and quad
 list every element (_list_matrices) and walk their points for generators
 (_generating_rows); glm with m >= 2 reads its scalings off units:n.
 
-Three budgets bound memory, each checked before what it bounds is made.
-This module owns ELEMENT_BUDGET, the candidates _list_matrices scans (n
-for units and semidirect, n**2 for quad, n**(m*m) for glm), and
-ENTRY_BUDGET, the entries of every permutation table (_check_table).
-build_glm reads the third, orbit_oracle.TUPLE_BUDGET on the tuples the
-oracle labels, at call time to refuse a generator-only action with more
-points.  glm with m >= 2 lists its elements only when order <=
-ELEMENT_BUDGET and order * size <= ENTRY_BUDGET, a cost policy (no table
-is kept) that keeps its histogram cheap; units (glm with m = 1) and quad
-always list theirs.
+Three budgets bound memory, each checked before what it bounds is made
+and read at call time.  This module owns ELEMENT_BUDGET, the candidates
+_list_matrices scans (n for units and semidirect, n**2 for quad, n**(m*m)
+for glm).  core_arith owns ENTRY_BUDGET, the entries of every permutation
+table (_check_table), and orbit_oracle TUPLE_BUDGET, the tuples the oracle
+labels, which build_glm reads to refuse a generator-only action with more
+points.  glm with m >= 2 lists its elements only when its n**(m*m)
+candidates pass ELEMENT_BUDGET and order * size <= ENTRY_BUDGET, a cost
+policy (no table is kept) that keeps its histogram cheap; units (glm with
+m = 1) and quad always list theirs.
 
 Past what the budgets bound, every temporary is one block long:
 _list_matrices and fixed_point_histogram take _MATRIX_CHUNK matrices a
@@ -37,13 +37,12 @@ from math import factorial
 
 import numpy as np
 
-from . import orbit_oracle
-from .core_arith import CapacityError, factorize, is_prime, value_counts
-from .orbit_oracle import _trailing_digits, orbit_count_oracle
+from . import core_arith, orbit_oracle
+from .core_arith import CapacityError, factorize, is_prime, trailing_digits, value_counts
+from .orbit_oracle import orbit_count_oracle
 from .residue_algebra import QuadOrderSpec, glm_order, quad_unit_order
 
 ELEMENT_BUDGET = 10**7
-ENTRY_BUDGET = 6 * 10**7
 # matrices per vectorized step when enumerating or valuing a stack
 _MATRIX_CHUNK = 1 << 13
 
@@ -90,9 +89,9 @@ class PermutationAction:
 
 
 def _check_table(rows: int, size: int) -> None:
-    """Refuse a permutation table of rows x size entries past ENTRY_BUDGET."""
-    if rows * size > ENTRY_BUDGET:
-        raise CapacityError(rows * size, ENTRY_BUDGET, what="permutation table entries")
+    """Refuse a permutation table of rows x size entries past core_arith.ENTRY_BUDGET."""
+    if rows * size > core_arith.ENTRY_BUDGET:
+        raise CapacityError(rows * size, core_arith.ENTRY_BUDGET, "permutation table entries")
 
 
 def build_units(n: int) -> PermutationAction:
@@ -230,7 +229,7 @@ def build_glm(n: int, m: int) -> PermutationAction:
     if m < 1 or m > 4:
         raise ValueError("matrix dimension must be between 1 and 4")
     order, size = glm_order(n, m), n**m
-    listed = m == 1 or (order <= ELEMENT_BUDGET and order * size <= ENTRY_BUDGET)
+    listed = m == 1 or n ** (m * m) <= ELEMENT_BUDGET and order * size <= core_arith.ENTRY_BUDGET
     if not listed and size > orbit_oracle.TUPLE_BUDGET:
         raise CapacityError(
             size, orbit_oracle.TUPLE_BUDGET, what="points for the orbit oracle to label"
@@ -287,12 +286,12 @@ def _lex_blocks(n: int, width: int) -> tuple[Iterator[np.ndarray], np.ndarray]:
     _MATRIX_CHUNK at a time.
 
     Returns (blocks, trailing), int32, one digit per row, most significant
-    first: trailing holds every value of the last _trailing_digits, and
+    first: trailing holds every value of the last trailing_digits, and
     blocks yields runs of values of the leading digits (either is one empty
     column when it has no digit); a block column stands for itself followed
     by each of trailing.
     """
-    t = _trailing_digits(n, width, _MATRIX_CHUNK)
+    t = trailing_digits(n, width, _MATRIX_CHUNK)
     trailing = np.indices((n,) * t, dtype=np.int32).reshape(t, n**t)
     if t == width:
         return iter([np.empty((0, 1), dtype=np.int32)]), trailing

@@ -12,19 +12,11 @@ checked, every temporary is one block of _TUPLE_CHUNK tuples.
 
 import numpy as np
 
-from .core_arith import CapacityError
+from .core_arith import CapacityError, trailing_digits
 
 TUPLE_BUDGET = 10**7
 # tuples per step of the orbit oracle (each block costs a few calls per generator)
 _TUPLE_CHUNK = 1 << 15
-
-
-def _trailing_digits(n: int, width: int, chunk: int) -> int:
-    """The most trailing digits t <= width of base-n numbers with n**t <= chunk."""
-    t = 0
-    while t < width and n ** (t + 1) <= chunk:
-        t += 1
-    return t
 
 
 def _check_rows(generators: np.ndarray, size: int) -> None:
@@ -48,7 +40,7 @@ def _orbit_labels(generators: np.ndarray, size: int, k: int) -> np.ndarray:
     on one labels array, int32 while size**k < 2**31, swept in blocks of
     at most _TUPLE_CHUNK tuples: labels fall to those of their images under
     each generator g, then to those of their labels.  With t =
-    _trailing_digits(size, k, _TUPLE_CHUNK), the labels are a grid of
+    trailing_digits(size, k, _TUPLE_CHUNK), the labels are a grid of
     size**t-wide rows, one per value of the leading digits, and g sends
     row r to row head[r] with its columns permuted by tail, two tables made
     from g once per call in the labels' dtype (g itself for one digit of
@@ -75,7 +67,7 @@ def _orbit_labels(generators: np.ndarray, size: int, k: int) -> np.ndarray:
             v = np.add.outer(v * size, g).ravel()
         return v
 
-    t = _trailing_digits(size, k, _TUPLE_CHUNK)
+    t = trailing_digits(size, k, _TUPLE_CHUNK)
     maps = [(table(g, k - t), table(g, t)) for g in generators]
     inner = size**t
     grid, rows = labels.reshape(-1, inner), max(1, _TUPLE_CHUNK // inner)

@@ -3,6 +3,8 @@
 Each is independent of the library path it checks, and most scan or
 enumerate, at a cost that grows with p or with the group:
 
+- simple_sieve lists the primes up to a limit from one boolean mask of
+  every integer, the reference for the library's segmented odd-only sieve.
 - count_roots_brute counts the roots of x**n - a by scanning F_p.
 - QuadResidue, quad_mul, quad_norm and quad_unit_elements are elements,
   products, norms and units of O_K/nO_K, one Python object each.
@@ -38,6 +40,7 @@ test_core_arith checks that stream against trial division.
 """
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +53,18 @@ import numpy as np
 from orbitmoments.core_arith import POW_ARRAY_LIMIT, CapacityError, prime_segments
 from orbitmoments.local_counts import PowerEquation, WeierstrassCurve, division_polynomial
 from orbitmoments.residue_algebra import QuadOrderSpec, glm_order
+
+def simple_sieve(limit: int) -> np.ndarray:
+    """The primes p <= limit, ascending, as int64: Eratosthenes on one mask."""
+    if limit < 2:
+        return np.empty(0, dtype=np.int64)
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.flatnonzero(mask).astype(np.int64)
+
 
 def primes_between(lo: int, hi: int) -> list[int]:
     """The primes in [lo, hi), ascending, from prime_segments."""

@@ -610,6 +610,23 @@ def test_verify_fails_a_row_whose_closed_forms_disagree(capsys, monkeypatch):
     assert out.splitlines()[-1] == "2/4 checks passed"
 
 
+@pytest.mark.parametrize("fake", ["one everywhere", "split and inert swapped"])
+def test_verify_k1_row_fails_a_wrong_dk(capsys, monkeypatch, fake):
+    # the row checks dk(ell, K) = 3 + (disc_K|ell) at each odd prime ell <= 13
+    from orbitmoments import closed_forms, verify
+
+    def swapped(n, spec):
+        value = closed_forms.dk(n, spec)
+        return {2: 4, 4: 2}.get(value, value)
+
+    monkeypatch.setattr(verify, "dk", (lambda n, spec: 1) if fake == "one everywhere" else swapped)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "formula-identities")
+    rows = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert code == 1
+    assert rows[2].startswith(f"FAIL  {VERIFY_CHECK_NAMES[13]}  ([('dk', 3, -1)"), rows[2]
+    assert out.splitlines()[-1] == "3/4 checks passed"
+
+
 def test_verify_runs_on_past_a_suite_that_raises(capsys, monkeypatch):
     from orbitmoments import cli, verify
 
@@ -775,3 +792,44 @@ def test_curve_that_is_not_two_integers(capsys, text):
     )
     assert (code, out) == (2, "")
     assert err == f"error: unknown curve {text!r}: expected a preset name or 'a,b'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("moment --scenario power --n 4 --k 1 --x 1", "x must be >= 2"),
+        ("dist --scenario power --n 4 --x 1", "x must be >= 2"),
+        ("trace --scenario power --n 4 --checkpoints 5,3", "checkpoints must be a nonempty ascending list"),
+        ("trace --scenario power --n 4 --checkpoints 1,3", "checkpoints must be >= 2"),
+        ("moment --scenario power --n 0 --x 100", "exponent n must be >= 1"),
+        ("orbits --action quad:0,-1", "n must be >= 1"),
+        ("orbits --action glm:0,2", "n must be >= 1"),
+        ("mk --n 0 --k 1", "mk expects n >= 1 and k >= 0"),
+        ("mk --n 4 --k -1", "mk expects n >= 1 and k >= 0"),
+        ("dk --n 0 --d -1", "dk expects n >= 1"),
+    ],
+)
+def test_out_of_range_arguments_exit_2_with_their_message(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_torsion_moment_with_every_prime_excluded(capsys, monkeypatch):
+    # 2 and 3 lie below the floor of 5, so the kernel values an empty array
+    from orbitmoments import local_counts, moment_lab
+
+    sizes = []
+
+    def counted(curve, primes, ell):
+        sizes.append(primes.size)
+        return local_counts.ec_torsion_count_array(curve, primes, ell)
+
+    monkeypatch.setattr(moment_lab, "ec_torsion_count_array", counted)
+    moment_lab.clear_stream_memo()
+    code, out, _ = run_cli(
+        capsys, "--format", "json", "moment", "--scenario", "torsion", "--curve", "17a3",
+        "--ell", "3", "--k", "1", "--x", "3",
+    )
+    report = json.loads(out)
+    assert (code, report["empirical_num"], report["excluded"], report["pi_x"]) == (0, 0, 2, 2)
+    assert sizes == [0]

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -27,14 +28,15 @@ from orbitmoments.closed_forms import (
     unit_masses,
 )
 from orbitmoments import closed_forms
-from orbitmoments.core_arith import divisor_count
-from orbitmoments.local_counts import CURVE_PRESETS
+from orbitmoments.core_arith import divisor_count, factorize
+from orbitmoments.local_counts import CURVE_PRESETS, division_polynomial
 from orbitmoments.moment_lab import TorsionCounter
 from orbitmoments.orbit_engine import (
     build_action,
     fixed_point_histogram,
 )
-from orbitmoments.residue_algebra import CLASS_NUMBER_ONE_D, QuadOrderSpec
+from orbitmoments.orbit_oracle import orbit_count_oracle
+from orbitmoments.residue_algebra import CLASS_NUMBER_ONE_D, QuadOrderSpec, psi
 
 
 def test_p_poly_values():
@@ -274,3 +276,25 @@ def test_cm_masses_refuse_ell_2_and_a_ramified_ell():
         cm_masses(2, 4)
     with pytest.raises(ValueError):
         cm_masses(3, 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: p_poly(2, 3, -1), "k must be >= 0"),
+        (lambda: gl2_moment(3, -1), "k must be >= 0"),
+        (lambda: cm_moment(5, -1, 4), "k must be >= 0"),
+        (lambda: unit_masses(0), "unit_masses expects n >= 1"),
+        (lambda: psi(0, 2), "psi expects n >= 1 and m >= 1"),
+        (lambda: factorize(0), "factorize expects n >= 1"),
+        (lambda: division_polynomial(4, -7371, -240570), "odd ell only"),
+        (lambda: orbit_count_oracle(build_action("units:5"), 0), "k must be >= 1"),
+        (
+            lambda: fixed_point_histogram(build_action("glm:12,3")),
+            "action glm:12,3 of order 966131712 keeps only its generators",
+        ),
+    ],
+)
+def test_out_of_range_arguments_raise_value_error_with_their_message(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

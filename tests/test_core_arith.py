@@ -7,12 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import primes_between
+from oracles import primes_between, simple_sieve
 from orbitmoments import core_arith
 from orbitmoments.core_arith import (
     POW_ARRAY_LIMIT,
     SIEVE_SEGMENT,
-    _simple_sieve,
+    _odd_base,
     class_prime_counts,
     divisor_count,
     divisors,
@@ -72,8 +72,15 @@ def _stream(lo, hi):
     return np.concatenate([np.empty(0, dtype=np.int64), *segments])
 
 
+def test_odd_base_matches_simple_sieve():
+    # each base is sieved by _odd_segment from the base of half as many bits
+    for bits in range(24):
+        want = simple_sieve((1 << bits) - 1)[1:]
+        assert _odd_base(bits).tolist() == want.tolist(), bits
+
+
 def test_prime_segments_match_simple_sieve():
-    reference = _simple_sieve(10**6)
+    reference = simple_sieve(10**6)
 
     def check(lo, hi):
         want = reference[(reference >= lo) & (reference < hi)]
@@ -96,7 +103,7 @@ def test_prime_segments_match_simple_sieve():
 @pytest.mark.parametrize("x", [2, 3, 4, 5, 10, 11, 97, 100, 1000, 12_345, 10**6])
 def test_class_prime_counts_match_the_sieve(x):
     # every column of the grid, against the sieve's primes sorted into classes
-    primes = _simple_sieve(x)
+    primes = simple_sieve(x)
     grid = {x // i for i in range(1, math.isqrt(x) + 1)} | set(range(math.isqrt(x) + 1))
     grid = np.array(sorted(grid))
     below = np.searchsorted(primes, grid, side="right")  # pi(v) for each v on the grid
@@ -129,7 +136,7 @@ def test_class_prime_counts_at_1e9():
 
 
 def test_prime_segments_random_partition():
-    whole = _simple_sieve(10**6 - 1).tolist()
+    whole = simple_sieve(10**6 - 1).tolist()
     rng = np.random.default_rng(7)
     for pieces in (2, 5, 40):
         cuts = np.sort(rng.choice(np.arange(3, 10**6), pieces - 1, replace=False)).tolist()

@@ -116,9 +116,9 @@ def test_class_table_matches_formula_on_a_full_sieve_segment():
             else:
                 valued = primes[~eq.bad_primes.mask(primes)]
                 want = np.array([count_roots_formula(eq, p) for p in valued.tolist()])
-            m = local_counts._class_modulus(eq)
-            assert m == (n if a == 1 or n % 2 else lcm(n, 4 * abs(a))), (n, a)
-            entry = local_counts._class_table(eq)[valued % m]
+            table = local_counts.class_table(eq)
+            assert table.size == (n if a == 1 or n % 2 else lcm(n, 4 * abs(a))), (n, a)
+            entry = table[valued % table.size]
             # an entry is the count, or -d where the criterion decides between d and 0
             d = np.gcd(valued - 1, n)
             criterion = entry < 0
@@ -126,6 +126,13 @@ def test_class_table_matches_formula_on_a_full_sieve_segment():
             assert np.array_equal(-entry[criterion], d[criterion]), (n, a)
             assert ((want == 0) | (want == d))[criterion].all(), (n, a)
             assert np.array_equal(count_roots_array(eq, valued), want), (n, a)
+    # lcm(8, 4 * 32771) = 262168 is past RESIDUE_TABLE_LIMIT: no table, and
+    # count_roots_array takes gcd(p - 1, n) per prime
+    eq = PowerEquation(8, 32771)
+    assert local_counts.class_table(eq) is None
+    valued = primes[~eq.bad_primes.mask(primes)]
+    want = [count_roots_formula(eq, p) for p in valued.tolist()]
+    assert count_roots_array(eq, valued).tolist() == want
 
 
 def test_count_roots_formula_falls_back_on_shared_factor():

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import primes_between
-from orbitmoments import moment_lab, orbit_engine
+from orbitmoments import core_arith, moment_lab
 from orbitmoments.closed_forms import (
     cm_moment,
     dk,
@@ -1012,12 +1012,33 @@ def test_entry_budget_sends_the_counter_to_the_stream(monkeypatch):
     classes = empirical_moment(counter, 2, 10**7)
     clear_stream_memo()
     # phi(6) = 2 rows of 3162 + 1 + 3161 columns
-    monkeypatch.setattr(orbit_engine, "ENTRY_BUDGET", 2 * 6324 - 1)
+    monkeypatch.setattr(core_arith, "ENTRY_BUDGET", 2 * 6324 - 1)
     stream = empirical_moment(counter, 2, 10**7)
     _assert_paths_agree([classes], [stream])
-    monkeypatch.setattr(orbit_engine, "ENTRY_BUDGET", 2 * 6324)
+    monkeypatch.setattr(core_arith, "ENTRY_BUDGET", 2 * 6324)
     clear_stream_memo()
     assert empirical_moment(counter, 2, 10**7).path == "classes"
+
+
+def test_one_entry_budget_moves_its_three_checks(monkeypatch):
+    # core_arith.ENTRY_BUDGET bounds a permutation table, the element table
+    # that decides whether glm lists its group, and a class-count table
+    from orbitmoments.core_arith import CapacityError
+    from orbitmoments.orbit_engine import build_action
+
+    counter = PowerCounter(PowerEquation(6, 1))  # 2 rows of 6324 columns at x = 10**7
+    units = build_action("units:200")  # 80 elements on 200 points
+    monkeypatch.setattr(core_arith, "ENTRY_BUDGET", 480 * 25 - 1)
+    clear_stream_memo()
+    with pytest.raises(CapacityError, match="needs 16000 permutation table entries"):
+        units.perms
+    assert not build_action("glm:5,2").materialized  # 480 elements on 25 points
+    assert empirical_moment(counter, 1, 10**7).path == "stream"
+    monkeypatch.undo()
+    clear_stream_memo()
+    assert units.perms.shape == (80, 200)
+    assert build_action("glm:5,2").materialized
+    assert empirical_moment(counter, 1, 10**7).path == "classes"
 
 
 def test_report_path_roundtrips_through_json():

@@ -1,8 +1,10 @@
 import ast
+import importlib
 import tokenize
 import tracemalloc
 from fractions import Fraction
 from math import gcd, log2
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from oracles import (
     table_histogram,
     tuple_orbit_minima,
 )
-from orbitmoments import orbit_engine, orbit_oracle
+import orbitmoments
+from orbitmoments import core_arith, orbit_engine, orbit_oracle
 from orbitmoments.closed_forms import dk, gl2_masses, gl2_moment, mk
 from orbitmoments.core_arith import CapacityError, divisor_count, is_prime
 from orbitmoments.orbit_engine import (
@@ -97,9 +100,9 @@ def test_semidirect_histogram_matches_its_permutation_table():
 def test_semidirect_honours_the_budgets(monkeypatch):
     # semidirect:5 keeps no table: its generators are (1, 1) and (0, 2),
     # two rows of 25 entries, checked against ENTRY_BUDGET when first read
-    monkeypatch.setattr(orbit_engine, "ENTRY_BUDGET", 50)
+    monkeypatch.setattr(core_arith, "ENTRY_BUDGET", 50)
     assert build_action("semidirect:5").generators.shape == (2, 25)
-    monkeypatch.setattr(orbit_engine, "ENTRY_BUDGET", 49)
+    monkeypatch.setattr(core_arith, "ENTRY_BUDGET", 49)
     action = build_action("semidirect:5")
     assert burnside_moment(action, 2) == mk(5, 3)
     error, peak = _refusal_and_peak(lambda: action.generators)
@@ -128,7 +131,7 @@ def test_units_and_quad_budget_the_rows_of_their_generating_subset(monkeypatch):
     # units:5 has 4 elements on 5 points and is generated by 2 alone; the
     # element list is kept whatever ENTRY_BUDGET is, and each permutation
     # table is checked against it when first read
-    monkeypatch.setattr(orbit_engine, "ENTRY_BUDGET", 5)
+    monkeypatch.setattr(core_arith, "ENTRY_BUDGET", 5)
     action = build_action("units:5")
     assert action.materialized
     assert burnside_moment(action, 2) == mk(5, 2)
@@ -137,13 +140,13 @@ def test_units_and_quad_budget_the_rows_of_their_generating_subset(monkeypatch):
         action.perms
     assert not built(action, "perms")
     # quad:2,-1 is {1, i} on 4 points, generated by i alone
-    monkeypatch.setattr(orbit_engine, "ENTRY_BUDGET", 3)
+    monkeypatch.setattr(core_arith, "ENTRY_BUDGET", 3)
     quad = build_action("quad:2,-1")
     with pytest.raises(CapacityError, match="needs 4 permutation table entries, budget is 3"):
         quad.generators
     assert not built(quad, "generators")
     # quad:5,-1 keeps 3 generators on 25 points, budgeted as one table
-    monkeypatch.setattr(orbit_engine, "ENTRY_BUDGET", 74)
+    monkeypatch.setattr(core_arith, "ENTRY_BUDGET", 74)
     with pytest.raises(CapacityError, match="needs 75 permutation table entries, budget is 74"):
         build_action("quad:5,-1").generators
 
@@ -939,29 +942,68 @@ def test_glm_4_3_burnside_peak_stays_below_the_candidate_stack():
     assert peak < candidates / 12, peak
 
 
+def _tree(path: str) -> ast.Module:
+    with open(path) as fh:
+        return ast.parse(fh.read())
+
+
+def _package_modules() -> dict:
+    """The modules orbitmoments/__init__.py imports, by name."""
+    init = _tree(orbitmoments.__file__)
+    names = [node.module for node in init.body if isinstance(node, ast.ImportFrom)]
+    return {name: importlib.import_module(f"orbitmoments.{name}") for name in names}
+
+
 def test_orbit_engine_stays_below_the_parser_token_budget():
     # Compiling a module of 4,096 or more parser tokens makes CPython 3.11's
     # parser grow its token array, a compile peak of 256 KB more (1,792 KB
     # against 1,536 KB of ru_maxrss); every benchmark round imports these
     # modules from source, and an earlier 4,191-token orbit_engine raised
     # power-stream peak_rss_mb by 0.3 MB.  Delete as much as you add, or
-    # split the module again.
-    for module in (orbit_engine, orbit_oracle):
+    # split the module again.  local_counts is past the step already, at
+    # about 4,600 tokens (ROADMAP records what splitting it should measure).
+    modules = _package_modules()
+    assert {"core_arith", "moment_lab", "orbit_engine", "orbit_oracle"} <= set(modules)
+    for name, module in modules.items():
+        if name == "local_counts":
+            continue
         with open(module.__file__) as fh:
             tokens = tokenize.generate_tokens(fh.readline)
             count = sum(t.type not in (tokenize.COMMENT, tokenize.NL) for t in tokens)
-        assert count < 4096, (module.__name__, count)
+        assert count < 4096, (name, count)
 
 
 def test_orbit_oracle_imports_nothing_from_orbit_engine():
     # the oracle checks the builders' histograms, so it must not reach them
-    with open(orbit_oracle.__file__) as fh:
-        tree = ast.parse(fh.read())
     names = []
-    for node in ast.walk(tree):
+    for node in ast.walk(_tree(orbit_oracle.__file__)):
         if isinstance(node, ast.ImportFrom):
             names += [node.module or ""] + [alias.name for alias in node.names]
         elif isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
     assert "core_arith" in names and "numpy" in names, names
     assert not any("orbit_engine" in name for name in names), names
+
+
+def test_modules_reach_no_private_name_of_another():
+    # the prime stream needs nothing from the orbit layer, and what two
+    # modules share is public in the one that owns it
+    for path in sorted(Path(orbitmoments.__file__).parent.glob("*.py")):
+        name, tree = path.stem, _tree(path)
+        siblings = set()  # sibling modules imported whole, as `from . import name`
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level != 1:
+                continue
+            if node.module is None:
+                siblings |= {alias.name for alias in node.names}
+            else:
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, (name, node.module, private)
+            if name in ("local_counts", "moment_lab"):
+                reached = {node.module} | {alias.name for alias in node.names}
+                assert not reached & {"orbit_engine", "orbit_oracle"}, (name, reached)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert not (node.value.id in siblings and node.attr.startswith("_")), (
+                    name, node.value.id, node.attr
+                )
